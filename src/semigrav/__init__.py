@@ -73,6 +73,7 @@ from .measurement import (
     MeasurementEvent,
     NoAdmissibleCausalBranch,
     PageGeilkerResult,
+    TrialBatch,
     TrialRecord,
     ZeroOverlapError,
     born_probabilities,
@@ -83,7 +84,9 @@ from .measurement import (
     project,
     run_epr_scenario,
     run_page_geilker,
+    run_trials,
     trial_rng,
+    trial_uniforms,
 )
 from .report import RunReport, Table, emit
 from .scenarios import (

@@ -11,7 +11,7 @@ construction (exact cancellations therefore yield the empty zero state).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import frexp, ldexp, sqrt
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -109,10 +109,9 @@ class FockState:
             amp = complex(amp)
             if abs(amp) <= DROP_TOL:
                 continue
-            if occ.pairs and occ.pairs[-1][0] >= n:
-                raise BasisMismatchError(
-                    f"mode index {occ.pairs[-1][0]} outside basis with {n} modes"
-                )
+            if occ.pairs and (occ.pairs[0][0] < 0 or occ.pairs[-1][0] >= n):
+                mode = occ.pairs[0][0] if occ.pairs[0][0] < 0 else occ.pairs[-1][0]
+                raise BasisMismatchError(f"mode index {mode} outside basis with {n} modes")
             cleaned[occ] = amp
         self.basis = basis
         self.terms = cleaned
@@ -202,6 +201,14 @@ def superpose(parts: Iterable[tuple[complex, FockState]], normalize: bool = Fals
     if not parts:
         raise ValueError("superpose requires at least one term")
     basis = parts[0][1].basis
+    if normalize:
+        # scale by an exact power of two that puts the largest |c| in [1, 2),
+        # so that tiny coefficients do not fall under DROP_TOL (nor huge ones
+        # overflow) before the normalization removes the scale
+        coeffs = [complex(c) for c, _ in parts]
+        k = 1 - frexp(max(abs(c) for c in coeffs))[1]
+        parts = [(complex(ldexp(c.real, k), ldexp(c.imag, k)), st)
+                 for c, (_, st) in zip(coeffs, parts)]
     acc: dict[Occupation, complex] = {}
     for coeff, st in parts:
         if not _same_basis(st.basis, basis):

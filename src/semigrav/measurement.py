@@ -14,12 +14,16 @@ Admissibility itself is scenario-declared (which branch sets count as
 it takes a BranchSet and enforces only orthonormality, Born statistics,
 and the light-cone condition.
 
-Trials use counter-based seeding -- generator seeded by the pair
-(master_seed, trial_index) -- so trials are order-independent.
+Trials use counter-based seeding -- trial ``i`` of master seed ``s`` draws
+the first uniform of ``np.random.default_rng((s, i))`` -- so trials are
+order-independent.  ``run_trials`` draws them in blocks of trial indices
+through ``trial_uniforms``, which reproduces that stream bit for bit in
+vectorised integer arithmetic; ``trial_rng`` builds the generator itself
+for single trials and serves as the oracle for the batch path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import json
@@ -41,6 +45,9 @@ __all__ = [
     "TrialRecord",
     "born_probabilities",
     "trial_rng",
+    "trial_uniforms",
+    "TrialBatch",
+    "run_trials",
     "project",
     "causality_check",
     "constrained_project",
@@ -76,13 +83,9 @@ class Branch:
 
 
 class BranchSet:
-    """An orthonormal family of branches (checked on construction).
+    """An orthonormal family of branches (checked on construction)."""
 
-    ``project`` keeps the Born weights of the last state it saw here, so a
-    trial loop over one (immutable) state computes them only once.
-    """
-
-    __slots__ = ("branches", "_born_cache")
+    __slots__ = ("branches",)
 
     def __init__(self, branches: Sequence[Branch]):
         branches = tuple(branches)
@@ -100,7 +103,6 @@ class BranchSet:
                         f"are not orthogonal (|overlap| = {ov:.3e})"
                     )
         self.branches = branches
-        self._born_cache: tuple[FockState, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.branches)
@@ -185,6 +187,123 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng((int(master_seed), int(trial_index)))
 
 
+# ---- batched trial draws ----------------------------------------------------
+# numpy's SeedSequence (4-word pool) and PCG64 seeding, replayed column-wise
+# over many trial indices.  Hash words are uint32 arrays, which wrap on
+# overflow as the reference does; 128-bit PCG states are (hi, lo) pairs of
+# uint64 arrays.
+
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))
+_U32, _U64 = np.uint32, np.uint64
+
+
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative integer; 0 gives [0]."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One SeedSequence hash step; returns the hashed words and the next constant."""
+    nxt = (const * mult) & _MASK32
+    value = (value ^ _U32(const)) * _U32(nxt)
+    return value ^ (value >> _U32(16)), nxt
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> _U32(16))
+
+
+def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit product a * b, from 32-bit halves."""
+    mask, s32 = _U64(_MASK32), _U64(32)
+    a0, a1, b0, b1 = a & mask, a >> s32, b & mask, b >> s32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> s32) + (p01 & mask) + (p10 & mask)
+    return a1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """state * multiplier + inc, modulo 2**128."""
+    m_hi, m_lo = _PCG_MULT
+    hi = _mulhi64(lo, m_lo) + lo * m_hi + hi * m_lo
+    lo = lo * m_lo
+    out_lo = lo + inc_lo
+    return hi + inc_hi + (out_lo < lo).astype(np.uint64), out_lo
+
+
+def trial_uniforms(master_seed: int, indices) -> np.ndarray:
+    """``default_rng((master_seed, i)).random()`` for every ``i`` in ``indices``.
+
+    Bit-identical to ``trial_rng(master_seed, i).random()``: the SeedSequence
+    entropy is the seed's and the index's little-endian uint32 words, hashed
+    into a 4-word pool; ``generate_state(4, uint64)`` seeds PCG64, whose first
+    XSL-RR output gives the 53-bit float.
+    """
+    seed_words = _uint32_words(int(master_seed))
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu":
+        raise TypeError("trial indices must be integers")
+    if idx.size and idx.dtype.kind == "i" and idx.min() < 0:
+        raise ValueError("expected non-negative integer")
+    idx = idx.astype(np.uint64).ravel()
+    n = idx.size
+    low = (idx & _U64(_MASK32)).astype(np.uint32)
+    high = (idx >> _U64(32)).astype(np.uint32)
+    # entropy columns; an index below 2**32 has no high word, which inside
+    # the pool acts as a zero word but beyond it must be skipped
+    columns = [np.full(n, w, dtype=np.uint32) for w in seed_words] + [low, high]
+    length = len(seed_words) + 1 + (high != 0)
+
+    const = _INIT_A
+    pool = []
+    for j in range(_POOL_SIZE):
+        word = columns[j] if j < len(columns) else np.zeros(n, dtype=np.uint32)
+        hashed, const = _hash(word, const, _MULT_A)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], hashed)
+    for src in range(_POOL_SIZE, len(columns)):
+        present = src < length
+        for dst in range(_POOL_SIZE):
+            hashed, const = _hash(columns[src], const, _MULT_A)
+            pool[dst] = np.where(present, _mix(pool[dst], hashed), pool[dst])
+
+    const = _INIT_B
+    words = []
+    for k in range(2 * _POOL_SIZE):
+        hashed, const = _hash(pool[k % _POOL_SIZE], const, _MULT_B)
+        words.append(hashed.astype(np.uint64))
+    state = [words[2 * k] | (words[2 * k + 1] << _U64(32)) for k in range(_POOL_SIZE)]
+
+    # PCG64 set_seed(initstate = state[0:2], initseq = state[2:4]), high word first
+    inc_hi = (state[2] << _U64(1)) | (state[3] >> _U64(63))
+    inc_lo = (state[3] << _U64(1)) | _U64(1)
+    lo = inc_lo + state[1]
+    hi = inc_hi + state[0] + (lo < inc_lo).astype(np.uint64)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)  # random() steps, then outputs
+    rot = hi >> _U64(58)
+    x = hi ^ lo
+    x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+    return (x >> _U64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
 def _sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
     r = rng.random()
     cum = 0.0
@@ -199,15 +318,57 @@ def project(state: FockState, measurement: MeasurementEvent,
             rng_seed) -> tuple[int, FockState]:
     """Sample a branch by the Born rule; the post-state is that branch exactly."""
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    idx = _sample_index(born_probabilities(state, measurement.branch_set), rng)
+    return idx, measurement.branch_set[idx].state
+
+
+_TRIAL_BLOCK = 4096  # trial indices drawn at once: bounds memory, not results
+
+
+@dataclass(frozen=True)
+class TrialBatch:
+    """Branch counts of ``n_trials`` seeded projections of one state.
+
+    ``records`` holds the first ``keep_records`` trials without a causality
+    report; the caller owns the probes and profiles that produce one.
+    """
+
+    n_trials: int
+    born: tuple[float, ...]
+    counts: tuple[int, ...]
+    records: tuple[TrialRecord, ...]
+
+
+def run_trials(state: FockState, measurement: MeasurementEvent, master_seed: int,
+               n_trials: int, keep_records: int) -> TrialBatch:
+    """Project ``state`` once in each of trials ``0 .. n_trials - 1``.
+
+    Trial ``t`` picks the branch that ``project(state, measurement,
+    trial_rng(master_seed, t))`` picks: its uniform comes from
+    ``trial_uniforms``, and the branch is the first whose cumulative Born
+    weight, summed in ``_sample_index``'s order, exceeds it.
+    """
+    if n_trials < 1:
+        raise ValueError("n_trials must be positive")
     branch_set = measurement.branch_set
-    cached = branch_set._born_cache
-    if cached is not None and cached[0] is state:
-        probs = cached[1]
-    else:
-        probs = born_probabilities(state, branch_set)
-        branch_set._born_cache = (state, probs)
-    idx = _sample_index(probs, rng)
-    return idx, branch_set[idx].state
+    born = born_probabilities(state, branch_set)
+    cum = np.cumsum(born)
+    counts = np.zeros(len(born), dtype=np.int64)
+    first: list[int] = []
+    for start in range(0, n_trials, _TRIAL_BLOCK):
+        trials = np.arange(start, min(start + _TRIAL_BLOCK, n_trials), dtype=np.uint64)
+        r = trial_uniforms(master_seed, trials)
+        picks = np.minimum(np.searchsorted(cum, r, side="right"), len(born) - 1)
+        counts += np.bincount(picks, minlength=len(born))
+        if len(first) < keep_records:
+            first.extend(picks[:keep_records - len(first)].tolist())
+    records = tuple(
+        TrialRecord(master_seed=master_seed, trial_index=t, branch_index=i,
+                    branch_label=branch_set[i].label, probability=float(born[i]),
+                    causality=None)
+        for t, i in enumerate(first))
+    return TrialBatch(n_trials, tuple(float(p) for p in born),
+                      tuple(int(c) for c in counts), records)
 
 
 def causality_check(pre_profile: Profile, post_profile: Profile, origin: Event,
@@ -362,47 +523,35 @@ def run_epr_scenario(n_trials: int, master_seed: int, *, box_side: float = 10.0,
     probes += [Event(measurement_time + 1.0, (x,))
                for x in np.linspace(0.0, box_side, n_probes - n_probes // 2)]
 
-    born = born_probabilities(singlet, branches)
     # the branch profiles do not vary across trials, so each branch's
     # causality report is computed once and attached to the trials below
     reports = tuple(
         causality_check(shared, br.energy_profile, measurement.event, probes, tol)
         for br in branches
     )
+    batch = run_trials(singlet, measurement, master_seed, n_trials, keep_records)
 
-    counts = [0, 0]
-    anticorrelated = 0
-    records: list[TrialRecord] = []
-    for trial in range(n_trials):
-        rng = trial_rng(master_seed, trial)
-        idx, post = project(singlet, measurement, rng)
-        counts[idx] += 1
+    def anticorrelated(post: FockState) -> bool:
         local_up = number_expectation(post, l_up)
         remote_dn = number_expectation(post, r_dn)
         remote_up = number_expectation(post, r_up)
         # local "up" must pair with remote "down" and vice versa
-        if (local_up == 1.0 and remote_dn == 1.0 and remote_up == 0.0) or (
-                local_up == 0.0 and remote_up == 1.0 and remote_dn == 0.0):
-            anticorrelated += 1
-        if trial < keep_records:
-            records.append(TrialRecord(
-                master_seed=master_seed,
-                trial_index=trial,
-                branch_index=idx,
-                branch_label=branches[idx].label,
-                probability=float(born[idx]),
-                causality=reports[idx],
-            ))
+        return (local_up == 1.0 and remote_dn == 1.0 and remote_up == 0.0) or (
+            local_up == 0.0 and remote_up == 1.0 and remote_dn == 0.0)
 
+    # a trial's post-state is its branch's state exactly, so the check runs
+    # once per branch that occurred and counts for all of its trials
+    counts = batch.counts
+    n_anticorrelated = sum(c for br, c in zip(branches, counts) if c and anticorrelated(br.state))
     return EPRResult(
         n_trials=n_trials,
         branch_counts=(counts[0], counts[1]),
         branch_frequencies=(counts[0] / n_trials, counts[1] / n_trials),
-        born=(float(born[0]), float(born[1])),
-        anticorrelation_rate=anticorrelated / n_trials,
+        born=batch.born,
+        anticorrelation_rate=n_anticorrelated / n_trials,
         causality_reports=reports,
         max_violation_outside=max(r.max_violation_outside for r in reports),
-        records=tuple(records),
+        records=tuple(replace(rec, causality=reports[rec.branch_index]) for rec in batch.records),
     )
 
 
@@ -460,36 +609,21 @@ def run_page_geilker(n_trials: int, master_seed: int, *, box_side: float = 10.0,
     # visible to the check: the reported "violation" is the discontinuity
     discontinuity = min(r.max_violation_outside for r in reports)
 
-    counts = [0, 0]
-    always_single = True
-    records: list[TrialRecord] = []
-    probs = born_probabilities(pointer, branches)
-    for trial in range(n_trials):
-        rng = trial_rng(master_seed, trial)
-        idx, post = project(pointer, measurement, rng)
-        counts[idx] += 1
-        chosen = branches[idx].energy_profile
-        at_a = Event(measurement_time, (position_a,))
-        at_b = Event(measurement_time, (position_b,))
+    batch = run_trials(pointer, measurement, master_seed, n_trials, keep_records)
+    at_a = Event(measurement_time, (position_a,))
+    at_b = Event(measurement_time, (position_b,))
+
+    def single_sphere(chosen: Profile) -> bool:
         # the post profile is one full sphere, never the pre-projection
         # average: it must deviate from the average at both positions
-        if not (abs(chosen(at_a) - pre(at_a)) > 0.0 and abs(chosen(at_b) - pre(at_b)) > 0.0):
-            always_single = False
-        if trial < keep_records:
-            records.append(TrialRecord(
-                master_seed=master_seed,
-                trial_index=trial,
-                branch_index=idx,
-                branch_label=branches[idx].label,
-                probability=float(probs[idx]),
-                causality=reports[idx],
-            ))
+        return abs(chosen(at_a) - pre(at_a)) > 0.0 and abs(chosen(at_b) - pre(at_b)) > 0.0
 
     return PageGeilkerResult(
         n_trials=n_trials,
-        branch_counts=(counts[0], counts[1]),
+        branch_counts=(batch.counts[0], batch.counts[1]),
         discontinuity=discontinuity,
-        always_single_sphere=always_single,
+        always_single_sphere=all(
+            single_sphere(br.energy_profile) for br, c in zip(branches, batch.counts) if c),
         causality_reports=reports,
-        records=tuple(records),
+        records=tuple(replace(rec, causality=reports[rec.branch_index]) for rec in batch.records),
     )

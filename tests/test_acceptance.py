@@ -23,10 +23,9 @@ from semigrav.measurement import (
     born_probabilities,
     causality_check,
     gaussian_bump,
-    project,
     run_epr_scenario,
     run_page_geilker,
-    trial_rng,
+    run_trials,
 )
 from semigrav.modes import (
     default_rindler_grid,
@@ -248,10 +247,7 @@ def test_criterion_8_born_statistics():
     for amps in ((1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)), (0.6, 0.8), (1.0, 0.0)):
         psi = superpose([(amps[0], a), (amps[1], b)], normalize=True)
         probs = born_probabilities(psi, branches)
-        counts = np.zeros(2)
-        for trial in range(n):
-            idx, _ = project(psi, meas, trial_rng(2026, trial))
-            counts[idx] += 1
+        counts = run_trials(psi, meas, 2026, n, 0).counts
         for i, p in enumerate(probs):
             bound = 4.0 * np.sqrt(p * (1.0 - p) / n)
             ok = ok and abs(counts[i] / n - p) <= bound

@@ -130,6 +130,14 @@ def test_zero_norm_rejected():
         superpose([(1.0, vac), (-1.0, vac)], normalize=True)
 
 
+def test_tiny_coefficients_normalize():
+    vac = new_vacuum(BASIS)
+    a, b = create(vac, 0), create(vac, 1)
+    psi = superpose([(1e-16, a), (1e-16, b)], normalize=True)
+    assert len(psi.terms) == 2
+    assert_allclose(list(psi.terms.values()), [2.0 ** -0.5] * 2, rtol=1e-15)
+
+
 def test_basis_mismatch_detected():
     other = minkowski_basis(box_side=10.0, dimension=1, mass=2.0, n_max=1)
     with pytest.raises(BasisMismatchError):
@@ -138,6 +146,10 @@ def test_basis_mismatch_detected():
         superpose([(1.0, new_vacuum(BASIS)), (1.0, new_vacuum(other))])
     with pytest.raises(BasisMismatchError):
         create(new_vacuum(BASIS), BASIS.n_modes)
+    with pytest.raises(BasisMismatchError, match="mode index -1 outside basis with 3 modes"):
+        FockState(BASIS, {Occupation(((-1, 1),)): 1.0})
+    with pytest.raises(BasisMismatchError, match="mode index 3 outside basis"):
+        FockState(BASIS, {Occupation(((0, 1), (3, 1))): 1.0})
 
 
 def test_occupation_validation():
@@ -213,3 +225,20 @@ def test_create_raises_norm_consistently(psi, mode):
     raised = create(unit, mode)
     expected = number_expectation(unit, mode) + 1.0
     assert_allclose(raised.norm() ** 2, expected, rtol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=fock_states(), v=fock_states(), a=amplitudes, b=amplitudes,
+       exponent=st.integers(-99, 99), factor=st.floats(1e-30, 1e30))
+def test_normalized_superpose_is_scale_invariant(u, v, a, b, exponent, factor):
+    try:
+        ref = superpose([(a, u), (b, v)], normalize=True)
+    except ZeroNormError:
+        return
+    # a power-of-two scale is exact, so the result is bit-identical
+    two = 2.0 ** exponent
+    assert superpose([(a * two, u), (b * two, v)], normalize=True).terms == ref.terms
+    # any other scale rounds the coefficients once
+    scaled = superpose([(a * factor, u), (b * factor, v)], normalize=True)
+    for occ in ref.terms.keys() | scaled.terms.keys():
+        assert abs(scaled.amplitude(occ) - ref.amplitude(occ)) <= 1e-13

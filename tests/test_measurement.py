@@ -1,9 +1,13 @@
 """Born projection, light-cone gating, and the two collapse scenarios."""
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from semigrav.fock import create, new_vacuum, superpose
+from semigrav import measurement
+from semigrav.fock import create, new_vacuum, number_expectation, superpose
 from semigrav.measurement import (
     Branch,
     BranchSet,
@@ -12,6 +16,7 @@ from semigrav.measurement import (
     NoAdmissibleCausalBranch,
     TrialRecord,
     ZeroOverlapError,
+    _epr_setup,
     _sample_index,
     born_probabilities,
     causality_check,
@@ -21,7 +26,9 @@ from semigrav.measurement import (
     project,
     run_epr_scenario,
     run_page_geilker,
+    run_trials,
     trial_rng,
+    trial_uniforms,
 )
 from semigrav.modes import minkowski_basis
 from semigrav.spacetime import Event
@@ -108,9 +115,8 @@ def test_degenerate_probabilities_never_pick_zero_branch():
 
 
 def test_project_matches_uncached_born_sampling():
-    # project reuses the Born weights of the last state seen by the branch
-    # set; alternating states every trial exercises both the hit and the
-    # miss path, and every draw must equal the uncached reference path
+    # states alternate every other trial; every draw must equal the
+    # reference path that samples fresh Born weights
     branches, a, b = _two_branches()
     meas = MeasurementEvent(Event(0.0, (5.0,)), branches)
     states = [superpose([(amps[0], a), (amps[1], b)], normalize=True)
@@ -122,9 +128,159 @@ def test_project_matches_uncached_born_sampling():
         ref = _sample_index(born_probabilities(psi, branches), trial_rng(31, trial))
         assert idx == ref
         assert post is branches[ref].state
-    # a cached state does not let an unnormalized one through
+    # an unnormalized state is rejected
     with pytest.raises(ValueError):
         project(superpose([(2.0, a)]), meas, trial_rng(31, n))
+
+
+# ---- batched trials against the single-trial oracle ----------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2026, 2**32 - 1, 2**32, 2**64 + 5])
+def test_trial_uniforms_equal_trial_rng_draws(seed):
+    # 17,003 indices per seed: a run from 0, a run straddling 2**32 (index
+    # entropy grows from one word to two) and the largest indices; the
+    # three-word seed 2**64 + 5 with a two-word index outgrows the 4-word pool
+    idx = np.concatenate([
+        np.arange(0, 13_000, dtype=np.uint64),
+        np.arange(2**32 - 2_000, 2**32 + 2_000, dtype=np.uint64),
+        np.array([2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = trial_uniforms(seed, idx)
+        ref = np.array([trial_rng(seed, int(i)).random() for i in idx])
+    assert got.dtype == np.float64
+    assert np.array_equal(got, ref)
+
+
+def test_trial_uniforms_input_checks():
+    assert np.array_equal(trial_uniforms(5, [3, 0, 3]),
+                          [trial_rng(5, i).random() for i in (3, 0, 3)])
+    assert trial_uniforms(5, np.arange(0)).shape == (0,)
+    with pytest.raises(ValueError):
+        trial_uniforms(-1, [0])
+    with pytest.raises(ValueError):
+        trial_uniforms(1, [2, -1])
+    with pytest.raises(TypeError):
+        trial_uniforms(1, [0.5])
+
+
+def _reference_picks(state, meas, seed, n):
+    """The single-trial path: one fresh generator and ``project`` per trial."""
+    picks = []
+    for t in range(n):
+        idx, post = project(state, meas, trial_rng(seed, t))
+        assert post is meas.branch_set[idx].state
+        picks.append(idx)
+    return picks
+
+
+def _reference_records(picks, branches, born, seed, keep, reports=(None, None)):
+    return tuple(
+        TrialRecord(seed, t, i, branches[i].label, float(born[i]), reports[i])
+        for t, i in enumerate(picks[:keep]))
+
+
+TRIAL_COUNTS = (1, 4095, 4096, 4097, 10_000)
+
+
+@pytest.mark.parametrize("amps", [(0.6, 0.8), (1.0, 0.0)])
+def test_run_trials_matches_project_loop(amps):
+    branches, a, b = _two_branches()
+    meas = MeasurementEvent(Event(0.0, (5.0,)), branches)
+    psi = superpose([(amps[0], a), (amps[1], b)], normalize=True)
+    born = born_probabilities(psi, branches)
+    for seed in (3, 2026):
+        picks = _reference_picks(psi, meas, seed, max(TRIAL_COUNTS))
+        for n in TRIAL_COUNTS:
+            for keep in (0, 3, 5000):
+                batch = run_trials(psi, meas, seed, n, keep)
+                assert batch.n_trials == n
+                assert batch.counts == (picks[:n].count(0), picks[:n].count(1))
+                assert np.array_equal(batch.born, born)
+                assert batch.records == _reference_records(picks[:n], branches, born, seed, keep)
+    with pytest.raises(ValueError):
+        run_trials(psi, meas, 3, 0, 0)
+
+
+class _FixedDraw:
+    """Generator stand-in whose one draw is a preset uniform."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_run_trials_branch_rule_at_exact_boundaries(monkeypatch):
+    # uniforms that seeded draws practically never give: exactly on a
+    # cumulative weight, and at or above a last cumulative weight that
+    # rounds below 1 (amplitudes 0.6, 0.8, 0.6)
+    states = [create(VAC, i).normalized() for i in range(3)]
+    branches = BranchSet([Branch(str(i), st, FLAT) for i, st in enumerate(states)])
+    meas = MeasurementEvent(Event(0.0, (5.0,)), branches)
+    psi = superpose(list(zip((0.6, 0.8, 0.6), states)), normalize=True)
+    born = born_probabilities(psi, branches)
+    cum = np.cumsum(born)
+    assert cum[-1] < 1.0
+    r = np.array([0.0, np.nextafter(cum[0], 0.0), cum[0], cum[1], cum[2], 1.0 - 2.0**-53])
+    monkeypatch.setattr(measurement, "trial_uniforms", lambda seed, idx: r[idx])
+    batch = run_trials(psi, meas, 0, len(r), len(r))
+    picks = [rec.branch_index for rec in batch.records]
+    assert picks == [_sample_index(born, _FixedDraw(u)) for u in r]
+    assert picks == [0, 0, 1, 2, 2, 2]
+
+
+def test_epr_scenario_matches_project_loop():
+    _, (l_up, _, r_up, r_dn), branch_i, branch_ii, singlet = _epr_setup(10.0, mass=1.0)
+    branches = BranchSet([Branch("I", branch_i, FLAT), Branch("II", branch_ii, FLAT)])
+    meas = MeasurementEvent(Event(0.5, (3.0,)), branches)
+    born = born_probabilities(singlet, branches)
+    for seed in (0, 12, 2**33 + 1):
+        picks = _reference_picks(singlet, meas, seed, max(TRIAL_COUNTS))
+        anti = []
+        for idx in picks:
+            post = branches[idx].state
+            up, dn, rup = (number_expectation(post, m) for m in (l_up, r_dn, r_up))
+            anti.append((up, dn, rup) in ((1.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+        for n in TRIAL_COUNTS:
+            res = run_epr_scenario(n, seed)
+            c = (picks[:n].count(0), picks[:n].count(1))
+            expected = replace(
+                res, n_trials=n, branch_counts=c, branch_frequencies=(c[0] / n, c[1] / n),
+                born=(float(born[0]), float(born[1])),
+                anticorrelation_rate=sum(anti[:n]) / n,
+                records=_reference_records(picks[:n], branches, born, seed, 3,
+                                           res.causality_reports))
+            assert res == expected
+
+
+def test_page_geilker_matches_project_loop():
+    basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)
+    vac = new_vacuum(basis)
+    state_a = create(vac, basis.mode_index((-1,))).normalized()
+    state_b = create(vac, basis.mode_index((1,))).normalized()
+    pointer = superpose([(1.0, state_a), (1.0, state_b)], normalize=True)
+    bump_a, bump_b = gaussian_bump((3.0,), 1.0, 0.4), gaussian_bump((7.0,), 1.0, 0.4)
+    pre = profile_mixture([(0.5, bump_a), (0.5, bump_b)])
+    branches = BranchSet([Branch("sphere_at_A", state_a, bump_a),
+                          Branch("sphere_at_B", state_b, bump_b)])
+    meas = MeasurementEvent(Event(1.0, (5.0,)), branches)
+    born = born_probabilities(pointer, branches)
+    at = (Event(1.0, (3.0,)), Event(1.0, (7.0,)))
+    for seed in (4, 99):
+        picks = _reference_picks(pointer, meas, seed, max(TRIAL_COUNTS))
+        single = [all(abs(branches[i].energy_profile(ev) - pre(ev)) > 0.0 for ev in at)
+                  for i in picks]
+        for n in TRIAL_COUNTS:
+            res = run_page_geilker(n, seed)
+            expected = replace(
+                res, n_trials=n, branch_counts=(picks[:n].count(0), picks[:n].count(1)),
+                always_single_sphere=all(single[:n]),
+                records=_reference_records(picks[:n], branches, born, seed, 3,
+                                           res.causality_reports))
+            assert res == expected
 
 
 @pytest.mark.parametrize("amps", [(1.0, 1.0), (0.6, 0.8), (1.0, 0.0)])
