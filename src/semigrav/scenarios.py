@@ -1,7 +1,9 @@
-"""Named end-to-end scenarios: config validation and report assembly.
+"""Named end-to-end scenarios: one registry record per scenario.
 
-Each scenario builds a backend, a mode basis and a state, runs its
-pipeline (stress samples, residuals, spectra or projection trials), and
+Each ``_Scenario`` record in ``_SCENARIOS`` holds the config schema (field
+to validator), the cross-field rules, the runner and an optional volume
+scan.  ``SCENARIO_NAMES``, ``SCANS`` and the ``trials`` override (allowed
+when the schema has ``n_trials``) derive from the records.  A runner
 returns a RunReport whose flags record the scenario's own pass criteria.
 Config validation is total: every field is required, unknown fields are
 rejected, and every error message names the offending field.
@@ -11,9 +13,10 @@ from __future__ import annotations
 import json
 import math
 import time
+from dataclasses import dataclass
 from importlib import resources
 from math import isfinite
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,9 +32,11 @@ from .stress_energy import integrated_energy, stress_sample, total_energy, wavep
 __all__ = [
     "ScenarioConfigError",
     "SCENARIO_NAMES",
+    "SCANS",
     "default_config",
     "validate_config",
     "run_scenario",
+    "scan_scenario",
 ]
 
 
@@ -48,7 +53,10 @@ class _Bad(Exception):
 def _number(v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise _Bad("must be a number")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an int beyond the float range
+        raise _Bad("must be finite") from None
     if not isfinite(v):
         raise _Bad("must be finite")
     return v
@@ -114,114 +122,6 @@ def _increasing_positive(min_len: int) -> Callable:
             raise _Bad("entries must be strictly increasing")
         return tuple(vals)
     return check
-
-
-_SCHEMAS: dict[str, dict[str, Callable]] = {
-    "minkowski_vacuum": {
-        "box_side": _positive, "dimension": _dimension, "mass": _nonnegative,
-        "n_max": _int_at_least(1), "n_events": _int_at_least(1), "seed": _seed,
-    },
-    "minkowski_particle": {
-        "box_side": _positive, "dimension": _dimension, "mass": _nonnegative,
-        "n_max": _int_at_least(1), "mode_label": _int_vector,
-        "n_events": _int_at_least(1), "lattice_points": _int_at_least(1), "seed": _seed,
-    },
-    "kg_wavepacket": {
-        "box_side": _positive, "mass": _positive, "n_max": _int_at_least(1),
-        "x0": _nonnegative, "profile_points": _int_at_least(2),
-        "integration_points": _int_at_least(1), "seed": _seed,
-    },
-    "eds_cosmology": {
-        "comoving_volume": _positive, "mass": _positive,
-        "t_grid": _increasing_positive(1), "seed": _seed,
-    },
-    "eds_fit": {
-        "comoving_volume": _positive, "t_grid": _increasing_positive(1),
-        "bracket_lo": _positive, "bracket_hi": _positive, "fit_tol": _positive,
-        "scaling_volumes": _increasing_positive(3), "seed": _seed,
-    },
-    "rindler_unruh": {
-        "acceleration": _positive, "box_side": _positive, "n_max": _int_at_least(2),
-        "n_frequencies": _int_at_least(1), "freq_lo": _positive, "freq_hi": _positive,
-        "seed": _seed,
-    },
-    "epr_collapse": {
-        "box_side": _positive, "station_separation": _positive,
-        "measurement_time": _nonnegative, "sphere_mass": _positive,
-        "sphere_width": _positive, "n_trials": _int_at_least(1),
-        "n_probes": _int_at_least(2), "tol": _nonnegative, "seed": _seed,
-    },
-    "page_geilker": {
-        "box_side": _positive, "position_a": _positive, "position_b": _positive,
-        "sphere_mass": _positive, "sphere_width": _positive,
-        "measurement_time": _nonnegative, "n_trials": _int_at_least(1),
-        "n_probes": _int_at_least(2), "tol": _nonnegative, "seed": _seed,
-    },
-}
-
-SCENARIO_NAMES = tuple(sorted(_SCHEMAS))
-
-
-def _cross_checks(name: str, cfg: dict) -> None:
-    if name == "minkowski_particle":
-        if len(cfg["mode_label"]) != cfg["dimension"]:
-            raise ScenarioConfigError(
-                "field 'mode_label': must have one integer per spatial dimension")
-        if max(abs(c) for c in cfg["mode_label"]) > cfg["n_max"]:
-            raise ScenarioConfigError("field 'mode_label': exceeds n_max")
-        if cfg["mass"] == 0.0 and all(c == 0 for c in cfg["mode_label"]):
-            raise ScenarioConfigError(
-                "field 'mode_label': zero mode does not exist for a massless field")
-    elif name == "kg_wavepacket":
-        if cfg["x0"] >= cfg["box_side"]:
-            raise ScenarioConfigError("field 'x0': must lie inside the box")
-    elif name == "eds_fit":
-        if cfg["bracket_hi"] <= cfg["bracket_lo"]:
-            raise ScenarioConfigError("field 'bracket_hi': must exceed bracket_lo")
-    elif name == "rindler_unruh":
-        if cfg["freq_hi"] <= cfg["freq_lo"]:
-            raise ScenarioConfigError("field 'freq_hi': must exceed freq_lo")
-    elif name == "epr_collapse":
-        if cfg["station_separation"] >= cfg["box_side"]:
-            raise ScenarioConfigError(
-                "field 'station_separation': must be smaller than box_side")
-    elif name == "page_geilker":
-        if cfg["position_a"] >= cfg["box_side"] or cfg["position_b"] >= cfg["box_side"]:
-            raise ScenarioConfigError("field 'position_b': sphere positions must lie inside the box")
-        if cfg["position_a"] == cfg["position_b"]:
-            raise ScenarioConfigError("field 'position_b': positions must differ")
-
-
-def validate_config(name: str, cfg) -> dict:
-    """Return the validated config or raise ScenarioConfigError naming a field."""
-    if name not in _SCHEMAS:
-        raise ScenarioConfigError(
-            f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
-    if not isinstance(cfg, dict):
-        raise ScenarioConfigError("config must be a JSON object")
-    schema = _SCHEMAS[name]
-    for key in sorted(cfg):
-        if key not in schema:
-            raise ScenarioConfigError(f"unknown field {key!r}")
-    out = {}
-    for key, check in schema.items():
-        if key not in cfg:
-            raise ScenarioConfigError(f"missing required field {key!r}")
-        try:
-            out[key] = check(cfg[key])
-        except _Bad as bad:
-            raise ScenarioConfigError(f"field {key!r}: {bad}") from None
-    _cross_checks(name, out)
-    return out
-
-
-def default_config(name: str) -> dict:
-    """Packaged default configuration for a scenario."""
-    if name not in _SCHEMAS:
-        raise ScenarioConfigError(
-            f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
-    text = resources.files("semigrav.configs").joinpath(f"{name}.json").read_text("utf-8")
-    return json.loads(text)
 
 
 # ---- shared table builders -------------------------------------------------
@@ -373,14 +273,24 @@ def _eds_residual_at(mass: float, volume: float, t_grid) -> float:
     return residual(basis.backend, state, basis, events).global_max
 
 
+def _eds_volume_observable(cfg: dict) -> Callable[[float], float]:
+    """Residual at t = 1 with the self-consistent mass m = V0 / 6 pi at each volume."""
+    return lambda volume: _eds_residual_at(volume / (6.0 * math.pi), volume, (1.0,))
+
+
+def _add_scaling_tables(report: RunReport, study) -> None:
+    report.add_table(Table.build("scaling", (study.parameter, "residual"), study.rows()))
+    report.add_table(Table.build(
+        "scaling_slope", ("slope", "status"),
+        [(study.slope if study.slope is not None else float("nan"), study.status)]))
+
+
 def _run_eds_fit(cfg: dict, seed: int) -> RunReport:
     volume = cfg["comoving_volume"]
     target = volume / (6.0 * math.pi)
     fit = fit_parameter(lambda m: _eds_residual_at(m, volume, cfg["t_grid"]),
                         cfg["bracket_lo"], cfg["bracket_hi"], cfg["fit_tol"])
-    study = scaling_study(
-        lambda v: _eds_residual_at(v / (6.0 * math.pi), v, (1.0,)),
-        cfg["scaling_volumes"], parameter="V0")
+    study = scaling_study(_eds_volume_observable(cfg), cfg["scaling_volumes"], parameter="V0")
 
     report = RunReport(scenario="eds_fit", seed=seed)
     report.add_table(Table.build(
@@ -388,10 +298,7 @@ def _run_eds_fit(cfg: dict, seed: int) -> RunReport:
         ("best_mass", "best_residual", "target_mass", "rel_err", "hit_boundary"),
         [(fit.parameter, fit.value, target, abs(fit.parameter - target) / target,
           fit.hit_boundary)]))
-    report.add_table(Table.build("scaling", ("V0", "residual"), study.rows()))
-    report.add_table(Table.build(
-        "scaling_slope", ("slope", "status"),
-        [(study.slope if study.slope is not None else float("nan"), study.status)]))
+    _add_scaling_tables(report, study)
     report.flags["fit_recovers_mass"] = bool(
         not fit.hit_boundary and abs(fit.parameter - target) <= 1e-3 * target)
     report.flags["scaling_slope_minus_2"] = bool(
@@ -493,18 +400,154 @@ def _run_page_geilker(cfg: dict, seed: int) -> RunReport:
     return report
 
 
-_RUNNERS = {
-    "minkowski_vacuum": _run_minkowski_vacuum,
-    "minkowski_particle": _run_minkowski_particle,
-    "kg_wavepacket": _run_kg_wavepacket,
-    "eds_cosmology": _run_eds_cosmology,
-    "eds_fit": _run_eds_fit,
-    "rindler_unruh": _run_rindler_unruh,
-    "epr_collapse": _run_epr_collapse,
-    "page_geilker": _run_page_geilker,
+
+
+# ---- scan observables ----------------------------------------------------------
+
+def _box_volume_observable(cfg: dict) -> Callable[[float], float]:
+    """Residual of |k> at a fixed event while the box volume grows.
+
+    The physical wavevector is pinned to the config's mode at the config's
+    box size; each volume re-labels the mode so k stays fixed.
+    """
+    if cfg["dimension"] != 1:
+        raise ScenarioConfigError(
+            "field 'dimension': scanning over V requires dimension 1")
+    n0 = cfg["mode_label"][0]
+    k_ref = 2.0 * math.pi * n0 / cfg["box_side"]
+
+    def observable(volume: float) -> float:
+        L = volume  # d = 1: volume is the box side
+        n = int(round(k_ref * L / (2.0 * math.pi)))
+        if n == 0:
+            raise ScenarioConfigError(
+                "field 'values': volume too small to hold the reference wavevector")
+        basis = minkowski_basis(L, 1, cfg["mass"], abs(n))
+        state = create(new_vacuum(basis), basis.mode_index((n,)))
+        event = Event(0.0, (0.0,))
+        return residual(basis.backend, state, basis, [event]).global_max
+
+    return observable
+
+
+# ---- the registry --------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Scenario:
+    schema: dict[str, Callable]
+    run: Callable[[dict, int], RunReport]
+    # cross-field rules in order: (field, message, test that is true for a bad config)
+    checks: tuple[tuple[str, str, Callable[[dict], bool]], ...] = ()
+    # (scanned parameter, factory of the observable from a validated config)
+    scan: tuple[str, Callable[[dict], Callable[[float], float]]] | None = None
+
+
+_SCENARIOS: dict[str, _Scenario] = {
+    "minkowski_vacuum": _Scenario(
+        schema={"box_side": _positive, "dimension": _dimension, "mass": _nonnegative,
+                "n_max": _int_at_least(1), "n_events": _int_at_least(1), "seed": _seed},
+        run=_run_minkowski_vacuum),
+    "minkowski_particle": _Scenario(
+        schema={"box_side": _positive, "dimension": _dimension, "mass": _nonnegative,
+                "n_max": _int_at_least(1), "mode_label": _int_vector,
+                "n_events": _int_at_least(1), "lattice_points": _int_at_least(1),
+                "seed": _seed},
+        run=_run_minkowski_particle, scan=("V", _box_volume_observable),
+        checks=(("mode_label", "must have one integer per spatial dimension",
+                 lambda c: len(c["mode_label"]) != c["dimension"]),
+                ("mode_label", "exceeds n_max",
+                 lambda c: max(abs(n) for n in c["mode_label"]) > c["n_max"]),
+                ("mode_label", "zero mode does not exist for a massless field",
+                 lambda c: c["mass"] == 0.0 and all(n == 0 for n in c["mode_label"])))),
+    "kg_wavepacket": _Scenario(
+        schema={"box_side": _positive, "mass": _positive, "n_max": _int_at_least(1),
+                "x0": _nonnegative, "profile_points": _int_at_least(2),
+                "integration_points": _int_at_least(1), "seed": _seed},
+        run=_run_kg_wavepacket,
+        checks=(("x0", "must lie inside the box", lambda c: c["x0"] >= c["box_side"]),)),
+    "eds_cosmology": _Scenario(
+        schema={"comoving_volume": _positive, "mass": _positive,
+                "t_grid": _increasing_positive(1), "seed": _seed},
+        run=_run_eds_cosmology, scan=("V0", _eds_volume_observable)),
+    "eds_fit": _Scenario(
+        schema={"comoving_volume": _positive, "t_grid": _increasing_positive(1),
+                "bracket_lo": _positive, "bracket_hi": _positive, "fit_tol": _positive,
+                "scaling_volumes": _increasing_positive(3), "seed": _seed},
+        run=_run_eds_fit,
+        checks=(("bracket_hi", "must exceed bracket_lo",
+                 lambda c: c["bracket_hi"] <= c["bracket_lo"]),)),
+    "rindler_unruh": _Scenario(
+        schema={"acceleration": _positive, "box_side": _positive, "n_max": _int_at_least(2),
+                "n_frequencies": _int_at_least(1), "freq_lo": _positive,
+                "freq_hi": _positive, "seed": _seed},
+        run=_run_rindler_unruh,
+        checks=(("freq_hi", "must exceed freq_lo", lambda c: c["freq_hi"] <= c["freq_lo"]),)),
+    "epr_collapse": _Scenario(
+        schema={"box_side": _positive, "station_separation": _positive,
+                "measurement_time": _nonnegative, "sphere_mass": _positive,
+                "sphere_width": _positive, "n_trials": _int_at_least(1),
+                "n_probes": _int_at_least(2), "tol": _nonnegative, "seed": _seed},
+        run=_run_epr_collapse,
+        checks=(("station_separation", "must be smaller than box_side",
+                 lambda c: c["station_separation"] >= c["box_side"]),)),
+    "page_geilker": _Scenario(
+        schema={"box_side": _positive, "position_a": _positive, "position_b": _positive,
+                "sphere_mass": _positive, "sphere_width": _positive,
+                "measurement_time": _nonnegative, "n_trials": _int_at_least(1),
+                "n_probes": _int_at_least(2), "tol": _nonnegative, "seed": _seed},
+        run=_run_page_geilker,
+        checks=(("position_a", "sphere positions must lie inside the box",
+                 lambda c: c["position_a"] >= c["box_side"]),
+                ("position_b", "sphere positions must lie inside the box",
+                 lambda c: c["position_b"] >= c["box_side"]),
+                ("position_b", "positions must differ",
+                 lambda c: c["position_a"] == c["position_b"]))),
 }
 
-_TRIAL_SCENARIOS = ("epr_collapse", "page_geilker")
+SCENARIO_NAMES = tuple(sorted(_SCENARIOS))
+SCANS = {name: sc.scan[0] for name, sc in _SCENARIOS.items() if sc.scan is not None}
+
+
+def _scenario(name: str) -> _Scenario:
+    if name not in _SCENARIOS:
+        raise ScenarioConfigError(
+            f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
+    return _SCENARIOS[name]
+
+
+def _field(schema: dict, key: str, value):
+    try:
+        return schema[key](value)
+    except _Bad as bad:
+        raise ScenarioConfigError(f"field {key!r}: {bad}") from None
+
+
+# ---- public entry points -------------------------------------------------------
+
+def validate_config(name: str, cfg) -> dict:
+    """Return the validated config or raise ScenarioConfigError naming a field."""
+    scenario = _scenario(name)
+    if not isinstance(cfg, dict):
+        raise ScenarioConfigError("config must be a JSON object")
+    for key in sorted(cfg):
+        if key not in scenario.schema:
+            raise ScenarioConfigError(f"unknown field {key!r}")
+    out = {}
+    for key in scenario.schema:
+        if key not in cfg:
+            raise ScenarioConfigError(f"missing required field {key!r}")
+        out[key] = _field(scenario.schema, key, cfg[key])
+    for key, message, bad in scenario.checks:
+        if bad(out):
+            raise ScenarioConfigError(f"field {key!r}: {message}")
+    return out
+
+
+def default_config(name: str) -> dict:
+    """Packaged default configuration for a scenario."""
+    _scenario(name)
+    text = resources.files("semigrav.configs").joinpath(f"{name}.json").read_text("utf-8")
+    return json.loads(text)
 
 
 def run_scenario(name: str, config: dict | None = None, seed: int | None = None,
@@ -512,25 +555,47 @@ def run_scenario(name: str, config: dict | None = None, seed: int | None = None,
     """Validate the config and execute one scenario deterministically.
 
     ``seed`` overrides the config seed; ``trials`` overrides the trial
-    count for the projection scenarios.
+    count of the scenarios whose config has ``n_trials``.  Both overrides
+    go through the config field's own validator.
     """
+    scenario = _scenario(name)
     cfg = validate_config(name, default_config(name) if config is None else config)
     if trials is not None:
-        if name not in _TRIAL_SCENARIOS:
+        if "n_trials" not in scenario.schema:
             raise ScenarioConfigError(
                 f"scenario {name!r} has no trial count to override")
-        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-            raise ScenarioConfigError("field 'n_trials': must be an integer >= 1")
-        cfg = dict(cfg, n_trials=trials)
-    effective_seed = cfg["seed"] if seed is None else _seed_override(seed)
+        cfg["n_trials"] = _field(scenario.schema, "n_trials", trials)
+    effective_seed = cfg["seed"] if seed is None else _field(scenario.schema, "seed", seed)
     start = time.perf_counter()
-    report = _RUNNERS[name](cfg, effective_seed)
+    report = scenario.run(cfg, effective_seed)
     report.wall_time = time.perf_counter() - start
     return report
 
 
-def _seed_override(seed) -> int:
+def scan_scenario(name: str, config: dict | None, param: str,
+                  values: Sequence[float]) -> RunReport:
+    """Log-log scaling study of a scenario's residual over a volume parameter.
+
+    ``param`` must be the scenario's scan parameter, ``SCANS[name]``; the
+    ``values`` must be at least three strictly increasing positive
+    volumes.  The report has the ``scaling`` and ``scaling_slope`` tables
+    and the flag ``slope_defined``.
+    """
+    scenario = _scenario(name)
+    if scenario.scan is None:
+        raise ScenarioConfigError(f"scenario {name!r} has no volume scan")
+    cfg = validate_config(name, default_config(name) if config is None else config)
+    scan_param, make_observable = scenario.scan
+    if param != scan_param:
+        raise ScenarioConfigError(f"field 'param': {name} scans over {scan_param}")
+    observable = make_observable(cfg)
     try:
-        return _seed(seed)
-    except _Bad as bad:
-        raise ScenarioConfigError(f"field 'seed': {bad}") from None
+        study = scaling_study(observable, values, parameter=param)
+    except ScenarioConfigError:  # already names its field
+        raise
+    except (ValueError, ArithmeticError) as exc:
+        raise ScenarioConfigError(f"field 'values': {exc}") from None
+    report = RunReport(scenario=f"scan_{name}", seed=cfg["seed"])
+    _add_scaling_tables(report, study)
+    report.flags["slope_defined"] = study.status == "ok"
+    return report

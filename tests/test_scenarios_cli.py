@@ -1,15 +1,20 @@
 """Scenario configs, runners, and the command-line front end."""
+import ast
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semigrav.cli import main
 from semigrav.report import emit
 from semigrav.scenarios import (
+    SCANS,
     SCENARIO_NAMES,
     ScenarioConfigError,
     default_config,
     run_scenario,
+    scan_scenario,
     validate_config,
 )
 
@@ -237,3 +242,261 @@ def test_cli_scan_param_volume_requires_dimension_one(tmp_path, capsys):
                "--values", "10,20,40", "--config", str(path)])
     assert rc == 2
     assert "dimension" in capsys.readouterr().err
+
+
+# ---- exact error messages --------------------------------------------------------
+
+_DROP = object()  # marks a field removed from the packaged config
+
+# (scenario, changes to its packaged config, the exact ScenarioConfigError text)
+CONFIG_MESSAGES = [
+    ("minkowski_vacuum", {"zzz": 1}, "unknown field 'zzz'"),
+    ("minkowski_vacuum", {"box_side": _DROP}, "missing required field 'box_side'"),
+    ("minkowski_vacuum", {"box_side": "1"}, "field 'box_side': must be a number"),
+    ("minkowski_vacuum", {"box_side": True}, "field 'box_side': must be a number"),
+    ("minkowski_vacuum", {"box_side": float("inf")}, "field 'box_side': must be finite"),
+    ("minkowski_vacuum", {"box_side": float("nan")}, "field 'box_side': must be finite"),
+    ("minkowski_vacuum", {"box_side": 0}, "field 'box_side': must be positive"),
+    ("minkowski_vacuum", {"mass": -1.0}, "field 'mass': must be non-negative"),
+    ("minkowski_vacuum", {"n_max": 1.5}, "field 'n_max': must be an integer"),
+    ("minkowski_vacuum", {"n_max": 0}, "field 'n_max': must be an integer >= 1"),
+    ("minkowski_vacuum", {"dimension": 4}, "field 'dimension': must be 1, 2 or 3"),
+    ("minkowski_vacuum", {"seed": -1}, "field 'seed': must be a non-negative integer"),
+    ("minkowski_vacuum", {"seed": "x"}, "field 'seed': must be an integer"),
+    ("minkowski_particle", {"mode_label": "x"},
+     "field 'mode_label': must be a list of integers"),
+    ("minkowski_particle", {"mode_label": [1.5, 0, 0]}, "field 'mode_label': must be an integer"),
+    ("minkowski_particle", {"mode_label": [1, 0]},
+     "field 'mode_label': must have one integer per spatial dimension"),
+    ("minkowski_particle", {"mode_label": [9, 0, 0]}, "field 'mode_label': exceeds n_max"),
+    ("minkowski_particle", {"mass": 0.0, "mode_label": [0, 0, 0]},
+     "field 'mode_label': zero mode does not exist for a massless field"),
+    ("kg_wavepacket", {"profile_points": 1}, "field 'profile_points': must be an integer >= 2"),
+    ("kg_wavepacket", {"x0": 10.0, "box_side": 10.0}, "field 'x0': must lie inside the box"),
+    ("eds_cosmology", {"t_grid": []}, "field 't_grid': must be a list of at least 1 numbers"),
+    ("eds_cosmology", {"t_grid": 1.0}, "field 't_grid': must be a list of at least 1 numbers"),
+    ("eds_cosmology", {"t_grid": ["a"]}, "field 't_grid': must be a number"),
+    ("eds_cosmology", {"t_grid": [0.0, 1.0]}, "field 't_grid': entries must be positive"),
+    ("eds_cosmology", {"t_grid": [2.0, 1.0]},
+     "field 't_grid': entries must be strictly increasing"),
+    ("eds_fit", {"scaling_volumes": [1.0, 2.0]},
+     "field 'scaling_volumes': must be a list of at least 3 numbers"),
+    ("eds_fit", {"bracket_lo": 2.0, "bracket_hi": 2.0},
+     "field 'bracket_hi': must exceed bracket_lo"),
+    ("rindler_unruh", {"n_max": 1}, "field 'n_max': must be an integer >= 2"),
+    ("rindler_unruh", {"freq_lo": 3.0, "freq_hi": 3.0}, "field 'freq_hi': must exceed freq_lo"),
+    ("epr_collapse", {"station_separation": 10.0, "box_side": 10.0},
+     "field 'station_separation': must be smaller than box_side"),
+    ("page_geilker", {"box_side": 10.0, "position_a": 10.0, "position_b": 7.0},
+     "field 'position_a': sphere positions must lie inside the box"),
+    ("page_geilker", {"box_side": 10.0, "position_a": 3.0, "position_b": 10.0},
+     "field 'position_b': sphere positions must lie inside the box"),
+    ("page_geilker", {"position_a": 3.0, "position_b": 3.0},
+     "field 'position_b': positions must differ"),
+]
+
+
+@pytest.mark.parametrize("name, changes, message", CONFIG_MESSAGES)
+def test_config_error_messages_are_exact(name, changes, message):
+    cfg = default_config(name)
+    for key, value in changes.items():
+        if value is _DROP:
+            del cfg[key]
+        else:
+            cfg[key] = value
+    with pytest.raises(ScenarioConfigError) as exc:
+        validate_config(name, cfg)
+    assert str(exc.value) == message
+
+
+UNKNOWN = ("unknown scenario 'warp_drive'; choose from eds_cosmology, eds_fit, epr_collapse, "
+           "kg_wavepacket, minkowski_particle, minkowski_vacuum, page_geilker, rindler_unruh")
+
+# (call, the exact ScenarioConfigError text)
+API_MESSAGES = [
+    (lambda: validate_config("warp_drive", {}), UNKNOWN),
+    (lambda: default_config("warp_drive"), UNKNOWN),
+    (lambda: validate_config("minkowski_vacuum", [1, 2, 3]), "config must be a JSON object"),
+    (lambda: run_scenario("eds_cosmology", trials=10),
+     "scenario 'eds_cosmology' has no trial count to override"),
+    (lambda: run_scenario("page_geilker", trials=0), "field 'n_trials': must be an integer >= 1"),
+    (lambda: run_scenario("page_geilker", trials=-3), "field 'n_trials': must be an integer >= 1"),
+    (lambda: run_scenario("page_geilker", trials=2.5), "field 'n_trials': must be an integer"),
+    (lambda: run_scenario("eds_cosmology", seed=-1),
+     "field 'seed': must be a non-negative integer"),
+    (lambda: run_scenario("eds_cosmology", seed="3"), "field 'seed': must be an integer"),
+    (lambda: run_scenario("eds_cosmology", seed=True), "field 'seed': must be an integer"),
+]
+
+
+@pytest.mark.parametrize("call, message", API_MESSAGES)
+def test_api_error_messages_are_exact(call, message):
+    with pytest.raises(ScenarioConfigError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def _write_json(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+# (argv, where {tmp} is the test's directory, the exact stderr after "error: ")
+CLI_MESSAGES = [
+    (["run", "minkowski_vacuum", "--config", "{tmp}/missing.json"],
+     "cannot read config file: [Errno 2] No such file or directory: '{tmp}/missing.json'"),
+    (["run", "minkowski_vacuum", "--config", "{tmp}/notjson.json"],
+     "config is not valid JSON: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    (["run", "minkowski_vacuum", "--config", "{tmp}/negative.json"],
+     "field 'box_side': must be positive"),
+    (["run", "minkowski_vacuum", "--out", "{tmp}/no_dir/out.json"],
+     "[Errno 2] No such file or directory: '{tmp}/no_dir/out.json'"),
+    (["run", "eds_cosmology", "--trials", "5"],
+     "scenario 'eds_cosmology' has no trial count to override"),
+    (["run", "epr_collapse", "--trials", "0"], "field 'n_trials': must be an integer >= 1"),
+    (["run", "eds_cosmology", "--seed", "-1"], "field 'seed': must be a non-negative integer"),
+    (["scan", "eds_cosmology", "--param", "V0", "--values", "a,b,c"],
+     "field 'values': must be comma-separated numbers"),
+    (["scan", "eds_cosmology", "--param", "V0", "--values", "1,2"],
+     "field 'values': scaling needs at least 3 values"),
+    (["scan", "eds_cosmology", "--param", "V", "--values", "1,2,3"],
+     "field 'param': eds_cosmology scans over V0"),
+    (["scan", "minkowski_particle", "--param", "V0", "--values", "1,2,3",
+      "--config", "{tmp}/mp1.json"],
+     "field 'param': minkowski_particle scans over V"),
+    (["scan", "minkowski_particle", "--param", "V", "--values", "10,20,40"],
+     "field 'dimension': scanning over V requires dimension 1"),
+    (["scan", "eds_cosmology", "--param", "V0", "--values", "30,20,40"],
+     "field 'values': parameter values must be strictly increasing"),
+    (["scan", "minkowski_particle", "--param", "V", "--values", "0,20,40",
+      "--config", "{tmp}/mp1.json"],
+     "field 'values': parameter values must be positive"),
+    (["scan", "minkowski_particle", "--param", "V", "--values", "0.1,0.2,0.3",
+      "--config", "{tmp}/mp1.json"],
+     "field 'values': volume too small to hold the reference wavevector"),
+    (["scan", "eds_cosmology", "--param", "V0", "--values", "1,2,3",
+      "--config", "{tmp}/negative.json"],
+     "unknown field 'box_side'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CLI_MESSAGES)
+def test_cli_error_messages_are_exact(argv, message, tmp_path, capsys):
+    (tmp_path / "notjson.json").write_text("{")
+    _write_json(tmp_path / "negative.json",
+                dict(default_config("minkowski_vacuum"), box_side=-1))
+    _write_json(tmp_path / "mp1.json",
+                dict(default_config("minkowski_particle"), dimension=1, mode_label=[1]))
+    rc = main([a.format(tmp=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(tmp=tmp_path)}\n"
+
+
+# ---- hostile input -------------------------------------------------------------
+
+# JSON scalars, with integers beyond the float range (>= 2**1024) drawn on purpose
+_JSON_SCALARS = (st.none() | st.booleans() | st.text(max_size=5)
+                 | st.floats(allow_nan=True, allow_infinity=True)
+                 | st.integers()
+                 | st.integers(min_value=2**1023, max_value=2**1100)
+                 | st.integers(min_value=-2**1100, max_value=-2**1023))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_arbitrary_json_fields_only_raise_config_errors(data):
+    name = data.draw(st.sampled_from(SCENARIO_NAMES))
+    cfg = default_config(name)
+    keys = data.draw(st.lists(st.sampled_from(sorted(cfg)), min_size=1, max_size=3, unique=True))
+    for key in keys:
+        cfg[key] = data.draw(_JSON_VALUES)
+    try:
+        out = validate_config(name, cfg)
+    except ScenarioConfigError:
+        return
+    assert isinstance(out, dict)
+
+
+@pytest.mark.parametrize("field", ["box_side", "t_grid", "scaling_volumes"])
+def test_integer_beyond_float_range_is_not_finite(field):
+    name = {"box_side": "minkowski_vacuum", "t_grid": "eds_cosmology",
+            "scaling_volumes": "eds_fit"}[field]
+    huge = 2**1024
+    cfg = dict(default_config(name), **{field: huge if field == "box_side" else [1, 2, huge]})
+    with pytest.raises(ScenarioConfigError) as exc:
+        validate_config(name, cfg)
+    assert str(exc.value) == f"field {field!r}: must be finite"
+
+
+_SCANS = [("minkowski_particle", "V"), ("eds_cosmology", "V0")]
+
+
+@pytest.mark.parametrize("values", ["10,20,inf", "10,20,1e308", "10,20,nan", "10,-inf,30",
+                                    "10,20,1e400", "0.1,0.2,0.3"])
+@pytest.mark.parametrize("scenario, param", _SCANS)
+def test_bad_scan_values_exit_2_naming_values(scenario, param, values, tmp_path, capsys):
+    if scenario == "eds_cosmology" and values == "0.1,0.2,0.3":
+        # a valid V0 scan: small volumes are legitimate for the dust cosmology
+        assert main(["scan", scenario, "--param", param, "--values", values]) == 0
+        capsys.readouterr()
+        return
+    path = _write_json(tmp_path / "mp1.json",
+                       dict(default_config("minkowski_particle"), dimension=1, mode_label=[1]))
+    argv = ["scan", scenario, "--param", param, "--values", values]
+    if scenario == "minkowski_particle":
+        argv += ["--config", path]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: field 'values': ")
+    assert err.count("field 'values'") == 1
+    assert "Traceback" not in err
+    if "inf" in values or "nan" in values or "1e400" in values:
+        assert err == "error: field 'values': must be finite\n"
+
+
+@pytest.mark.parametrize("values", ["-1,2,3", "--x"])
+def test_scan_values_stopped_by_argparse_keep_the_usage_error(values, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "eds_cosmology", "--param", "V0", "--values", values])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: semigrav scan")
+
+
+def test_scan_capability_comes_from_the_registry():
+    assert SCANS == {"minkowski_particle": "V", "eds_cosmology": "V0"}
+    with pytest.raises(ScenarioConfigError) as exc:
+        scan_scenario("kg_wavepacket", None, "V", [1.0, 2.0, 3.0])
+    assert str(exc.value) == "scenario 'kg_wavepacket' has no volume scan"
+
+
+def test_scan_scenario_matches_eds_fit_scaling_tables():
+    cfg = default_config("eds_fit")
+    fit = run_scenario("eds_fit", config=dict(cfg, fit_tol=1e-3))
+    scan = scan_scenario("eds_cosmology", None, "V0", cfg["scaling_volumes"])
+    for table in ("scaling", "scaling_slope"):
+        assert scan.tables[table] == fit.tables[table]
+
+
+# ---- module boundaries -----------------------------------------------------------
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    package = Path(__file__).resolve().parents[1] / "src" / "semigrav"
+    leaks = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("semigrav"):
+                continue
+            leaks += [f"{path.name}: {alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+    assert leaks == []
