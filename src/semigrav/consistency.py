@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .spacetime import Event, einstein_tensor
-from .stress_energy import stress_sample
+from .stress_energy import stress_field
 
 __all__ = [
     "ResidualReport",
@@ -46,17 +46,11 @@ def residual(backend, state, basis, events: Sequence[Event],
     events = tuple(events)
     if not events:
         raise ValueError("residual needs a nonempty event grid")
-    per = []
-    for ev in events:
-        g = einstein_tensor(backend, ev).matrix
-        t = stress_sample(state, basis, backend, ev).components.matrix
-        per.append(float(np.abs(g - EIGHT_PI * t).max()))
-    return ResidualReport(
-        events=events,
-        per_event=tuple(per),
-        global_max=max(per),
-        parameters=dict(parameters or {}),
-    )
+    t, x = np.array([ev.t for ev in events]), np.array([ev.x for ev in events])
+    diff = einstein_tensor(backend, t, x) - EIGHT_PI * stress_field(state, basis, backend, t, x)
+    per = np.abs(diff).max(axis=(1, 2))
+    return ResidualReport(events, tuple(per.tolist()), float(per.max()),
+                          dict(parameters or {}))
 
 
 @dataclass(frozen=True)

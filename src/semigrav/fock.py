@@ -79,9 +79,6 @@ class Occupation:
     def total(self) -> int:
         return sum(c for _, c in self.pairs)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
 
 VACUUM_OCCUPATION = Occupation(())
 

@@ -33,6 +33,15 @@ class ModeBasisError(ValueError):
     """Raised for invalid basis parameters or unsupported basis operations."""
 
 
+def _dt_coeffs(basis, t, x) -> np.ndarray:  # d_t f_k, shape [..., n_modes]
+    return basis.slot_factors(t)[..., 0, :] * basis.field_coeffs(t, x)
+
+
+def _dx_coeffs(basis, t, x) -> np.ndarray:  # d_xi f_k, shape [..., n_modes, d]
+    grad = basis.slot_factors(t)[..., 1:-1, :] * basis.field_coeffs(t, x)[..., None, :]
+    return np.moveaxis(grad, -2, -1)
+
+
 @dataclass(frozen=True)
 class MinkowskiModeBasis:
     """Periodic box modes f_k(x,t) = exp(-i(w t - k.x)) / sqrt(2 w V).
@@ -68,19 +77,25 @@ class MinkowskiModeBasis:
         except ValueError:
             raise ModeBasisError(f"label {label} not in basis") from None
 
-    # ---- field-operator coefficients at an event ------------------------
-    def field_coeffs(self, t: float, x) -> np.ndarray:
+    # ---- field-operator coefficients at events ----------------------------
+    def field_coeffs(self, t, x) -> np.ndarray:
+        """f_k at the events: t of shape (...), x of shape (..., d) -> (..., n_modes)."""
+        t = np.asarray(t, dtype=float)[..., None]
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        phase = np.exp(-1j * (self.frequencies * t - self.wavevectors @ x))
-        return phase / np.sqrt(2.0 * self.frequencies * self.backend.spatial_volume)
+        # einsum (not BLAS: rows independent of the other events), then in place
+        angle = np.einsum("...d,kd->...k", x, self.wavevectors) - self.frequencies * t
+        f = 1j * angle
+        np.exp(f, out=f)
+        f /= np.sqrt(2.0 * self.frequencies * self.backend.spatial_volume)
+        return f
 
-    def dt_coeffs(self, t: float, x) -> np.ndarray:
-        return -1j * self.frequencies * self.field_coeffs(t, x)
+    def slot_factors(self, t) -> np.ndarray:
+        """Constant factors of (d_t, d_x1, ..., d_xd, 1) f_k: -i w_k, i k_k, 1; [d+2, n]."""
+        return np.vstack([-1j * self.frequencies, 1j * self.wavevectors.T,
+                          np.ones(self.n_modes)])
 
-    def dx_coeffs(self, t: float, x) -> np.ndarray:
-        """Spatial-gradient coefficients, shape [n_modes, d]."""
-        f = self.field_coeffs(t, x)
-        return 1j * self.wavevectors * f[:, None]
+    dt_coeffs = _dt_coeffs
+    dx_coeffs = _dx_coeffs
 
 
 def minkowski_basis(box_side: float, dimension: int, mass: float, n_max: int) -> MinkowskiModeBasis:
@@ -100,14 +115,15 @@ def minkowski_basis(box_side: float, dimension: int, mass: float, n_max: int) ->
     return MinkowskiModeBasis(backend=backend, mass=mass, n_max=n_max, labels=tuple(labels))
 
 
-def eds_k0_mode(t: float, mass: float, comoving_volume: float) -> complex:
+def eds_k0_mode(t, mass: float, comoving_volume: float):
     """The exact k = 0 mode f0(t) = exp(-i m t) / (t sqrt(2 m V0)), t > 0.
 
     f0 solves the curved-space Klein-Gordon equation
     f'' + (2/t) f' + m^2 f = 0 exactly on the a(t) = t^(2/3) background and
-    has unit Klein-Gordon norm with the measure V0 t^2.
+    has unit Klein-Gordon norm with the measure V0 t^2.  ``t`` may be an array.
     """
-    if not (t > 0.0):
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0.0):
         raise BackendDomainError("Einstein-de Sitter chart requires t > 0")
     if not (mass > 0.0):
         raise ModeBasisError("the k = 0 mode requires mass > 0")
@@ -127,15 +143,20 @@ class EdSModeBasis:
     def n_modes(self) -> int:
         return 1
 
-    def field_coeffs(self, t: float, x) -> np.ndarray:
-        return np.array([eds_k0_mode(t, self.mass, self.backend.comoving_volume)])
+    def field_coeffs(self, t, x) -> np.ndarray:
+        """f0 at the events: t of shape (...) -> (..., 1); f0 is uniform in x."""
+        return eds_k0_mode(t, self.mass, self.backend.comoving_volume)[..., None]
 
-    def dt_coeffs(self, t: float, x) -> np.ndarray:
-        f0 = eds_k0_mode(t, self.mass, self.backend.comoving_volume)
-        return np.array([f0 * (-1j * self.mass - 1.0 / t)])
+    def slot_factors(self, t) -> np.ndarray:
+        """Factors of (d_t, d_x1, d_x2, d_x3, 1) f0: -i m - 1/t, 0, 0, 0, 1; [..., 5, 1]."""
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape + (self.backend.dimension + 2, 1), dtype=complex)
+        out[..., 0, 0] = -1j * self.mass - 1.0 / t
+        out[..., -1, 0] = 1.0
+        return out
 
-    def dx_coeffs(self, t: float, x) -> np.ndarray:
-        return np.zeros((1, self.backend.dimension), dtype=complex)
+    dt_coeffs = _dt_coeffs
+    dx_coeffs = _dx_coeffs
 
 
 def eds_basis(comoving_volume: float, mass: float) -> EdSModeBasis:

@@ -126,14 +126,6 @@ class TensorSample:
         mu, nu = index
         return float(self.matrix[mu, nu])
 
-    @property
-    def rank_range(self) -> int:
-        return self.matrix.shape[0]
-
-    def as_dict(self) -> dict[tuple[int, int], float]:
-        n = self.matrix.shape[0]
-        return {(mu, nu): float(self.matrix[mu, nu]) for mu in range(n) for nu in range(n)}
-
     def max_abs(self) -> float:
         return float(np.abs(self.matrix).max())
 
@@ -141,52 +133,49 @@ class TensorSample:
         return f"TensorSample({self.matrix.tolist()!r})"
 
 
-def _check_event(backend: Backend, event: Event) -> None:
-    if event.dimension != backend.dimension:
+def _event_diagonal(backend: Backend, t, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked event arrays and a zero tensor diagonal, shape (events..., d+1)."""
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    d = x.shape[-1] if x.ndim else 0
+    if d != backend.dimension:
         raise BackendDomainError(
-            f"event has {event.dimension} spatial coordinates, "
-            f"backend expects {backend.dimension}"
-        )
-    if isinstance(backend, EinsteinDeSitter) and not (event.t > 0.0):
+            f"event has {d} spatial coordinates, backend expects {backend.dimension}")
+    if isinstance(backend, EinsteinDeSitter) and not np.all(t > 0.0):
         raise BackendDomainError("Einstein-de Sitter chart requires t > 0")
+    return t, x, np.zeros(np.broadcast_shapes(t.shape, x.shape[:-1]) + (d + 1,))
 
 
-def metric(backend: Backend, event: Event) -> TensorSample:
-    """Covariant metric g_{mu nu} at ``event``."""
-    _check_event(backend, event)
-    n = backend.dimension + 1
-    g = np.zeros((n, n))
-    if isinstance(backend, Minkowski):
-        g[0, 0] = 1.0
-        for i in range(1, n):
-            g[i, i] = -1.0
-    elif isinstance(backend, EinsteinDeSitter):
-        g[0, 0] = 1.0
-        a2 = event.t ** (4.0 / 3.0)  # scale factor squared, a(t) = t^(2/3)
-        for i in range(1, n):
-            g[i, i] = -a2
-    else:
-        conf = np.exp(2.0 * backend.acceleration * event.x[0])
-        g[0, 0] = conf
-        g[1, 1] = -conf
-    return TensorSample(g)
+def _diagonal(diag: np.ndarray) -> np.ndarray:
+    out = np.zeros(diag.shape + diag.shape[-1:])
+    np.einsum("...ii->...i", out)[...] = diag
+    return out
 
 
-def einstein_tensor(backend: Backend, event: Event) -> TensorSample:
-    """Covariant Einstein tensor G_{mu nu} at ``event`` (closed form).
+def metric(backend: Backend, t, x) -> np.ndarray:
+    """Covariant metric g_{mu nu} at the events: t (...) and x (..., d) -> (..., d+1, d+1)."""
+    t, x, diag = _event_diagonal(backend, t, x)
+    if isinstance(backend, Rindler2D):
+        conf = np.exp(2.0 * backend.acceleration * x[..., 0])
+        diag[..., 0], diag[..., 1] = conf, -conf
+    else:  # scale factor squared: a^2 = t^(4/3) on the dust background, 1 in the box
+        diag[...] = -(t[..., None] ** (4.0 / 3.0)) if isinstance(backend, EinsteinDeSitter) else -1
+        diag[..., 0] = 1.0
+    return _diagonal(diag)
 
-    Minkowski and Rindler2D are flat: identically zero.  For the
-    Einstein-de Sitter background the Friedmann equations with a = t^(2/3)
-    give G_00 = 3 (a'/a)^2 = 4/(3 t^2) and G_ij = -(2 a a'' + a'^2) delta_ij,
-    which vanishes exactly for dust.
+
+def einstein_tensor(backend: Backend, t, x) -> np.ndarray:
+    """Covariant Einstein tensor G_{mu nu} at the events (t, x) (closed form).
+
+    Shapes as for ``metric``.  Minkowski and Rindler2D are flat: identically
+    zero.  For the Einstein-de Sitter background the Friedmann equations
+    with a = t^(2/3) give G_00 = 3 (a'/a)^2 = 4/(3 t^2) and
+    G_ij = -(2 a a'' + a'^2) delta_ij, which vanishes exactly for dust.
     """
-    _check_event(backend, event)
-    n = backend.dimension + 1
-    g = np.zeros((n, n))
+    t, x, diag = _event_diagonal(backend, t, x)
     if isinstance(backend, EinsteinDeSitter):
-        g[0, 0] = 4.0 / (3.0 * event.t**2)
+        diag[..., 0] = 4.0 / (3.0 * t**2)
         # spatial components: 2*a*a'' + a'^2 = 0 for a = t^(2/3)
-    return TensorSample(g)
+    return _diagonal(diag)
 
 
 def comoving_volume_element(backend: Backend, t: float) -> float:

@@ -1,39 +1,37 @@
 """Vacuum-subtracted stress-energy expectation values on sparse Fock states.
 
-Every observable here is a normal-ordered quadratic form in the field and
-its derivatives,
+Every observable is a normal-ordered quadratic form, so the vacuum piece
+vanishes exactly.  For A = sum_k (g_k a_k + conj(g_k) a_k+), B likewise,
 
-    <Psi| :A B: |Psi>,   A = sum_k (g_k a_k + conj(g_k) a_k+),
+    <Psi| :A B: |Psi> = 2 Re(g^H rho h) + 2 Re(g^T K h),
+    rho_kl = <a_k+ a_l> = (A^H A)_kl,  K_kl = <a_k a_l> = (D^T A)_kl,
 
-so the vacuum subtraction <Psi|T|Psi> - <0|T|0> is implicit: normal
-ordering kills the vacuum piece exactly.  Expanding :AB: into its four
-ladder products and letting only the lowering parts act on the sparse
-state gives
-
-    <:AB:> = 2 Re <A-Psi | B-Psi> + 2 Re <Psi | A-(B- Psi)>,
-
-which is manifestly real and costs a couple of passes over the nonzero
-amplitudes.  Tensor components are then assembled from the analytic mode
-derivatives and the backend metric via
+with one row of A and D per once-lowered occupation p: A_pl = <p|a_l|Psi>
+and D_pk = <Psi|a_k|p> (``moments``, one pass over the terms).
+``stress_field`` works on blocks of ``_BLOCK`` events: the mode functions
+f once, the images of all d+2 slots (d_t phi, d_x1 phi, ..., phi) in one
+product U = f B (B stacks per-mode slot factors times A and D), and every
+slot pair from one contraction of U with itself.  Then
 
     T_mn = <:d_m phi d_n phi:> - g_mn <:L:>,
     <:L:> = (1/2) (sum_m g^mm <:(d_m phi)^2:> - m^2 <:phi^2:>).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
-from .fock import BasisMismatchError, FockState, create, inner, new_vacuum, superpose
+from .fock import BasisMismatchError, FockState, create, new_vacuum, superpose
 from .modes import EdSModeBasis, MinkowskiModeBasis, ModeBasisError
-from .spacetime import Event, TensorSample, metric
+from .spacetime import BackendDomainError, Event, TensorSample, metric
 
 __all__ = [
     "StressSample",
+    "moments",
     "quadratic_expectation",
+    "stress_field",
     "stress_sample",
     "total_energy",
     "wavepacket_state",
@@ -41,6 +39,7 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-9
+_BLOCK = 128  # events per block of stress_field
 
 
 @dataclass(frozen=True)
@@ -59,83 +58,85 @@ def _require_normalized(state: FockState) -> None:
         raise ValueError("state must be normalized to unit norm")
 
 
-def _lowering_image(state: FockState, coeffs: np.ndarray) -> FockState:
-    """Apply sum_k g_k a_k to the state in one pass over its amplitudes."""
-    acc: dict = {}
+def moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
+    """Factors A, D of the two-point moments: rho = A^H A and K = D^T A."""
+    rows: dict = {}  # once-lowered occupation p -> ({l: A_pl}, {k: D_pk})
     for occ, amp in state.terms.items():
         for mode, count in occ.pairs:
-            c = coeffs[mode]
-            if c == 0.0:
-                continue
-            lowered = occ.bump(mode, -1)
-            acc[lowered] = acc.get(lowered, 0.0) + amp * c * sqrt(count)
-    return FockState(state.basis, acc)
-
-
-def _quadratic_from_images(state: FockState, u: FockState, v: FockState,
-                           coeffs_a: np.ndarray) -> float:
-    # <:AB:> = <u|v> + <v|u> + <Psi|A-B-Psi> + conj thereof
-    cross = inner(u, v)
-    double = inner(state, _lowering_image(v, coeffs_a))
-    return 2.0 * (cross.real + double.real)
+            p = occ.bump(mode, -1)
+            if p not in rows:  # D_pk = sqrt(n_k) conj(<p - e_k|Psi>)
+                twice = ((k, n, state.terms.get(p.bump(k, -1))) for k, n in p.pairs)
+                rows[p] = ({}, {k: sqrt(n) * c.conjugate() for k, n, c in twice if c is not None})
+            rows[p][0][mode] = amp * sqrt(count)
+    A, D = np.zeros((2, len(rows), state.basis.n_modes), dtype=complex)
+    for row, entries in enumerate(rows.values()):
+        for out, values in zip((A, D), entries):
+            out[row, list(values)] = list(values.values())
+    return A, D
 
 
 def quadratic_expectation(state: FockState, g: np.ndarray, h: np.ndarray) -> float:
-    """<Psi| :A B: |Psi> for A = sum(g_k a_k + h.c.), B likewise from h.
-
-    The coefficient arrays are indexed by basis mode; the result is exactly
-    real because :AB: is Hermitian for field-type A, B.
-    """
-    n = state.basis.n_modes
-    g = np.asarray(g, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    if g.shape != (n,) or h.shape != (n,):
+    """<Psi| :A B: |Psi> for A = sum(g_k a_k + h.c.), B likewise from h (per mode)."""
+    g, h = np.asarray(g, dtype=complex), np.asarray(h, dtype=complex)
+    if g.shape != (state.basis.n_modes,) or h.shape != g.shape:
         raise BasisMismatchError("coefficient arrays must have one entry per basis mode")
     _require_normalized(state)
-    u = _lowering_image(state, g)
-    v = _lowering_image(state, h)
-    return _quadratic_from_images(state, u, v, g)
+    A, D = moments(state)
+    return float(2.0 * (np.vdot(A @ g, A @ h) + (D @ g) @ (A @ h)).real)
 
 
-def _derivative_coefficients(basis, event: Event) -> tuple[list, np.ndarray, float]:
-    """Arrays (d_t phi, d_x1 phi, ..., phi) at the event, plus metric and mass."""
-    g = metric(basis.backend, event).matrix
-    x = np.asarray(event.x, dtype=float)
-    field = basis.field_coeffs(event.t, x)
-    dt = basis.dt_coeffs(event.t, x)
-    dx = basis.dx_coeffs(event.t, x)
-    coeff_list = [dt] + [dx[:, i] for i in range(dx.shape[1])] + [field]
-    return coeff_list, g, basis.mass
+def _stress_block(basis, backend, M, n_rows, t, x) -> np.ndarray:
+    """T_mn at one block of events; M stacks A over D (or is A alone if D is 0)."""
+    # products are stacked per event: a row does not depend on the block's other events
+    f = basis.field_coeffs(t, x)                    # (E, n)
+    factors = basis.slot_factors(t)                 # (S, n), or (E, S, n) if t-dependent
+    (E, n), S, P = f.shape, factors.shape[-2], len(M)
+    if factors.ndim == 2:  # constants: the images of every slot from one product
+        B = (factors[:, :, None] * M.T).transpose(1, 0, 2).reshape(n, S * P)
+        U = (f[:, None, :] @ B).reshape(E, S, P)
+    else:
+        U = (f[:, None, :] * factors) @ M.T
+    # Re(conj(u) v) is a real dot of (re, im) pairs; einsum rounds each product (BLAS may fuse)
+    images = U[..., :n_rows].view(float)
+    half = np.einsum("esp,eup->esu", images, images)       # Re g_s^H rho g_u
+    if P > n_rows:
+        pair = U[..., n_rows:].conj().view(float)
+        half += np.einsum("esp,eup->esu", pair, images)     # Re g_s^T K g_u
+    pairs = half + half.transpose(0, 2, 1)          # 2 Re(...), exactly symmetric
+    deriv, phi_sq = pairs[:, :-1, :-1], pairs[:, -1, -1]
+    g = metric(backend, t, x)
+    inv_diag = 1.0 / np.diagonal(g, axis1=1, axis2=2)
+    trace = (inv_diag * np.diagonal(deriv, axis1=1, axis2=2)).sum(axis=1)
+    lagrangian = 0.5 * (trace - basis.mass ** 2 * phi_sq)
+    return deriv - g * lagrangian[:, None, None]
+
+
+def stress_field(state: FockState, basis, backend, t, x) -> np.ndarray:
+    """<Psi|T_mn|Psi> at E events, shape (E, d+1, d+1): x is (E, d), t broadcasts to (E,)."""
+    if not isinstance(basis, (MinkowskiModeBasis, EdSModeBasis)):
+        raise ModeBasisError("stress-energy sampling needs a Minkowski or EdS basis")
+    if basis.backend != backend:
+        raise BasisMismatchError("basis was built for a different backend")
+    if state.basis != basis:
+        raise BasisMismatchError("state lives on a different basis")
+    _require_normalized(state)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != backend.dimension:
+        raise BackendDomainError(f"x must have shape (events, {backend.dimension})")
+    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1])
+    A, D = moments(state)
+    M = np.concatenate([A, D]) if D.any() else A
+    out = np.empty((len(t),) + (backend.dimension + 1,) * 2)
+    for lo in range(0, len(t), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        out[block] = _stress_block(basis, backend, M, len(A), t[block], x[block])
+    return out
 
 
 def stress_sample(state: FockState, basis, backend, event: Event) -> StressSample:
     """Assemble <Psi|T_mn|Psi> (vacuum-subtracted) at one event."""
-    if isinstance(basis, (MinkowskiModeBasis, EdSModeBasis)):
-        if basis.backend != backend:
-            raise BasisMismatchError("basis was built for a different backend")
-    else:
-        raise ModeBasisError("stress-energy sampling needs a Minkowski or EdS basis")
-    if state.basis != basis:
-        raise BasisMismatchError("state lives on a different basis")
-    _require_normalized(state)
-
-    coeffs, g, mass = _derivative_coefficients(basis, event)
-    dim = len(coeffs) - 1  # d+1 derivative slots, last entry is phi itself
-    images = [_lowering_image(state, c) for c in coeffs]
-
-    def pair(i: int, j: int) -> float:
-        return _quadratic_from_images(state, images[i], images[j], coeffs[i])
-
-    deriv = np.zeros((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            deriv[i, j] = deriv[j, i] = pair(i, j)
-    phi_sq = pair(dim, dim)
-
-    inv_diag = 1.0 / np.diag(g)
-    lagrangian = 0.5 * (float(inv_diag @ np.diag(deriv)) - mass ** 2 * phi_sq)
-    tensor = deriv - g * lagrangian
-    return StressSample(event=event, components=TensorSample(tensor))
+    tensor = TensorSample(stress_field(state, basis, backend, event.t, [event.x])[0])
+    return StressSample(event=event, components=tensor)
 
 
 def total_energy(state: FockState, basis) -> float:
@@ -176,11 +177,8 @@ def integrated_energy(state: FockState, basis, backend, t: float = 0.0,
         raise ModeBasisError("lattice integration is defined for box mode bases")
     if points_per_axis < 1:
         raise ValueError("points_per_axis must be positive")
-    L = backend.box_side
-    d = backend.dimension
+    L, d = backend.box_side, backend.dimension
     axis = np.linspace(0.0, L, points_per_axis, endpoint=False)
+    lattice = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
     cell = (L / points_per_axis) ** d
-    total = 0.0
-    for x in itertools.product(axis, repeat=d):
-        total += stress_sample(state, basis, backend, Event(t, x))[(0, 0)]
-    return total * cell
+    return float(stress_field(state, basis, backend, t, lattice)[:, 0, 0].sum() * cell)

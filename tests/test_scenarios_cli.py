@@ -1,6 +1,9 @@
 """Scenario configs, runners, and the command-line front end."""
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -461,6 +464,35 @@ def test_bad_scan_values_exit_2_naming_values(scenario, param, values, tmp_path,
     assert "Traceback" not in err
     if "inf" in values or "nan" in values or "1e400" in values:
         assert err == "error: field 'values': must be finite\n"
+
+
+_BOUNDED_SCAN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # 1 GiB, this process only
+from semigrav.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_v_scan_to_a_huge_box_runs_in_bounded_memory(tmp_path):
+    """At V = 1e9 the scanned quantum has n = 1e8: only that one mode is built."""
+    path = _write_json(tmp_path / "mp1.json",
+                       dict(default_config("minkowski_particle"), dimension=1, mode_label=[1]))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_SCAN, "scan", "minkowski_particle", "--param", "V",
+         "--values", "10,20,1e9", "--config", path],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stderr.splitlines()[-1]) < 1.0
+    payload = json.loads(proc.stdout)
+    volume, residual = payload["tables"]["scaling"]["rows"][-1]
+    assert volume == 1e9 and residual > 0.0
+    assert payload["flags"] == {"slope_defined": True}
 
 
 @pytest.mark.parametrize("values", ["-1,2,3", "--x"])

@@ -1,5 +1,6 @@
-"""Stress-energy observables: dense-operator oracle and analytic closed forms."""
+"""Stress-energy observables: dense-operator and Fock-walk oracles, closed forms."""
 import itertools
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -7,12 +8,17 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from semigrav.fock import FockState, Occupation, create, new_vacuum, superpose
+from semigrav.fock import (
+    FockState, Occupation, annihilate, create, inner, new_vacuum, superpose,
+)
 from semigrav.modes import ModeBasisError, eds_basis, minkowski_basis, rindler_basis
-from semigrav.spacetime import EinsteinDeSitter, Event, Minkowski
+from semigrav.spacetime import EinsteinDeSitter, Event, Minkowski, metric
 from semigrav.stress_energy import (
+    _BLOCK,
     integrated_energy,
+    moments,
     quadratic_expectation,
+    stress_field,
     stress_sample,
     total_energy,
     wavepacket_state,
@@ -111,6 +117,149 @@ def test_quadratic_expectation_validates_input():
     big = superpose([(2.0, vac)])
     with pytest.raises(ValueError):
         quadratic_expectation(big, np.zeros(3), np.zeros(3))
+
+
+# ---- Fock-walk oracle: lowering images of the state, one event at a time ------
+
+def _lowering_image(state, coeffs):
+    """sum_k g_k a_k |Psi>, applied term by term to the sparse state."""
+    acc = {}
+    for occ, amp in state.terms.items():
+        for mode, count in occ.pairs:
+            c = coeffs[mode]
+            if c == 0.0:
+                continue
+            lowered = occ.bump(mode, -1)
+            acc[lowered] = acc.get(lowered, 0.0) + amp * c * sqrt(count)
+    return FockState(state.basis, acc)
+
+
+def _walk_stress(state, basis, t, x):
+    """T_mn at one event from <:AB:> = 2 Re <A-Psi|B-Psi> + 2 Re <Psi|A-B-Psi>."""
+    dx = basis.dx_coeffs(t, x)
+    coeffs = [basis.dt_coeffs(t, x)] + list(dx.T) + [basis.field_coeffs(t, x)]
+    images = [_lowering_image(state, c) for c in coeffs]
+
+    def pair(i, j):
+        double = inner(state, _lowering_image(images[j], coeffs[i]))
+        return 2.0 * (inner(images[i], images[j]).real + double.real)
+
+    dim = len(coeffs) - 1
+    deriv = np.array([[pair(i, j) for j in range(dim)] for i in range(dim)])
+    g = metric(basis.backend, t, x)
+    lagrangian = 0.5 * (np.diag(deriv) @ (1.0 / np.diag(g)) - basis.mass**2 * pair(dim, dim))
+    return deriv - g * lagrangian
+
+
+def _random_state(basis, rng, n_terms, max_quanta):
+    """Normalized superposition of random occupations with up to max_quanta quanta.
+
+    With max_quanta >= 2 each drawn occupation also enters with two more
+    quanta, so that the pair moment K = <a a> does not vanish.
+    """
+    pairs = max_quanta >= 2
+    terms = {}
+    while len(terms) < n_terms:
+        modes = rng.integers(0, basis.n_modes, size=rng.integers(0, max_quanta - 2 * pairs + 1))
+        draws = [modes, np.concatenate([modes, rng.integers(0, basis.n_modes, size=2)])]
+        for drawn in draws[:1 + pairs]:
+            counts = {m: int((drawn == m).sum()) for m in set(drawn.tolist())}
+            terms[Occupation.from_counts(counts)] = complex(rng.normal(), rng.normal())
+    return FockState(basis, terms).normalized()
+
+
+def _random_events(basis, rng, n):
+    L = getattr(basis.backend, "box_side", 1.0)
+    return rng.uniform(0.3, 3.0, size=n), rng.uniform(0.0, L, size=(n, basis.backend.dimension))
+
+
+def _assert_matches_walk(state, basis, t, x):
+    got = stress_field(state, basis, basis.backend, t, x)
+    want = np.array([_walk_stress(state, basis, te, xe) for te, xe in zip(t, x)])
+    assert np.abs(want).max() > 0.0
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("basis, max_quanta", [
+    (minkowski_basis(box_side=7.0, dimension=1, mass=0.5, n_max=4), 1),
+    (minkowski_basis(box_side=7.0, dimension=1, mass=0.5, n_max=4), 3),
+    (minkowski_basis(box_side=5.0, dimension=3, mass=1.0, n_max=1), 1),
+    (minkowski_basis(box_side=5.0, dimension=3, mass=0.0, n_max=1), 3),
+], ids=["1d-one-quantum", "1d-pairs", "3d-one-quantum", "3d-massless-pairs"])
+def test_stress_field_matches_fock_walk_on_random_states(basis, max_quanta):
+    rng = np.random.default_rng(basis.n_modes + max_quanta)
+    for _ in range(3):
+        state = _random_state(basis, rng, n_terms=6, max_quanta=max_quanta)
+        if max_quanta > 1:
+            assert moments(state)[1].any()  # the two-quantum (K) terms are exercised
+        _assert_matches_walk(state, basis, *_random_events(basis, rng, 11))
+
+
+def test_stress_field_matches_fock_walk_on_eds_mixed_times():
+    basis = eds_basis(comoving_volume=60.0, mass=3.0)
+    rng = np.random.default_rng(8)
+    vac = new_vacuum(basis)
+    ladder = [vac, create(vac, 0), create(create(vac, 0), 0), create(create(create(vac, 0), 0), 0)]
+    state = superpose([(complex(rng.normal(), rng.normal()), s) for s in ladder], normalize=True)
+    assert moments(state)[1].any()
+    t = rng.permutation(np.geomspace(0.2, 5.0, 13))  # unsorted times in one call
+    _assert_matches_walk(state, basis, t, np.zeros((13, 3)))
+
+
+@pytest.mark.parametrize("n_events", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_stress_field_across_block_boundaries(n_events):
+    basis = minkowski_basis(box_side=4.0, dimension=1, mass=1.0, n_max=1)
+    rng = np.random.default_rng(n_events)
+    state = _random_state(basis, rng, n_terms=4, max_quanta=2)
+    _assert_matches_walk(state, basis, *_random_events(basis, rng, n_events))
+
+
+@pytest.mark.parametrize("basis", [
+    minkowski_basis(box_side=5.0, dimension=3, mass=1.0, n_max=1),
+    eds_basis(comoving_volume=60.0, mass=3.0),
+], ids=["minkowski", "eds"])
+def test_vacuum_stress_field_is_exactly_zero(basis):
+    t, x = _random_events(basis, np.random.default_rng(0), 600)
+    assert not stress_field(new_vacuum(basis), basis, basis.backend, t, x).any()
+
+
+def test_stress_sample_is_the_stress_field_row_bit_for_bit():
+    basis = minkowski_basis(box_side=5.0, dimension=3, mass=1.0, n_max=1)
+    rng = np.random.default_rng(4)
+    state = _random_state(basis, rng, n_terms=8, max_quanta=2)
+    t, x = _random_events(basis, rng, _BLOCK + 3)
+    field = stress_field(state, basis, basis.backend, t, x)
+    for e in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 2):
+        sample = stress_sample(state, basis, basis.backend, Event(t[e], tuple(x[e])))
+        assert np.array_equal(sample.components.matrix, field[e])
+
+
+def test_moments_match_ladder_products():
+    """rho = A^H A is <a_k+ a_l> and K = D^T A is <a_k a_l>, from the ladder operators."""
+    basis = minkowski_basis(box_side=5.0, dimension=1, mass=1.0, n_max=1)
+    state = _random_state(basis, np.random.default_rng(2), n_terms=7, max_quanta=3)
+    A, D = moments(state)
+    lowered = [annihilate(state, k) for k in range(basis.n_modes)]
+    rho = np.array([[inner(lowered[k], lowered[l]) for l in range(3)] for k in range(3)])
+    pair = np.array([[inner(state, annihilate(lowered[l], k)) for l in range(3)]
+                     for k in range(3)])
+    assert_allclose(A.conj().T @ A, rho, atol=1e-14)
+    assert_allclose(D.T @ A, pair, atol=1e-14)
+    assert np.abs(pair).max() > 0.1
+
+
+def test_stress_field_rejects_bad_event_arrays():
+    basis = minkowski_basis(box_side=10.0, dimension=2, mass=1.0, n_max=1)
+    vac = new_vacuum(basis)
+    with pytest.raises(ValueError):
+        stress_field(vac, basis, basis.backend, 0.0, np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        stress_field(vac, basis, basis.backend, 0.0, np.zeros(2))
+    with pytest.raises(ValueError):
+        stress_field(vac, basis, basis.backend, np.zeros(3), np.zeros((4, 2)))
+    dust = eds_basis(comoving_volume=10.0, mass=1.0)
+    with pytest.raises(ValueError):
+        stress_field(new_vacuum(dust), dust, dust.backend, [1.0, 0.0], np.zeros((2, 3)))
 
 
 # ---- flat-space closed forms -------------------------------------------------
