@@ -91,11 +91,9 @@ def _stress_block(basis, backend, M, n_rows, t, x) -> np.ndarray:
     f = basis.field_coeffs(t, x)                    # (E, n)
     factors = basis.slot_factors(t)                 # (S, n), or (E, S, n) if t-dependent
     (E, n), S, P = f.shape, factors.shape[-2], len(M)
-    if factors.ndim == 2:  # constants: the images of every slot from one product
-        B = (factors[:, :, None] * M.T).transpose(1, 0, 2).reshape(n, S * P)
-        U = (f[:, None, :] @ B).reshape(E, S, P)
-    else:
-        U = (f[:, None, :] * factors) @ M.T
+    # B[..., l, s P + p] = factors[..., s, l] M[p, l]: the images of every slot from one product
+    B = np.moveaxis(factors[..., None] * M.T, -3, -2).reshape(factors.shape[:-2] + (n, S * P))
+    U = (f[:, None, :] @ B).reshape(E, S, P)
     # Re(conj(u) v) is a real dot of (re, im) pairs; einsum rounds each product (BLAS may fuse)
     images = U[..., :n_rows].view(float)
     half = np.einsum("esp,eup->esu", images, images)       # Re g_s^H rho g_u

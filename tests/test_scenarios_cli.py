@@ -464,6 +464,10 @@ def test_bad_scan_values_exit_2_naming_values(scenario, param, values, tmp_path,
     assert "Traceback" not in err
     if "inf" in values or "nan" in values or "1e400" in values:
         assert err == "error: field 'values': must be finite\n"
+    elif values == "10,20,1e308":  # finite, but 2 w V (V) or m**2 (V0) overflows
+        reason = {"V": "overflow encountered in multiply",
+                  "V0": "(34, 'Numerical result out of range')"}[param]
+        assert err == f"error: field 'values': {reason}\n"
 
 
 _BOUNDED_SCAN = """
