@@ -8,16 +8,27 @@ Klein-Gordon pairings with box plane waves reduce to half-line integrals
     I_Q(s) = Int_0^inf (a x)^(i nu) e^(i s x) dx,        nu = w / a,
 
 with s = -k for alpha-type overlaps and s = +k for beta-type overlaps.
-Both integrals are oscillatory and only conditionally convergent, so each
-is evaluated in three exact pieces over its own spatial window:
+Both integrals are oscillatory and only conditionally convergent.  Each is
+split at the window edges |s| x = eta_L and eta_R, given in the log
+coordinate z = ln(a x) by z_L(k) = ln(eta_L a / k), and evaluated in three
+exact pieces:
 
 * x -> 0 (horizon end): expand e^(i s x) in powers of s x and integrate
   term by term; the leading term carries the Abel-regularized value
-  e^(i nu z_L) / (i nu) in the log coordinate z = ln(a x).
-* core window: composite Gauss-Legendre panels in z, where the phase
-  nu z + (s/a) e^z varies by only a few radians per panel.
+  e^(i nu z_L) / (i nu).
+* core window: composite Gauss-Legendre panels in b = z - z_L, where the
+  phase nu b + sgn(s) eta_L e^b varies by only a few radians per panel.
 * x -> inf: rotate the contour to x = x_R (1 + i sgn(s) u), where the
-  integrand decays like e^(-|s| x_R u); Gauss-Laguerre finishes the job.
+  integrand decays like e^(-eta_R u); Gauss-Laguerre finishes the job.
+
+In b every piece is independent of k, so each column is one exact phase
+times a factor per (nu, sign, quadrature settings):
+
+    I_P(k) = e^(i nu z_L(k)) P(nu, sign),    I_Q(k) = e^(i nu z_L(k)) Q(nu, sign) / k.
+
+One quadrature per wedge row and sign therefore serves every column, and
+alpha and beta are (rows, columns) outer products of row factors with the
+column phase.  The quadrature node tables are built once per settings.
 
 Left-moving box modes (k < 0) pair to exactly zero with right-moving wedge
 data: integrating the slice product by parts leaves a factor (k + |k|)
@@ -31,6 +42,7 @@ then directly comparable to the thermal spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -49,6 +61,12 @@ class QuadratureError(RuntimeError):
     """Raised when the overlap quadrature fails its self-consistency check."""
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:  # cached node tables are shared by every call
+        arr.flags.writeable = False
+    return arrays
+
+
 @dataclass(frozen=True)
 class _QuadSettings:
     eta_left: float  # |s| x at which the horizon-end series takes over
@@ -58,71 +76,77 @@ class _QuadSettings:
     laguerre_nodes: int
     series_terms: int
 
+    @cached_property
+    def core_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """Composite Gauss-Legendre nodes b on [0, ln(eta_R/eta_L)] and weight
+        columns (w, w e^b) for the P and Q integrands."""
+        edges = np.linspace(0.0, np.log(self.eta_right / self.eta_left), self.panels + 1)
+        x, w = np.polynomial.legendre.leggauss(self.gl_nodes)
+        half = 0.5 * np.diff(edges)[:, None]
+        b = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
+        bw = (half * w).ravel()
+        return _read_only(b, np.stack([bw, np.exp(b) * bw], axis=1))
+
+    @cached_property
+    def tail_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-Laguerre nodes and weights for the rotated far tail."""
+        return _read_only(*np.polynomial.laguerre.laggauss(self.laguerre_nodes))
+
 
 _BASE = _QuadSettings(0.25, 36.0, 28, 16, 56, 20)
 _FINE = _QuadSettings(0.12, 55.0, 44, 18, 80, 24)
 
 
-def _panel_rule(settings: _QuadSettings) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [0, ln(eta_R/eta_L)]."""
-    span = np.log(settings.eta_right / settings.eta_left)
-    edges = np.linspace(0.0, span, settings.panels + 1)
-    x, w = np.polynomial.legendre.leggauss(settings.gl_nodes)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(0.5 * (lo + hi) + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _half_line_integrals(nu: float, k: np.ndarray, sign: int, acceleration: float,
-                         settings: _QuadSettings) -> tuple[np.ndarray, np.ndarray]:
-    """I_P(s), I_Q(s) for s = sign * k, vectorized over the k array (k > 0)."""
-    a = acceleration
+def _row_factors(nu: np.ndarray, sign: int,
+                 settings: _QuadSettings) -> tuple[np.ndarray, np.ndarray]:
+    """k-independent factors P(nu, sign), Q(nu, sign) for every row of ``nu``."""
     eta_l, eta_r = settings.eta_left, settings.eta_right
-    z_left = np.log(eta_l * a / k)  # window edges in z = ln(a x)
-    z_right = np.log(eta_r * a / k)
+    col = nu[:, None]
 
     # horizon-end series: sum_n (i sign eta_l)^n / n! * 1/(n + p + i nu)
-    s_p = 0.0 + 0.0j
-    s_q = 0.0 + 0.0j
+    s_p = np.zeros(len(nu), dtype=complex)
+    s_q = np.zeros(len(nu), dtype=complex)
     for n in range(settings.series_terms, 0, -1):
         term = (1j * sign * eta_l) ** n / factorial(n)
         s_p += term / (n + 1j * nu)
         s_q += term / (n + 1.0 + 1j * nu)
     s_q += 1.0 / (1.0 + 1j * nu)
-    phase_l = np.exp(1j * nu * z_left)
-    left_p = phase_l * (1.0 / (1j * nu) + s_p)
-    left_q = (eta_l / k) * phase_l * s_q
 
-    # core window, quadrature in z over each column's own [z_left, z_right]
-    b, bw = _panel_rule(settings)
-    z_nodes = z_left[:, None] + b[None, :]
-    osc = np.exp(1j * (nu * z_nodes + sign * eta_l * np.exp(b)[None, :]))
-    core_p = osc @ bw
-    core_q = (np.exp(z_nodes) * osc) @ bw / a
+    # core window in b = z - z_L; the reductions are einsum so that a row's
+    # sum does not depend on how many rows share the call
+    b, core_w = settings.core_rule
+    osc = np.exp(1j * (col * b + sign * eta_l * np.exp(b)))
+    core_p, core_q = np.einsum("rn,nc->cr", osc, core_w)
 
-    # rotated far tail from x_R = eta_r / k
-    lag_x, lag_w = np.polynomial.laguerre.laggauss(settings.laguerre_nodes)
+    # rotated far tail from |s| x_R = eta_r
+    lag_x, lag_w = settings.tail_rule
     rot = 1.0 + 1j * sign * lag_x / eta_r
-    lag0 = np.sum(lag_w * rot ** (-1.0 + 1j * nu))
-    lag1 = np.sum(lag_w * rot ** (1j * nu))
-    phase_r = np.exp(1j * nu * z_right) * np.exp(1j * sign * eta_r) * (1j * sign / eta_r)
-    tail_p = phase_r * lag0
-    tail_q = phase_r * (eta_r / k) * lag1
+    lag0, lag1 = np.einsum("rn,nc->cr", np.exp(1j * col * np.log(rot)),
+                           np.stack([lag_w / rot, lag_w], axis=1))
+    phase_r = (np.exp(1j * nu * np.log(eta_r / eta_l)) * np.exp(1j * sign * eta_r)
+               * (1j * sign / eta_r))
 
-    return left_p + core_p + tail_p, left_q + core_q + tail_q
+    p = 1.0 / (1j * nu) + s_p + core_p + phase_r * lag0
+    q = eta_l * (s_q + core_q) + phase_r * eta_r * lag1
+    return p, q
 
 
-def _wedge_kernels(nu: float, k: np.ndarray, omega: float, acceleration: float,
+def _column_phase(nu: np.ndarray, k: np.ndarray, acceleration: float,
+                  settings: _QuadSettings) -> np.ndarray:
+    """e^(i nu z_L(k)), shape (rows, columns)."""
+    return np.exp(1j * nu[:, None] * np.log(settings.eta_left * acceleration / k))
+
+
+def _wedge_kernels(omegas: np.ndarray, k: np.ndarray, acceleration: float,
                    settings: _QuadSettings) -> tuple[np.ndarray, np.ndarray]:
-    """alpha(w, k), beta(w, k) for one wedge frequency against k > 0 columns."""
-    ip_minus, iq_minus = _half_line_integrals(nu, k, -1, acceleration, settings)
-    ip_plus, iq_plus = _half_line_integrals(nu, k, +1, acceleration, settings)
-    norm = 4.0 * np.pi * np.sqrt(k * omega)
-    alpha = (nu * ip_minus + k * iq_minus) / norm
-    beta = (k * iq_plus - nu * ip_plus) / norm
+    """alpha(w, k), beta(w, k) for every wedge row against k > 0 columns."""
+    nu = omegas / acceleration
+    p_minus, q_minus = _row_factors(nu, -1, settings)
+    p_plus, q_plus = _row_factors(nu, +1, settings)
+    column = _column_phase(nu, k, acceleration, settings) / (
+        4.0 * np.pi * np.sqrt(k * omegas[:, None]))
+    alpha = column * (nu * p_minus + q_minus)[:, None]
+    beta = column * (q_plus - nu * p_plus)[:, None]
     return alpha, beta
 
 
@@ -152,37 +176,6 @@ class BogolubovMatrix:
         return float(np.sum(self.weights * (np.abs(self.alpha[j]) ** 2 - np.abs(self.beta[j]) ** 2)))
 
 
-def _box_slice_products(mink: MinkowskiModeBasis, other: MinkowskiModeBasis) -> BogolubovMatrix:
-    """Klein-Gordon products of two box bases over one period of the slice."""
-    if mink.backend != other.backend or mink.mass != other.mass:
-        raise ModeBasisError("box bases must share the same quantization")
-    L = mink.backend.box_side
-    n_grid = 4 * max(mink.n_max, other.n_max) + 5
-    x = np.linspace(0.0, L, n_grid, endpoint=False)[None, :]
-    dx = L / n_grid
-
-    def slice_data(basis):
-        k = basis.wavevectors[:, 0][:, None]
-        w = basis.frequencies[:, None]
-        f = np.exp(1j * k * x) / np.sqrt(2.0 * w * L)
-        return f, -1j * w * f
-
-    f_col, df_col = slice_data(mink)
-    f_row, df_row = slice_data(other)
-    # rectangle rule on the periodic slice is exact below the Nyquist wavenumber;
-    # alpha_jk = (u_k, g_j)_KG is antilinear in the column mode u_k
-    alpha = 1j * dx * (df_row @ f_col.conj().T - f_row @ df_col.conj().T)
-    beta = -1j * dx * (df_row @ f_col.T - f_row @ df_col.T)
-    return BogolubovMatrix(
-        row_frequencies=other.frequencies.copy(),
-        wavenumbers=mink.wavevectors[:, 0].copy(),
-        alpha=alpha,
-        beta=beta,
-        weights=np.ones(mink.n_modes),
-        quadrature_error=0.0,
-    )
-
-
 def _column_weights(k_pos: np.ndarray, acceleration: float) -> np.ndarray:
     lam = np.log(k_pos)
     window = lam[-1] - lam[0]
@@ -194,17 +187,17 @@ def _column_weights(k_pos: np.ndarray, acceleration: float) -> np.ndarray:
     return 2.0 * np.pi * acceleration * k_pos * cells / window
 
 
-def bogolubov_coefficients(mink: MinkowskiModeBasis, rind, *, rtol: float = 1e-6) -> BogolubovMatrix:
+def bogolubov_coefficients(mink: MinkowskiModeBasis, rind: RindlerModeBasis, *,
+                           rtol: float = 1e-6) -> BogolubovMatrix:
     """Overlap matrices between ``mink`` box modes and ``rind`` wedge modes.
 
-    Passing a second Minkowski basis with the same quantization returns the
-    identity transform (beta = 0).  The wedge pairing requires a massless
-    one-dimensional box basis with at least two positive-k modes.
+    The wedge pairing requires a massless one-dimensional box basis with at
+    least two positive-k modes.  Raises QuadratureError when the two
+    quadrature settings disagree by more than ``rtol`` or the estimate is
+    not finite.
     """
-    if isinstance(rind, MinkowskiModeBasis):
-        return _box_slice_products(mink, rind)
     if not isinstance(rind, RindlerModeBasis):
-        raise ModeBasisError("second basis must be Rindler or Minkowski")
+        raise ModeBasisError("second basis must be a Rindler wedge basis")
     if mink.backend.dimension != 1:
         raise ModeBasisError("wedge pairing is defined for 1 spatial dimension")
     if mink.mass != 0.0:
@@ -218,35 +211,29 @@ def bogolubov_coefficients(mink: MinkowskiModeBasis, rind, *, rtol: float = 1e-6
     a = rind.backend.acceleration
     omegas = np.asarray(rind.omegas, dtype=float)
 
-    def build(settings):
-        al = np.zeros((len(omegas), len(k_all)), dtype=complex)
-        be = np.zeros_like(al)
-        for j, w in enumerate(omegas):
-            al_row, be_row = _wedge_kernels(w / a, k_pos, w, a, settings)
-            al[j, pos] = al_row
-            be[j, pos] = be_row
-        return al, be
-
-    alpha, beta = build(_BASE)
-    alpha_f, beta_f = build(_FINE)
-    scale = np.abs(alpha_f[:, pos])
-    err = max(
-        float(np.max(np.abs(alpha[:, pos] - alpha_f[:, pos]) / scale)),
-        float(np.max(np.abs(beta[:, pos] - beta_f[:, pos]) / np.maximum(np.abs(beta_f[:, pos]), 1e-30))),
-    )
-    if err > rtol:
+    with np.errstate(all="ignore"):  # overflow shows up as a non-finite estimate
+        alpha, beta = _wedge_kernels(omegas, k_pos, a, _BASE)
+        alpha_f, beta_f = _wedge_kernels(omegas, k_pos, a, _FINE)
+        err = max(
+            float(np.max(np.abs(alpha - alpha_f) / np.abs(alpha_f))),
+            float(np.max(np.abs(beta - beta_f) / np.maximum(np.abs(beta_f), 1e-30))),
+        )
+    if not err <= rtol:  # a NaN estimate fails too
         raise QuadratureError(
             f"overlap quadrature did not converge: estimated relative error {err:.3e} > {rtol:.1e}"
         )
 
-    weights = np.zeros(len(k_all))
-    weights[pos] = _column_weights(k_pos, a)
+    def scatter(values):  # left-mover columns stay exactly zero
+        out = np.zeros(values.shape[:-1] + k_all.shape, dtype=values.dtype)
+        out[..., pos] = values
+        return out
+
     return BogolubovMatrix(
         row_frequencies=omegas,
         wavenumbers=k_all.copy(),
-        alpha=alpha_f,
-        beta=beta_f,
-        weights=weights,
+        alpha=scatter(alpha_f),
+        beta=scatter(beta_f),
+        weights=scatter(_column_weights(k_pos, a)),
         quadrature_error=err,
     )
 

@@ -32,11 +32,13 @@ EIGHT_PI = 8.0 * np.pi
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Per-event and global sup-norm residuals of G = 8 pi T."""
+    """Per-event and global sup-norm residuals of G = 8 pi T, with the
+    <T_mn> array (events, d+1, d+1) they were computed from."""
 
     events: tuple[Event, ...]
     per_event: tuple[float, ...]
     global_max: float
+    stress: np.ndarray = field(repr=False, compare=False)
     parameters: dict = field(default_factory=dict)
 
 
@@ -47,9 +49,9 @@ def residual(backend, state, basis, events: Sequence[Event],
     if not events:
         raise ValueError("residual needs a nonempty event grid")
     t, x = np.array([ev.t for ev in events]), np.array([ev.x for ev in events])
-    diff = einstein_tensor(backend, t, x) - EIGHT_PI * stress_field(state, basis, backend, t, x)
-    per = np.abs(diff).max(axis=(1, 2))
-    return ResidualReport(events, tuple(per.tolist()), float(per.max()),
+    stress = stress_field(state, basis, backend, t, x)
+    per = np.abs(einstein_tensor(backend, t, x) - EIGHT_PI * stress).max(axis=(1, 2))
+    return ResidualReport(events, tuple(per.tolist()), float(per.max()), stress,
                           dict(parameters or {}))
 
 

@@ -148,6 +148,23 @@ def test_rindler_quadrature_failure_degrades_to_flags(monkeypatch):
     assert report.flags["thermal_within_1pct"] is False
 
 
+@pytest.mark.parametrize("acceleration", [1e-3, 1e-300])
+def test_rindler_non_finite_quadrature_estimate_exits_1_with_error_table(
+        acceleration, tmp_path, capsys):
+    """nu = w / a is so large that alpha overflows and the estimate is NaN."""
+    path = _write_json(tmp_path / "ru.json",
+                       dict(default_config("rindler_unruh"), acceleration=acceleration))
+    rc = main(["run", "rindler_unruh", "--config", path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.out)
+    assert list(payload["tables"]) == ["error"]
+    assert payload["tables"]["error"]["rows"] == [
+        ["overlap quadrature did not converge: estimated relative error nan > 1.0e-06"]]
+    assert not any(payload["flags"].values())
+
+
 # ---- CLI -----------------------------------------------------------------------
 
 def test_cli_run_json_stdout(capsys):
@@ -470,7 +487,7 @@ def test_bad_scan_values_exit_2_naming_values(scenario, param, values, tmp_path,
         assert err == f"error: field 'values': {reason}\n"
 
 
-_BOUNDED_SCAN = """
+_BOUNDED_CLI = """
 import resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # 1 GiB, this process only
 from semigrav.cli import main
@@ -488,7 +505,7 @@ def test_v_scan_to_a_huge_box_runs_in_bounded_memory(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", _BOUNDED_SCAN, "scan", "minkowski_particle", "--param", "V",
+        [sys.executable, "-c", _BOUNDED_CLI, "scan", "minkowski_particle", "--param", "V",
          "--values", "10,20,1e9", "--config", path],
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -497,6 +514,20 @@ def test_v_scan_to_a_huge_box_runs_in_bounded_memory(tmp_path):
     volume, residual = payload["tables"]["scaling"]["rows"][-1]
     assert volume == 1e9 and residual > 0.0
     assert payload["flags"] == {"slope_defined": True}
+
+
+def test_rindler_at_n_max_20000_runs_fast_in_bounded_memory(tmp_path):
+    """20,001 box columns: one quadrature per wedge row serves them all."""
+    path = _write_json(tmp_path / "ru.json", dict(default_config("rindler_unruh"), n_max=20000))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_CLI, "run", "rindler_unruh", "--config", path],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stderr.splitlines()[-1]) < 10.0
+    payload = json.loads(proc.stdout)
+    assert payload["flags"] and all(payload["flags"].values())
 
 
 @pytest.mark.parametrize("values", ["-1,2,3", "--x"])
