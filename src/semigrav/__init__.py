@@ -12,7 +12,6 @@ from .spacetime import (
     Minkowski,
     Rindler2D,
     TensorSample,
-    comoving_volume_element,
     einstein_tensor,
     metric,
     outside_future_cone,
@@ -24,7 +23,6 @@ from .fock import (
     Occupation,
     ZeroNormError,
     annihilate,
-    apply_ladder,
     create,
     inner,
     new_vacuum,
@@ -74,7 +72,6 @@ from .measurement import (
     NoAdmissibleCausalBranch,
     PageGeilkerResult,
     TrialBatch,
-    TrialRecord,
     ZeroOverlapError,
     born_probabilities,
     causality_check,

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spacetime import Event, einstein_tensor
+from .spacetime import einstein_tensor
 from .stress_energy import stress_field
 
 __all__ = [
@@ -32,27 +32,28 @@ EIGHT_PI = 8.0 * np.pi
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Per-event and global sup-norm residuals of G = 8 pi T, with the
-    <T_mn> array (events, d+1, d+1) they were computed from."""
+    """Per-event and global sup-norm residuals of G = 8 pi T at the events
+    t (E,), x (E, d), with the <T_mn> array (E, d+1, d+1) they came from."""
 
-    events: tuple[Event, ...]
+    t: np.ndarray = field(repr=False, compare=False)
+    x: np.ndarray = field(repr=False, compare=False)
     per_event: tuple[float, ...]
     global_max: float
     stress: np.ndarray = field(repr=False, compare=False)
-    parameters: dict = field(default_factory=dict)
 
 
-def residual(backend, state, basis, events: Sequence[Event],
-             parameters: dict | None = None) -> ResidualReport:
-    """Max-component |G_mn - 8 pi <T_mn>| at each event plus the global max."""
-    events = tuple(events)
-    if not events:
+def residual(backend, state, basis, t, x) -> ResidualReport:
+    """Max-component |G_mn - 8 pi <T_mn>| at each event plus the global max.
+
+    The events are x (E, d) with t broadcast to (E,), as for ``stress_field``.
+    """
+    x = np.asarray(x, dtype=float)
+    if not x.size:
         raise ValueError("residual needs a nonempty event grid")
-    t, x = np.array([ev.t for ev in events]), np.array([ev.x for ev in events])
+    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1])
     stress = stress_field(state, basis, backend, t, x)
     per = np.abs(einstein_tensor(backend, t, x) - EIGHT_PI * stress).max(axis=(1, 2))
-    return ResidualReport(events, tuple(per.tolist()), float(per.max()), stress,
-                          dict(parameters or {}))
+    return ResidualReport(t, x, tuple(per.tolist()), float(per.max()), stress)
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,8 @@ def fit_parameter(objective: Callable[[float], float], lo: float, hi: float,
                   tol: float = 1e-8) -> FitResult:
     """Golden-section minimization of a 1-D objective on [lo, hi].
 
-    Returns the interior minimizer to within ``tol`` in the parameter; if
+    Returns the interior minimizer to within ``tol`` in the parameter, or
+    to the bracket's float resolution when ``tol`` is finer than that; if
     either bracket end beats the interior point the end is returned with
     ``hit_boundary`` set.  A non-finite objective value raises ValueError.
     """
@@ -125,7 +127,9 @@ def fit_parameter(objective: Callable[[float], float], lo: float, hi: float,
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     f_c, f_d = f(c), f(d)
-    while (b - a) > tol:
+    width = float("inf")
+    while tol < b - a < width:  # a bracket at float resolution stops shrinking
+        width = b - a
         if f_c <= f_d:
             b, d, f_d = d, c, f_c
             c = b - _INV_PHI * (b - a)

@@ -21,7 +21,6 @@ __all__ = [
     "Occupation",
     "FockState",
     "new_vacuum",
-    "apply_ladder",
     "create",
     "annihilate",
     "inner",
@@ -144,15 +143,13 @@ def _check_mode(state: FockState, mode: int) -> None:
         raise BasisMismatchError(f"mode index {mode} outside basis with {n} modes")
 
 
-def apply_ladder(state: FockState, mode: int, kind: str) -> FockState:
+def _apply_ladder(state: FockState, mode: int, kind: str) -> FockState:
     """Apply a_mode ("annihilate") or a_mode^dagger ("create") to ``state``.
 
     create:     amp -> amp * sqrt(n+1) on n -> n+1
     annihilate: amp -> amp * sqrt(n)   on n -> n-1 (n = 0 terms vanish)
     """
     _check_mode(state, mode)
-    if kind not in ("create", "annihilate"):
-        raise ValueError("kind must be 'create' or 'annihilate'")
     out: dict[Occupation, complex] = {}
     for occ, amp in state.terms.items():
         n = occ.count(mode)
@@ -167,11 +164,11 @@ def apply_ladder(state: FockState, mode: int, kind: str) -> FockState:
 
 
 def create(state: FockState, mode: int) -> FockState:
-    return apply_ladder(state, mode, "create")
+    return _apply_ladder(state, mode, "create")
 
 
 def annihilate(state: FockState, mode: int) -> FockState:
-    return apply_ladder(state, mode, "annihilate")
+    return _apply_ladder(state, mode, "annihilate")
 
 
 def inner(a: FockState, b: FockState) -> complex:

@@ -2,12 +2,14 @@
 
 A measurement replaces the state with one member of an orthonormal branch
 set, sampled with probability |<C_i|Psi>|^2 / sum_j |<C_j|Psi>|^2.  Each
-branch carries an energy-density profile (a scenario-declared closed form
-or a stress-sample-backed callable); the causality gate demands that the
-pre- and post-projection profiles agree, within a declared tolerance, at
-every probe event outside the future light cone of the measurement event.
-Branches failing the gate are inadmissible; if none survive, the engine
-reports that distinct outcome instead of guessing.
+branch carries an energy-density profile: a callable that maps probe
+events, given as arrays t (n,) and x (n, d), to the densities there (n,).
+The causality gate evaluates the pre- and post-projection profiles on the
+whole probe grid at once and demands that they agree, within a declared
+tolerance, wherever ``outside_future_cone`` marks a probe as outside the
+future light cone of the measurement event.  Branches failing the gate
+are inadmissible; if none survive, the engine reports that distinct
+outcome instead of guessing.
 
 Admissibility itself is scenario-declared (which branch sets count as
 "classical" is an open modeling question), so this module is agnostic:
@@ -16,17 +18,17 @@ and the light-cone condition.
 
 Trials use counter-based seeding -- trial ``i`` of master seed ``s`` draws
 the first uniform of ``np.random.default_rng((s, i))`` -- so trials are
-order-independent.  ``run_trials`` draws them in blocks of trial indices
-through ``trial_uniforms``, which reproduces that stream bit for bit in
-vectorised integer arithmetic; ``trial_rng`` builds the generator itself
-for single trials and serves as the oracle for the batch path.
+order-independent and ``trial_rng(s, i)`` replays any one of them.
+``run_trials`` draws them in blocks of trial indices through
+``trial_uniforms``, which reproduces that stream bit for bit in vectorised
+integer arithmetic; ``trial_rng`` builds the generator itself for single
+trials and serves as the oracle for the batch path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import json
 import math
 
 import numpy as np
@@ -42,7 +44,6 @@ __all__ = [
     "BranchSet",
     "MeasurementEvent",
     "CausalityReport",
-    "TrialRecord",
     "born_probabilities",
     "trial_rng",
     "trial_uniforms",
@@ -62,7 +63,7 @@ __all__ = [
 _ORTHO_TOL = 1e-10
 _NORM_TOL = 1e-9
 
-Profile = Callable[[Event], float]
+Profile = Callable[[np.ndarray, np.ndarray], np.ndarray]  # t (n,), x (n, d) -> (n,)
 
 
 class ZeroOverlapError(ValueError):
@@ -132,43 +133,6 @@ class CausalityReport:
     n_inside: int
     tol: float
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "max_violation_outside": self.max_violation_outside,
-            "max_diff_inside": self.max_diff_inside,
-            "n_outside": self.n_outside,
-            "n_inside": self.n_inside,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One seeded projection trial, serializable bit-for-bit."""
-
-    master_seed: int
-    trial_index: int
-    branch_index: int
-    branch_label: str
-    probability: float
-    causality: CausalityReport | None
-
-    def __post_init__(self):
-        if not (0.0 < self.probability <= 1.0):
-            raise ValueError("recorded branch probability must lie in (0, 1]")
-
-    def to_json(self) -> str:
-        payload = {
-            "master_seed": self.master_seed,
-            "trial_index": self.trial_index,
-            "branch_index": self.branch_index,
-            "branch_label": self.branch_label,
-            "probability": self.probability,
-            "causality": self.causality.as_dict() if self.causality else None,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def born_probabilities(state: FockState, branch_set: BranchSet) -> np.ndarray:
@@ -327,20 +291,15 @@ _TRIAL_BLOCK = 4096  # trial indices drawn at once: bounds memory, not results
 
 @dataclass(frozen=True)
 class TrialBatch:
-    """Branch counts of ``n_trials`` seeded projections of one state.
-
-    ``records`` holds the first ``keep_records`` trials without a causality
-    report; the caller owns the probes and profiles that produce one.
-    """
+    """Branch counts of ``n_trials`` seeded projections of one state."""
 
     n_trials: int
     born: tuple[float, ...]
     counts: tuple[int, ...]
-    records: tuple[TrialRecord, ...]
 
 
 def run_trials(state: FockState, measurement: MeasurementEvent, master_seed: int,
-               n_trials: int, keep_records: int) -> TrialBatch:
+               n_trials: int) -> TrialBatch:
     """Project ``state`` once in each of trials ``0 .. n_trials - 1``.
 
     Trial ``t`` picks the branch that ``project(state, measurement,
@@ -350,64 +309,45 @@ def run_trials(state: FockState, measurement: MeasurementEvent, master_seed: int
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
-    branch_set = measurement.branch_set
-    born = born_probabilities(state, branch_set)
+    born = born_probabilities(state, measurement.branch_set)
     cum = np.cumsum(born)
     counts = np.zeros(len(born), dtype=np.int64)
-    first: list[int] = []
     for start in range(0, n_trials, _TRIAL_BLOCK):
         trials = np.arange(start, min(start + _TRIAL_BLOCK, n_trials), dtype=np.uint64)
         r = trial_uniforms(master_seed, trials)
         picks = np.minimum(np.searchsorted(cum, r, side="right"), len(born) - 1)
         counts += np.bincount(picks, minlength=len(born))
-        if len(first) < keep_records:
-            first.extend(picks[:keep_records - len(first)].tolist())
-    records = tuple(
-        TrialRecord(master_seed=master_seed, trial_index=t, branch_index=i,
-                    branch_label=branch_set[i].label, probability=float(born[i]),
-                    causality=None)
-        for t, i in enumerate(first))
-    return TrialBatch(n_trials, tuple(float(p) for p in born),
-                      tuple(int(c) for c in counts), records)
+    return TrialBatch(n_trials, tuple(float(p) for p in born), tuple(int(c) for c in counts))
 
 
 def causality_check(pre_profile: Profile, post_profile: Profile, origin: Event,
-                    probes: Sequence[Event], tol: float) -> CausalityReport:
-    """Compare energy profiles at every probe, split by the light cone.
+                    t, x, tol: float) -> CausalityReport:
+    """Compare energy profiles at the probes t (n,), x (n, d), split by the light cone.
 
     Outside the future cone of ``origin`` the profiles must agree within
     ``tol``; inside, any difference is legitimate and reported only for
     contrast.
     """
-    probes = tuple(probes)
-    if not probes:
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    if not t.size:
         raise ValueError("causality check needs a nonempty probe grid")
-    max_out = 0.0
-    max_in = 0.0
-    n_out = 0
-    n_in = 0
-    for ev in probes:
-        diff = abs(float(pre_profile(ev)) - float(post_profile(ev)))
-        if outside_future_cone(origin, ev):
-            n_out += 1
-            max_out = max(max_out, diff)
-        else:
-            n_in += 1
-            max_in = max(max_in, diff)
+    diff = np.abs(pre_profile(t, x) - post_profile(t, x))
+    outside = outside_future_cone(origin, t, x)
+    max_out = float(diff[outside].max(initial=0.0))
     return CausalityReport(
         max_violation_outside=max_out,
-        max_diff_inside=max_in,
-        n_outside=n_out,
-        n_inside=n_in,
+        max_diff_inside=float(diff[~outside].max(initial=0.0)),
+        n_outside=int(outside.sum()),
+        n_inside=int((~outside).sum()),
         tol=tol,
         passed=max_out <= tol,
     )
 
 
 def constrained_project(state: FockState, measurement: MeasurementEvent,
-                        pre_profile: Profile, probes: Sequence[Event], tol: float,
+                        pre_profile: Profile, t, x, tol: float,
                         rng_seed) -> tuple[int, FockState, CausalityReport]:
-    """Born sampling restricted to branches passing the causality gate.
+    """Born sampling restricted to branches passing the causality gate at probes (t, x).
 
     Branch probabilities are renormalized over the causal subset; if no
     overlapping branch passes, NoAdmissibleCausalBranch is raised.
@@ -415,7 +355,7 @@ def constrained_project(state: FockState, measurement: MeasurementEvent,
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     probs = born_probabilities(state, measurement.branch_set)
     reports = [
-        causality_check(pre_profile, br.energy_profile, measurement.event, probes, tol)
+        causality_check(pre_profile, br.energy_profile, measurement.event, t, x, tol)
         for br in measurement.branch_set
     ]
     keep = [i for i, rep in enumerate(reports) if rep.passed and probs[i] > 0.0]
@@ -437,22 +377,14 @@ def gaussian_bump(center, mass: float, width: float) -> Profile:
         raise ValueError("width must be positive")
     d = len(center)
     norm = mass / ((2.0 * math.pi) ** (d / 2.0) * width**d)
-
-    def profile(ev: Event) -> float:
-        dx = np.asarray(ev.x) - center
-        return float(norm * math.exp(-float(dx @ dx) / (2.0 * width**2)))
-
-    return profile
+    # np.vecdot sums |x - center|^2 as a one-event ``dx @ dx`` does, bit for bit
+    return lambda t, x: norm * np.exp(-np.vecdot(x - center, x - center) / (2.0 * width**2))
 
 
 def profile_mixture(parts: Sequence[tuple[float, Profile]]) -> Profile:
     """Convex (or any linear) combination of energy profiles."""
     parts = list(parts)
-
-    def profile(ev: Event) -> float:
-        return float(sum(w * p(ev) for w, p in parts))
-
-    return profile
+    return lambda t, x: sum(w * p(t, x) for w, p in parts)
 
 
 # ---- EPR pair scenario ----------------------------------------------------
@@ -466,7 +398,6 @@ class EPRResult:
     anticorrelation_rate: float
     causality_reports: tuple[CausalityReport, CausalityReport]
     max_violation_outside: float
-    records: tuple[TrialRecord, ...]
 
 
 def _epr_setup(box_side: float, mass: float):
@@ -486,8 +417,7 @@ def _epr_setup(box_side: float, mass: float):
 def run_epr_scenario(n_trials: int, master_seed: int, *, box_side: float = 10.0,
                      station_separation: float = 4.0, measurement_time: float = 0.5,
                      sphere_mass: float = 1.0, sphere_width: float = 0.3,
-                     n_probes: int = 48, tol: float = 0.0,
-                     keep_records: int = 3) -> EPRResult:
+                     n_probes: int = 48, tol: float = 0.0) -> EPRResult:
     """Anticorrelated pair: project at station X, verify spin at station Y.
 
     Both branches share one energy profile (a bump at each station with the
@@ -501,9 +431,8 @@ def run_epr_scenario(n_trials: int, master_seed: int, *, box_side: float = 10.0,
     x_left = 0.5 * (box_side - station_separation)
     x_right = x_left + station_separation
     station_x = Event(measurement_time, (x_left,))
-    station_y = Event(measurement_time, (x_right,))
-    if not (outside_future_cone(station_x, station_y)
-            and outside_future_cone(station_y, station_x)):
+    # the stations share a time, so the cone test is symmetric in them
+    if not outside_future_cone(station_x, measurement_time, (x_right,)):
         raise ValueError("measurement stations must be spacelike-separated")
 
     # one shared profile: equal-mass bumps at both stations, in every branch
@@ -519,15 +448,16 @@ def run_epr_scenario(n_trials: int, master_seed: int, *, box_side: float = 10.0,
 
     # probe grid straddling the cone: same-time points are all outside,
     # later points near the station are inside
-    probes = [Event(measurement_time, (x,)) for x in np.linspace(0.0, box_side, n_probes // 2)]
-    probes += [Event(measurement_time + 1.0, (x,))
-               for x in np.linspace(0.0, box_side, n_probes - n_probes // 2)]
+    n_now = n_probes // 2
+    t = np.repeat([measurement_time, measurement_time + 1.0], [n_now, n_probes - n_now])
+    x = np.concatenate([np.linspace(0.0, box_side, n_now),
+                        np.linspace(0.0, box_side, n_probes - n_now)])[:, None]
 
     # both branches carry the pre-projection profile itself, so one
     # causality report holds for both and for every trial below
-    report = causality_check(shared, shared, measurement.event, probes, tol)
+    report = causality_check(shared, shared, measurement.event, t, x, tol)
     reports = (report, report)
-    batch = run_trials(singlet, measurement, master_seed, n_trials, keep_records)
+    batch = run_trials(singlet, measurement, master_seed, n_trials)
 
     def anticorrelated(post: FockState) -> bool:
         local_up = number_expectation(post, l_up)
@@ -549,7 +479,6 @@ def run_epr_scenario(n_trials: int, master_seed: int, *, box_side: float = 10.0,
         anticorrelation_rate=n_anticorrelated / n_trials,
         causality_reports=reports,
         max_violation_outside=max(r.max_violation_outside for r in reports),
-        records=tuple(replace(rec, causality=reports[rec.branch_index]) for rec in batch.records),
     )
 
 
@@ -562,14 +491,13 @@ class PageGeilkerResult:
     discontinuity: float
     always_single_sphere: bool
     causality_reports: tuple[CausalityReport, CausalityReport]
-    records: tuple[TrialRecord, ...]
 
 
 def run_page_geilker(n_trials: int, master_seed: int, *, box_side: float = 10.0,
                      position_a: float = 3.0, position_b: float = 7.0,
                      sphere_mass: float = 1.0, sphere_width: float = 0.4,
                      measurement_time: float = 1.0, n_probes: int = 64,
-                     tol: float = 0.0, keep_records: int = 3) -> PageGeilkerResult:
+                     tol: float = 0.0) -> PageGeilkerResult:
     """A sphere in an equal superposition of two positions, then observed.
 
     Before projection the sourced energy profile is the expectation value,
@@ -597,24 +525,21 @@ def run_page_geilker(n_trials: int, master_seed: int, *, box_side: float = 10.0,
     lab = Event(measurement_time, (0.5 * (position_a + position_b),))
     measurement = MeasurementEvent(event=lab, branch_set=branches)
 
-    probes = [Event(measurement_time, (x,))
-              for x in np.linspace(0.0, box_side, n_probes)]
-    reports = tuple(
-        causality_check(pre, br.energy_profile, lab, probes, tol)
-        for br in branches
-    )
+    t = np.full(n_probes, measurement_time)
+    x = np.linspace(0.0, box_side, n_probes)[:, None]
+    reports = tuple(causality_check(pre, br.energy_profile, lab, t, x, tol) for br in branches)
     # equal-time probes sit outside the cone, so the sphere relocation is
     # visible to the check: the reported "violation" is the discontinuity
     discontinuity = min(r.max_violation_outside for r in reports)
 
-    batch = run_trials(pointer, measurement, master_seed, n_trials, keep_records)
-    at_a = Event(measurement_time, (position_a,))
-    at_b = Event(measurement_time, (position_b,))
+    batch = run_trials(pointer, measurement, master_seed, n_trials)
+    # the two sphere positions at the measurement time
+    at_t, at_x = np.full(2, measurement_time), np.array([[position_a], [position_b]])
 
     def single_sphere(chosen: Profile) -> bool:
         # the post profile is one full sphere, never the pre-projection
         # average: it must deviate from the average at both positions
-        return abs(chosen(at_a) - pre(at_a)) > 0.0 and abs(chosen(at_b) - pre(at_b)) > 0.0
+        return bool(np.all(np.abs(chosen(at_t, at_x) - pre(at_t, at_x)) > 0.0))
 
     return PageGeilkerResult(
         n_trials=n_trials,
@@ -623,5 +548,4 @@ def run_page_geilker(n_trials: int, master_seed: int, *, box_side: float = 10.0,
         always_single_sphere=all(
             single_sphere(br.energy_profile) for br, c in zip(branches, batch.counts) if c),
         causality_reports=reports,
-        records=tuple(replace(rec, causality=reports[rec.branch_index]) for rec in batch.records),
     )

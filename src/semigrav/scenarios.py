@@ -27,7 +27,7 @@ from .measurement import run_epr_scenario, run_page_geilker
 from .modes import (MinkowskiModeBasis, ModeBasisError, eds_basis, minkowski_basis,
                     rindler_basis)
 from .report import RunReport, Table
-from .spacetime import Event, Minkowski
+from .spacetime import Minkowski
 from .stress_energy import integrated_energy, stress_field, total_energy, wavepacket_state
 from .stress_energy import stress_sample  # noqa: F401  (the one-event view, traced by bench/)
 
@@ -132,27 +132,26 @@ def _x_columns(dimension: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(dimension))
 
 
-def _stress_table(scenario: str, events, tensors: np.ndarray) -> Table:  # a row per component
+def _stress_table(scenario: str, t, x, tensors: np.ndarray) -> Table:  # a row per component
     dimension = tensors.shape[1] - 1
     columns = ("scenario", "t") + _x_columns(dimension) + ("mu", "nu", "value")
-    rows = [(scenario, ev.t) + ev.x + (mu, nu, tensor[mu][nu])
-            for ev, tensor in zip(events, tensors.tolist())
+    rows = [(scenario, ti) + tuple(xi) + (mu, nu, tensor[mu][nu])
+            for ti, xi, tensor in zip(t.tolist(), x.tolist(), tensors.tolist())
             for mu in range(dimension + 1) for nu in range(dimension + 1)]
     return Table.build("stress", columns, rows)
 
 
-def _residual_table(report, dimension: int) -> Table:
-    columns = ("t",) + _x_columns(dimension) + ("residual",)
-    rows = [(ev.t,) + ev.x + (r,) for ev, r in zip(report.events, report.per_event)]
+def _residual_table(report) -> Table:
+    columns = ("t",) + _x_columns(report.x.shape[1]) + ("residual",)
+    rows = [(ti,) + tuple(xi) + (r,)
+            for ti, xi, r in zip(report.t.tolist(), report.x.tolist(), report.per_event)]
     return Table.build("residuals", columns, rows)
 
 
 def _random_events(rng: np.random.Generator, n: int, box_side: float, dimension: int):
-    return [
-        Event(float(rng.uniform(0.0, 1.0)),
-              tuple(rng.uniform(0.0, box_side, size=dimension)))
-        for _ in range(n)
-    ]
+    """Events t (n,) uniform on [0, 1) and x (n, d) on [0, box_side)^d, one row per event."""
+    u = rng.random((n, dimension + 1))
+    return u[:, 0], box_side * u[:, 1:]
 
 
 # ---- scenario pipelines ----------------------------------------------------
@@ -162,11 +161,11 @@ def _run_minkowski_vacuum(cfg: dict, seed: int) -> RunReport:
     backend = basis.backend
     state = new_vacuum(basis)
     rng = np.random.default_rng(seed)
-    events = _random_events(rng, cfg["n_events"], cfg["box_side"], cfg["dimension"])
-    rep = residual(backend, state, basis, events)
+    t, x = _random_events(rng, cfg["n_events"], cfg["box_side"], cfg["dimension"])
+    rep = residual(backend, state, basis, t, x)
     report = RunReport(scenario="minkowski_vacuum", seed=seed)
-    report.add_table(_stress_table("minkowski_vacuum", events[:10], rep.stress[:10]))
-    report.add_table(_residual_table(rep, cfg["dimension"]))
+    report.add_table(_stress_table("minkowski_vacuum", t[:10], x[:10], rep.stress[:10]))
+    report.add_table(_residual_table(rep))
     report.flags["residual_zero"] = bool(rep.global_max <= 1e-12)
     return report
 
@@ -184,11 +183,11 @@ def _run_minkowski_particle(cfg: dict, seed: int) -> RunReport:
     lattice = integrated_energy(state, basis, backend, t=0.0,
                                 points_per_axis=cfg["lattice_points"])
     rng = np.random.default_rng(seed)
-    events = _random_events(rng, cfg["n_events"], cfg["box_side"], cfg["dimension"])
-    rep = residual(backend, state, basis, events)
+    t, x = _random_events(rng, cfg["n_events"], cfg["box_side"], cfg["dimension"])
+    rep = residual(backend, state, basis, t, x)
     report = RunReport(scenario="minkowski_particle", seed=seed)
-    report.add_table(_stress_table("minkowski_particle", events, rep.stress))
-    report.add_table(_residual_table(rep, cfg["dimension"]))
+    report.add_table(_stress_table("minkowski_particle", t, x, rep.stress))
+    report.add_table(_residual_table(rep))
     report.add_table(Table.build(
         "energy", ("total_energy", "omega", "lattice_energy"), [(total, omega, lattice)]))
     report.flags["total_energy_exact"] = bool(abs(total - omega) <= 1e-12 * max(1.0, omega))
@@ -231,10 +230,9 @@ def _run_eds_cosmology(cfg: dict, seed: int) -> RunReport:
     basis = eds_basis(cfg["comoving_volume"], cfg["mass"])
     backend = basis.backend
     state = create(new_vacuum(basis), 0)
-    events = [Event(t, (0.0, 0.0, 0.0)) for t in cfg["t_grid"]]
-    rep = residual(backend, state, basis, events,
-                   parameters={"mass": cfg["mass"], "comoving_volume": cfg["comoving_volume"]})
-    stress = _stress_table("eds_cosmology", events, rep.stress)
+    t_grid = np.array(cfg["t_grid"])
+    rep = residual(backend, state, basis, t_grid, np.zeros((len(t_grid), 3)))
+    stress = _stress_table("eds_cosmology", rep.t, rep.x, rep.stress)
 
     t00_rows = []
     worst_rel = 0.0
@@ -251,7 +249,7 @@ def _run_eds_cosmology(cfg: dict, seed: int) -> RunReport:
     report = RunReport(scenario="eds_cosmology", seed=seed)
     report.add_table(stress)
     report.add_table(Table.build("t00", ("t", "value", "closed_form", "rel_err"), t00_rows))
-    report.add_table(_residual_table(rep, 3))
+    report.add_table(_residual_table(rep))
     report.flags["t00_closed_form"] = bool(worst_rel <= 1e-10)
     report.flags["off_diagonals_zero"] = bool(worst_offdiag <= 1e-12)
     # at finite comoving volume the 1/t^4 tail obstructs exact consistency
@@ -262,8 +260,7 @@ def _run_eds_cosmology(cfg: dict, seed: int) -> RunReport:
 def _eds_residual_at(mass: float, volume: float, t_grid) -> float:
     basis = eds_basis(volume, mass)
     state = create(new_vacuum(basis), 0)
-    events = [Event(t, (0.0, 0.0, 0.0)) for t in t_grid]
-    return residual(basis.backend, state, basis, events).global_max
+    return residual(basis.backend, state, basis, t_grid, np.zeros((len(t_grid), 3))).global_max
 
 
 def _eds_volume_observable(cfg: dict) -> Callable[[float], float]:
@@ -419,13 +416,29 @@ def _box_volume_observable(cfg: dict) -> Callable[[float], float]:
         basis = MinkowskiModeBasis(Minkowski(dimension=1, box_side=L), cfg["mass"],
                                    abs(n), ((n,),))
         state = create(new_vacuum(basis), 0)
-        event = Event(0.0, (0.0,))
-        return residual(basis.backend, state, basis, [event]).global_max
+        return residual(basis.backend, state, basis, 0.0, [[0.0]]).global_max
 
     return observable
 
 
 # ---- the registry --------------------------------------------------------------
+
+# a Gaussian sphere needs 2 width^2 to stay a normal float and a finite peak density
+_SPHERE_CHECKS = (
+    ("sphere_width", "must lie between 1e-150 and 1e150",
+     lambda c: not 1e-150 <= c["sphere_width"] <= 1e150),
+    ("sphere_width", "too narrow for sphere_mass: the peak density overflows",
+     lambda c: math.isinf(c["sphere_mass"] / (math.sqrt(2.0 * math.pi) * c["sphere_width"]))),
+)
+
+
+def _stations_coincide(c: dict) -> bool:
+    """The EPR stations, placed as ``run_epr_scenario`` places them, round to one
+    point or lie so close that their squared distance underflows to zero."""
+    left = 0.5 * (c["box_side"] - c["station_separation"])
+    gap = left + c["station_separation"] - left
+    return gap * gap == 0.0
+
 
 @dataclass(frozen=True)
 class _Scenario:
@@ -484,7 +497,9 @@ _SCENARIOS: dict[str, _Scenario] = {
                 "n_probes": _int_at_least(2), "tol": _nonnegative, "seed": _seed},
         run=_run_epr_collapse,
         checks=(("station_separation", "must be smaller than box_side",
-                 lambda c: c["station_separation"] >= c["box_side"]),)),
+                 lambda c: c["station_separation"] >= c["box_side"]),
+                ("station_separation", "too small to separate the stations at this box_side",
+                 _stations_coincide)) + _SPHERE_CHECKS),
     "page_geilker": _Scenario(
         schema={"box_side": _positive, "position_a": _positive, "position_b": _positive,
                 "sphere_mass": _positive, "sphere_width": _positive,
@@ -496,7 +511,7 @@ _SCENARIOS: dict[str, _Scenario] = {
                 ("position_b", "sphere positions must lie inside the box",
                  lambda c: c["position_b"] >= c["box_side"]),
                 ("position_b", "positions must differ",
-                 lambda c: c["position_a"] == c["position_b"]))),
+                 lambda c: c["position_a"] == c["position_b"])) + _SPHERE_CHECKS),
 }
 
 SCENARIO_NAMES = tuple(sorted(_SCENARIOS))

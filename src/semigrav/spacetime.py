@@ -28,7 +28,6 @@ __all__ = [
     "TensorSample",
     "metric",
     "einstein_tensor",
-    "comoving_volume_element",
     "outside_future_cone",
 ]
 
@@ -178,30 +177,16 @@ def einstein_tensor(backend: Backend, t, x) -> np.ndarray:
     return _diagonal(diag)
 
 
-def comoving_volume_element(backend: Backend, t: float) -> float:
-    """Spatial volume carried by the mode normalization at time ``t``.
+def outside_future_cone(origin: Event, t, x) -> np.ndarray:
+    """True where probes (t, x) lie strictly outside the future light cone of ``origin``.
 
-    Minkowski: the box volume L^d.  Einstein-de Sitter: V0 * t^2.
-    """
-    if isinstance(backend, Minkowski):
-        return backend.spatial_volume
-    if isinstance(backend, EinsteinDeSitter):
-        if not (t > 0.0):
-            raise BackendDomainError("Einstein-de Sitter chart requires t > 0")
-        return backend.comoving_volume * t**2
-    raise BackendDomainError("no volume element is defined for the Rindler wedge")
-
-
-def outside_future_cone(origin: Event, probe: Event) -> bool:
-    """True iff ``probe`` lies strictly outside the future light cone of ``origin``.
-
-    The null boundary counts as inside (not outside).  Points earlier than
+    Shapes as for ``metric``: t (...) and x (..., d) give a bool array (...).
+    The null boundary counts as inside (not outside).  Probes earlier than
     ``origin`` are outside its *future* cone by definition.
     """
-    if probe.dimension != origin.dimension:
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    if x.shape[-1:] != (origin.dimension,):
         raise ValueError("events live in different spatial dimensions")
-    dt = probe.t - origin.t
-    if dt < 0.0:
-        return True
-    dx = np.asarray(probe.x) - np.asarray(origin.x)
-    return bool(np.sqrt(float(np.dot(dx, dx))) > dt)
+    dt = t - origin.t
+    dx = x - np.asarray(origin.x)
+    return (dt < 0.0) | (np.sqrt(np.vecdot(dx, dx)) > dt)

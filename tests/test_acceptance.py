@@ -79,7 +79,7 @@ def test_criterion_2_vacuum_flatness():
         stress_sample(vac, basis, basis.backend, ev).components.max_abs()
         for ev in events
     )
-    rep = residual(basis.backend, vac, basis, events)
+    rep = residual(basis.backend, vac, basis, [ev.t for ev in events], [ev.x for ev in events])
     _criterion("2", "vacuum stress zero at 100 random events, residual zero",
                worst <= 1e-12 and rep.global_max == 0.0,
                f"max |T|={worst:.1e}, residual={rep.global_max:.1e}")
@@ -171,7 +171,7 @@ def test_criterion_6a_dust_residual_target_form():
     worst = 0.0
     for v0 in (6.0 * np.pi, 60.0 * np.pi, 600.0 * np.pi):
         basis, one = _eds_state(v0 / (6.0 * np.pi), v0)
-        got = residual(basis.backend, one, basis, [Event(t, (0.0, 0.0, 0.0))]).global_max
+        got = residual(basis.backend, one, basis, t, [[0.0, 0.0, 0.0]]).global_max
         target = max(24.0 * np.pi**2 / (v0**2 * t**4),
                      24.0 * np.pi**2 / (v0**2 * t ** (8.0 / 3.0)))
         worst = max(worst, abs(got - target) / target)
@@ -185,7 +185,7 @@ def test_criterion_6b_residual_scaling_slope():
 
     def observable(v0):
         basis, one = _eds_state(v0 / (6.0 * np.pi), v0)
-        return residual(basis.backend, one, basis, [Event(1.0, (0.0, 0.0, 0.0))]).global_max
+        return residual(basis.backend, one, basis, 1.0, [[0.0, 0.0, 0.0]]).global_max
 
     study = scaling_study(observable, volumes, parameter="V0")
     ok = study.status == "ok" and abs(study.slope + 2.0) <= 1e-6
@@ -199,8 +199,7 @@ def test_criterion_6c_fit_recovers_tuned_mass():
 
     def objective(m):
         basis, one = _eds_state(m, v0)
-        events = [Event(t, (0.0, 0.0, 0.0)) for t in (1.0, 2.0, 4.0)]
-        return residual(basis.backend, one, basis, events).global_max
+        return residual(basis.backend, one, basis, [1.0, 2.0, 4.0], np.zeros((3, 3))).global_max
 
     res = fit_parameter(objective, 10.0, 1000.0, tol=1e-4)
     rel = abs(res.parameter - target) / target
@@ -236,10 +235,8 @@ def test_criterion_8_born_statistics():
     vac = new_vacuum(basis)
     a = create(vac, 0).normalized()
     b = create(vac, 1).normalized()
-    branches = BranchSet([
-        Branch("a", a, lambda ev: 0.0),
-        Branch("b", b, lambda ev: 0.0),
-    ])
+    flat = lambda t, x: np.zeros(len(t))
+    branches = BranchSet([Branch("a", a, flat), Branch("b", b, flat)])
     meas = MeasurementEvent(Event(0.0, (5.0,)), branches)
     n = 100_000
     ok = True
@@ -247,7 +244,7 @@ def test_criterion_8_born_statistics():
     for amps in ((1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)), (0.6, 0.8), (1.0, 0.0)):
         psi = superpose([(amps[0], a), (amps[1], b)], normalize=True)
         probs = born_probabilities(psi, branches)
-        counts = run_trials(psi, meas, 2026, n, 0).counts
+        counts = run_trials(psi, meas, 2026, n).counts
         for i, p in enumerate(probs):
             bound = 4.0 * np.sqrt(p * (1.0 - p) / n)
             ok = ok and abs(counts[i] / n - p) <= bound
@@ -272,8 +269,8 @@ def test_criterion_9b_acausal_branch_set_is_flagged():
     origin = Event(0.5, (3.0,))
     pre = gaussian_bump((3.0,), 1.0, 0.3)
     moved = gaussian_bump((8.0,), 1.0, 0.3)  # relocated outside the cone
-    probes = [Event(0.5, (x,)) for x in np.linspace(0.0, 10.0, 48)]
-    rep = causality_check(pre, moved, origin, probes, tol=0.0)
+    x = np.linspace(0.0, 10.0, 48)[:, None]
+    rep = causality_check(pre, moved, origin, np.full(48, 0.5), x, tol=0.0)
     _criterion("9b", "branch moving energy outside the cone fails the check",
                not rep.passed, f"violation={rep.max_violation_outside:.3f}")
 
