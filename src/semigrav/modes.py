@@ -78,21 +78,21 @@ class MinkowskiModeBasis:
             raise ModeBasisError(f"label {label} not in basis") from None
 
     # ---- field-operator coefficients at events ----------------------------
-    def field_coeffs(self, t, x) -> np.ndarray:
-        """f_k at the events: t of shape (...), x of shape (..., d) -> (..., n_modes)."""
+    def field_coeffs(self, t, x, modes=slice(None)) -> np.ndarray:
+        """f_k at the events for the modes indexed: t (...), x (..., d) -> (..., n)."""
         t = np.asarray(t, dtype=float)[..., None]
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        k, w = self.wavevectors[modes], self.frequencies[modes]
         # einsum (not BLAS: rows independent of the other events), then in place
-        angle = np.einsum("...d,kd->...k", x, self.wavevectors) - self.frequencies * t
-        f = 1j * angle
+        f = 1j * (np.einsum("...d,kd->...k", x, k) - w * t)
         np.exp(f, out=f)
-        f /= np.sqrt(2.0 * self.frequencies * self.backend.spatial_volume)
+        f /= np.sqrt(2.0 * w * self.backend.spatial_volume)
         return f
 
-    def slot_factors(self, t) -> np.ndarray:
+    def slot_factors(self, t, modes=slice(None)) -> np.ndarray:
         """Constant factors of (d_t, d_x1, ..., d_xd, 1) f_k: -i w_k, i k_k, 1; [d+2, n]."""
-        return np.vstack([-1j * self.frequencies, 1j * self.wavevectors.T,
-                          np.ones(self.n_modes)])
+        w = self.frequencies[modes]
+        return np.vstack([-1j * w, 1j * self.wavevectors[modes].T, np.ones_like(w)])
 
     dt_coeffs = _dt_coeffs
     dx_coeffs = _dx_coeffs
@@ -143,17 +143,17 @@ class EdSModeBasis:
     def n_modes(self) -> int:
         return 1
 
-    def field_coeffs(self, t, x) -> np.ndarray:
-        """f0 at the events: t of shape (...) -> (..., 1); f0 is uniform in x."""
-        return eds_k0_mode(t, self.mass, self.backend.comoving_volume)[..., None]
+    def field_coeffs(self, t, x, modes=slice(None)) -> np.ndarray:
+        """f0 at the events: t of shape (...) -> (..., 1), or (..., 0) with no mode indexed."""
+        return eds_k0_mode(t, self.mass, self.backend.comoving_volume)[..., None][..., modes]
 
-    def slot_factors(self, t) -> np.ndarray:
+    def slot_factors(self, t, modes=slice(None)) -> np.ndarray:
         """Factors of (d_t, d_x1, d_x2, d_x3, 1) f0: -i m - 1/t, 0, 0, 0, 1; [..., 5, 1]."""
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape + (self.backend.dimension + 2, 1), dtype=complex)
         out[..., 0, 0] = -1j * self.mass - 1.0 / t
         out[..., -1, 0] = 1.0
-        return out
+        return out[..., modes]
 
     dt_coeffs = _dt_coeffs
     dx_coeffs = _dx_coeffs

@@ -412,7 +412,8 @@ def _box_volume_observable(cfg: dict) -> Callable[[float], float]:
         if n == 0:
             raise ScenarioConfigError(
                 "field 'values': volume too small to hold the reference wavevector")
-        # the one occupied mode is the whole basis: cost does not grow with n
+        # the one occupied mode is the whole basis: minkowski_basis would list 2|n|+1
+        # labels, and moments allocate as many columns, with n growing like V
         basis = MinkowskiModeBasis(Minkowski(dimension=1, box_side=L), cfg["mass"],
                                    abs(n), ((n,),))
         state = create(new_vacuum(basis), 0)
@@ -430,6 +431,31 @@ _SPHERE_CHECKS = (
     ("sphere_width", "too narrow for sphere_mass: the peak density overflows",
      lambda c: math.isinf(c["sphere_mass"] / (math.sqrt(2.0 * math.pi) * c["sphere_width"]))),
 )
+
+
+# the box modes take box_side^dimension (d <= 3) and mass^2: both must stay normal floats
+_BOX_CHECKS = (
+    ("box_side", "must lie between 1e-100 and 1e100",
+     lambda c: not 1e-100 <= c["box_side"] <= 1e100),
+    ("mass", "must be at most 1e150", lambda c: c["mass"] > 1e150),
+)
+
+
+def _dust_checks(lightest: str, heaviest: str) -> tuple:
+    """Rules for the dust closed form m/(V0 t^2) + 1/(2 m V0 t^4) over the masses
+    from field ``lightest`` to field ``heaviest``: t^4 and m^2 must stay finite,
+    both denominators normal at the first time, and the rest-mass term at most
+    1e300 there and nonzero at the last time."""
+    def out_of_range(c: dict) -> bool:
+        volume, first, last = c["comoving_volume"], c["t_grid"][0], c["t_grid"][-1]
+        return (min(volume * first**2, 2.0 * c[lightest] * volume * first**4) < 1e-300
+                or c[heaviest] / volume / first**2 > 1e300
+                or c[lightest] / volume / last**2 < 1e-300)
+    return (("t_grid", "entries must lie between 1e-75 and 1e75",
+             lambda c: not 1e-75 <= c["t_grid"][0] <= c["t_grid"][-1] <= 1e75),
+            (heaviest, "must be at most 1e150", lambda c: c[heaviest] > 1e150),
+            ("t_grid", "leaves the float range of the closed form at this mass and "
+             "comoving_volume", out_of_range))
 
 
 def _stations_coincide(c: dict) -> bool:
@@ -454,7 +480,7 @@ _SCENARIOS: dict[str, _Scenario] = {
     "minkowski_vacuum": _Scenario(
         schema={"box_side": _positive, "dimension": _dimension, "mass": _nonnegative,
                 "n_max": _int_at_least(1), "n_events": _int_at_least(1), "seed": _seed},
-        run=_run_minkowski_vacuum),
+        run=_run_minkowski_vacuum, checks=_BOX_CHECKS),
     "minkowski_particle": _Scenario(
         schema={"box_side": _positive, "dimension": _dimension, "mass": _nonnegative,
                 "n_max": _int_at_least(1), "mode_label": _int_vector,
@@ -466,24 +492,32 @@ _SCENARIOS: dict[str, _Scenario] = {
                 ("mode_label", "exceeds n_max",
                  lambda c: max(abs(n) for n in c["mode_label"]) > c["n_max"]),
                 ("mode_label", "zero mode does not exist for a massless field",
-                 lambda c: c["mass"] == 0.0 and all(n == 0 for n in c["mode_label"])))),
+                 lambda c: c["mass"] == 0.0 and all(n == 0 for n in c["mode_label"])))
+        + _BOX_CHECKS),
     "kg_wavepacket": _Scenario(
         schema={"box_side": _positive, "mass": _positive, "n_max": _int_at_least(1),
                 "x0": _nonnegative, "profile_points": _int_at_least(2),
                 "integration_points": _int_at_least(1), "seed": _seed},
         run=_run_kg_wavepacket,
-        checks=(("x0", "must lie inside the box", lambda c: c["x0"] >= c["box_side"]),)),
+        checks=(("x0", "must lie inside the box", lambda c: c["x0"] >= c["box_side"]),)
+        + _BOX_CHECKS),
     "eds_cosmology": _Scenario(
         schema={"comoving_volume": _positive, "mass": _positive,
                 "t_grid": _increasing_positive(1), "seed": _seed},
-        run=_run_eds_cosmology, scan=("V0", _eds_volume_observable)),
+        run=_run_eds_cosmology, scan=("V0", _eds_volume_observable),
+        checks=_dust_checks("mass", "mass")),
     "eds_fit": _Scenario(
         schema={"comoving_volume": _positive, "t_grid": _increasing_positive(1),
                 "bracket_lo": _positive, "bracket_hi": _positive, "fit_tol": _positive,
                 "scaling_volumes": _increasing_positive(3), "seed": _seed},
         run=_run_eds_fit,
         checks=(("bracket_hi", "must exceed bracket_lo",
-                 lambda c: c["bracket_hi"] <= c["bracket_lo"]),)),
+                 lambda c: c["bracket_hi"] <= c["bracket_lo"]),
+                # the scan's mass V0/(6 pi) takes m^2 and its tail 3 pi/V0^2 at t = 1
+                ("scaling_volumes", "entries must lie between 1e-149 and 1e150",
+                 lambda c: not 1e-149 <= c["scaling_volumes"][0]
+                 <= c["scaling_volumes"][-1] <= 1e150))
+        + _dust_checks("bracket_lo", "bracket_hi")),
     "rindler_unruh": _Scenario(
         schema={"acceleration": _positive, "box_side": _positive, "n_max": _int_at_least(2),
                 "n_frequencies": _int_at_least(1), "freq_lo": _positive,
@@ -511,7 +545,10 @@ _SCENARIOS: dict[str, _Scenario] = {
                 ("position_b", "sphere positions must lie inside the box",
                  lambda c: c["position_b"] >= c["box_side"]),
                 ("position_b", "positions must differ",
-                 lambda c: c["position_a"] == c["position_b"])) + _SPHERE_CHECKS),
+                 lambda c: c["position_a"] == c["position_b"])) + _SPHERE_CHECKS
+        # a sphere between two probes of the equal-time grid would go unseen
+        + (("sphere_width", "narrower than the probe spacing box_side/(n_probes-1)",
+            lambda c: c["n_probes"] - 1 < c["box_side"] / c["sphere_width"]),)),
 }
 
 SCENARIO_NAMES = tuple(sorted(_SCENARIOS))

@@ -8,10 +8,13 @@ vanishes exactly.  For A = sum_k (g_k a_k + conj(g_k) a_k+), B likewise,
 
 with one row of A and D per once-lowered occupation p: A_pl = <p|a_l|Psi>
 and D_pk = <Psi|a_k|p> (``moments``, one pass over the terms).
-``stress_field`` works on blocks of ``_BLOCK`` events: the mode functions
-f once, the images of all d+2 slots (d_t phi, d_x1 phi, ..., phi) in one
+``stress_field`` keeps only the state's support, the modes whose columns
+of A and D are not all zero (a mode outside it adds exactly nothing), and
+works on blocks of ``_BLOCK`` events: the mode functions f of the support
+once, the images of all d+2 slots (d_t phi, d_x1 phi, ..., phi) in one
 product U = f B (B stacks per-mode slot factors times A and D), and every
-slot pair from one contraction of U with itself.  Then
+slot pair from one contraction of U with itself.  A one-quantum state thus
+costs one mode function per event, whatever the basis size.  Then
 
     T_mn = <:d_m phi d_n phi:> - g_mn <:L:>,
     <:L:> = (1/2) (sum_m g^mm <:(d_m phi)^2:> - m^2 <:phi^2:>).
@@ -85,11 +88,12 @@ def quadratic_expectation(state: FockState, g: np.ndarray, h: np.ndarray) -> flo
     return float(2.0 * (np.vdot(A @ g, A @ h) + (D @ g) @ (A @ h)).real)
 
 
-def _stress_block(basis, backend, M, n_rows, t, x) -> np.ndarray:
-    """T_mn at one block of events; M stacks A over D (or is A alone if D is 0)."""
+def _stress_block(basis, backend, M, modes, n_rows, t, x) -> np.ndarray:
+    """T_mn at one block of events; M stacks A over D (or is A alone if D is 0),
+    with one column per basis mode indexed by ``modes``."""
     # products are stacked per event: a row does not depend on the block's other events
-    f = basis.field_coeffs(t, x)                    # (E, n)
-    factors = basis.slot_factors(t)                 # (S, n), or (E, S, n) if t-dependent
+    f = basis.field_coeffs(t, x, modes)             # (E, n)
+    factors = basis.slot_factors(t, modes)          # (S, n), or (E, S, n) if t-dependent
     (E, n), S, P = f.shape, factors.shape[-2], len(M)
     # B[..., l, s P + p] = factors[..., s, l] M[p, l]: the images of every slot from one product
     B = np.moveaxis(factors[..., None] * M.T, -3, -2).reshape(factors.shape[:-2] + (n, S * P))
@@ -124,10 +128,12 @@ def stress_field(state: FockState, basis, backend, t, x) -> np.ndarray:
     t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1])
     A, D = moments(state)
     M = np.concatenate([A, D]) if D.any() else A
+    modes = np.flatnonzero(M.any(axis=0))  # the state's support: other columns of M are 0
+    M = M[:, modes]
     out = np.empty((len(t),) + (backend.dimension + 1,) * 2)
     for lo in range(0, len(t), _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        out[block] = _stress_block(basis, backend, M, len(A), t[block], x[block])
+        out[block] = _stress_block(basis, backend, M, modes, len(A), t[block], x[block])
     return out
 
 

@@ -329,6 +329,33 @@ CONFIG_MESSAGES = [
      "field 'sphere_width': must lie between 1e-150 and 1e150"),
     ("page_geilker", {"sphere_mass": 1e300, "sphere_width": 1e-150},
      "field 'sphere_width': too narrow for sphere_mass: the peak density overflows"),
+    ("minkowski_vacuum", {"mass": 1e300}, "field 'mass': must be at most 1e150"),
+    ("minkowski_particle", {"mass": 1e300}, "field 'mass': must be at most 1e150"),
+    ("kg_wavepacket", {"mass": 1e300}, "field 'mass': must be at most 1e150"),
+    ("minkowski_particle", {"box_side": 1e150},
+     "field 'box_side': must lie between 1e-100 and 1e100"),
+    ("kg_wavepacket", {"box_side": 1e-120, "x0": 0.0},
+     "field 'box_side': must lie between 1e-100 and 1e100"),
+    ("eds_cosmology", {"t_grid": [1e-300, 1.0]},
+     "field 't_grid': entries must lie between 1e-75 and 1e75"),
+    ("eds_cosmology", {"t_grid": [1.0, 1e300]},
+     "field 't_grid': entries must lie between 1e-75 and 1e75"),
+    ("eds_fit", {"t_grid": [1e-300]}, "field 't_grid': entries must lie between 1e-75 and 1e75"),
+    ("eds_cosmology", {"mass": 1e200}, "field 'mass': must be at most 1e150"),
+    ("eds_fit", {"bracket_hi": 1e200}, "field 'bracket_hi': must be at most 1e150"),
+    ("eds_cosmology", {"comoving_volume": 1e-320},  # V0 t^2 underflows at the first time
+     "field 't_grid': leaves the float range of the closed form at this mass and "
+     "comoving_volume"),
+    ("eds_cosmology", {"comoving_volume": 1e308},  # m/(V0 t^2) underflows at the last time
+     "field 't_grid': leaves the float range of the closed form at this mass and "
+     "comoving_volume"),
+    ("eds_fit", {"comoving_volume": 1e-244, "bracket_hi": 1e132},  # m/(V0 t^2) overflows
+     "field 't_grid': leaves the float range of the closed form at this mass and "
+     "comoving_volume"),
+    ("eds_fit", {"scaling_volumes": [1.0, 2.0, 1e200]},
+     "field 'scaling_volumes': entries must lie between 1e-149 and 1e150"),
+    ("page_geilker", {"sphere_width": 1e-4},
+     "field 'sphere_width': narrower than the probe spacing box_side/(n_probes-1)"),
 ]
 
 
@@ -422,6 +449,20 @@ CLI_MESSAGES = [
      "field 'sphere_width': must lie between 1e-150 and 1e150"),
     (["run", "page_geilker", "--config", "{tmp}/pg_wide.json"],
      "field 'sphere_width': must lie between 1e-150 and 1e150"),
+    (["run", "minkowski_vacuum", "--config", "{tmp}/mv_heavy.json"],
+     "field 'mass': must be at most 1e150"),
+    (["run", "minkowski_particle", "--config", "{tmp}/mp_heavy.json"],
+     "field 'mass': must be at most 1e150"),
+    (["run", "kg_wavepacket", "--config", "{tmp}/kg_heavy.json"],
+     "field 'mass': must be at most 1e150"),
+    (["run", "eds_cosmology", "--config", "{tmp}/eds_early.json"],
+     "field 't_grid': entries must lie between 1e-75 and 1e75"),
+    (["run", "eds_cosmology", "--config", "{tmp}/eds_late.json"],
+     "field 't_grid': entries must lie between 1e-75 and 1e75"),
+    (["run", "eds_fit", "--config", "{tmp}/fit_early.json"],
+     "field 't_grid': entries must lie between 1e-75 and 1e75"),
+    (["run", "page_geilker", "--config", "{tmp}/pg_narrow.json"],
+     "field 'sphere_width': narrower than the probe spacing box_side/(n_probes-1)"),
 ]
 
 # config files the CLI cases read: file stem -> (scenario, changes to its packaged config)
@@ -432,6 +473,13 @@ CLI_CONFIGS = {
     "epr_close": ("epr_collapse", {"station_separation": 1e-320}),
     "epr_thin": ("epr_collapse", {"sphere_width": 1e-200}),
     "pg_wide": ("page_geilker", {"sphere_width": 1e200}),
+    "mv_heavy": ("minkowski_vacuum", {"mass": 1e300}),
+    "mp_heavy": ("minkowski_particle", {"mass": 1e300}),
+    "kg_heavy": ("kg_wavepacket", {"mass": 1e300}),
+    "eds_early": ("eds_cosmology", {"t_grid": [1e-300, 1.0]}),
+    "eds_late": ("eds_cosmology", {"t_grid": [1.0, 1e300]}),
+    "fit_early": ("eds_fit", {"t_grid": [1e-300]}),
+    "pg_narrow": ("page_geilker", {"sphere_width": 1e-4}),
 }
 
 

@@ -11,10 +11,13 @@ from numpy.testing import assert_allclose
 from semigrav.fock import (
     FockState, Occupation, annihilate, create, inner, new_vacuum, superpose,
 )
-from semigrav.modes import ModeBasisError, eds_basis, minkowski_basis, rindler_basis
+from semigrav.modes import (
+    MinkowskiModeBasis, ModeBasisError, eds_basis, minkowski_basis, rindler_basis,
+)
 from semigrav.spacetime import EinsteinDeSitter, Event, Minkowski, metric
 from semigrav.stress_energy import (
     _BLOCK,
+    _stress_block,
     integrated_energy,
     moments,
     quadratic_expectation,
@@ -221,6 +224,54 @@ def test_stress_field_across_block_boundaries(n_events):
 def test_vacuum_stress_field_is_exactly_zero(basis):
     t, x = _random_events(basis, np.random.default_rng(0), 600)
     assert not stress_field(new_vacuum(basis), basis, basis.backend, t, x).any()
+
+
+SPARSE_BASIS = minkowski_basis(box_side=5.0, dimension=3, mass=1.0, n_max=2)  # 125 modes
+
+
+def _sparse_state(basis, modes):
+    """A vacuum term, one quantum in modes[0] and a pair in modes[1:]: D != 0 on 3 modes."""
+    vac = new_vacuum(basis)
+    parts = [vac, create(vac, modes[0]), create(create(vac, modes[1]), modes[2])]
+    return superpose([(c, s) for c, s in zip((0.6, 0.5j, -0.4 + 0.3j), parts)], normalize=True)
+
+
+def test_stress_field_on_the_state_support_matches_full_basis_and_walk():
+    """Restricted to the occupied modes, the engine keeps the full-basis rows and the oracle."""
+    basis = SPARSE_BASIS
+    rng = np.random.default_rng(9)
+    t, x = _random_events(basis, rng, 40)
+    one = create(new_vacuum(basis), basis.mode_index((1, -2, 0)))
+    A, _ = moments(one)
+    full = _stress_block(basis, basis.backend, A, np.arange(basis.n_modes), len(A), t, x)
+    assert np.array_equal(stress_field(one, basis, basis.backend, t, x), full)
+    _assert_matches_walk(one, basis, t, x)
+    sparse = _sparse_state(basis, (3, 64, 120))
+    assert moments(sparse)[1].any()
+    _assert_matches_walk(sparse, basis, t, x)
+
+
+@pytest.mark.parametrize("modes", [(7,), (3, 64, 120), ()],
+                         ids=["one-quantum", "three-modes", "vacuum"])
+def test_mode_functions_are_evaluated_on_occupied_modes_only(modes, monkeypatch):
+    basis = SPARSE_BASIS
+    if len(modes) == 3:
+        state = _sparse_state(basis, modes)
+    else:
+        state = create(new_vacuum(basis), modes[0]) if modes else new_vacuum(basis)
+    widths = []
+    field_coeffs = MinkowskiModeBasis.field_coeffs
+
+    def spy(self, *args, **kwargs):
+        f = field_coeffs(self, *args, **kwargs)
+        widths.append(f.shape[-1])
+        return f
+
+    monkeypatch.setattr(MinkowskiModeBasis, "field_coeffs", spy)
+    t, x = _random_events(basis, np.random.default_rng(1), _BLOCK + 1)
+    tensors = stress_field(state, basis, basis.backend, t, x)
+    assert widths == [len(modes)] * 2  # one call per block of events
+    assert tensors.any() == bool(modes)
 
 
 def test_stress_sample_is_the_stress_field_row_bit_for_bit():
