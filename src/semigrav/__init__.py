@@ -11,7 +11,6 @@ from .spacetime import (
     EinsteinDeSitter,
     Minkowski,
     Rindler2D,
-    TensorSample,
     einstein_tensor,
     metric,
     outside_future_cone,
@@ -48,7 +47,6 @@ from .bogolubov import (
     rindler_occupancy_in_vacuum,
 )
 from .stress_energy import (
-    StressSample,
     integrated_energy,
     quadratic_expectation,
     stress_sample,

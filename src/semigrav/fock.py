@@ -16,6 +16,7 @@ from typing import Iterable, Mapping
 
 __all__ = [
     "DROP_TOL",
+    "NORM_TOL",
     "BasisMismatchError",
     "ZeroNormError",
     "Occupation",
@@ -29,8 +30,7 @@ __all__ = [
 ]
 
 DROP_TOL = 1e-15
-
-_NORM_TOL = 1e-9  # slack allowed where an operation requires a unit-norm state
+NORM_TOL = 1e-9  # slack allowed where an operation requires a unit-norm state
 
 
 class BasisMismatchError(ValueError):
@@ -184,7 +184,7 @@ def number_expectation(state: FockState, mode: int) -> float:
     """<N_mode> for a unit-norm state."""
     _check_mode(state, mode)
     nrm = state.norm()
-    if abs(nrm - 1.0) > _NORM_TOL:
+    if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"number_expectation requires a normalized state (norm={nrm:.6g})")
     return float(sum(abs(amp) ** 2 * occ.count(mode) for occ, amp in state.terms.items()))
 

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .fock import FockState, create, inner, new_vacuum, number_expectation, superpose
+from .fock import NORM_TOL, FockState, create, inner, new_vacuum, number_expectation, superpose
 from .modes import minkowski_basis
 from .spacetime import Event, outside_future_cone
 
@@ -61,7 +61,6 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-10
-_NORM_TOL = 1e-9
 
 Profile = Callable[[np.ndarray, np.ndarray], np.ndarray]  # t (n,), x (n, d) -> (n,)
 
@@ -93,7 +92,7 @@ class BranchSet:
         if not branches:
             raise ValueError("branch set cannot be empty")
         for br in branches:
-            if abs(br.state.norm() - 1.0) > _NORM_TOL:
+            if abs(br.state.norm() - 1.0) > NORM_TOL:
                 raise ValueError(f"branch {br.label!r} is not unit-norm")
         for i in range(len(branches)):
             for j in range(i + 1, len(branches)):
@@ -137,7 +136,7 @@ class CausalityReport:
 
 def born_probabilities(state: FockState, branch_set: BranchSet) -> np.ndarray:
     """p_i = |<C_i|Psi>|^2 / sum_j |<C_j|Psi>|^2 over the branch set."""
-    if abs(state.norm() - 1.0) > _NORM_TOL:
+    if abs(state.norm() - 1.0) > NORM_TOL:
         raise ValueError("state must be normalized")
     weights = np.array([abs(inner(br.state, state)) ** 2 for br in branch_set])
     total = float(weights.sum())

@@ -25,7 +25,6 @@ __all__ = [
     "Rindler2D",
     "Backend",
     "Event",
-    "TensorSample",
     "metric",
     "einstein_tensor",
     "outside_future_cone",
@@ -104,32 +103,6 @@ class Event:
     @property
     def dimension(self) -> int:
         return len(self.x)
-
-
-class TensorSample:
-    """A symmetric rank-2 tensor sampled at one event (components mu,nu)."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("tensor sample must be a square matrix")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(m).max())):
-            raise ValueError("tensor sample must be symmetric")
-        # store the exactly symmetric part; asymmetry beyond tolerance was rejected
-        self.matrix = 0.5 * (m + m.T)
-        self.matrix.setflags(write=False)
-
-    def __getitem__(self, index: tuple[int, int]) -> float:
-        mu, nu = index
-        return float(self.matrix[mu, nu])
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.matrix).max())
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"TensorSample({self.matrix.tolist()!r})"
 
 
 def _event_diagonal(backend: Backend, t, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,20 +18,22 @@ costs one mode function per event, whatever the basis size.  Then
 
     T_mn = <:d_m phi d_n phi:> - g_mn <:L:>,
     <:L:> = (1/2) (sum_m g^mm <:(d_m phi)^2:> - m^2 <:phi^2:>).
+
+The (E, d+1, d+1) array of ``stress_field`` is the package's one form of
+<T_mn>, exactly symmetric by construction; ``stress_sample`` is its row at
+one ``Event``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
-from .fock import BasisMismatchError, FockState, create, new_vacuum, superpose
+from .fock import NORM_TOL, BasisMismatchError, FockState, create, new_vacuum, superpose
 from .modes import EdSModeBasis, MinkowskiModeBasis, ModeBasisError
-from .spacetime import BackendDomainError, Event, TensorSample, metric
+from .spacetime import BackendDomainError, Event, metric
 
 __all__ = [
-    "StressSample",
     "moments",
     "quadratic_expectation",
     "stress_field",
@@ -41,23 +43,11 @@ __all__ = [
     "integrated_energy",
 ]
 
-_NORM_TOL = 1e-9
 _BLOCK = 128  # events per block of stress_field
 
 
-@dataclass(frozen=True)
-class StressSample:
-    """Stress-energy expectation values at one spacetime event."""
-
-    event: Event
-    components: TensorSample
-
-    def __getitem__(self, index: tuple[int, int]) -> float:
-        return self.components[index]
-
-
 def _require_normalized(state: FockState) -> None:
-    if abs(state.norm() - 1.0) > _NORM_TOL:
+    if abs(state.norm() - 1.0) > NORM_TOL:
         raise ValueError("state must be normalized to unit norm")
 
 
@@ -137,10 +127,9 @@ def stress_field(state: FockState, basis, backend, t, x) -> np.ndarray:
     return out
 
 
-def stress_sample(state: FockState, basis, backend, event: Event) -> StressSample:
-    """Assemble <Psi|T_mn|Psi> (vacuum-subtracted) at one event."""
-    tensor = TensorSample(stress_field(state, basis, backend, event.t, [event.x])[0])
-    return StressSample(event=event, components=tensor)
+def stress_sample(state: FockState, basis, backend, event: Event) -> np.ndarray:
+    """<Psi|T_mn|Psi> at one event, shape (d+1, d+1): the ``stress_field`` row."""
+    return stress_field(state, basis, backend, event.t, [event.x])[0]
 
 
 def total_energy(state: FockState, basis) -> float:

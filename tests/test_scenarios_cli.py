@@ -1,5 +1,6 @@
 """Scenario configs, runners, and the command-line front end."""
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -356,6 +357,10 @@ CONFIG_MESSAGES = [
      "field 'scaling_volumes': entries must lie between 1e-149 and 1e150"),
     ("page_geilker", {"sphere_width": 1e-4},
      "field 'sphere_width': narrower than the probe spacing box_side/(n_probes-1)"),
+    ("minkowski_particle", {"mass": 1e-200, "mode_label": [0, 0, 0]},  # mass^2 underflows
+     "field 'mass': must be 0 or at least 1e-150"),
+    ("minkowski_vacuum", {"mass": 1e-200}, "field 'mass': must be 0 or at least 1e-150"),
+    ("kg_wavepacket", {"mass": 1e-200}, "field 'mass': must be 0 or at least 1e-150"),
 ]
 
 
@@ -463,6 +468,10 @@ CLI_MESSAGES = [
      "field 't_grid': entries must lie between 1e-75 and 1e75"),
     (["run", "page_geilker", "--config", "{tmp}/pg_narrow.json"],
      "field 'sphere_width': narrower than the probe spacing box_side/(n_probes-1)"),
+    (["run", "minkowski_particle", "--config", "{tmp}/mp_light.json"],
+     "field 'mass': must be 0 or at least 1e-150"),
+    (["run", "kg_wavepacket", "--config", "{tmp}/kg_light.json"],
+     "field 'mass': must be 0 or at least 1e-150"),
 ]
 
 # config files the CLI cases read: file stem -> (scenario, changes to its packaged config)
@@ -480,6 +489,8 @@ CLI_CONFIGS = {
     "eds_late": ("eds_cosmology", {"t_grid": [1.0, 1e300]}),
     "fit_early": ("eds_fit", {"t_grid": [1e-300]}),
     "pg_narrow": ("page_geilker", {"sphere_width": 1e-4}),
+    "mp_light": ("minkowski_particle", {"mass": 1e-200, "mode_label": [0, 0, 0]}),
+    "kg_light": ("kg_wavepacket", {"mass": 1e-200}),
 }
 
 
@@ -695,24 +706,31 @@ def _names_read(tree, skip=None) -> set:
 
 
 def test_every_public_name_has_a_user():
-    """A name bound in semigrav/__init__.py is read by a package module outside
-    its own definition, by bench/, by the acceptance gate, or is a named oracle."""
+    """A name bound in semigrav/__init__.py or listed in a module's __all__ is
+    bound in that module and read by a package module outside its own
+    definition, by bench/, by the acceptance gate, or is a named oracle."""
     root = Path(__file__).resolve().parents[1]
     package = root / "src" / "semigrav"
 
     def parse(path):
         return ast.parse(path.read_text(encoding="utf-8"))
 
-    exports = {alias.asname or alias.name: node.module
+    exports = {(alias.asname or alias.name, node.module)
                for node in parse(package / "__init__.py").body
                if isinstance(node, ast.ImportFrom) and node.level == 1
                for alias in node.names}
     modules = {path.stem: parse(path) for path in package.glob("*.py")
                if path.stem != "__init__"}
+    unbound = []
+    for stem in modules:  # bench/tracing.py reads every __all__ entry with getattr
+        module = importlib.import_module(f"semigrav.{stem}")
+        exports |= {(name, stem) for name in module.__all__}
+        unbound += [f"{stem}.{name}" for name in module.__all__ if not hasattr(module, name)]
+    assert unbound == []
     outside = set().union(*(_names_read(parse(path)) for path in
                             [*sorted((root / "bench").glob("*.py")),
                              root / "tests" / "test_acceptance.py"]))
-    unused = [name for name, home in sorted(exports.items())
+    unused = [name for name, home in sorted(exports)
               if name not in outside and name not in _ORACLE_NAMES
               and not any(name in _names_read(tree, _definition_span(tree, name)
                                               if stem == home else None)

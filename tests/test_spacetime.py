@@ -10,7 +10,6 @@ from semigrav.spacetime import (
     Event,
     Minkowski,
     Rindler2D,
-    TensorSample,
     einstein_tensor,
     metric,
     outside_future_cone,
@@ -107,14 +106,6 @@ def test_invalid_backend_parameters_rejected():
         EinsteinDeSitter(comoving_volume=0.0)
     with pytest.raises(BackendDomainError):
         Rindler2D(acceleration=0.0)
-
-
-def test_tensor_sample_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        TensorSample([[0.0, 1.0], [2.0, 0.0]])
-    sample = TensorSample([[1.0, 0.5], [0.5, 2.0]])
-    assert sample[(0, 1)] == 0.5
-    assert sample.max_abs() == 2.0
 
 
 # ---- light cone ------------------------------------------------------------
