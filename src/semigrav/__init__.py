@@ -81,7 +81,6 @@ from .measurement import (
     run_page_geilker,
     run_trials,
     trial_rng,
-    trial_uniforms,
 )
 from .report import RunReport, Table, emit
 from .scenarios import (

@@ -16,13 +16,10 @@ Admissibility itself is scenario-declared (which branch sets count as
 it takes a BranchSet and enforces only orthonormality, Born statistics,
 and the light-cone condition.
 
-Trials use counter-based seeding -- trial ``i`` of master seed ``s`` draws
-the first uniform of ``np.random.default_rng((s, i))`` -- so trials are
-order-independent and ``trial_rng(s, i)`` replays any one of them.
-``run_trials`` draws them in blocks of trial indices through
-``trial_uniforms``, which reproduces that stream bit for bit in vectorised
-integer arithmetic; ``trial_rng`` builds the generator itself for single
-trials and serves as the oracle for the batch path.
+Trials read one counter-based stream: trial ``i`` of master seed ``s`` is
+draw ``i`` of ``Generator(Philox(key=s))``.  ``run_trials`` reads it in
+sequential blocks; ``trial_rng(s, i)`` replays any one trial by advancing
+the Philox counter, and serves as the single-trial oracle for the batch path.
 """
 from __future__ import annotations
 
@@ -46,7 +43,6 @@ __all__ = [
     "CausalityReport",
     "born_probabilities",
     "trial_rng",
-    "trial_uniforms",
     "TrialBatch",
     "run_trials",
     "project",
@@ -146,125 +142,20 @@ def born_probabilities(state: FockState, branch_set: BranchSet) -> np.ndarray:
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent per-trial generator keyed by (master_seed, trial_index)."""
-    return np.random.default_rng((int(master_seed), int(trial_index)))
+    """Seed ``master_seed``'s trial stream, positioned at trial ``trial_index``.
 
-
-# ---- batched trial draws ----------------------------------------------------
-# numpy's SeedSequence (4-word pool) and PCG64 seeding, replayed column-wise
-# over many trial indices.  Hash words are uint32 arrays, which wrap on
-# overflow as the reference does; 128-bit PCG states are (hi, lo) pairs of
-# uint64 arrays.
-
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))
-_U32, _U64 = np.uint32, np.uint64
-
-
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative integer; 0 gives [0]."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    """One SeedSequence hash step; returns the hashed words and the next constant."""
-    nxt = (const * mult) & _MASK32
-    value = (value ^ _U32(const)) * _U32(nxt)
-    return value ^ (value >> _U32(16)), nxt
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return r ^ (r >> _U32(16))
-
-
-def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """High 64 bits of the 128-bit product a * b, from 32-bit halves."""
-    mask, s32 = _U64(_MASK32), _U64(32)
-    a0, a1, b0, b1 = a & mask, a >> s32, b & mask, b >> s32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> s32) + (p01 & mask) + (p10 & mask)
-    return a1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
-
-
-def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
-    """state * multiplier + inc, modulo 2**128."""
-    m_hi, m_lo = _PCG_MULT
-    hi = _mulhi64(lo, m_lo) + lo * m_hi + hi * m_lo
-    lo = lo * m_lo
-    out_lo = lo + inc_lo
-    return hi + inc_hi + (out_lo < lo).astype(np.uint64), out_lo
-
-
-def trial_uniforms(master_seed: int, indices) -> np.ndarray:
-    """``default_rng((master_seed, i)).random()`` for every ``i`` in ``indices``.
-
-    Bit-identical to ``trial_rng(master_seed, i).random()``: the SeedSequence
-    entropy is the seed's and the index's little-endian uint32 words, hashed
-    into a 4-word pool; ``generate_state(4, uint64)`` seeds PCG64, whose first
-    XSL-RR output gives the 53-bit float.
+    The stream is ``Generator(Philox(key=master_seed))``, one uniform per
+    trial.  A Philox counter step yields four 64-bit outputs, so the replay
+    advances the counter by ``trial_index // 4`` and discards the rest.
     """
-    seed_words = _uint32_words(int(master_seed))
-    idx = np.asarray(indices)
-    if idx.dtype.kind not in "iu":
-        raise TypeError("trial indices must be integers")
-    if idx.size and idx.dtype.kind == "i" and idx.min() < 0:
-        raise ValueError("expected non-negative integer")
-    idx = idx.astype(np.uint64).ravel()
-    n = idx.size
-    low = (idx & _U64(_MASK32)).astype(np.uint32)
-    high = (idx >> _U64(32)).astype(np.uint32)
-    # entropy columns; an index below 2**32 has no high word, which inside
-    # the pool acts as a zero word but beyond it must be skipped
-    columns = [np.full(n, w, dtype=np.uint32) for w in seed_words] + [low, high]
-    length = len(seed_words) + 1 + (high != 0)
-
-    const = _INIT_A
-    pool = []
-    for j in range(_POOL_SIZE):
-        word = columns[j] if j < len(columns) else np.zeros(n, dtype=np.uint32)
-        hashed, const = _hash(word, const, _MULT_A)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, const = _hash(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], hashed)
-    for src in range(_POOL_SIZE, len(columns)):
-        present = src < length
-        for dst in range(_POOL_SIZE):
-            hashed, const = _hash(columns[src], const, _MULT_A)
-            pool[dst] = np.where(present, _mix(pool[dst], hashed), pool[dst])
-
-    const = _INIT_B
-    words = []
-    for k in range(2 * _POOL_SIZE):
-        hashed, const = _hash(pool[k % _POOL_SIZE], const, _MULT_B)
-        words.append(hashed.astype(np.uint64))
-    state = [words[2 * k] | (words[2 * k + 1] << _U64(32)) for k in range(_POOL_SIZE)]
-
-    # PCG64 set_seed(initstate = state[0:2], initseq = state[2:4]), high word first
-    inc_hi = (state[2] << _U64(1)) | (state[3] >> _U64(63))
-    inc_lo = (state[3] << _U64(1)) | _U64(1)
-    lo = inc_lo + state[1]
-    hi = inc_hi + state[0] + (lo < inc_lo).astype(np.uint64)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)  # random() steps, then outputs
-    rot = hi >> _U64(58)
-    x = hi ^ lo
-    x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
-    return (x >> _U64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    step, skip = divmod(int(trial_index), 4)
+    if step < 0:
+        raise ValueError("trial index must be non-negative")
+    bits = np.random.Philox(key=int(master_seed))
+    bits.advance(step)
+    rng = np.random.Generator(bits)
+    rng.random(skip)
+    return rng
 
 
 def _sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
@@ -280,12 +171,12 @@ def _sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
 def project(state: FockState, measurement: MeasurementEvent,
             rng_seed) -> tuple[int, FockState]:
     """Sample a branch by the Born rule; the post-state is that branch exactly."""
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     idx = _sample_index(born_probabilities(state, measurement.branch_set), rng)
     return idx, measurement.branch_set[idx].state
 
 
-_TRIAL_BLOCK = 4096  # trial indices drawn at once: bounds memory, not results
+_TRIAL_BLOCK = 4096  # trials drawn at once: bounds memory, not results
 
 
 @dataclass(frozen=True)
@@ -302,8 +193,8 @@ def run_trials(state: FockState, measurement: MeasurementEvent, master_seed: int
     """Project ``state`` once in each of trials ``0 .. n_trials - 1``.
 
     Trial ``t`` picks the branch that ``project(state, measurement,
-    trial_rng(master_seed, t))`` picks: its uniform comes from
-    ``trial_uniforms``, and the branch is the first whose cumulative Born
+    trial_rng(master_seed, t))`` picks: its uniform is draw ``t`` of the
+    seed's stream, and the branch is the first whose cumulative Born
     weight, summed in ``_sample_index``'s order, exceeds it.
     """
     if n_trials < 1:
@@ -311,9 +202,9 @@ def run_trials(state: FockState, measurement: MeasurementEvent, master_seed: int
     born = born_probabilities(state, measurement.branch_set)
     cum = np.cumsum(born)
     counts = np.zeros(len(born), dtype=np.int64)
+    rng = trial_rng(master_seed, 0)
     for start in range(0, n_trials, _TRIAL_BLOCK):
-        trials = np.arange(start, min(start + _TRIAL_BLOCK, n_trials), dtype=np.uint64)
-        r = trial_uniforms(master_seed, trials)
+        r = rng.random(min(_TRIAL_BLOCK, n_trials - start))
         picks = np.minimum(np.searchsorted(cum, r, side="right"), len(born) - 1)
         counts += np.bincount(picks, minlength=len(born))
     return TrialBatch(n_trials, tuple(float(p) for p in born), tuple(int(c) for c in counts))
@@ -351,7 +242,7 @@ def constrained_project(state: FockState, measurement: MeasurementEvent,
     Branch probabilities are renormalized over the causal subset; if no
     overlapping branch passes, NoAdmissibleCausalBranch is raised.
     """
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     probs = born_probabilities(state, measurement.branch_set)
     reports = [
         causality_check(pre_profile, br.energy_profile, measurement.event, t, x, tol)
@@ -424,8 +315,6 @@ def run_epr_scenario(n_trials: int, master_seed: int, *, box_side: float = 10.0,
     the causality check passes with violation exactly zero, and the remote
     spin is always opposite to the local one.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be positive")
     basis, (l_up, l_dn, r_up, r_dn), branch_i, branch_ii, singlet = _epr_setup(box_side, mass=1.0)
     x_left = 0.5 * (box_side - station_separation)
     x_right = x_left + station_separation
@@ -504,8 +393,6 @@ def run_page_geilker(n_trials: int, master_seed: int, *, box_side: float = 10.0,
     jump between those profiles is the stress-energy discontinuity that a
     sourced Einstein equation cannot absorb at the projection event.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be positive")
     basis = minkowski_basis(box_side=box_side, dimension=1, mass=1.0, n_max=1)
     vac = new_vacuum(basis)
     mode_a = basis.mode_index((-1,))

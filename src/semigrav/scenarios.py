@@ -104,6 +104,8 @@ def _seed(v) -> int:
     v = _integer(v)
     if v < 0:
         raise _Bad("must be a non-negative integer")
+    if v >= 2**128:  # the trial stream's Philox key is 128 bits
+        raise _Bad("must be below 2**128")
     return v
 
 

@@ -1,6 +1,5 @@
 """Born projection, light-cone gating, and the two collapse scenarios."""
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +27,6 @@ from semigrav.measurement import (
     run_page_geilker,
     run_trials,
     trial_rng,
-    trial_uniforms,
 )
 from semigrav.modes import minkowski_basis
 from semigrav.spacetime import Event, outside_future_cone
@@ -142,34 +140,16 @@ def test_project_matches_uncached_born_sampling():
 
 # ---- batched trials against the single-trial oracle ----------------------------
 
-@pytest.mark.parametrize("seed", [0, 1, 2026, 2**32 - 1, 2**32, 2**64 + 5])
-def test_trial_uniforms_equal_trial_rng_draws(seed):
-    # 17,003 indices per seed: a run from 0, a run straddling 2**32 (index
-    # entropy grows from one word to two) and the largest indices; the
-    # three-word seed 2**64 + 5 with a two-word index outgrows the 4-word pool
-    idx = np.concatenate([
-        np.arange(0, 13_000, dtype=np.uint64),
-        np.arange(2**32 - 2_000, 2**32 + 2_000, dtype=np.uint64),
-        np.array([2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64),
-    ])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = trial_uniforms(seed, idx)
-        ref = np.array([trial_rng(seed, int(i)).random() for i in idx])
-    assert got.dtype == np.float64
-    assert np.array_equal(got, ref)
-
-
-def test_trial_uniforms_input_checks():
-    assert np.array_equal(trial_uniforms(5, [3, 0, 3]),
-                          [trial_rng(5, i).random() for i in (3, 0, 3)])
-    assert trial_uniforms(5, np.arange(0)).shape == (0,)
+@pytest.mark.parametrize("seed", [0, 1, 2026, 2**64 + 5, 2**128 - 1])
+def test_trial_rng_replays_the_block_stream(seed):
+    # every residue mod 4 (a Philox counter step is four draws), both sides
+    # of the 4096-trial block boundaries, and the last index drawn
+    n = 3 * 4096 + 5
+    stream = trial_rng(seed, 0).random(n)
+    for i in [*range(12), 4095, 4096, 4097, 8191, 8192, n - 1]:
+        assert trial_rng(seed, i).random() == stream[i]
     with pytest.raises(ValueError):
-        trial_uniforms(-1, [0])
-    with pytest.raises(ValueError):
-        trial_uniforms(1, [2, -1])
-    with pytest.raises(TypeError):
-        trial_uniforms(1, [0.5])
+        trial_rng(seed, -1)
 
 
 def _reference_picks(state, meas, seed, n):
@@ -208,8 +188,8 @@ class _FixedDraw:
     def __init__(self, u):
         self.u = u
 
-    def random(self):
-        return self.u
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
 
 
 def test_run_trials_branch_rule_at_exact_boundaries(monkeypatch):
@@ -226,7 +206,7 @@ def test_run_trials_branch_rule_at_exact_boundaries(monkeypatch):
     r = np.array([0.0, np.nextafter(cum[0], 0.0), cum[0], cum[1], cum[2], 1.0 - 2.0**-53])
     picks = []
     for u in r:  # one single-trial batch per preset uniform: its count names the pick
-        monkeypatch.setattr(measurement, "trial_uniforms", lambda seed, idx: np.full(len(idx), u))
+        monkeypatch.setattr(measurement, "trial_rng", lambda seed, t: _FixedDraw(u))
         picks.append(run_trials(psi, meas, 0, 1).counts.index(1))
     assert picks == [_sample_index(born, _FixedDraw(u)) for u in r]
     assert picks == [0, 0, 1, 2, 2, 2]

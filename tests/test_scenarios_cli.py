@@ -361,6 +361,8 @@ CONFIG_MESSAGES = [
      "field 'mass': must be 0 or at least 1e-150"),
     ("minkowski_vacuum", {"mass": 1e-200}, "field 'mass': must be 0 or at least 1e-150"),
     ("kg_wavepacket", {"mass": 1e-200}, "field 'mass': must be 0 or at least 1e-150"),
+    ("epr_collapse", {"seed": 2**128}, "field 'seed': must be below 2**128"),
+    ("minkowski_vacuum", {"seed": 2**200}, "field 'seed': must be below 2**128"),
 ]
 
 
@@ -394,6 +396,7 @@ API_MESSAGES = [
      "field 'seed': must be a non-negative integer"),
     (lambda: run_scenario("eds_cosmology", seed="3"), "field 'seed': must be an integer"),
     (lambda: run_scenario("eds_cosmology", seed=True), "field 'seed': must be an integer"),
+    (lambda: run_scenario("epr_collapse", seed=2**128), "field 'seed': must be below 2**128"),
 ]
 
 
@@ -402,6 +405,16 @@ def test_api_error_messages_are_exact(call, message):
     with pytest.raises(ScenarioConfigError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_largest_seed_runs(capsys):
+    """2**128 - 1, the largest Philox key, is valid through config, API and CLI."""
+    seed = 2**128 - 1
+    cfg = dict(default_config("page_geilker"), seed=seed)
+    assert validate_config("page_geilker", cfg)["seed"] == seed
+    assert run_scenario("epr_collapse", seed=seed, trials=100).passed
+    assert main(["run", "page_geilker", "--seed", str(seed), "--trials", "100"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == seed
 
 
 def _write_json(path, obj):
@@ -472,6 +485,9 @@ CLI_MESSAGES = [
      "field 'mass': must be 0 or at least 1e-150"),
     (["run", "kg_wavepacket", "--config", "{tmp}/kg_light.json"],
      "field 'mass': must be 0 or at least 1e-150"),
+    (["run", "epr_collapse", "--seed", str(2**128)], "field 'seed': must be below 2**128"),
+    (["run", "page_geilker", "--config", "{tmp}/pg_seed.json"],
+     "field 'seed': must be below 2**128"),
 ]
 
 # config files the CLI cases read: file stem -> (scenario, changes to its packaged config)
@@ -491,6 +507,7 @@ CLI_CONFIGS = {
     "pg_narrow": ("page_geilker", {"sphere_width": 1e-4}),
     "mp_light": ("minkowski_particle", {"mass": 1e-200, "mode_label": [0, 0, 0]}),
     "kg_light": ("kg_wavepacket", {"mass": 1e-200}),
+    "pg_seed": ("page_geilker", {"seed": 2**128}),
 }
 
 
@@ -676,7 +693,6 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 # public names that only tests call, each kept on purpose
 _ORACLE_NAMES = {
     "project": "the single-trial path that run_trials is checked against",
-    "trial_rng": "replays any one trial of a seeded run",
     "constrained_project": "the causality-gated single trial, the gate's user-facing form",
     "wedge_kg_inner": "the Klein-Gordon norm that checks the Rindler mode normalisation",
 }
