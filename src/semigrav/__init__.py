@@ -42,7 +42,6 @@ from .modes import (
 )
 from .bogolubov import (
     BogolubovMatrix,
-    QuadratureError,
     bogolubov_coefficients,
     rindler_occupancy_in_vacuum,
 )

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bogolubov import QuadratureError, bogolubov_coefficients, rindler_occupancy_in_vacuum
+from .bogolubov import bogolubov_coefficients, rindler_occupancy_in_vacuum
 from .consistency import fit_parameter, residual, scaling_study
 from .fock import create, new_vacuum
 from .measurement import run_epr_scenario, run_page_geilker
@@ -299,40 +299,23 @@ def _run_rindler_unruh(cfg: dict, seed: int) -> RunReport:
     a = cfg["acceleration"]
     mink = minkowski_basis(cfg["box_side"], 1, 0.0, cfg["n_max"])
     rind = rindler_basis(a, np.geomspace(cfg["freq_lo"], cfg["freq_hi"], cfg["n_frequencies"]))
-    report = RunReport(scenario="rindler_unruh", seed=seed)
-    try:
-        matrix = bogolubov_coefficients(mink, rind)
-    except QuadratureError as exc:
-        report.add_table(Table.build("error", ("message",), [(str(exc),)]))
-        report.flags["thermal_within_1pct"] = False
-        report.flags["rows_normalized"] = False
-        report.flags["occupancy_positive"] = False
-        return report
-
+    matrix = bogolubov_coefficients(mink, rind)
     spectrum_rows = []
     norm_rows = []
-    worst_rel = 0.0
-    worst_norm = 0.0
-    min_occ = float("inf")
     for j, w in enumerate(matrix.row_frequencies):
         occ = rindler_occupancy_in_vacuum(matrix, j)
         planck = 1.0 / math.expm1(2.0 * math.pi * w / a)
-        rel = abs(occ - planck) / planck
-        row_norm = matrix.row_normalization(j)
-        worst_rel = max(worst_rel, rel)
-        worst_norm = max(worst_norm, abs(row_norm - 1.0))
-        min_occ = min(min_occ, occ)
-        spectrum_rows.append((float(w), occ, planck, rel))
-        norm_rows.append((float(w), row_norm))
+        spectrum_rows.append((float(w), occ, planck, abs(occ - planck) / planck))
+        norm_rows.append((float(w), matrix.row_normalization(j)))
 
+    report = RunReport(scenario="rindler_unruh", seed=seed)
     report.add_table(Table.build("spectrum", ("omega", "occupancy", "planck", "rel_err"),
                                  spectrum_rows))
     report.add_table(Table.build("normalization", ("omega", "row_norm"), norm_rows))
-    report.add_table(Table.build("quadrature", ("estimated_rel_err",),
-                                 [(matrix.quadrature_error,)]))
-    report.flags["thermal_within_1pct"] = bool(worst_rel <= 0.01)
-    report.flags["rows_normalized"] = bool(worst_norm <= 1e-3)
-    report.flags["occupancy_positive"] = bool(min_occ > 0.0)
+    # all() rather than a running max, so that a NaN fails its flag
+    report.flags["thermal_within_1pct"] = all(row[3] <= 0.01 for row in spectrum_rows)
+    report.flags["rows_normalized"] = all(abs(norm - 1.0) <= 1e-3 for _, norm in norm_rows)
+    report.flags["occupancy_positive"] = all(row[1] > 0.0 for row in spectrum_rows)
     return report
 
 
@@ -523,7 +506,13 @@ _SCENARIOS: dict[str, _Scenario] = {
                 "n_frequencies": _int_at_least(1), "freq_lo": _positive,
                 "freq_hi": _positive, "seed": _seed},
         run=_run_rindler_unruh,
-        checks=(("freq_hi", "must exceed freq_lo", lambda c: c["freq_hi"] <= c["freq_lo"]),)),
+        # nu = w/a must not underflow to 0, where Gamma(i nu) has its pole, and the
+        # Planck occupancy e^(-2 pi nu) must stay a normal float
+        checks=(("freq_hi", "must exceed freq_lo", lambda c: c["freq_hi"] <= c["freq_lo"]),
+                ("freq_lo", "freq_lo/acceleration must be at least 1e-100",
+                 lambda c: c["freq_lo"] / c["acceleration"] < 1e-100),
+                ("freq_hi", "freq_hi/acceleration must be at most 100",
+                 lambda c: c["freq_hi"] / c["acceleration"] > 100.0))),
     "epr_collapse": _Scenario(
         schema={"box_side": _positive, "station_separation": _positive,
                 "measurement_time": _nonnegative, "sphere_mass": _positive,
