@@ -42,6 +42,7 @@ so the occupancy checks the Gamma factor rather than a discretization.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,7 @@ def _loggamma(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BogolubovMatrix:
-    """alpha/beta overlap matrices [rows x columns] plus column weights.
+    """alpha/beta overlap matrices [rows x columns], column weights and acceleration.
 
     ``weights`` implement the column sum as a quadrature over ln(k) folded
     with the finite-window normalization of the wedge modes, so each row
@@ -89,15 +90,24 @@ class BogolubovMatrix:
     alpha: np.ndarray
     beta: np.ndarray
     weights: np.ndarray
+    acceleration: float
 
     @property
     def n_rows(self) -> int:
         return self.alpha.shape[0]
 
-    def row_normalization(self, j: int) -> float:
+    def _row_sum(self, j: int) -> tuple[float, float]:
+        """S_j = sum_k weights |alpha_jk|^2 and 2 pi nu_j.  |beta|^2 = e^(-2 pi nu)|alpha|^2
+        makes each row sum S_j times a factor: no cancellation, no underflow."""
         if not (0 <= j < self.n_rows):
             raise IndexError(f"row {j} out of range")
-        return float(np.sum(self.weights * (np.abs(self.alpha[j]) ** 2 - np.abs(self.beta[j]) ** 2)))
+        s = float(np.sum(self.weights * np.abs(self.alpha[j]) ** 2))
+        return s, 2.0 * np.pi * float(self.row_frequencies[j]) / self.acceleration
+
+    def row_normalization(self, j: int) -> float:
+        """sum_k weights (|alpha_jk|^2 - |beta_jk|^2) = (1 - e^(-2 pi nu_j)) S_j."""
+        s, x = self._row_sum(j)
+        return -math.expm1(-x) * s
 
 
 def _column_weights(k_pos: np.ndarray, acceleration: float) -> np.ndarray:
@@ -149,11 +159,11 @@ def bogolubov_coefficients(mink: MinkowskiModeBasis, rind: RindlerModeBasis) -> 
         alpha=scatter(alpha),
         beta=scatter(beta),
         weights=scatter(_column_weights(k_pos, a)),
+        acceleration=a,
     )
 
 
 def rindler_occupancy_in_vacuum(matrix: BogolubovMatrix, j: int) -> float:
-    """<0_M| N_j |0_M> = weighted sum_k |beta_jk|^2 for wedge row j."""
-    if not (0 <= j < matrix.n_rows):
-        raise IndexError(f"row {j} out of range")
-    return float(np.sum(matrix.weights * np.abs(matrix.beta[j]) ** 2))
+    """<0_M| N_j |0_M> = weighted sum_k |beta_jk|^2 = e^(-2 pi nu_j) S_j for wedge row j."""
+    s, x = matrix._row_sum(j)
+    return math.exp(-x) * s

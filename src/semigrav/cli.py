@@ -5,13 +5,15 @@
     semigrav scan <scenario> --param V|V0 --values a,b,c
                             [--config FILE] [--out PATH] [--format csv|json]
 
-Exit codes: 0 when every scenario flag passes, 1 when any flag fails,
-2 for configuration or usage errors.  The scannable scenarios and their
+Exit codes: 0 when every scenario flag passes, 1 when any flag fails
+(with one ``flag '<name>' failed`` line on stderr per failed flag), 2 for
+configuration or usage errors.  The scannable scenarios and their
 parameters come from the scenario registry.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,7 +25,9 @@ from .scenarios import SCANS, SCENARIO_NAMES, ScenarioConfigError, run_scenario,
 __all__ = ["main", "build_parser"]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared for the process."""
     parser = argparse.ArgumentParser(
         prog="semigrav",
         description="scenario runner for the semiclassical self-consistency laboratory")
@@ -88,7 +92,10 @@ def main(argv=None) -> int:
     except (ScenarioConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0 if report.passed else 1
+    failed = [name for name, ok in report.flags.items() if not ok]
+    for name in failed:
+        print(f"flag {name!r} failed", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,6 +5,11 @@ flags, the scenario name and the seed.  Serialization is byte-stable for a
 fixed report: JSON keys are sorted and floats use Python's shortest
 round-trip repr; CSV is RFC-4180 style (CRLF line endings, minimal
 quoting), one file per table.
+
+The JSON text is ``json.dumps(payload, sort_keys=True, indent=2)`` plus a
+newline, byte for byte.  ``indent`` turns off json's C encoder, so only the
+small skeleton goes through ``json.dumps``; each table's cells are C-encoded
+in one call, one per line, and laid out at their fixed depth.
 """
 from __future__ import annotations
 
@@ -76,18 +81,35 @@ def _table_to_csv(table: Table) -> str:
     return buf.getvalue()
 
 
+_CELLS = json.JSONEncoder(separators=("\n", ": "))  # no indent: the C encoder runs
+
+
+def _rows_to_json(table: Table) -> str:
+    """``table.rows`` as ``json.dumps(..., indent=2)`` lays them out at depth 3."""
+    if not table.rows:
+        return "[]"
+    width = len(table.columns)
+    if width:
+        cells = _CELLS.encode([c for row in table.rows for c in row])[1:-1].split("\n")
+        rows = ["[\n          " + ",\n          ".join(cells[i:i + width]) + "\n        ]"
+                for i in range(0, len(cells), width)]
+    else:
+        rows = ["[]"] * len(table.rows)
+    return "[\n        " + ",\n        ".join(rows) + "\n      ]"
+
+
 def _report_to_json(report: RunReport) -> str:
-    payload = {
-        "scenario": report.scenario,
-        "seed": report.seed,
-        "tables": {
-            name: {"columns": list(t.columns), "rows": [list(r) for r in t.rows]}
-            for name, t in report.tables.items()
-        },
-        "flags": dict(report.flags),
-    }
-    # wall time is deliberately excluded: serialized output stays byte-stable
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for byte."""
+    head = json.dumps({"flags": report.flags, "scenario": report.scenario,
+                       "seed": report.seed}, sort_keys=True, indent=2)
+    tables = [f'    {json.dumps(name)}: {{\n      "columns": '
+              + json.dumps(list(t.columns), indent=2).replace("\n", "\n      ")
+              + f',\n      "rows": {_rows_to_json(t)}\n    }}'
+              for name, t in sorted(report.tables.items())]
+    body = "{\n" + ",\n".join(tables) + "\n  }" if tables else "{}"
+    # wall time is deliberately excluded: serialized output stays byte-stable;
+    # "tables" sorts after the head's keys, so it goes before head's closing "\n}"
+    return f'{head[:-2]},\n  "tables": {body}\n}}\n'
 
 
 def emit(report: RunReport, format: str, destination=None) -> str:

@@ -169,6 +169,19 @@ def test_row_normalization_and_planck_occupancy():
         assert_allclose(rindler_occupancy_in_vacuum(mat, j), planck, rtol=1e-7)
 
 
+def test_row_sums_match_the_direct_weighted_sums():
+    """The thermal-factor forms against sum_k weights |beta|^2 and
+    sum_k weights (|alpha|^2 - |beta|^2), where those do not cancel."""
+    mink, rind = _wedge_setup(n_freq=8)
+    mat = bogolubov_coefficients(mink, rind)
+    for j in range(mat.n_rows):
+        alpha2, beta2 = np.abs(mat.alpha[j]) ** 2, np.abs(mat.beta[j]) ** 2
+        assert_allclose(rindler_occupancy_in_vacuum(mat, j), np.sum(mat.weights * beta2),
+                        rtol=1e-14)
+        assert_allclose(mat.row_normalization(j), np.sum(mat.weights * (alpha2 - beta2)),
+                        rtol=1e-14)
+
+
 def test_left_mover_columns_are_exactly_zero():
     mink, rind = _wedge_setup(n_freq=3)
     mat = bogolubov_coefficients(mink, rind)

@@ -1,9 +1,11 @@
 """Report serialization: byte-stable JSON, RFC-4180 CSV."""
 import json
+import math
 
 import pytest
 
-from semigrav.report import RunReport, Table, emit
+from semigrav.report import RunReport, Table, _report_to_json, emit
+from semigrav.scenarios import SCENARIO_NAMES, default_config, run_scenario, scan_scenario
 
 
 def _sample_report():
@@ -86,3 +88,63 @@ def test_csv_quotes_cells_with_commas():
     rep.add_table(Table.build("t", ("label",), [("a,b",)]))
     text = emit(rep, "csv")
     assert text == 'label\r\n"a,b"\r\n'
+
+
+def _edge_report():
+    """Every cell kind json and csv treat specially, and every empty shape."""
+    rep = RunReport(scenario='ed"ge\n', seed=-3)
+    rep.add_table(Table.build("values", ("a", "b\u00e9", "c"), [
+        (math.nan, math.inf, -math.inf),
+        (-0.0, 5e-324, True),
+        (False, 7, 'q"u,o\nt\u00f6\\'),
+        (2 ** 70, 1e300, ""),
+    ]))
+    rep.add_table(Table.build("empty", ("x",), ()))
+    rep.add_table(Table.build("no_columns", (), ((), ())))
+    rep.add_table(Table.build("A", ("x",), [(1.5,)]))
+    rep.flags.update(zz=True, aa=False)
+    return rep
+
+
+def _reports():
+    """Every packaged scenario, both volume scans, the edge report, a bare one."""
+    reports = [run_scenario(name) for name in SCENARIO_NAMES]
+    box_1d = dict(default_config("minkowski_particle"), dimension=1, mode_label=[1])
+    reports.append(scan_scenario("minkowski_particle", box_1d, "V", [10.0, 20.0, 40.0, 80.0]))
+    reports.append(scan_scenario("eds_cosmology", None, "V0", [18.85, 188.5, 1885.0]))
+    return reports + [_edge_report(), RunReport(scenario="bare", seed=0)]
+
+
+def test_json_equals_json_dumps_with_indent_2():
+    for rep in _reports():
+        payload = {
+            "scenario": rep.scenario,
+            "seed": rep.seed,
+            "tables": {name: {"columns": list(t.columns), "rows": [list(r) for r in t.rows]}
+                       for name, t in rep.tables.items()},
+            "flags": dict(rep.flags),
+        }
+        assert _report_to_json(rep) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _csv_oracle(table):
+    """RFC-4180 by hand: repr floats, lower-case bools, quote only when needed."""
+    def cell(v):
+        text = ("true" if v else "false") if isinstance(v, bool) else (
+            repr(v) if isinstance(v, float) else str(v))
+        if any(c in text for c in ',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+    return "".join(",".join(cell(v) for v in row) + "\r\n"
+                   for row in [table.columns, *table.rows])
+
+
+def test_csv_of_every_table_matches_a_hand_written_writer(tmp_path):
+    for i, rep in enumerate(_reports()):
+        dest = tmp_path / f"r{i}.csv"
+        emit(rep, "csv", dest)
+        tables = list(rep.tables.values()) or [Table.build("empty", (), ())]
+        assert dest.read_bytes().decode() == _csv_oracle(tables[0])
+        for extra in tables[1:]:
+            sibling = dest.with_name(f"{dest.stem}.{extra.name}.csv")
+            assert sibling.read_bytes().decode() == _csv_oracle(extra)

@@ -1,4 +1,5 @@
 """Scenario configs, runners, and the command-line front end."""
+import argparse
 import ast
 import importlib
 import json
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semigrav.cli import main
+from semigrav.cli import build_parser, main
 from semigrav.report import emit
 from semigrav.scenarios import (
     SCANS,
@@ -154,10 +155,33 @@ def test_rindler_non_finite_spectrum_fails_every_flag(tmp_path, capsys):
                        dict(default_config("rindler_unruh"), box_side=1e-320))
     with np.errstate(all="ignore"):
         rc = main(["run", "rindler_unruh", "--config", path])
-    payload = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
     assert rc == 1
     assert list(payload["tables"]) == ["normalization", "spectrum"]
     assert payload["flags"] and not any(payload["flags"].values())
+    # one line per failed flag, in the report's flag order
+    assert captured.err == ("flag 'thermal_within_1pct' failed\n"
+                            "flag 'rows_normalized' failed\n"
+                            "flag 'occupancy_positive' failed\n")
+
+
+@pytest.mark.parametrize("changes", [
+    dict(freq_lo=1e-15, freq_hi=2e-15),
+    dict(freq_lo=1e-20, freq_hi=2e-20),
+    dict(acceleration=2.84e95, box_side=6.54e-95, freq_lo=9.19e96, freq_hi=1.38e97,
+         n_max=3, n_frequencies=2),
+], ids=["nu-1e-15", "nu-1e-20", "k-omega-1e192"])
+def test_rindler_row_sums_hold_at_extreme_nu_and_scale(changes, tmp_path, capsys):
+    """Near nu = 0, sum w (|alpha|^2 - |beta|^2) would cancel every digit; at
+    k omega ~ 1e192, |beta|^2 alone would underflow (nu ~ 48 in the last row)."""
+    path = _write_json(tmp_path / "ru.json", dict(default_config("rindler_unruh"), **changes))
+    rc = main(["run", "rindler_unruh", "--config", path])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert payload["flags"] and all(payload["flags"].values())
+    for _, occupancy, planck, _ in payload["tables"]["spectrum"]["rows"]:
+        assert abs(occupancy - planck) <= 1e-12 * planck
 
 
 def test_rindler_extreme_configs_only_raise_config_errors():
@@ -275,6 +299,58 @@ def test_cli_unknown_scenario_is_usage_error(capsys):
         main(["run", "warp_drive"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _cli(argv, capsys):
+    """Exit code, stdout and stderr of one ``main`` call, usage errors included."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.mark.parametrize("calls", [
+    [["run", "eds_cosmology", "--seed", "5"], ["run", "eds_cosmology"]],
+    [["run", "page_geilker", "--trials", "30"], ["run", "page_geilker"]],
+    [["run", "warp_drive"], ["run", "minkowski_vacuum", "--format", "csv"]],
+], ids=["seed-then-config-seed", "trials-then-config-trials", "usage-error-then-run"])
+def test_main_calls_in_one_process_match_fresh_calls(calls, capsys):
+    """The shared parser carries nothing from one call into the next."""
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_cli(argv, capsys))
+    assert [_cli(argv, capsys) for argv in calls] == fresh
+    assert fresh[0] != fresh[1]
+
+
+def test_second_main_call_does_not_rebuild_the_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    assert main(["run", "eds_cosmology"]) == 0
+    first = len(built)
+    assert main(["run", "eds_cosmology", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert first == 3  # the parser and its two subcommand parsers
+    assert len(built) == first
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = "import semigrav.cli as c; print(c.build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_cli_scan_param_volume_requires_dimension_one(tmp_path, capsys):
@@ -632,7 +708,7 @@ def test_bad_scan_values_exit_2_naming_values(scenario, param, values, tmp_path,
 _BOUNDED_CLI = """
 import resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # 1 GiB, this process only
-from semigrav.cli import main
+from semigrav.cli import build_parser, main
 start = time.perf_counter()
 code = main(sys.argv[1:])
 print(time.perf_counter() - start, file=sys.stderr)
