@@ -88,13 +88,16 @@ class BogolubovMatrix:
     row_frequencies: np.ndarray
     wavenumbers: np.ndarray
     alpha: np.ndarray
-    beta: np.ndarray
     weights: np.ndarray
     acceleration: float
 
     @property
     def n_rows(self) -> int:
         return self.alpha.shape[0]
+
+    @property
+    def beta(self) -> np.ndarray:
+        return -np.exp(-np.pi * self.row_frequencies / self.acceleration)[:, None] * self.alpha
 
     def _row_sum(self, j: int) -> tuple[float, float]:
         """S_j = sum_k weights |alpha_jk|^2 and 2 pi nu_j.  |beta|^2 = e^(-2 pi nu)|alpha|^2
@@ -134,7 +137,7 @@ def bogolubov_coefficients(mink: MinkowskiModeBasis, rind: RindlerModeBasis) -> 
     if mink.mass != 0.0:
         raise ModeBasisError("wedge pairing requires a massless box basis")
 
-    k_all = mink.wavevectors[:, 0]
+    k_all = mink.wavevectors()[:, 0]
     pos = np.where(k_all > 0.0)[0]
     if len(pos) < 2:
         raise ModeBasisError("need at least two positive-k box modes")
@@ -146,7 +149,6 @@ def bogolubov_coefficients(mink: MinkowskiModeBasis, rind: RindlerModeBasis) -> 
     row = 2.0 * nu * np.exp(0.5 * np.pi * nu + _loggamma(1j * nu)) / (4.0 * np.pi)
     alpha = (row[:, None] * np.exp(1j * nu[:, None] * np.log(a / k_pos))
              / np.sqrt(k_pos * omegas[:, None]))
-    beta = -np.exp(-np.pi * nu)[:, None] * alpha
 
     def scatter(values):  # left-mover columns stay exactly zero
         out = np.zeros(values.shape[:-1] + k_all.shape, dtype=values.dtype)
@@ -155,9 +157,8 @@ def bogolubov_coefficients(mink: MinkowskiModeBasis, rind: RindlerModeBasis) -> 
 
     return BogolubovMatrix(
         row_frequencies=omegas,
-        wavenumbers=k_all.copy(),
+        wavenumbers=k_all,
         alpha=scatter(alpha),
-        beta=scatter(beta),
         weights=scatter(_column_weights(k_pos, a)),
         acceleration=a,
     )

@@ -7,9 +7,8 @@ field operators at a spacetime event.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,42 +46,56 @@ class MinkowskiModeBasis:
     """Periodic box modes f_k(x,t) = exp(-i(w t - k.x)) / sqrt(2 w V).
 
     Labels are integer vectors n with |n_i| <= n_max and k = 2 pi n / L;
-    for a massless field the n = 0 zero mode is excluded.
+    for a massless field the n = 0 zero mode is excluded.  In sorted order,
+    the label of mode i is the digits of i (i + 1 past a massless zero mode)
+    in base 2 n_max + 1, offset by n_max; i is a Python int, maybe >= 2^63.
     """
 
     backend: Minkowski
     mass: float
     n_max: int
-    labels: tuple[tuple[int, ...], ...]
 
     @property
     def n_modes(self) -> int:
-        return len(self.labels)
-
-    @cached_property
-    def wavevectors(self) -> np.ndarray:
-        k = 2.0 * np.pi * np.asarray(self.labels, dtype=float) / self.backend.box_side
-        k.setflags(write=False)
-        return k
-
-    @cached_property
-    def frequencies(self) -> np.ndarray:
-        w = np.sqrt(np.sum(self.wavevectors**2, axis=1) + self.mass**2)
-        w.setflags(write=False)
-        return w
+        return (2 * self.n_max + 1) ** self.backend.dimension - (self.mass == 0.0)
 
     def mode_index(self, label: tuple[int, ...]) -> int:
-        try:
-            return self.labels.index(tuple(label))
-        except ValueError:
-            raise ModeBasisError(f"label {label} not in basis") from None
+        n, d, centre = self.n_max, self.backend.dimension, self.n_modes // 2
+        if len(label) == d and all(-n <= c <= n and int(c) == c for c in label):
+            index = sum((int(c) + n) * (2 * n + 1) ** (d - 1 - a) for a, c in enumerate(label))
+            if self.mass != 0.0 or index != centre:  # a massless basis skips the zero mode
+                return index - (self.mass == 0.0 and index > centre)
+        raise ModeBasisError(f"label {label} not in basis")
+
+    def wavevectors(self, modes=slice(None)) -> np.ndarray:
+        """k = 2 pi n / L of the modes indexed, shape (n, d)."""
+        dtype = np.int64 if self.n_modes < 2**63 else object
+        index = (np.arange(*modes.indices(self.n_modes), dtype=dtype) if isinstance(modes, slice)
+                 else np.array(modes, dtype=dtype))
+        index = index + (self.mass == 0.0) * (index >= self.n_modes // 2)
+        base, d = 2 * self.n_max + 1, self.backend.dimension
+        labels = np.stack([index // base ** (d - 1 - a) % base for a in range(d)], axis=-1)
+        return 2.0 * np.pi * (labels - self.n_max).astype(float) / self.backend.box_side
+
+    def frequencies(self, modes=slice(None)) -> np.ndarray:
+        """w = sqrt(k^2 + m^2) of the modes indexed, shape (n,)."""
+        return np.sqrt(np.sum(self.wavevectors(modes) ** 2, axis=1) + self.mass**2)
+
+    def _modes(self, modes) -> tuple[np.ndarray, np.ndarray]:
+        key = range(*modes.indices(self.n_modes)) if isinstance(modes, slice) else tuple(modes)
+        return self._cached_modes(key)
+
+    @functools.lru_cache(maxsize=8)
+    def _cached_modes(self, modes: tuple | range) -> tuple[np.ndarray, np.ndarray]:
+        """k and w of the modes indexed: once for all blocks of a ``stress_field`` call."""
+        return self.wavevectors(modes), self.frequencies(modes)
 
     # ---- field-operator coefficients at events ----------------------------
     def field_coeffs(self, t, x, modes=slice(None)) -> np.ndarray:
         """f_k at the events for the modes indexed: t (...), x (..., d) -> (..., n)."""
         t = np.asarray(t, dtype=float)[..., None]
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        k, w = self.wavevectors[modes], self.frequencies[modes]
+        k, w = self._modes(modes)
         # einsum (not BLAS: rows independent of the other events), then in place
         f = 1j * (np.einsum("...d,kd->...k", x, k) - w * t)
         np.exp(f, out=f)
@@ -91,8 +104,8 @@ class MinkowskiModeBasis:
 
     def slot_factors(self, t, modes=slice(None)) -> np.ndarray:
         """Constant factors of (d_t, d_x1, ..., d_xd, 1) f_k: -i w_k, i k_k, 1; [d+2, n]."""
-        w = self.frequencies[modes]
-        return np.vstack([-1j * w, 1j * self.wavevectors[modes].T, np.ones_like(w)])
+        k, w = self._modes(modes)
+        return np.vstack([-1j * w, 1j * k.T, np.ones_like(w)])
 
     dt_coeffs = _dt_coeffs
     dx_coeffs = _dx_coeffs
@@ -103,16 +116,9 @@ def minkowski_basis(box_side: float, dimension: int, mass: float, n_max: int) ->
         raise ModeBasisError("mass must be non-negative")
     if n_max < 0:
         raise ModeBasisError("n_max must be non-negative")
-    backend = Minkowski(dimension=dimension, box_side=box_side)
-    labels = [
-        n
-        for n in itertools.product(range(-n_max, n_max + 1), repeat=dimension)
-        if not (mass == 0.0 and all(c == 0 for c in n))
-    ]
-    if not labels:
+    if mass == 0.0 and n_max == 0:
         raise ModeBasisError("empty basis: massless field with n_max = 0 has no modes")
-    labels.sort()
-    return MinkowskiModeBasis(backend=backend, mass=mass, n_max=n_max, labels=tuple(labels))
+    return MinkowskiModeBasis(Minkowski(dimension=dimension, box_side=box_side), mass, n_max)
 
 
 def eds_k0_mode(t, mass: float, comoving_volume: float):

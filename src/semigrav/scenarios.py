@@ -24,10 +24,8 @@ from .bogolubov import bogolubov_coefficients, rindler_occupancy_in_vacuum
 from .consistency import fit_parameter, residual, scaling_study
 from .fock import create, new_vacuum
 from .measurement import run_epr_scenario, run_page_geilker
-from .modes import (MinkowskiModeBasis, ModeBasisError, eds_basis, minkowski_basis,
-                    rindler_basis)
+from .modes import eds_basis, minkowski_basis, rindler_basis
 from .report import RunReport, Table
-from .spacetime import Minkowski
 from .stress_energy import integrated_energy, stress_field, total_energy, wavepacket_state
 from .stress_energy import stress_sample  # noqa: F401  (the one-event view, traced by bench/)
 
@@ -175,12 +173,9 @@ def _run_minkowski_vacuum(cfg: dict, seed: int) -> RunReport:
 def _run_minkowski_particle(cfg: dict, seed: int) -> RunReport:
     basis = minkowski_basis(cfg["box_side"], cfg["dimension"], cfg["mass"], cfg["n_max"])
     backend = basis.backend
-    try:
-        idx = basis.mode_index(cfg["mode_label"])
-    except ModeBasisError as exc:
-        raise ScenarioConfigError(f"field 'mode_label': {exc}") from None
+    idx = basis.mode_index(cfg["mode_label"])  # the config rules keep it in the basis
     state = create(new_vacuum(basis), idx)
-    omega = float(basis.frequencies[idx])
+    omega = float(basis.frequencies([idx])[0])
     total = total_energy(state, basis)
     lattice = integrated_energy(state, basis, backend, t=0.0,
                                 points_per_axis=cfg["lattice_points"])
@@ -394,11 +389,8 @@ def _box_volume_observable(cfg: dict) -> Callable[[float], float]:
         if n == 0:
             raise ScenarioConfigError(
                 "field 'values': volume too small to hold the reference wavevector")
-        # the one occupied mode is the whole basis: minkowski_basis would list 2|n|+1
-        # labels, and moments allocate as many columns, with n growing like V
-        basis = MinkowskiModeBasis(Minkowski(dimension=1, box_side=L), cfg["mass"],
-                                   abs(n), ((n,),))
-        state = create(new_vacuum(basis), 0)
+        basis = minkowski_basis(L, 1, cfg["mass"], abs(n))
+        state = create(new_vacuum(basis), basis.mode_index((n,)))
         return residual(basis.backend, state, basis, 0.0, [[0.0]]).global_max
 
     return observable

@@ -7,9 +7,9 @@ vanishes exactly.  For A = sum_k (g_k a_k + conj(g_k) a_k+), B likewise,
     rho_kl = <a_k+ a_l> = (A^H A)_kl,  K_kl = <a_k a_l> = (D^T A)_kl,
 
 with one row of A and D per once-lowered occupation p: A_pl = <p|a_l|Psi>
-and D_pk = <Psi|a_k|p> (``moments``, one pass over the terms).
-``stress_field`` keeps only the state's support, the modes whose columns
-of A and D are not all zero (a mode outside it adds exactly nothing), and
+and D_pk = <Psi|a_k|p> (``moments``, one pass over the terms), and one
+column per mode of the state's support, the modes it occupies: any other
+mode would have all-zero columns and add exactly nothing.  ``stress_field``
 works on blocks of ``_BLOCK`` events: the mode functions f of the support
 once, the images of all d+2 slots (d_t phi, d_x1 phi, ..., phi) in one
 product U = f B (B stacks per-mode slot factors times A and D), and every
@@ -51,8 +51,9 @@ def _require_normalized(state: FockState) -> None:
         raise ValueError("state must be normalized to unit norm")
 
 
-def moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
-    """Factors A, D of the two-point moments: rho = A^H A and K = D^T A."""
+def moments(state: FockState) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The state's support (its occupied modes, ascending) and the factors A, D of
+    its two-point moments, rho = A^H A and K = D^T A, one column per support mode."""
     rows: dict = {}  # once-lowered occupation p -> ({l: A_pl}, {k: D_pk})
     for occ, amp in state.terms.items():
         for mode, count in occ.pairs:
@@ -61,11 +62,13 @@ def moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
                 twice = ((k, n, state.terms.get(p.bump(k, -1))) for k, n in p.pairs)
                 rows[p] = ({}, {k: sqrt(n) * c.conjugate() for k, n, c in twice if c is not None})
             rows[p][0][mode] = amp * sqrt(count)
-    A, D = np.zeros((2, len(rows), state.basis.n_modes), dtype=complex)
+    support = tuple(sorted({mode for a_row, _ in rows.values() for mode in a_row}))
+    column = {mode: j for j, mode in enumerate(support)}
+    A, D = np.zeros((2, len(rows), len(support)), dtype=complex)
     for row, entries in enumerate(rows.values()):
         for out, values in zip((A, D), entries):
-            out[row, list(values)] = list(values.values())
-    return A, D
+            out[row, [column[k] for k in values]] = list(values.values())
+    return support, A, D
 
 
 def quadratic_expectation(state: FockState, g: np.ndarray, h: np.ndarray) -> float:
@@ -74,7 +77,8 @@ def quadratic_expectation(state: FockState, g: np.ndarray, h: np.ndarray) -> flo
     if g.shape != (state.basis.n_modes,) or h.shape != g.shape:
         raise BasisMismatchError("coefficient arrays must have one entry per basis mode")
     _require_normalized(state)
-    A, D = moments(state)
+    support, A, D = moments(state)
+    g, h = g[list(support)], h[list(support)]
     return float(2.0 * (np.vdot(A @ g, A @ h) + (D @ g) @ (A @ h)).real)
 
 
@@ -116,14 +120,12 @@ def stress_field(state: FockState, basis, backend, t, x) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != backend.dimension:
         raise BackendDomainError(f"x must have shape (events, {backend.dimension})")
     t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1])
-    A, D = moments(state)
+    support, A, D = moments(state)
     M = np.concatenate([A, D]) if D.any() else A
-    modes = np.flatnonzero(M.any(axis=0))  # the state's support: other columns of M are 0
-    M = M[:, modes]
     out = np.empty((len(t),) + (backend.dimension + 1,) * 2)
     for lo in range(0, len(t), _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        out[block] = _stress_block(basis, backend, M, modes, len(A), t[block], x[block])
+        out[block] = _stress_block(basis, backend, M, support, len(A), t[block], x[block])
     return out
 
 
@@ -139,7 +141,8 @@ def total_energy(state: FockState, basis) -> float:
     if state.basis != basis:
         raise BasisMismatchError("state lives on a different basis")
     _require_normalized(state)
-    omega = basis.frequencies
+    occupied = list({mode for occ in state.terms for mode, _ in occ.pairs})
+    omega = dict(zip(occupied, basis.frequencies(occupied).tolist()))
     total = 0.0
     for occ, amp in state.terms.items():
         weight = abs(amp) ** 2
@@ -152,12 +155,10 @@ def wavepacket_state(basis: MinkowskiModeBasis, x0) -> FockState:
     """Normalized one-particle packet sum_k e^(-i k.x0)/sqrt(2 w_k) |1_k>."""
     if not isinstance(basis, MinkowskiModeBasis):
         raise ModeBasisError("wavepacket_state is defined for box mode bases")
-    if basis.n_modes == 0:
-        raise ModeBasisError("empty basis")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (basis.backend.dimension,):
         raise ValueError("x0 must have one coordinate per spatial dimension")
-    amps = np.exp(-1j * basis.wavevectors @ x0) / np.sqrt(2.0 * basis.frequencies)
+    amps = np.exp(-1j * basis.wavevectors() @ x0) / np.sqrt(2.0 * basis.frequencies())
     vac = new_vacuum(basis)
     parts = [(amps[k], create(vac, k)) for k in range(basis.n_modes)]
     return superpose(parts, normalize=True)

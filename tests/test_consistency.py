@@ -33,7 +33,7 @@ def test_minkowski_particle_residual_is_thermodynamically_small():
     basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)
     one = create(new_vacuum(basis), basis.mode_index((1,)))
     rep = residual(basis.backend, one, basis, 0.0, [[0.0]])
-    w = basis.frequencies[basis.mode_index((1,))]
+    w = basis.frequencies([basis.mode_index((1,))])[0]
     assert_allclose(rep.global_max, 8.0 * np.pi * w / 10.0, rtol=1e-13)
 
 

@@ -1,4 +1,6 @@
 """Mode functions: wave-equation residuals, Klein-Gordon norms, completeness."""
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -38,7 +40,7 @@ def test_box_modes_solve_wave_equation(mass, dimension, n_max):
     for idx in range(0, basis.n_modes, max(1, basis.n_modes // 5)):
         t = rng.uniform(-1.0, 1.0)
         x = rng.uniform(0.0, 10.0, size=dimension)
-        w = basis.frequencies[idx]
+        w = basis.frequencies([idx])[0]
         scale = (1.0 + w**2) * abs(basis.field_coeffs(t, x)[idx])
         assert abs(_box_pde_residual(basis, idx, t, x)) < 1e-6 * scale
 
@@ -81,7 +83,6 @@ def test_massless_basis_excludes_zero_mode():
     massive = minkowski_basis(box_side=10.0, dimension=2, mass=1.0, n_max=1)
     assert massive.n_modes == 9
     assert massless.n_modes == 8
-    assert (0, 0) not in massless.labels
     assert massive.mode_index((0, 0)) >= 0
     with pytest.raises(ModeBasisError):
         massless.mode_index((0, 0))
@@ -89,12 +90,62 @@ def test_massless_basis_excludes_zero_mode():
         minkowski_basis(box_side=10.0, dimension=1, mass=0.0, n_max=0)
 
 
+def _enumerated_labels(dimension, mass, n_max):
+    """Every integer vector with |n_i| <= n_max, sorted; without the zero mode if massless."""
+    return sorted(n for n in itertools.product(range(-n_max, n_max + 1), repeat=dimension)
+                  if mass != 0.0 or any(n))
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+@pytest.mark.parametrize("mass", [0.0, 0.7])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_box_basis_indexes_the_sorted_label_enumeration(dimension, mass, n_max):
+    """Index arithmetic against the enumerated, sorted label list it replaces."""
+    labels = _enumerated_labels(dimension, mass, n_max)
+    if not labels:  # massless with n_max = 0
+        with pytest.raises(ModeBasisError):
+            minkowski_basis(box_side=5.0, dimension=dimension, mass=mass, n_max=n_max)
+        return
+    basis = minkowski_basis(box_side=5.0, dimension=dimension, mass=mass, n_max=n_max)
+    assert basis.n_modes == len(labels)
+    assert [basis.mode_index(n) for n in labels] == list(range(len(labels)))
+    k = 2.0 * np.pi * np.asarray(labels, dtype=float) / 5.0
+    assert np.array_equal(np.rint(basis.wavevectors() * 5.0 / (2.0 * np.pi)), labels)
+    assert np.array_equal(basis.wavevectors(), k)
+    assert np.array_equal(basis.frequencies(), np.sqrt(np.sum(k**2, axis=1) + mass**2))
+    picked = list(range(len(labels) - 1, -1, -3))  # any indices, in any order
+    assert np.array_equal(basis.wavevectors(picked), k[picked])
+    assert np.array_equal(basis.frequencies(picked), basis.frequencies()[picked])
+    zero = (0,) * dimension
+    outside = [zero[:-1] + (c,) for c in (n_max + 1, -n_max - 1)] + [zero + (0,)]
+    if dimension > 1:
+        outside.append(zero[1:])
+    if mass == 0.0:
+        outside.append(zero)
+    for label in outside:
+        with pytest.raises(ModeBasisError):
+            basis.mode_index(label)
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+def test_box_basis_indexes_past_int64(mass):
+    """A huge 1-D box keeps exact Python-int indices: mode n sits at n + n_max (- 1)."""
+    n = 10**30
+    basis = minkowski_basis(box_side=1e31, dimension=1, mass=mass, n_max=n)
+    assert basis.n_modes == 2 * n + 1 - (mass == 0.0)
+    i = basis.mode_index((n,))
+    assert i == 2 * n - (mass == 0.0)
+    assert basis.mode_index((-n,)) == 0
+    assert_allclose(basis.wavevectors([i, 0]), [[2.0 * np.pi * 0.1], [-2.0 * np.pi * 0.1]],
+                    rtol=1e-15)
+
+
 def test_wavevectors_match_labels():
     basis = minkowski_basis(box_side=5.0, dimension=2, mass=1.0, n_max=2)
     i = basis.mode_index((2, -1))
-    assert_allclose(basis.wavevectors[i], 2.0 * np.pi * np.array([2.0, -1.0]) / 5.0)
+    assert_allclose(basis.wavevectors([i])[0], 2.0 * np.pi * np.array([2.0, -1.0]) / 5.0)
     assert_allclose(
-        basis.frequencies[i],
+        basis.frequencies([i])[0],
         np.sqrt(1.0 + (2 * np.pi / 5.0) ** 2 * 5.0),
     )
 

@@ -716,16 +716,21 @@ sys.exit(code)
 """
 
 
+def _run_bounded(args, timeout):
+    """The CLI in a child process under 1 GiB of address space; its last stderr line
+    is the seconds ``main`` took."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", _BOUNDED_CLI, *args],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
 def test_v_scan_to_a_huge_box_runs_in_bounded_memory(tmp_path):
     """At V = 1e9 the scanned quantum has n = 1e8: only that one mode is built."""
     path = _write_json(tmp_path / "mp1.json",
                        dict(default_config("minkowski_particle"), dimension=1, mode_label=[1]))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", _BOUNDED_CLI, "scan", "minkowski_particle", "--param", "V",
-         "--values", "10,20,1e9", "--config", path],
-        capture_output=True, text=True, timeout=120, env=env)
+    proc = _run_bounded(["scan", "minkowski_particle", "--param", "V",
+                         "--values", "10,20,1e9", "--config", path], timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stderr.splitlines()[-1]) < 1.0
     payload = json.loads(proc.stdout)
@@ -734,14 +739,28 @@ def test_v_scan_to_a_huge_box_runs_in_bounded_memory(tmp_path):
     assert payload["flags"] == {"slope_defined": True}
 
 
+def test_one_quantum_in_a_3d_box_of_5e8_modes_runs_fast_in_bounded_memory(tmp_path):
+    """n_max 400 in 3-D is 801^3 = 5.1e8 modes; the state occupies one of them."""
+    path = _write_json(tmp_path / "mp400.json", dict(default_config("minkowski_particle"),
+                                                     n_max=400, mode_label=[1, 0, 0]))
+    proc = _run_bounded(["run", "minkowski_particle", "--config", path], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stderr.splitlines()[-1]) < 0.1
+    payload = json.loads(proc.stdout)
+    assert payload["flags"] and all(payload["flags"].values())
+
+
+def test_vacuum_in_a_3d_box_of_5e8_modes_runs_in_bounded_memory(tmp_path):
+    path = _write_json(tmp_path / "mv400.json",
+                       dict(default_config("minkowski_vacuum"), n_max=400))
+    proc = _run_bounded(["run", "minkowski_vacuum", "--config", path], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_rindler_at_n_max_20000_runs_fast_in_bounded_memory(tmp_path):
     """20,001 box columns: each row is one Gamma factor times a phase per column."""
     path = _write_json(tmp_path / "ru.json", dict(default_config("rindler_unruh"), n_max=20000))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", _BOUNDED_CLI, "run", "rindler_unruh", "--config", path],
-        capture_output=True, text=True, timeout=120, env=env)
+    proc = _run_bounded(["run", "rindler_unruh", "--config", path], timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stderr.splitlines()[-1]) < 10.0
     payload = json.loads(proc.stdout)
@@ -751,11 +770,7 @@ def test_rindler_at_n_max_20000_runs_fast_in_bounded_memory(tmp_path):
 def test_eds_fit_with_a_tol_below_float_spacing_finishes(tmp_path):
     """fit_tol 1e-300 is valid; the search ends once the bracket stops shrinking."""
     path = _write_json(tmp_path / "fit.json", dict(default_config("eds_fit"), fit_tol=1e-300))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", _BOUNDED_CLI, "run", "eds_fit", "--config", path],
-        capture_output=True, text=True, timeout=60, env=env)
+    proc = _run_bounded(["run", "eds_fit", "--config", path], timeout=60)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["flags"]["fit_recovers_mass"]

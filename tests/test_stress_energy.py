@@ -195,7 +195,7 @@ def test_stress_field_matches_fock_walk_on_random_states(basis, max_quanta):
     for _ in range(3):
         state = _random_state(basis, rng, n_terms=6, max_quanta=max_quanta)
         if max_quanta > 1:
-            assert moments(state)[1].any()  # the two-quantum (K) terms are exercised
+            assert moments(state)[2].any()  # the two-quantum (K) terms are exercised
         _assert_matches_walk(state, basis, *_random_events(basis, rng, 11))
 
 
@@ -205,7 +205,7 @@ def test_stress_field_matches_fock_walk_on_eds_mixed_times():
     vac = new_vacuum(basis)
     ladder = [vac, create(vac, 0), create(create(vac, 0), 0), create(create(create(vac, 0), 0), 0)]
     state = superpose([(complex(rng.normal(), rng.normal()), s) for s in ladder], normalize=True)
-    assert moments(state)[1].any()
+    assert moments(state)[2].any()
     t = rng.permutation(np.geomspace(0.2, 5.0, 13))  # unsorted times in one call
     _assert_matches_walk(state, basis, t, np.zeros((13, 3)))
 
@@ -243,12 +243,15 @@ def test_stress_field_on_the_state_support_matches_full_basis_and_walk():
     rng = np.random.default_rng(9)
     t, x = _random_events(basis, rng, 40)
     one = create(new_vacuum(basis), basis.mode_index((1, -2, 0)))
-    A, _ = moments(one)
-    full = _stress_block(basis, basis.backend, A, np.arange(basis.n_modes), len(A), t, x)
+    support, A, _ = moments(one)
+    assert support == (basis.mode_index((1, -2, 0)),)
+    wide = np.zeros((len(A), basis.n_modes), dtype=complex)
+    wide[:, list(support)] = A  # the support's columns, back at full width
+    full = _stress_block(basis, basis.backend, wide, np.arange(basis.n_modes), len(A), t, x)
     assert np.array_equal(stress_field(one, basis, basis.backend, t, x), full)
     _assert_matches_walk(one, basis, t, x)
     sparse = _sparse_state(basis, (3, 64, 120))
-    assert moments(sparse)[1].any()
+    assert moments(sparse)[2].any()
     _assert_matches_walk(sparse, basis, t, x)
 
 
@@ -289,7 +292,10 @@ def test_moments_match_ladder_products():
     """rho = A^H A is <a_k+ a_l> and K = D^T A is <a_k a_l>, from the ladder operators."""
     basis = minkowski_basis(box_side=5.0, dimension=1, mass=1.0, n_max=1)
     state = _random_state(basis, np.random.default_rng(2), n_terms=7, max_quanta=3)
-    A, D = moments(state)
+    support, *factors = moments(state)
+    assert support == tuple(sorted({m for occ in state.terms for m, _ in occ.pairs}))
+    A, D = np.zeros((2, len(factors[0]), basis.n_modes), dtype=complex)
+    A[:, list(support)], D[:, list(support)] = factors  # no moment off the support
     lowered = [annihilate(state, k) for k in range(basis.n_modes)]
     rho = np.array([[inner(lowered[k], lowered[l]) for l in range(3)] for k in range(3)])
     pair = np.array([[inner(state, annihilate(lowered[l], k)) for l in range(3)]
@@ -327,8 +333,8 @@ def test_single_particle_plane_wave_components():
     basis = minkowski_basis(box_side=10.0, dimension=2, mass=1.0, n_max=2)
     label = (2, -1)
     i = basis.mode_index(label)
-    k = basis.wavevectors[i]
-    w = basis.frequencies[i]
+    k = basis.wavevectors([i])[0]
+    w = basis.frequencies([i])[0]
     V = basis.backend.spatial_volume
     one = create(new_vacuum(basis), i)
     sample = stress_sample(one, basis, basis.backend, Event(0.7, (3.3, 8.1)))
@@ -357,7 +363,7 @@ def test_two_quanta_double_the_energy_density():
     i = basis.mode_index((1,))
     two = create(create(new_vacuum(basis), i), i).normalized()
     sample = stress_sample(two, basis, basis.backend, Event(0.0, (0.0,)))
-    w = basis.frequencies[i]
+    w = basis.frequencies([i])[0]
     assert_allclose(sample[(0, 0)], 2.0 * w / basis.backend.spatial_volume, rtol=1e-13)
 
 
@@ -366,11 +372,11 @@ def test_total_energy_closed_forms():
     vac = new_vacuum(basis)
     assert total_energy(vac, basis) == 0.0
     i = basis.mode_index((1,))
-    w = basis.frequencies[i]
+    w = basis.frequencies([i])[0]
     assert_allclose(total_energy(create(vac, i), basis), w, rtol=1e-14)
     j = basis.mode_index((-2,))
     pair = superpose([(1.0, create(vac, i)), (1.0, create(vac, j))], normalize=True)
-    assert_allclose(total_energy(pair, basis), 0.5 * (w + basis.frequencies[j]), rtol=1e-14)
+    assert_allclose(total_energy(pair, basis), 0.5 * (w + basis.frequencies([j])[0]), rtol=1e-14)
 
 
 def test_total_energy_matches_lattice_integration():
@@ -397,7 +403,7 @@ def test_interference_term_integrates_away():
     s_b = stress_sample(psi, basis, basis.backend, Event(0.0, (3.0,)))
     assert abs(s_a[(0, 0)] - s_b[(0, 0)]) > 1e-6  # genuinely non-uniform
     total = integrated_energy(psi, basis, basis.backend, t=0.0, points_per_axis=64)
-    expected = 0.5 * (basis.frequencies[0] + basis.frequencies[1])
+    expected = 0.5 * (basis.frequencies([0])[0] + basis.frequencies([1])[0])
     assert_allclose(total, expected, rtol=1e-12)
 
 
