@@ -10,9 +10,8 @@ construction (exact cancellations therefore yield the empty zero state).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import frexp, ldexp, sqrt
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
     "DROP_TOL",
@@ -41,9 +40,11 @@ class ZeroNormError(ValueError):
     """Raised when a normalization is requested for a (numerically) zero state."""
 
 
-@dataclass(frozen=True)
-class Occupation:
-    """Occupation-number vector: sorted ``(mode, count)`` pairs, counts >= 1."""
+class Occupation(NamedTuple):
+    """Occupation-number vector: sorted ``(mode, count)`` pairs, counts >= 1.
+
+    A tuple, so that the Fock dicts keyed by it hash and compare in C.
+    """
 
     pairs: tuple[tuple[int, int], ...]
 

@@ -156,6 +156,8 @@ class EdSModeBasis:
     def slot_factors(self, t, modes=slice(None)) -> np.ndarray:
         """Factors of (d_t, d_x1, d_x2, d_x3, 1) f0: -i m - 1/t, 0, 0, 0, 1; [..., 5, 1]."""
         t = np.asarray(t, dtype=float)
+        if not np.all(t > 0.0):
+            raise BackendDomainError("Einstein-de Sitter chart requires t > 0")
         out = np.zeros(t.shape + (self.backend.dimension + 2, 1), dtype=complex)
         out[..., 0, 0] = -1j * self.mass - 1.0 / t
         out[..., -1, 0] = 1.0

@@ -10,10 +10,12 @@ with one row of A and D per once-lowered occupation p: A_pl = <p|a_l|Psi>
 and D_pk = <Psi|a_k|p> (``moments``, one pass over the terms), and one
 column per mode of the state's support, the modes it occupies: any other
 mode would have all-zero columns and add exactly nothing.  ``stress_field``
-works on blocks of ``_BLOCK`` events: the mode functions f of the support
-once, the images of all d+2 slots (d_t phi, d_x1 phi, ..., phi) in one
-product U = f B (B stacks per-mode slot factors times A and D), and every
-slot pair from one contraction of U with itself.  A one-quantum state thus
+builds B, the per-mode slot factors times A and D, once per call (per event
+where the factors depend on t, as on the dust background).  It then works
+on blocks of ``_BLOCK`` events: the mode functions f of the support once,
+the images of all d+2 slots (d_t phi, d_x1 phi, ..., phi) in one product
+U = f B, and every slot pair as a sum over the 2R real components of U
+(R rows of A), with the event axis innermost.  A one-quantum state thus
 costs one mode function per event, whatever the basis size.  Then
 
     T_mn = <:d_m phi d_n phi:> - g_mn <:L:>,
@@ -25,11 +27,11 @@ one ``Event``.
 """
 from __future__ import annotations
 
-from math import sqrt
+from math import frexp, ldexp, sqrt
 
 import numpy as np
 
-from .fock import NORM_TOL, BasisMismatchError, FockState, create, new_vacuum, superpose
+from .fock import NORM_TOL, BasisMismatchError, FockState, Occupation
 from .modes import EdSModeBasis, MinkowskiModeBasis, ModeBasisError
 from .spacetime import BackendDomainError, Event, metric
 
@@ -40,6 +42,7 @@ __all__ = [
     "stress_sample",
     "total_energy",
     "wavepacket_state",
+    "box_lattice",
     "integrated_energy",
 ]
 
@@ -82,29 +85,41 @@ def quadratic_expectation(state: FockState, g: np.ndarray, h: np.ndarray) -> flo
     return float(2.0 * (np.vdot(A @ g, A @ h) + (D @ g) @ (A @ h)).real)
 
 
-def _stress_block(basis, backend, M, modes, n_rows, t, x) -> np.ndarray:
-    """T_mn at one block of events; M stacks A over D (or is A alone if D is 0),
-    with one column per basis mode indexed by ``modes``."""
-    # products are stacked per event: a row does not depend on the block's other events
+def _slot_products(factors: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """B[..., l, s P + p] = factors[..., s, l] M[p, l]: factors (S, n) or (E, S, n), M (P, n)."""
+    (S, n), P = factors.shape[-2:], len(M)
+    B = np.moveaxis(factors[..., None] * M.T, -3, -2)
+    return B.reshape(factors.shape[:-2] + (n, S * P))
+
+
+def _stress_block(basis, backend, B, modes, n_rows, t, x) -> np.ndarray:
+    """T_mn at one block of events, from the ``_slot_products`` B of the slot factors
+    and M (A over D, or A alone if D is 0), one column per basis mode indexed by ``modes``."""
     f = basis.field_coeffs(t, x, modes)             # (E, n)
-    factors = basis.slot_factors(t, modes)          # (S, n), or (E, S, n) if t-dependent
-    (E, n), S, P = f.shape, factors.shape[-2], len(M)
-    # B[..., l, s P + p] = factors[..., s, l] M[p, l]: the images of every slot from one product
-    B = np.moveaxis(factors[..., None] * M.T, -3, -2).reshape(factors.shape[:-2] + (n, S * P))
-    U = (f[:, None, :] @ B).reshape(E, S, P)
-    # Re(conj(u) v) is a real dot of (re, im) pairs; einsum rounds each product (BLAS may fuse)
-    images = U[..., :n_rows].view(float)
-    half = np.einsum("esp,eup->esu", images, images)       # Re g_s^H rho g_u
-    if P > n_rows:
-        pair = U[..., n_rows:].conj().view(float)
-        half += np.einsum("esp,eup->esu", pair, images)     # Re g_s^T K g_u
-    pairs = half + half.transpose(0, 2, 1)          # 2 Re(...), exactly symmetric
-    deriv, phi_sq = pairs[:, :-1, :-1], pairs[:, -1, -1]
+    E, S = len(f), backend.dimension + 2
+    # products are stacked per event: a row does not depend on the block's other events
+    U = (f[:, None, :] @ B).reshape(E, S, B.shape[-1] // S)
+    np.conjugate(U[..., n_rows:], out=U[..., n_rows:])
+    # Re(conj(u) v) is a real dot of (re, im) pairs: sum them, event axis innermost
+    parts = np.ascontiguousarray(U.view(float).transpose(2, 1, 0))   # (2P, S, E)
+    half = _real_dots(parts[:2 * n_rows], parts[:2 * n_rows])       # Re g_s^H rho g_u
+    if len(parts) > 2 * n_rows:
+        half += _real_dots(parts[2 * n_rows:], parts[:2 * n_rows])  # Re g_s^T K g_u
+    pairs = half + half.transpose(1, 0, 2)          # 2 Re(...), exactly symmetric
+    deriv, phi_sq = pairs[:-1, :-1].transpose(2, 0, 1), pairs[-1, -1]
     g = metric(backend, t, x)
     inv_diag = 1.0 / np.diagonal(g, axis1=1, axis2=2)
     trace = (inv_diag * np.diagonal(deriv, axis1=1, axis2=2)).sum(axis=1)
     lagrangian = 0.5 * (trace - basis.mass ** 2 * phi_sq)
     return deriv - g * lagrangian[:, None, None]
+
+
+def _real_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_c a[c, s] b[c, u] for a, b (C, S, E), summed from zeros in c order as einsum does."""
+    out = np.zeros(a.shape[1:2] + b.shape[1:])
+    for a_c, b_c in zip(a, b):
+        out += a_c[:, None] * b_c[None]
+    return out
 
 
 def stress_field(state: FockState, basis, backend, t, x) -> np.ndarray:
@@ -121,11 +136,13 @@ def stress_field(state: FockState, basis, backend, t, x) -> np.ndarray:
         raise BackendDomainError(f"x must have shape (events, {backend.dimension})")
     t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1])
     support, A, D = moments(state)
-    M = np.concatenate([A, D]) if D.any() else A
+    # the slot factors and their products with the moments, once for all blocks
+    B = _slot_products(basis.slot_factors(t, support), np.concatenate([A, D]) if D.any() else A)
     out = np.empty((len(t),) + (backend.dimension + 1,) * 2)
     for lo in range(0, len(t), _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        out[block] = _stress_block(basis, backend, M, support, len(A), t[block], x[block])
+        B_block = B if B.ndim == 2 else B[block]  # t-dependent factors (EdS) per event
+        out[block] = _stress_block(basis, backend, B_block, support, len(A), t[block], x[block])
     return out
 
 
@@ -152,16 +169,34 @@ def total_energy(state: FockState, basis) -> float:
 
 
 def wavepacket_state(basis: MinkowskiModeBasis, x0) -> FockState:
-    """Normalized one-particle packet sum_k e^(-i k.x0)/sqrt(2 w_k) |1_k>."""
+    """Normalized one-particle packet sum_k e^(-i k.x0)/sqrt(2 w_k) |1_k>.
+
+    Built in one pass, bit for bit the ``superpose`` of the ``create``d
+    one-quantum states with ``normalize=True``: the same exact power-of-two
+    prescale (the largest |c| into [1, 2)), the same ``0j +`` sum (which
+    turns -0.0 into 0.0), then one ``normalized()``.
+    """
     if not isinstance(basis, MinkowskiModeBasis):
         raise ModeBasisError("wavepacket_state is defined for box mode bases")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (basis.backend.dimension,):
         raise ValueError("x0 must have one coordinate per spatial dimension")
     amps = np.exp(-1j * basis.wavevectors() @ x0) / np.sqrt(2.0 * basis.frequencies())
-    vac = new_vacuum(basis)
-    parts = [(amps[k], create(vac, k)) for k in range(basis.n_modes)]
-    return superpose(parts, normalize=True)
+    amps = amps.tolist()
+    k = 1 - frexp(max(map(abs, amps)))[1]
+    terms = {Occupation(((mode, 1),)): 0j + complex(ldexp(c.real, k), ldexp(c.imag, k))
+             for mode, c in enumerate(amps)}
+    return FockState(basis, terms).normalized()
+
+
+def box_lattice(backend, points_per_axis: int) -> tuple[np.ndarray, float]:
+    """The uniform lattice of ``integrated_energy``, (points_per_axis^d, d), and its cell volume."""
+    if points_per_axis < 1:
+        raise ValueError("points_per_axis must be positive")
+    L, d = backend.box_side, backend.dimension
+    axis = np.linspace(0.0, L, points_per_axis, endpoint=False)
+    lattice = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    return lattice, (L / points_per_axis) ** d
 
 
 def integrated_energy(state: FockState, basis, backend, t: float = 0.0,
@@ -169,10 +204,5 @@ def integrated_energy(state: FockState, basis, backend, t: float = 0.0,
     """Riemann sum of T_00 over a uniform box lattice at fixed time."""
     if not isinstance(basis, MinkowskiModeBasis):
         raise ModeBasisError("lattice integration is defined for box mode bases")
-    if points_per_axis < 1:
-        raise ValueError("points_per_axis must be positive")
-    L, d = backend.box_side, backend.dimension
-    axis = np.linspace(0.0, L, points_per_axis, endpoint=False)
-    lattice = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
-    cell = (L / points_per_axis) ** d
+    lattice, cell = box_lattice(backend, points_per_axis)
     return float(stress_field(state, basis, backend, t, lattice)[:, 0, 0].sum() * cell)

@@ -203,6 +203,10 @@ def test_eds_mode_domain_checks():
     with pytest.raises(ModeBasisError):
         eds_basis(comoving_volume=1.0, mass=-1.0)
     basis = eds_basis(comoving_volume=1.0, mass=1.0)
+    with pytest.raises(BackendDomainError):  # before -1/t divides by zero
+        basis.slot_factors(np.array([1.0, 0.0]))
+    with pytest.raises(BackendDomainError):
+        basis.dt_coeffs(0.0, (0, 0, 0))
     assert basis.n_modes == 1
     assert basis.dx_coeffs(1.0, (0, 0, 0)).shape == (1, 3)
     assert np.all(basis.dx_coeffs(1.0, (0, 0, 0)) == 0.0)

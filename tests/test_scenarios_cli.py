@@ -117,6 +117,32 @@ def test_run_scenario_is_deterministic():
     assert emit(a, "json") == emit(b, "json")
 
 
+def test_kg_wavepacket_walks_the_moments_once(monkeypatch):
+    """The profile, the probes and the energy lattice share one stress_field call,
+    and the lattice sum is still ``integrated_energy``'s, bit for bit."""
+    import semigrav.stress_energy as stress_energy
+    from semigrav.modes import minkowski_basis
+
+    calls = []
+    moments = stress_energy.moments
+
+    def counting(state):
+        calls.append(len(state.terms))
+        return moments(state)
+
+    monkeypatch.setattr(stress_energy, "moments", counting)
+    cfg = _small_config("kg_wavepacket")
+    report = run_scenario("kg_wavepacket", cfg)
+    assert report.passed
+    assert calls == [2 * cfg["n_max"] + 1]
+    summary = report.tables["summary"]
+    basis = minkowski_basis(cfg["box_side"], 1, cfg["mass"], cfg["n_max"])
+    state = stress_energy.wavepacket_state(basis, (cfg["x0"],))
+    lattice = stress_energy.integrated_energy(state, basis, basis.backend, 0.0,
+                                              cfg["integration_points"])
+    assert summary.rows[0][summary.columns.index("lattice_energy")] == lattice
+
+
 def test_seed_override_lands_in_report():
     report = run_scenario("minkowski_vacuum", seed=777)
     assert report.seed == 777

@@ -17,6 +17,7 @@ from semigrav.modes import (
 from semigrav.spacetime import EinsteinDeSitter, Event, Minkowski, metric
 from semigrav.stress_energy import (
     _BLOCK,
+    _slot_products,
     _stress_block,
     integrated_energy,
     moments,
@@ -247,7 +248,9 @@ def test_stress_field_on_the_state_support_matches_full_basis_and_walk():
     assert support == (basis.mode_index((1, -2, 0)),)
     wide = np.zeros((len(A), basis.n_modes), dtype=complex)
     wide[:, list(support)] = A  # the support's columns, back at full width
-    full = _stress_block(basis, basis.backend, wide, np.arange(basis.n_modes), len(A), t, x)
+    every = np.arange(basis.n_modes)
+    B = _slot_products(basis.slot_factors(t, every), wide)
+    full = _stress_block(basis, basis.backend, B, every, len(A), t, x)
     assert np.array_equal(stress_field(one, basis, basis.backend, t, x), full)
     _assert_matches_walk(one, basis, t, x)
     sparse = _sparse_state(basis, (3, 64, 120))
@@ -280,12 +283,80 @@ def test_mode_functions_are_evaluated_on_occupied_modes_only(state, occupied, mo
 def test_stress_sample_is_the_stress_field_row_bit_for_bit():
     basis = minkowski_basis(box_side=5.0, dimension=3, mass=1.0, n_max=1)
     rng = np.random.default_rng(4)
-    state = _random_state(basis, rng, n_terms=8, max_quanta=2)
+    multi_row = _random_state(basis, rng, n_terms=8, max_quanta=2)
+    one_row = create(new_vacuum(basis), 11)
+    assert len(moments(multi_row)[1]) > 1 and len(moments(one_row)[1]) == 1
     t, x = _random_events(basis, rng, _BLOCK + 3)
-    field = stress_field(state, basis, basis.backend, t, x)
-    for e in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 2):
-        sample = stress_sample(state, basis, basis.backend, Event(t[e], tuple(x[e])))
-        assert type(sample) is np.ndarray and np.array_equal(sample, field[e])
+    for state in (multi_row, one_row):
+        field = stress_field(state, basis, basis.backend, t, x)
+        for e in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 2):
+            sample = stress_sample(state, basis, basis.backend, Event(t[e], tuple(x[e])))
+            assert type(sample) is np.ndarray and np.array_equal(sample, field[e])
+
+
+def _einsum_stress(state, basis, t, x):
+    """The stress field by the per-event einsum contraction, with the slot factors
+    and B rebuilt per block: the form the component sum replaced."""
+    support, A, D = moments(state)
+    M = np.concatenate([A, D]) if D.any() else A
+    blocks = []
+    for lo in range(0, len(t), _BLOCK):
+        tb, xb = t[lo:lo + _BLOCK], x[lo:lo + _BLOCK]
+        f = basis.field_coeffs(tb, xb, support)
+        factors = basis.slot_factors(tb, support)
+        (E, n), S, P = f.shape, factors.shape[-2], len(M)
+        B = np.moveaxis(factors[..., None] * M.T, -3, -2).reshape(factors.shape[:-2] + (n, S * P))
+        U = (f[:, None, :] @ B).reshape(E, S, P)
+        images = U[..., :len(A)].view(float)
+        half = np.einsum("esp,eup->esu", images, images)
+        if P > len(A):
+            pair = U[..., len(A):].conj().view(float)
+            half += np.einsum("esp,eup->esu", pair, images)
+        pairs = half + half.transpose(0, 2, 1)
+        deriv, phi_sq = pairs[:, :-1, :-1], pairs[:, -1, -1]
+        g = metric(basis.backend, tb, xb)
+        inv_diag = 1.0 / np.diagonal(g, axis1=1, axis2=2)
+        trace = (inv_diag * np.diagonal(deriv, axis1=1, axis2=2)).sum(axis=1)
+        lagrangian = 0.5 * (trace - basis.mass ** 2 * phi_sq)
+        blocks.append(deriv - g * lagrangian[:, None, None])
+    return np.concatenate(blocks)
+
+
+def _vacuum_plus_pair(basis, mode):
+    """The vacuum plus two quanta in one mode: one row, p = |1_mode>, with D != 0."""
+    vac = new_vacuum(basis)
+    return superpose([(1.0, vac), (0.6 - 0.8j, create(create(vac, mode), mode))], normalize=True)
+
+
+_DUST = eds_basis(comoving_volume=60.0, mass=3.0)
+_CUBE = minkowski_basis(box_side=5.0, dimension=3, mass=1.0, n_max=1)
+_LINE = minkowski_basis(box_side=7.0, dimension=1, mass=0.5, n_max=4)
+
+
+@pytest.mark.parametrize("state, rows, pair", [
+    (new_vacuum(_CUBE), 0, False),
+    (create(new_vacuum(_CUBE), 5), 1, False),
+    (create(new_vacuum(_CUBE), _CUBE.mode_index((0, 0, 0))), 1, False),
+    (create(create(new_vacuum(_LINE), 2), 2).normalized(), 1, False),
+    (_vacuum_plus_pair(_LINE, 6), 1, True),
+    (create(new_vacuum(_DUST), 0), 1, False),
+    (_vacuum_plus_pair(_DUST, 0), 1, True),
+    (_random_state(_CUBE, np.random.default_rng(4), n_terms=8, max_quanta=2), None, True),
+    (_random_state(_LINE, np.random.default_rng(5), n_terms=6, max_quanta=3), None, True),
+], ids=["vacuum", "one-quantum-3d", "zero-mode-3d", "two-quanta-1d", "vacuum-plus-pair-1d",
+        "one-quantum-eds", "vacuum-plus-pair-eds", "random-3d", "random-1d"])
+def test_component_sum_matches_the_einsum_contraction(state, rows, pair):
+    """Bit for bit with at most one row of A; within rounding of the state's scale above."""
+    basis = state.basis
+    _, A, D = moments(state)
+    assert (len(A) == rows if rows is not None else len(A) > 1) and D.any() == pair
+    t, x = _random_events(basis, np.random.default_rng(len(A)), 2 * _BLOCK + 7)
+    got = stress_field(state, basis, basis.backend, t, x)
+    want = _einsum_stress(state, basis, t, x)
+    if rows is not None:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
+    else:
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_moments_match_ladder_products():
@@ -486,6 +557,36 @@ def test_wavepacket_energy_density_is_localized():
     assert at_center > 10.0 * abs(far)
     total = integrated_energy(psi, basis, basis.backend, t=0.0, points_per_axis=64)
     assert_allclose(total, total_energy(psi, basis), rtol=1e-10)
+
+
+def _superposed_packet(basis, x0):
+    """The packet as the ``superpose`` of ``create``d one-quantum states."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    amps = np.exp(-1j * basis.wavevectors() @ x0) / np.sqrt(2.0 * basis.frequencies())
+    vac = new_vacuum(basis)
+    return superpose([(amps[k], create(vac, k)) for k in range(basis.n_modes)], normalize=True)
+
+
+@pytest.mark.parametrize("basis, x0", [
+    (minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=128), (3.7,)),
+    (minkowski_basis(box_side=10.0, dimension=3, mass=1.0, n_max=2), (1.0, 8.5, 4.25)),
+    (minkowski_basis(box_side=6.0, dimension=1, mass=0.0, n_max=9), (0.0,)),
+    (minkowski_basis(box_side=3.0, dimension=2, mass=0.7, n_max=3), (0.0, 2.9)),
+    # amplitudes near 1e-20 would fall under DROP_TOL without the prescale
+    (minkowski_basis(box_side=1e-40, dimension=1, mass=0.0, n_max=3), (0.0,)),
+    (minkowski_basis(box_side=10.0, dimension=1, mass=1e40, n_max=2), (4.0,)),
+    (minkowski_basis(box_side=1e90, dimension=1, mass=0.0, n_max=4), (2e89,)),
+    # some phases come out -0.0, which superpose's sum from 0j turns into 0.0
+    (minkowski_basis(box_side=6.0, dimension=3, mass=1.0, n_max=2), (1e-320,) * 3),
+], ids=["1d-nmax128", "3d-nmax2", "massless-1d", "2d", "tiny-box", "heavy", "huge-box",
+        "signed-zero"])
+def test_wavepacket_state_is_the_superposed_packet_bit_for_bit(basis, x0):
+    def bits(state):
+        return [(occ, amp.real.hex(), amp.imag.hex()) for occ, amp in state.terms.items()]
+
+    got, want = wavepacket_state(basis, x0), _superposed_packet(basis, x0)
+    assert len(got.terms) == basis.n_modes
+    assert bits(got) == bits(want)  # same order, same bits, same signed zeros
 
 
 # ---- input validation -----------------------------------------------------------
