@@ -38,7 +38,6 @@ from .modes import (
     eds_k0_mode,
     minkowski_basis,
     rindler_basis,
-    wedge_kg_inner,
 )
 from .bogolubov import (
     BogolubovMatrix,

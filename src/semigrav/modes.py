@@ -1,9 +1,13 @@
 """Mode bases for the quantized scalar field on each background.
 
 A mode basis assigns dense integer indices to a finite set of positive-
-frequency solutions of the Klein-Gordon equation and exposes the complex
-mode-function coefficients (and their first derivatives) needed to assemble
-field operators at a spacetime event.
+frequency solutions of the Klein-Gordon equation.  The box and dust bases
+expose the complex mode-function coefficients (and their first derivatives)
+needed to assemble field operators at a spacetime event.  The wedge basis is
+its validated frequency grid: its modes are the sharp right-movers
+(a x)^(i w / a) / sqrt(4 pi w) on the t = 0 slice, which ``bogolubov``
+pairs with box modes in closed form, with the finite-window normalization
+in ``bogolubov``'s column weights.
 """
 from __future__ import annotations
 
@@ -24,7 +28,6 @@ __all__ = [
     "eds_k0_mode",
     "rindler_basis",
     "default_rindler_grid",
-    "wedge_kg_inner",
 ]
 
 
@@ -112,8 +115,8 @@ class MinkowskiModeBasis:
 
 
 def minkowski_basis(box_side: float, dimension: int, mass: float, n_max: int) -> MinkowskiModeBasis:
-    if mass < 0.0:
-        raise ModeBasisError("mass must be non-negative")
+    if not (0.0 <= mass < np.inf):
+        raise ModeBasisError("mass must be non-negative and finite")
     if n_max < 0:
         raise ModeBasisError("n_max must be non-negative")
     if mass == 0.0 and n_max == 0:
@@ -168,71 +171,45 @@ class EdSModeBasis:
 
 
 def eds_basis(comoving_volume: float, mass: float) -> EdSModeBasis:
-    if not (mass > 0.0):
-        raise ModeBasisError("mass must be positive")
+    if not (0.0 < mass < np.inf):
+        raise ModeBasisError("mass must be positive and finite")
     return EdSModeBasis(backend=EinsteinDeSitter(comoving_volume=comoving_volume), mass=mass)
 
 
 @dataclass(frozen=True)
 class RindlerModeBasis:
-    """Right-wedge massless modes, positive frequency in wedge time tau.
+    """Right-wedge massless right-movers, positive frequency in wedge time tau.
 
-    Right-movers g_j(tau, xi) = exp(-i w_j (tau - xi)) / sqrt(4 w_j Xi),
-    normalized so the Klein-Gordon self-inner-product over the window
-    xi in [-Xi, Xi] equals +1.
+    The basis is its frequency grid: on the t = 0 slice mode j is the sharp
+    g_j(x) = (a x)^(i w_j / a) / sqrt(4 pi w_j), x > 0, and ``bogolubov``
+    pairs it with the box modes in closed form; the finite-window
+    normalization lives in ``bogolubov``'s column weights.
     """
 
     backend: Rindler2D
     omegas: tuple[float, ...]
-    xi_halfwidth: float
 
     @property
     def n_modes(self) -> int:
         return len(self.omegas)
 
-    def mode_function(self, j: int, tau: float, xi) -> np.ndarray:
-        w = self.omegas[j]
-        xi = np.asarray(xi, dtype=float)
-        return np.exp(-1j * w * (tau - xi)) / np.sqrt(4.0 * w * self.xi_halfwidth)
 
-    def dtau_mode(self, j: int, tau: float, xi) -> np.ndarray:
-        return -1j * self.omegas[j] * self.mode_function(j, tau, xi)
-
-
-def rindler_basis(acceleration: float, omegas, xi_halfwidth: float | None = None) -> RindlerModeBasis:
+def rindler_basis(acceleration: float, omegas) -> RindlerModeBasis:
+    if acceleration == np.inf:  # Rindler2D rejects NaN and a <= 0
+        raise ModeBasisError("acceleration must be finite")
     backend = Rindler2D(acceleration=acceleration)
     omegas = tuple(float(w) for w in omegas)
     if not omegas:
         raise ModeBasisError("Rindler basis needs at least one frequency")
-    if any(w <= 0.0 for w in omegas):
-        raise ModeBasisError("Rindler frequencies must be positive")
+    if not all(0.0 < w < np.inf for w in omegas):
+        raise ModeBasisError("Rindler frequencies must be positive and finite")
     if any(b <= a for a, b in zip(omegas, omegas[1:])):
         raise ModeBasisError("Rindler frequency grid must be strictly increasing")
-    if xi_halfwidth is None:
-        xi_halfwidth = 20.0 / acceleration
-    if not (xi_halfwidth > 0.0):
-        raise ModeBasisError("xi_halfwidth must be positive")
-    return RindlerModeBasis(backend=backend, omegas=omegas, xi_halfwidth=xi_halfwidth)
+    return RindlerModeBasis(backend=backend, omegas=omegas)
 
 
-def default_rindler_grid(acceleration: float, n: int = 16, lo: float = 0.1, hi: float = 3.0) -> np.ndarray:
-    """Log-spaced wedge frequencies in [lo*a, hi*a] (16 points by default)."""
+def default_rindler_grid(acceleration: float, n: int = 16) -> np.ndarray:
+    """Log-spaced wedge frequencies in [0.1 a, 3 a] (16 points by default)."""
     if n < 1:
         raise ModeBasisError("grid needs at least one point")
-    return np.geomspace(lo * acceleration, hi * acceleration, n)
-
-
-def wedge_kg_inner(basis: RindlerModeBasis, i: int, j: int, n_points: int = 2001) -> complex:
-    """Klein-Gordon inner product (g_i, g_j) over the wedge window at tau = 0.
-
-    In the conformal chart the measure factors cancel, leaving
-    i Integral dxi [conj(g_i) dtau g_j - conj(dtau g_i) g_j], evaluated here
-    with a composite trapezoid rule.
-    """
-    xi = np.linspace(-basis.xi_halfwidth, basis.xi_halfwidth, n_points)
-    gi = basis.mode_function(i, 0.0, xi)
-    gj = basis.mode_function(j, 0.0, xi)
-    dgi = basis.dtau_mode(i, 0.0, xi)
-    dgj = basis.dtau_mode(j, 0.0, xi)
-    integrand = 1j * (np.conj(gi) * dgj - np.conj(dgi) * gj)
-    return complex(np.trapezoid(integrand, xi))
+    return np.geomspace(0.1 * acceleration, 3.0 * acceleration, n)

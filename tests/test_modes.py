@@ -13,7 +13,6 @@ from semigrav.modes import (
     eds_k0_mode,
     minkowski_basis,
     rindler_basis,
-    wedge_kg_inner,
 )
 from semigrav.spacetime import BackendDomainError
 
@@ -88,6 +87,9 @@ def test_massless_basis_excludes_zero_mode():
         massless.mode_index((0, 0))
     with pytest.raises(ModeBasisError):
         minkowski_basis(box_side=10.0, dimension=1, mass=0.0, n_max=0)
+    for mass in [-1.0, np.nan, np.inf]:
+        with pytest.raises(ModeBasisError):
+            minkowski_basis(box_side=10.0, dimension=1, mass=mass, n_max=1)
 
 
 def _enumerated_labels(dimension, mass, n_max):
@@ -200,8 +202,9 @@ def test_eds_mode_domain_checks():
         eds_k0_mode(0.0, 1.0, 1.0)
     with pytest.raises(ModeBasisError):
         eds_k0_mode(1.0, 0.0, 1.0)
-    with pytest.raises(ModeBasisError):
-        eds_basis(comoving_volume=1.0, mass=-1.0)
+    for mass in [-1.0, np.nan, np.inf]:
+        with pytest.raises(ModeBasisError):
+            eds_basis(comoving_volume=1.0, mass=mass)
     basis = eds_basis(comoving_volume=1.0, mass=1.0)
     with pytest.raises(BackendDomainError):  # before -1/t divides by zero
         basis.slot_factors(np.array([1.0, 0.0]))
@@ -214,38 +217,6 @@ def test_eds_mode_domain_checks():
 
 # ---- Rindler wedge ----------------------------------------------------------
 
-def test_wedge_modes_are_null_right_movers():
-    basis = rindler_basis(acceleration=1.0, omegas=(0.5, 1.0, 2.0))
-    tau, xi = 0.7, -0.3
-    for j in range(basis.n_modes):
-        g0 = basis.mode_function(j, tau, xi)
-        g1 = basis.mode_function(j, tau + 0.25, xi + 0.25)  # constant on tau - xi
-        assert_allclose(g0, g1, rtol=1e-12)
-        # d'Alembert equation in the conformal chart, by finite differences
-        g = lambda a, b: basis.mode_function(j, a, b)
-        dtt = (g(tau + H, xi) - 2.0 * g(tau, xi) + g(tau - H, xi)) / H**2
-        dxx = (g(tau, xi + H) - 2.0 * g(tau, xi) + g(tau, xi - H)) / H**2
-        assert abs(dtt - dxx) < 1e-6 * (1.0 + basis.omegas[j] ** 2) * abs(g0)
-
-
-def test_wedge_inner_product_diagonal_unity():
-    basis = rindler_basis(acceleration=2.0, omegas=tuple(default_rindler_grid(2.0, n=6)))
-    for j in range(basis.n_modes):
-        assert_allclose(wedge_kg_inner(basis, j, j), 1.0, atol=1e-10)
-
-
-def test_wedge_inner_product_off_diagonal_suppressed():
-    basis = rindler_basis(acceleration=1.0, omegas=(0.5, 1.0, 2.0), xi_halfwidth=40.0)
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            dw = abs(basis.omegas[i] - basis.omegas[j])
-            wsum = basis.omegas[i] + basis.omegas[j]
-            bound = wsum / (2.0 * dw * 40.0 * np.sqrt(basis.omegas[i] * basis.omegas[j]))
-            assert abs(wedge_kg_inner(basis, i, j)) <= bound * 1.01
-
-
 def test_rindler_basis_validation():
     with pytest.raises(ModeBasisError):
         rindler_basis(1.0, ())
@@ -253,14 +224,18 @@ def test_rindler_basis_validation():
         rindler_basis(1.0, (1.0, 0.5))
     with pytest.raises(ModeBasisError):
         rindler_basis(1.0, (-1.0, 0.5))
+    for omegas in [(np.nan,), (1.0, np.nan), (1.0, np.inf)]:
+        with pytest.raises(ModeBasisError):
+            rindler_basis(1.0, omegas)
     with pytest.raises(ModeBasisError):
-        rindler_basis(1.0, (1.0, 2.0), xi_halfwidth=0.0)
+        rindler_basis(np.inf, (1.0, 2.0))
     basis = rindler_basis(3.0, (1.0, 2.0))
-    assert_allclose(basis.xi_halfwidth, 20.0 / 3.0)
+    assert basis.backend.acceleration == 3.0
+    assert basis.omegas == (1.0, 2.0)
 
 
 def test_default_grid_is_log_spaced():
-    grid = default_rindler_grid(2.0, n=16, lo=0.1, hi=3.0)
+    grid = default_rindler_grid(2.0, n=16)
     assert grid.shape == (16,)
     assert_allclose(grid[0], 0.2)
     assert_allclose(grid[-1], 6.0)

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from semigrav.fock import (
-    FockState, Occupation, annihilate, create, inner, new_vacuum, superpose,
+    BasisMismatchError, FockState, Occupation, annihilate, create, inner, new_vacuum, superpose,
 )
 from semigrav.modes import (
     MinkowskiModeBasis, ModeBasisError, eds_basis, minkowski_basis, rindler_basis,
 )
-from semigrav.spacetime import EinsteinDeSitter, Event, Minkowski, metric
+from semigrav.spacetime import BackendDomainError, EinsteinDeSitter, Event, Minkowski, metric
 from semigrav.stress_energy import (
     _BLOCK,
     _slot_products,
@@ -595,14 +595,14 @@ def test_stress_sample_rejects_mismatched_inputs():
     basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)
     other = minkowski_basis(box_side=10.0, dimension=1, mass=2.0, n_max=1)
     vac = new_vacuum(basis)
-    with pytest.raises(Exception):
+    rb = rindler_basis(1.0, (1.0, 2.0))
+    with pytest.raises(BasisMismatchError):
         stress_sample(new_vacuum(other), basis, basis.backend, Event(0.0, (0.0,)))
-    with pytest.raises(Exception):
+    with pytest.raises(BasisMismatchError):
         stress_sample(vac, basis, Minkowski(dimension=2, box_side=10.0), Event(0.0, (0.0,)))
     with pytest.raises(ModeBasisError):
-        rb = rindler_basis(1.0, (1.0, 2.0))
         stress_sample(vac, rb, rb.backend, Event(0.0, (0.0,)))
-    with pytest.raises(Exception):
+    with pytest.raises(BackendDomainError):
         stress_sample(vac, basis, basis.backend, Event(0.0, (0.0, 0.0)))
 
 
