@@ -1,8 +1,11 @@
 """Sparse Fock states over a finite mode basis.
 
-States are stored as a map ``Occupation -> complex amplitude`` keeping only
-non-zero entries, so that ladder operators, inner products and number
-expectations cost O(non-zero terms) rather than O(Fock dimension).
+An occupation is its tuple of sorted ``(mode, count)`` pairs with counts
+>= 1 (the vacuum is ``()``), so the Fock dicts keyed by it hash and compare
+in C; ``bump`` shifts one count by splicing the tuple.  States are stored as
+a map ``occupation -> complex amplitude`` keeping only non-zero entries, so
+that ladder operators, inner products and number expectations cost
+O(non-zero terms) rather than O(Fock dimension).
 
 States are immutable values: every operation returns a new ``FockState``.
 Amplitudes with magnitude at or below ``DROP_TOL`` are dropped on
@@ -10,8 +13,9 @@ construction (exact cancellations therefore yield the empty zero state).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import frexp, ldexp, sqrt
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 __all__ = [
     "DROP_TOL",
@@ -20,6 +24,7 @@ __all__ = [
     "ZeroNormError",
     "Occupation",
     "FockState",
+    "bump",
     "new_vacuum",
     "create",
     "annihilate",
@@ -40,58 +45,17 @@ class ZeroNormError(ValueError):
     """Raised when a normalization is requested for a (numerically) zero state."""
 
 
-class Occupation(NamedTuple):
-    """Occupation-number vector: sorted ``(mode, count)`` pairs, counts >= 1.
-
-    A tuple, so that the Fock dicts keyed by it hash and compare in C.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def from_counts(counts: Mapping[int, int]) -> "Occupation":
-        items = []
-        for mode, count in counts.items():
-            if count < 0:
-                raise ValueError(f"negative occupation for mode {mode}")
-            if count > 0:
-                items.append((int(mode), int(count)))
-        return Occupation(tuple(sorted(items)))
-
-    def count(self, mode: int) -> int:
-        for m, c in self.pairs:
-            if m == mode:
-                return c
-        return 0
-
-    def bump(self, mode: int, delta: int) -> "Occupation":
-        """New occupation with ``mode`` count shifted by ``delta``."""
-        counts = dict(self.pairs)
-        new = counts.get(mode, 0) + delta
-        if new < 0:
-            raise ValueError("occupation cannot go negative")
-        if new == 0:
-            counts.pop(mode, None)
-        else:
-            counts[mode] = new
-        return Occupation(tuple(sorted(counts.items())))
-
-    def total(self) -> int:
-        return sum(c for _, c in self.pairs)
+Occupation = tuple[tuple[int, int], ...]  # sorted (mode, count) pairs, counts >= 1
 
 
-VACUUM_OCCUPATION = Occupation(())
-
-
-def _mode_count(basis) -> int:
-    try:
-        return int(basis.n_modes)
-    except AttributeError as exc:  # pragma: no cover - defensive
-        raise TypeError("basis object must expose n_modes") from exc
-
-
-def _same_basis(a, b) -> bool:
-    return a is b or a == b
+def bump(occ: Occupation, mode: int, delta: int) -> Occupation:
+    """``occ`` with the count of ``mode`` shifted by ``delta``, spliced in sort order."""
+    i = bisect_left(occ, (mode,))  # (mode,) sorts before every (mode, count)
+    j = i + 1 if i < len(occ) and occ[i][0] == mode else i
+    new = (occ[i][1] if j > i else 0) + delta
+    if new < 0:
+        raise ValueError("occupation cannot go negative")
+    return occ[:i] + (((mode, new),) if new else ()) + occ[j:]
 
 
 class FockState:
@@ -101,21 +65,17 @@ class FockState:
 
     def __init__(self, basis, terms: Mapping[Occupation, complex]):
         cleaned: dict[Occupation, complex] = {}
-        n = _mode_count(basis)
+        n = basis.n_modes
         for occ, amp in terms.items():
             amp = complex(amp)
             if abs(amp) <= DROP_TOL:
                 continue
-            if occ.pairs and (occ.pairs[0][0] < 0 or occ.pairs[-1][0] >= n):
-                mode = occ.pairs[0][0] if occ.pairs[0][0] < 0 else occ.pairs[-1][0]
+            if occ and (occ[0][0] < 0 or occ[-1][0] >= n):
+                mode = occ[0][0] if occ[0][0] < 0 else occ[-1][0]
                 raise BasisMismatchError(f"mode index {mode} outside basis with {n} modes")
             cleaned[occ] = amp
         self.basis = basis
         self.terms = cleaned
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def norm(self) -> float:
         return sqrt(sum(abs(a) ** 2 for a in self.terms.values()))
@@ -126,55 +86,49 @@ class FockState:
             raise ZeroNormError("cannot normalize a zero state")
         return FockState(self.basis, {o: a / n for o, a in self.terms.items()})
 
-    def amplitude(self, occ: Occupation) -> complex:
-        return self.terms.get(occ, 0.0 + 0.0j)
-
     def __repr__(self):  # pragma: no cover - debugging aid
-        parts = ", ".join(f"{o.pairs}: {a:.3g}" for o, a in sorted(self.terms.items(), key=lambda kv: kv[0].pairs))
+        parts = ", ".join(f"{o}: {a:.3g}" for o, a in sorted(self.terms.items()))
         return f"FockState({{{parts}}})"
 
 
 def new_vacuum(basis) -> FockState:
-    return FockState(basis, {VACUUM_OCCUPATION: 1.0 + 0.0j})
+    return FockState(basis, {(): 1.0 + 0.0j})
 
 
 def _check_mode(state: FockState, mode: int) -> None:
-    n = _mode_count(state.basis)
+    n = state.basis.n_modes
     if not (0 <= mode < n):
         raise BasisMismatchError(f"mode index {mode} outside basis with {n} modes")
 
 
-def _apply_ladder(state: FockState, mode: int, kind: str) -> FockState:
-    """Apply a_mode ("annihilate") or a_mode^dagger ("create") to ``state``.
+def _apply_ladder(state: FockState, mode: int, delta: int) -> FockState:
+    """Apply a_mode^dagger (``delta`` +1) or a_mode (``delta`` -1) to ``state``.
 
-    create:     amp -> amp * sqrt(n+1) on n -> n+1
-    annihilate: amp -> amp * sqrt(n)   on n -> n-1 (n = 0 terms vanish)
+    The matrix element is the square root of the larger count of the pair:
+    sqrt(n+1) on n -> n+1, sqrt(n) on n -> n-1 (n = 0 terms vanish).
     """
     _check_mode(state, mode)
     out: dict[Occupation, complex] = {}
     for occ, amp in state.terms.items():
-        n = occ.count(mode)
-        if kind == "create":
-            new_occ, factor = occ.bump(mode, +1), sqrt(n + 1.0)
-        else:
-            if n == 0:
-                continue
-            new_occ, factor = occ.bump(mode, -1), sqrt(n)
-        out[new_occ] = out.get(new_occ, 0.0 + 0.0j) + amp * factor
+        n = dict(occ).get(mode, 0)
+        if n + delta < 0:
+            continue
+        new_occ = bump(occ, mode, delta)
+        out[new_occ] = out.get(new_occ, 0.0 + 0.0j) + amp * sqrt(max(n, n + delta))
     return FockState(state.basis, out)
 
 
 def create(state: FockState, mode: int) -> FockState:
-    return _apply_ladder(state, mode, "create")
+    return _apply_ladder(state, mode, +1)
 
 
 def annihilate(state: FockState, mode: int) -> FockState:
-    return _apply_ladder(state, mode, "annihilate")
+    return _apply_ladder(state, mode, -1)
 
 
 def inner(a: FockState, b: FockState) -> complex:
     """Hermitian inner product <a|b> (antilinear in the first argument)."""
-    if not _same_basis(a.basis, b.basis):
+    if a.basis != b.basis:
         raise BasisMismatchError("states live over different mode bases")
     if len(b.terms) < len(a.terms):
         return complex(sum(b.terms[o].conjugate() * a.terms[o] for o in b.terms if o in a.terms)).conjugate()
@@ -187,7 +141,7 @@ def number_expectation(state: FockState, mode: int) -> float:
     nrm = state.norm()
     if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"number_expectation requires a normalized state (norm={nrm:.6g})")
-    return float(sum(abs(amp) ** 2 * occ.count(mode) for occ, amp in state.terms.items()))
+    return float(sum(abs(amp) ** 2 * dict(occ).get(mode, 0) for occ, amp in state.terms.items()))
 
 
 def superpose(parts: Iterable[tuple[complex, FockState]], normalize: bool = False) -> FockState:
@@ -206,7 +160,7 @@ def superpose(parts: Iterable[tuple[complex, FockState]], normalize: bool = Fals
                  for c, (_, st) in zip(coeffs, parts)]
     acc: dict[Occupation, complex] = {}
     for coeff, st in parts:
-        if not _same_basis(st.basis, basis):
+        if st.basis != basis:
             raise BasisMismatchError("superpose mixes states over different bases")
         c = complex(coeff)
         for occ, amp in st.terms.items():

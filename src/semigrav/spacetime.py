@@ -45,8 +45,8 @@ class Minkowski:
     def __post_init__(self):
         if self.dimension < 1:
             raise BackendDomainError("dimension must be >= 1")
-        if not (self.box_side > 0.0):
-            raise BackendDomainError("box_side must be positive")
+        if not (0.0 < self.box_side < np.inf):
+            raise BackendDomainError("box_side must be positive and finite")
 
     @property
     def spatial_volume(self) -> float:
@@ -64,8 +64,8 @@ class EinsteinDeSitter:
     comoving_volume: float
 
     def __post_init__(self):
-        if not (self.comoving_volume > 0.0):
-            raise BackendDomainError("comoving_volume must be positive")
+        if not (0.0 < self.comoving_volume < np.inf):
+            raise BackendDomainError("comoving_volume must be positive and finite")
 
     @property
     def dimension(self) -> int:

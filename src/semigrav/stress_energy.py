@@ -31,7 +31,7 @@ from math import frexp, ldexp, sqrt
 
 import numpy as np
 
-from .fock import NORM_TOL, BasisMismatchError, FockState, Occupation
+from .fock import NORM_TOL, BasisMismatchError, FockState, bump
 from .modes import EdSModeBasis, MinkowskiModeBasis, ModeBasisError
 from .spacetime import BackendDomainError, Event, metric
 
@@ -59,10 +59,10 @@ def moments(state: FockState) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     its two-point moments, rho = A^H A and K = D^T A, one column per support mode."""
     rows: dict = {}  # once-lowered occupation p -> ({l: A_pl}, {k: D_pk})
     for occ, amp in state.terms.items():
-        for mode, count in occ.pairs:
-            p = occ.bump(mode, -1)
+        for mode, count in occ:
+            p = bump(occ, mode, -1)
             if p not in rows:  # D_pk = sqrt(n_k) conj(<p - e_k|Psi>)
-                twice = ((k, n, state.terms.get(p.bump(k, -1))) for k, n in p.pairs)
+                twice = ((k, n, state.terms.get(bump(p, k, -1))) for k, n in p)
                 rows[p] = ({}, {k: sqrt(n) * c.conjugate() for k, n, c in twice if c is not None})
             rows[p][0][mode] = amp * sqrt(count)
     support = tuple(sorted({mode for a_row, _ in rows.values() for mode in a_row}))
@@ -158,12 +158,12 @@ def total_energy(state: FockState, basis) -> float:
     if state.basis != basis:
         raise BasisMismatchError("state lives on a different basis")
     _require_normalized(state)
-    occupied = list({mode for occ in state.terms for mode, _ in occ.pairs})
+    occupied = list({mode for occ in state.terms for mode, _ in occ})
     omega = dict(zip(occupied, basis.frequencies(occupied).tolist()))
     total = 0.0
     for occ, amp in state.terms.items():
         weight = abs(amp) ** 2
-        for mode, count in occ.pairs:
+        for mode, count in occ:
             total += weight * count * omega[mode]
     return float(total)
 
@@ -184,7 +184,7 @@ def wavepacket_state(basis: MinkowskiModeBasis, x0) -> FockState:
     amps = np.exp(-1j * basis.wavevectors() @ x0) / np.sqrt(2.0 * basis.frequencies())
     amps = amps.tolist()
     k = 1 - frexp(max(map(abs, amps)))[1]
-    terms = {Occupation(((mode, 1),)): 0j + complex(ldexp(c.real, k), ldexp(c.imag, k))
+    terms = {((mode, 1),): 0j + complex(ldexp(c.real, k), ldexp(c.imag, k))
              for mode, c in enumerate(amps)}
     return FockState(basis, terms).normalized()
 

@@ -852,10 +852,11 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert leaks == []
 
 
-# public names that only tests call, each kept on purpose
+# public names (``Class.method`` for methods) that only tests call, each kept on purpose
 _ORACLE_NAMES = {
     "project": "the single-trial path that run_trials is checked against",
     "constrained_project": "the causality-gated single trial, the gate's user-facing form",
+    "BogolubovMatrix.beta": "the closed-form beta rows the quadrature oracle is checked against",
 }
 
 
@@ -882,11 +883,21 @@ def _names_read(tree, skip=None) -> set:
     return found
 
 
+def _public_methods(tree):
+    """(class, method, definition span) of every public method and property
+    defined in the top-level classes of ``tree``."""
+    return [(cls.name, fn.name, (fn.lineno, fn.end_lineno))
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+
+
 def test_every_public_name_has_a_user():
-    """A name bound in semigrav/__init__.py or listed in a module's __all__ is
-    bound in that module and read by a package module outside its own
-    definition, by bench/, by the acceptance gate, or is a named oracle; a
-    named oracle is an exported name that nothing of those reads."""
+    """A name bound in semigrav/__init__.py or listed in a module's __all__, or
+    a public method or property of a class the package defines, is bound in
+    its module and read by a package module outside its own definition, by
+    bench/, by the acceptance gate, or is a named oracle; a named oracle is a
+    public name that nothing of those reads."""
     root = Path(__file__).resolve().parents[1]
     package = root / "src" / "semigrav"
 
@@ -908,10 +919,14 @@ def test_every_public_name_has_a_user():
     outside = set().union(*(_names_read(parse(path)) for path in
                             [*sorted((root / "bench").glob("*.py")),
                              root / "tests" / "test_acceptance.py"]))
+
+    def read(name, home, span):
+        return name in outside or any(name in _names_read(tree, span if stem == home else None)
+                                      for stem, tree in modules.items())
+
     unread = {name for name, home in exports
-              if name not in outside
-              and not any(name in _names_read(tree, _definition_span(tree, name)
-                                              if stem == home else None)
-                          for stem, tree in modules.items())}
+              if not read(name, home, _definition_span(modules[home], name))}
+    unread |= {f"{cls}.{name}" for home, tree in modules.items()
+               for cls, name, span in _public_methods(tree) if not read(name, home, span)}
     assert sorted(unread - set(_ORACLE_NAMES)) == []
     assert sorted(set(_ORACLE_NAMES) - unread) == []  # a stale or needless exemption

@@ -106,6 +106,16 @@ def test_invalid_backend_parameters_rejected():
         EinsteinDeSitter(comoving_volume=0.0)
     with pytest.raises(BackendDomainError):
         Rindler2D(acceleration=0.0)
+    # an infinite box normalizes every mode to zero: a one-quantum state
+    # would have exactly zero stress rather than an error
+    with pytest.raises(BackendDomainError, match="box_side must be positive and finite"):
+        Minkowski(box_side=float("inf"))
+    with pytest.raises(BackendDomainError, match="comoving_volume must be positive and finite"):
+        EinsteinDeSitter(comoving_volume=float("inf"))
+    with pytest.raises(BackendDomainError):
+        Minkowski(box_side=float("nan"))
+    with pytest.raises(BackendDomainError):
+        EinsteinDeSitter(comoving_volume=float("nan"))
 
 
 # ---- light cone ------------------------------------------------------------
