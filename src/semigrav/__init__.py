@@ -63,10 +63,8 @@ from .measurement import (
     Branch,
     BranchSet,
     CausalityReport,
-    EPRResult,
     MeasurementEvent,
     NoAdmissibleCausalBranch,
-    PageGeilkerResult,
     TrialBatch,
     ZeroOverlapError,
     born_probabilities,
@@ -75,8 +73,6 @@ from .measurement import (
     gaussian_bump,
     profile_mixture,
     project,
-    run_epr_scenario,
-    run_page_geilker,
     run_trials,
     trial_rng,
 )

@@ -1,11 +1,12 @@
 """Sparse Fock states over a finite mode basis.
 
-An occupation is its tuple of sorted ``(mode, count)`` pairs with counts
->= 1 (the vacuum is ``()``), so the Fock dicts keyed by it hash and compare
-in C; ``bump`` shifts one count by splicing the tuple.  States are stored as
-a map ``occupation -> complex amplitude`` keeping only non-zero entries, so
-that ladder operators, inner products and number expectations cost
-O(non-zero terms) rather than O(Fock dimension).
+An occupation is its tuple of ``(mode, count)`` pairs, modes strictly
+increasing and counts >= 1 (the vacuum is ``()``; ``FockState`` rejects any
+other key), so the Fock dicts keyed by it hash and compare in C.  A count is
+read by bisection, and ``bump`` shifts it by splicing the tuple.  States are
+stored as a map ``occupation -> complex amplitude`` keeping only non-zero
+entries, so that ladder operators, inner products and number expectations
+cost O(non-zero terms) rather than O(Fock dimension).
 
 States are immutable values: every operation returns a new ``FockState``.
 Amplitudes with magnitude at or below ``DROP_TOL`` are dropped on
@@ -48,14 +49,18 @@ class ZeroNormError(ValueError):
 Occupation = tuple[tuple[int, int], ...]  # sorted (mode, count) pairs, counts >= 1
 
 
+def _find(occ: Occupation, mode: int) -> tuple[int, int]:
+    """The slot of ``mode`` in ``occ`` (where it is or would go) and its count."""
+    i = bisect_left(occ, (mode,))  # (mode,) sorts before every (mode, count)
+    return i, (occ[i][1] if i < len(occ) and occ[i][0] == mode else 0)
+
+
 def bump(occ: Occupation, mode: int, delta: int) -> Occupation:
     """``occ`` with the count of ``mode`` shifted by ``delta``, spliced in sort order."""
-    i = bisect_left(occ, (mode,))  # (mode,) sorts before every (mode, count)
-    j = i + 1 if i < len(occ) and occ[i][0] == mode else i
-    new = (occ[i][1] if j > i else 0) + delta
-    if new < 0:
+    i, n = _find(occ, mode)
+    if n + delta < 0:
         raise ValueError("occupation cannot go negative")
-    return occ[:i] + (((mode, new),) if new else ()) + occ[j:]
+    return occ[:i] + (((mode, n + delta),) if n + delta else ()) + occ[i + (n > 0):]
 
 
 class FockState:
@@ -70,9 +75,16 @@ class FockState:
             amp = complex(amp)
             if abs(amp) <= DROP_TOL:
                 continue
-            if occ and (occ[0][0] < 0 or occ[-1][0] >= n):
-                mode = occ[0][0] if occ[0][0] < 0 else occ[-1][0]
-                raise BasisMismatchError(f"mode index {mode} outside basis with {n} modes")
+            prev = -1  # modes must rise from 0, so the last one bounds them all
+            for mode, count in occ:
+                if mode <= prev or count < 1:
+                    if mode < 0:
+                        raise BasisMismatchError(f"mode index {mode} outside basis with {n} modes")
+                    raise ValueError(f"occupation {occ} needs strictly increasing modes "
+                                     "and counts >= 1")
+                prev = mode
+            if prev >= n:
+                raise BasisMismatchError(f"mode index {prev} outside basis with {n} modes")
             cleaned[occ] = amp
         self.basis = basis
         self.terms = cleaned
@@ -110,7 +122,7 @@ def _apply_ladder(state: FockState, mode: int, delta: int) -> FockState:
     _check_mode(state, mode)
     out: dict[Occupation, complex] = {}
     for occ, amp in state.terms.items():
-        n = dict(occ).get(mode, 0)
+        n = _find(occ, mode)[1]
         if n + delta < 0:
             continue
         new_occ = bump(occ, mode, delta)
@@ -141,7 +153,7 @@ def number_expectation(state: FockState, mode: int) -> float:
     nrm = state.norm()
     if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"number_expectation requires a normalized state (norm={nrm:.6g})")
-    return float(sum(abs(amp) ** 2 * dict(occ).get(mode, 0) for occ, amp in state.terms.items()))
+    return float(sum(abs(amp) ** 2 * _find(occ, mode)[1] for occ, amp in state.terms.items()))
 
 
 def superpose(parts: Iterable[tuple[complex, FockState]], normalize: bool = False) -> FockState:

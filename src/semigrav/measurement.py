@@ -14,7 +14,8 @@ outcome instead of guessing.
 Admissibility itself is scenario-declared (which branch sets count as
 "classical" is an open modeling question), so this module is agnostic:
 it takes a BranchSet and enforces only orthonormality, Born statistics,
-and the light-cone condition.
+and the light-cone condition.  The two collapse scenarios, ``epr_collapse``
+and ``page_geilker``, build their branch sets and profiles in ``scenarios``.
 
 Trials read one counter-based stream: trial ``i`` of master seed ``s`` is
 draw ``i`` of ``Generator(Philox(key=s))``.  ``run_trials`` reads it in
@@ -30,8 +31,7 @@ import math
 
 import numpy as np
 
-from .fock import NORM_TOL, FockState, create, inner, new_vacuum, number_expectation, superpose
-from .modes import minkowski_basis
+from .fock import NORM_TOL, FockState, inner
 from .spacetime import Event, outside_future_cone
 
 __all__ = [
@@ -50,10 +50,6 @@ __all__ = [
     "constrained_project",
     "gaussian_bump",
     "profile_mixture",
-    "EPRResult",
-    "run_epr_scenario",
-    "PageGeilkerResult",
-    "run_page_geilker",
 ]
 
 _ORTHO_TOL = 1e-10
@@ -275,163 +271,3 @@ def profile_mixture(parts: Sequence[tuple[float, Profile]]) -> Profile:
     """Convex (or any linear) combination of energy profiles."""
     parts = list(parts)
     return lambda t, x: sum(w * p(t, x) for w, p in parts)
-
-
-# ---- EPR pair scenario ----------------------------------------------------
-
-@dataclass(frozen=True)
-class EPRResult:
-    n_trials: int
-    branch_counts: tuple[int, int]
-    branch_frequencies: tuple[float, float]
-    born: tuple[float, float]
-    anticorrelation_rate: float
-    causality_reports: tuple[CausalityReport, CausalityReport]
-    max_violation_outside: float
-
-
-def _epr_setup(box_side: float, mass: float):
-    """Four two-level spin modes on a 1-D box: (L+, L-, R+, R-)."""
-    basis = minkowski_basis(box_side=box_side, dimension=1, mass=mass, n_max=2)
-    vac = new_vacuum(basis)
-    l_up = basis.mode_index((1,))
-    l_dn = basis.mode_index((-1,))
-    r_up = basis.mode_index((2,))
-    r_dn = basis.mode_index((-2,))
-    branch_i = create(create(vac, l_up), r_dn).normalized()
-    branch_ii = create(create(vac, l_dn), r_up).normalized()
-    singlet = superpose([(1.0, branch_i), (1.0, branch_ii)], normalize=True)
-    return basis, (l_up, l_dn, r_up, r_dn), branch_i, branch_ii, singlet
-
-
-def run_epr_scenario(n_trials: int, master_seed: int, *, box_side: float = 10.0,
-                     station_separation: float = 4.0, measurement_time: float = 0.5,
-                     sphere_mass: float = 1.0, sphere_width: float = 0.3,
-                     n_probes: int = 48, tol: float = 0.0) -> EPRResult:
-    """Anticorrelated pair: project at station X, verify spin at station Y.
-
-    Both branches share one energy profile (a bump at each station with the
-    same mass), so the projection changes spin correlations but not energy:
-    the causality check passes with violation exactly zero, and the remote
-    spin is always opposite to the local one.
-    """
-    basis, (l_up, l_dn, r_up, r_dn), branch_i, branch_ii, singlet = _epr_setup(box_side, mass=1.0)
-    x_left = 0.5 * (box_side - station_separation)
-    x_right = x_left + station_separation
-    station_x = Event(measurement_time, (x_left,))
-    # the stations share a time, so the cone test is symmetric in them
-    if not outside_future_cone(station_x, measurement_time, (x_right,)):
-        raise ValueError("measurement stations must be spacelike-separated")
-
-    # one shared profile: equal-mass bumps at both stations, in every branch
-    shared = profile_mixture([
-        (0.5, gaussian_bump((x_left,), sphere_mass, sphere_width)),
-        (0.5, gaussian_bump((x_right,), sphere_mass, sphere_width)),
-    ])
-    branches = BranchSet([
-        Branch("I", branch_i, shared),
-        Branch("II", branch_ii, shared),
-    ])
-    measurement = MeasurementEvent(event=station_x, branch_set=branches)
-
-    # probe grid straddling the cone: same-time points are all outside,
-    # later points near the station are inside
-    n_now = n_probes // 2
-    t = np.repeat([measurement_time, measurement_time + 1.0], [n_now, n_probes - n_now])
-    x = np.concatenate([np.linspace(0.0, box_side, n_now),
-                        np.linspace(0.0, box_side, n_probes - n_now)])[:, None]
-
-    # both branches carry the pre-projection profile itself, so one
-    # causality report holds for both and for every trial below
-    report = causality_check(shared, shared, measurement.event, t, x, tol)
-    reports = (report, report)
-    batch = run_trials(singlet, measurement, master_seed, n_trials)
-
-    def anticorrelated(post: FockState) -> bool:
-        local_up = number_expectation(post, l_up)
-        remote_dn = number_expectation(post, r_dn)
-        remote_up = number_expectation(post, r_up)
-        # local "up" must pair with remote "down" and vice versa
-        return (local_up == 1.0 and remote_dn == 1.0 and remote_up == 0.0) or (
-            local_up == 0.0 and remote_up == 1.0 and remote_dn == 0.0)
-
-    # a trial's post-state is its branch's state exactly, so the check runs
-    # once per branch that occurred and counts for all of its trials
-    counts = batch.counts
-    n_anticorrelated = sum(c for br, c in zip(branches, counts) if c and anticorrelated(br.state))
-    return EPRResult(
-        n_trials=n_trials,
-        branch_counts=(counts[0], counts[1]),
-        branch_frequencies=(counts[0] / n_trials, counts[1] / n_trials),
-        born=batch.born,
-        anticorrelation_rate=n_anticorrelated / n_trials,
-        causality_reports=reports,
-        max_violation_outside=max(r.max_violation_outside for r in reports),
-    )
-
-
-# ---- sphere-position superposition (lab collapse) -------------------------
-
-@dataclass(frozen=True)
-class PageGeilkerResult:
-    n_trials: int
-    branch_counts: tuple[int, int]
-    discontinuity: float
-    always_single_sphere: bool
-    causality_reports: tuple[CausalityReport, CausalityReport]
-
-
-def run_page_geilker(n_trials: int, master_seed: int, *, box_side: float = 10.0,
-                     position_a: float = 3.0, position_b: float = 7.0,
-                     sphere_mass: float = 1.0, sphere_width: float = 0.4,
-                     measurement_time: float = 1.0, n_probes: int = 64,
-                     tol: float = 0.0) -> PageGeilkerResult:
-    """A sphere in an equal superposition of two positions, then observed.
-
-    Before projection the sourced energy profile is the expectation value,
-    half a sphere at each position; afterwards it is one full sphere.  The
-    jump between those profiles is the stress-energy discontinuity that a
-    sourced Einstein equation cannot absorb at the projection event.
-    """
-    basis = minkowski_basis(box_side=box_side, dimension=1, mass=1.0, n_max=1)
-    vac = new_vacuum(basis)
-    mode_a = basis.mode_index((-1,))
-    mode_b = basis.mode_index((1,))
-    state_a = create(vac, mode_a).normalized()
-    state_b = create(vac, mode_b).normalized()
-    pointer = superpose([(1.0, state_a), (1.0, state_b)], normalize=True)
-
-    bump_a = gaussian_bump((position_a,), sphere_mass, sphere_width)
-    bump_b = gaussian_bump((position_b,), sphere_mass, sphere_width)
-    pre = profile_mixture([(0.5, bump_a), (0.5, bump_b)])
-    branches = BranchSet([
-        Branch("sphere_at_A", state_a, bump_a),
-        Branch("sphere_at_B", state_b, bump_b),
-    ])
-    lab = Event(measurement_time, (0.5 * (position_a + position_b),))
-    measurement = MeasurementEvent(event=lab, branch_set=branches)
-
-    t = np.full(n_probes, measurement_time)
-    x = np.linspace(0.0, box_side, n_probes)[:, None]
-    reports = tuple(causality_check(pre, br.energy_profile, lab, t, x, tol) for br in branches)
-    # equal-time probes sit outside the cone, so the sphere relocation is
-    # visible to the check: the reported "violation" is the discontinuity
-    discontinuity = min(r.max_violation_outside for r in reports)
-
-    batch = run_trials(pointer, measurement, master_seed, n_trials)
-    # the two sphere positions at the measurement time
-    at_t, at_x = np.full(2, measurement_time), np.array([[position_a], [position_b]])
-
-    def single_sphere(chosen: Profile) -> bool:
-        # the post profile is one full sphere, never the pre-projection
-        # average: it must deviate from the average at both positions
-        return bool(np.all(np.abs(chosen(at_t, at_x) - pre(at_t, at_x)) > 0.0))
-
-    return PageGeilkerResult(
-        n_trials=n_trials,
-        branch_counts=(batch.counts[0], batch.counts[1]),
-        discontinuity=discontinuity,
-        always_single_sphere=all(
-            single_sphere(br.energy_profile) for br, c in zip(branches, batch.counts) if c),
-        causality_reports=reports,
-    )

@@ -208,8 +208,8 @@ def rindler_basis(acceleration: float, omegas) -> RindlerModeBasis:
     return RindlerModeBasis(backend=backend, omegas=omegas)
 
 
-def default_rindler_grid(acceleration: float, n: int = 16) -> np.ndarray:
-    """Log-spaced wedge frequencies in [0.1 a, 3 a] (16 points by default)."""
+def default_rindler_grid(acceleration: float, n: int) -> np.ndarray:
+    """``n`` log-spaced wedge frequencies in [0.1 a, 3 a]."""
     if n < 1:
         raise ModeBasisError("grid needs at least one point")
     return np.geomspace(0.1 * acceleration, 3.0 * acceleration, n)

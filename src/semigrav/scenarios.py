@@ -2,11 +2,13 @@
 
 Each ``_Scenario`` record in ``_SCENARIOS`` holds the config schema (field
 to validator), the cross-field rules, the runner and an optional volume
-scan.  ``SCENARIO_NAMES``, ``SCANS`` and the ``trials`` override (allowed
-when the schema has ``n_trials``) derive from the records.  A runner
-returns a RunReport whose flags record the scenario's own pass criteria.
-Config validation is total: every field is required, unknown fields are
-rejected, and every error message names the offending field.
+scan.  All eight pipelines are runners here; the two collapse runners build
+their branch sets and hand them to ``measurement``'s trials and gate.
+``SCENARIO_NAMES``, ``SCANS`` and the ``trials`` override (allowed when the
+schema has ``n_trials``) derive from the records.  A runner returns a
+RunReport whose flags record the scenario's own pass criteria.  Config
+validation is total: every field is required, unknown fields are rejected,
+and every error message names the offending field.
 """
 from __future__ import annotations
 
@@ -22,10 +24,12 @@ import numpy as np
 
 from .bogolubov import bogolubov_coefficients, rindler_occupancy_in_vacuum
 from .consistency import fit_parameter, residual, scaling_study
-from .fock import create, new_vacuum
-from .measurement import run_epr_scenario, run_page_geilker
+from .fock import create, new_vacuum, number_expectation, superpose
+from .measurement import (Branch, BranchSet, MeasurementEvent, causality_check, gaussian_bump,
+                          profile_mixture, run_trials)
 from .modes import eds_basis, minkowski_basis, rindler_basis
 from .report import RunReport, Table
+from .spacetime import Event
 from .stress_energy import (box_lattice, integrated_energy, stress_field, total_energy,
                             wavepacket_state)
 from .stress_energy import stress_sample  # noqa: F401  (the one-event view, traced by bench/)
@@ -322,55 +326,121 @@ def _four_sigma(p: float, n: int) -> float:
     return 4.0 * math.sqrt(p * (1.0 - p) / n) if 0.0 < p < 1.0 else 0.0
 
 
+def _epr_setup(box_side: float):
+    """Spin modes L+, L-, R+, R- on a 1-D box: the modes (L+, R-, R+) that the
+    anticorrelation check reads, the branches |L+ R-> and |L- R+>, their singlet."""
+    basis = minkowski_basis(box_side=box_side, dimension=1, mass=1.0, n_max=2)
+    vac = new_vacuum(basis)
+    l_up, l_dn, r_up, r_dn = (basis.mode_index((n,)) for n in (1, -1, 2, -2))
+    branch_i = create(create(vac, l_up), r_dn).normalized()
+    branch_ii = create(create(vac, l_dn), r_up).normalized()
+    singlet = superpose([(1.0, branch_i), (1.0, branch_ii)], normalize=True)
+    return (l_up, r_dn, r_up), branch_i, branch_ii, singlet
+
+
 def _run_epr_collapse(cfg: dict, seed: int) -> RunReport:
-    res = run_epr_scenario(
-        cfg["n_trials"], seed,
-        box_side=cfg["box_side"], station_separation=cfg["station_separation"],
-        measurement_time=cfg["measurement_time"], sphere_mass=cfg["sphere_mass"],
-        sphere_width=cfg["sphere_width"], n_probes=cfg["n_probes"], tol=cfg["tol"])
+    """Anticorrelated pair: project at station X, verify spin at station Y.
+
+    Both branches share one energy profile (a bump at each station with the
+    same mass), so the projection changes spin correlations but not energy:
+    the causality check passes with violation exactly zero, and the remote
+    spin is always opposite to the local one.
+    """
+    spins, branch_i, branch_ii, singlet = _epr_setup(cfg["box_side"])
+    L, when, n_probes = cfg["box_side"], cfg["measurement_time"], cfg["n_probes"]
+    # the config rules keep the two stations apart, so at one shared time
+    # each lies outside the other's future cone
+    x_left = 0.5 * (L - cfg["station_separation"])
+    x_right = x_left + cfg["station_separation"]
+    # one shared profile: equal-mass bumps at both stations, in every branch
+    sphere = cfg["sphere_mass"], cfg["sphere_width"]
+    shared = profile_mixture([(0.5, gaussian_bump((x_left,), *sphere)),
+                              (0.5, gaussian_bump((x_right,), *sphere))])
+    branches = BranchSet([Branch("I", branch_i, shared), Branch("II", branch_ii, shared)])
+    measurement = MeasurementEvent(event=Event(when, (x_left,)), branch_set=branches)
+
+    # probe grid straddling the cone: same-time points are all outside,
+    # later points near the station are inside
+    n_now = n_probes // 2
+    t = np.repeat([when, when + 1.0], [n_now, n_probes - n_now])
+    x = np.concatenate([np.linspace(0.0, L, k) for k in (n_now, n_probes - n_now)])[:, None]
+    # both branches carry the pre-projection profile itself, so one
+    # causality report holds for both and for every trial below
+    causal = causality_check(shared, shared, measurement.event, t, x, cfg["tol"])
+    batch = run_trials(singlet, measurement, seed, cfg["n_trials"])
+    n = batch.n_trials
+
+    def anticorrelated(post) -> bool:  # local "up" pairs with remote "down", and vice versa
+        counts = tuple(number_expectation(post, m) for m in spins)
+        return counts in ((1.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+    # a trial's post-state is its branch's state exactly, so the check runs
+    # once per branch that occurred and counts for all of its trials
+    n_anti = sum(c for br, c in zip(branches, batch.counts) if c and anticorrelated(br.state))
     report = RunReport(scenario="epr_collapse", seed=seed)
     report.add_table(Table.build(
         "statistics", ("branch", "count", "frequency", "born"),
-        [("I", res.branch_counts[0], res.branch_frequencies[0], res.born[0]),
-         ("II", res.branch_counts[1], res.branch_frequencies[1], res.born[1])]))
+        [(br.label, c, c / n, p) for br, c, p in zip(branches, batch.counts, batch.born)]))
     report.add_table(Table.build(
         "causality",
         ("branch", "max_violation_outside", "max_diff_inside", "n_outside", "n_inside", "passed"),
-        [(label, rep.max_violation_outside, rep.max_diff_inside,
-          rep.n_outside, rep.n_inside, rep.passed)
-         for label, rep in zip(("I", "II"), res.causality_reports)]))
-    within = all(
-        abs(freq - p) <= _four_sigma(p, res.n_trials)
-        for freq, p in zip(res.branch_frequencies, res.born))
-    report.flags["anticorrelation_exact"] = bool(res.anticorrelation_rate == 1.0)
-    report.flags["causality_pass"] = bool(all(r.passed for r in res.causality_reports))
-    report.flags["born_within_4sigma"] = bool(within)
+        [(br.label, causal.max_violation_outside, causal.max_diff_inside,
+          causal.n_outside, causal.n_inside, causal.passed) for br in branches]))
+    report.flags["anticorrelation_exact"] = n_anti == n
+    report.flags["causality_pass"] = causal.passed
+    report.flags["born_within_4sigma"] = all(
+        abs(c / n - p) <= _four_sigma(p, n) for c, p in zip(batch.counts, batch.born))
     return report
 
 
-def _run_page_geilker(cfg: dict, seed: int) -> RunReport:
-    res = run_page_geilker(
-        cfg["n_trials"], seed,
-        box_side=cfg["box_side"], position_a=cfg["position_a"],
-        position_b=cfg["position_b"], sphere_mass=cfg["sphere_mass"],
-        sphere_width=cfg["sphere_width"], measurement_time=cfg["measurement_time"],
-        n_probes=cfg["n_probes"], tol=cfg["tol"])
-    n = res.n_trials
+def _run_sphere_collapse(cfg: dict, seed: int) -> RunReport:
+    """A sphere in an equal superposition of two positions, then observed.
+
+    Before projection the sourced energy profile is the expectation value,
+    half a sphere at each position; afterwards it is one full sphere.  The
+    jump between those profiles is the stress-energy discontinuity that a
+    sourced Einstein equation cannot absorb at the projection event.
+    """
+    basis = minkowski_basis(box_side=cfg["box_side"], dimension=1, mass=1.0, n_max=1)
+    vac = new_vacuum(basis)
+    state_a, state_b = (create(vac, basis.mode_index((n,))).normalized() for n in (-1, 1))
+    pointer = superpose([(1.0, state_a), (1.0, state_b)], normalize=True)
+
+    a, b, when, tol = cfg["position_a"], cfg["position_b"], cfg["measurement_time"], cfg["tol"]
+    bump_a, bump_b = (gaussian_bump((p,), cfg["sphere_mass"], cfg["sphere_width"]) for p in (a, b))
+    pre = profile_mixture([(0.5, bump_a), (0.5, bump_b)])
+    branches = BranchSet([Branch("sphere_at_A", state_a, bump_a),
+                          Branch("sphere_at_B", state_b, bump_b)])
+    measurement = MeasurementEvent(event=Event(when, (0.5 * (a + b),)), branch_set=branches)
+
+    t = np.full(cfg["n_probes"], when)
+    x = np.linspace(0.0, cfg["box_side"], cfg["n_probes"])[:, None]
+    # equal-time probes sit outside the cone, so the sphere relocation is
+    # visible to the check: the smaller branch "violation" is the discontinuity
+    discontinuity = min(
+        causality_check(pre, br.energy_profile, measurement.event, t, x, tol).max_violation_outside
+        for br in branches)
+
+    batch = run_trials(pointer, measurement, seed, cfg["n_trials"])
+    n = batch.n_trials
+    # the two sphere positions at the measurement time
+    at_t, at_x = np.full(2, when), np.array([[a], [b]])
+    # the post profile is one full sphere, never the pre-projection average:
+    # it must deviate from the average at both positions
+    single_sphere = all(
+        bool(np.all(np.abs(br.energy_profile(at_t, at_x) - pre(at_t, at_x)) > 0.0))
+        for br, c in zip(branches, batch.counts) if c)
+
     report = RunReport(scenario="page_geilker", seed=seed)
     report.add_table(Table.build(
         "statistics", ("branch", "count", "frequency"),
-        [("sphere_at_A", res.branch_counts[0], res.branch_counts[0] / n),
-         ("sphere_at_B", res.branch_counts[1], res.branch_counts[1] / n)]))
+        [(br.label, c, c / n) for br, c in zip(branches, batch.counts)]))
     report.add_table(Table.build(
-        "summary", ("discontinuity", "always_single_sphere"),
-        [(res.discontinuity, res.always_single_sphere)]))
-    within = abs(res.branch_counts[0] / n - 0.5) <= _four_sigma(0.5, n)
-    report.flags["single_sphere_every_trial"] = bool(res.always_single_sphere)
-    report.flags["discontinuity_nonzero"] = bool(res.discontinuity > 0.0)
-    report.flags["born_within_4sigma"] = bool(within)
+        "summary", ("discontinuity", "always_single_sphere"), [(discontinuity, single_sphere)]))
+    report.flags["single_sphere_every_trial"] = single_sphere
+    report.flags["discontinuity_nonzero"] = discontinuity > 0.0
+    report.flags["born_within_4sigma"] = abs(batch.counts[0] / n - 0.5) <= _four_sigma(0.5, n)
     return report
-
-
 
 
 # ---- scan observables ----------------------------------------------------------
@@ -438,8 +508,9 @@ def _dust_checks(lightest: str, heaviest: str) -> tuple:
 
 
 def _stations_coincide(c: dict) -> bool:
-    """The EPR stations, placed as ``run_epr_scenario`` places them, round to one
-    point or lie so close that their squared distance underflows to zero."""
+    """The EPR stations, placed as ``_run_epr_collapse`` places them, round to one
+    point or lie so close that their squared distance underflows to zero: exactly
+    the configs where ``outside_future_cone`` would not separate them."""
     left = 0.5 * (c["box_side"] - c["station_separation"])
     gap = left + c["station_separation"] - left
     return gap * gap == 0.0
@@ -524,7 +595,7 @@ _SCENARIOS: dict[str, _Scenario] = {
                 "sphere_mass": _positive, "sphere_width": _positive,
                 "measurement_time": _nonnegative, "n_trials": _int_at_least(1),
                 "n_probes": _int_at_least(2), "tol": _nonnegative, "seed": _seed},
-        run=_run_page_geilker,
+        run=_run_sphere_collapse,
         checks=(("position_a", "sphere positions must lie inside the box",
                  lambda c: c["position_a"] >= c["box_side"]),
                 ("position_b", "sphere positions must lie inside the box",

@@ -23,8 +23,6 @@ from semigrav.measurement import (
     born_probabilities,
     causality_check,
     gaussian_bump,
-    run_epr_scenario,
-    run_page_geilker,
     run_trials,
 )
 from semigrav.modes import (
@@ -34,6 +32,7 @@ from semigrav.modes import (
     rindler_basis,
 )
 from semigrav.report import RunReport, Table, emit
+from semigrav.scenarios import run_scenario
 from semigrav.spacetime import Event
 from semigrav.stress_energy import (
     integrated_energy,
@@ -255,14 +254,15 @@ def test_criterion_8_born_statistics():
 
 
 def test_criterion_9a_epr_anticorrelation_with_zero_violation():
-    res = run_epr_scenario(n_trials=100_000, master_seed=42)
-    ok = (res.anticorrelation_rate == 1.0
-          and res.max_violation_outside == 0.0
-          and all(rep.passed for rep in res.causality_reports))
+    report = run_scenario("epr_collapse", seed=42, trials=100_000)
+    violation = max(row[1] for row in report.tables["causality"].rows)
+    ok = (report.flags["anticorrelation_exact"]
+          and violation == 0.0
+          and all(row[5] for row in report.tables["causality"].rows))
     _criterion("9a", "remote spin always opposite; energy unchanged off-cone",
                ok,
-               f"anticorrelation={res.anticorrelation_rate}, "
-               f"violation={res.max_violation_outside}")
+               f"anticorrelation_exact={report.flags['anticorrelation_exact']}, "
+               f"violation={violation}")
 
 
 def test_criterion_9b_acausal_branch_set_is_flagged():
@@ -276,10 +276,11 @@ def test_criterion_9b_acausal_branch_set_is_flagged():
 
 
 def test_criterion_10_single_sphere_discontinuity():
-    res = run_page_geilker(n_trials=2000, master_seed=9)
+    report = run_scenario("page_geilker", seed=9, trials=2000)
+    (discontinuity, always_single_sphere), = report.tables["summary"].rows
     _criterion("10", "projection picks one full sphere, never the average",
-               res.always_single_sphere and res.discontinuity > 0.0,
-               f"discontinuity={res.discontinuity:.4f}")
+               always_single_sphere and discontinuity > 0.0,
+               f"discontinuity={discontinuity:.4f}")
 
 
 def test_criterion_11_property_suites():

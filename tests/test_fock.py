@@ -11,6 +11,7 @@ from semigrav.fock import (
     BasisMismatchError,
     FockState,
     ZeroNormError,
+    _find,
     annihilate,
     bump,
     create,
@@ -150,6 +151,11 @@ def test_basis_mismatch_detected():
         FockState(BASIS, {((-1, 1),): 1.0})
     with pytest.raises(BasisMismatchError, match="mode index 3 outside basis"):
         FockState(BASIS, {((0, 1), (3, 1)): 1.0})
+    # keys must list strictly increasing modes with counts >= 1: an unsorted key
+    # would slip past a range check of its first and last modes
+    for occ in (((5, 1), (0, 1)), ((2, 1), (1, 1)), ((0, -2),), ((1, 0),), ((1, 1), (1, 1))):
+        with pytest.raises(ValueError, match="strictly increasing modes and counts >= 1"):
+            FockState(BASIS, {occ: 1.0})
 
 
 # ---- algebraic properties --------------------------------------------------
@@ -248,6 +254,10 @@ def _dict_and_sort_bump(occ, mode, delta):
 @settings(max_examples=300, deadline=None)
 @given(occ=_occupations(6), mode=st.integers(0, 5), delta=st.integers(-3, 3))
 def test_bump_matches_dict_and_sort(occ, mode, delta):
+    # the lookup that bump, the ladder operators and number_expectation share
+    i, count = _find(occ, mode)
+    assert count == dict(occ).get(mode, 0)
+    assert occ[:i] == tuple(p for p in occ if p[0] < mode)
     try:
         want = _dict_and_sort_bump(occ, mode, delta)
     except ValueError:

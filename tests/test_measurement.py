@@ -1,9 +1,9 @@
 """Born projection, light-cone gating, and the two collapse scenarios."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from semigrav import measurement
@@ -15,7 +15,6 @@ from semigrav.measurement import (
     MeasurementEvent,
     NoAdmissibleCausalBranch,
     ZeroOverlapError,
-    _epr_setup,
     _sample_index,
     born_probabilities,
     causality_check,
@@ -23,12 +22,12 @@ from semigrav.measurement import (
     gaussian_bump,
     profile_mixture,
     project,
-    run_epr_scenario,
-    run_page_geilker,
     run_trials,
     trial_rng,
 )
 from semigrav.modes import minkowski_basis
+from semigrav.scenarios import (ScenarioConfigError, _epr_setup, _run_sphere_collapse,
+                                default_config, run_scenario, validate_config)
 from semigrav.spacetime import Event, outside_future_cone
 
 BASIS = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)
@@ -212,8 +211,13 @@ def test_run_trials_branch_rule_at_exact_boundaries(monkeypatch):
     assert picks == [0, 0, 1, 2, 2, 2]
 
 
+def _collapse(name, seed, n_trials, **overrides):
+    """One registry run of a packaged collapse scenario with config overrides."""
+    return run_scenario(name, dict(default_config(name), **overrides), seed=seed, trials=n_trials)
+
+
 def test_epr_scenario_matches_project_loop():
-    _, (l_up, _, r_up, r_dn), branch_i, branch_ii, singlet = _epr_setup(10.0, mass=1.0)
+    spins, branch_i, branch_ii, singlet = _epr_setup(10.0)
     branches = BranchSet([Branch("I", branch_i, FLAT), Branch("II", branch_ii, FLAT)])
     meas = MeasurementEvent(Event(0.5, (3.0,)), branches)
     born = born_probabilities(singlet, branches)
@@ -222,16 +226,14 @@ def test_epr_scenario_matches_project_loop():
         anti = []
         for idx in picks:
             post = branches[idx].state
-            up, dn, rup = (number_expectation(post, m) for m in (l_up, r_dn, r_up))
+            up, dn, rup = (number_expectation(post, m) for m in spins)
             anti.append((up, dn, rup) in ((1.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
         for n in TRIAL_COUNTS:
-            res = run_epr_scenario(n, seed)
+            report = _collapse("epr_collapse", seed, n)
             c = (picks[:n].count(0), picks[:n].count(1))
-            expected = replace(
-                res, n_trials=n, branch_counts=c, branch_frequencies=(c[0] / n, c[1] / n),
-                born=(float(born[0]), float(born[1])),
-                anticorrelation_rate=sum(anti[:n]) / n)
-            assert res == expected
+            assert report.tables["statistics"].rows == (
+                ("I", c[0], c[0] / n, float(born[0])), ("II", c[1], c[1] / n, float(born[1])))
+            assert report.flags["anticorrelation_exact"] == (sum(anti[:n]) == n)
 
 
 def test_page_geilker_matches_project_loop():
@@ -251,11 +253,12 @@ def test_page_geilker_matches_project_loop():
         single = [all(abs(branches[i].energy_profile(at_t, at_x) - pre(at_t, at_x)) > 0.0)
                   for i in picks]
         for n in TRIAL_COUNTS:
-            res = run_page_geilker(n, seed)
-            expected = replace(
-                res, n_trials=n, branch_counts=(picks[:n].count(0), picks[:n].count(1)),
-                always_single_sphere=all(single[:n]))
-            assert res == expected
+            report = _collapse("page_geilker", seed, n)
+            c = (picks[:n].count(0), picks[:n].count(1))
+            assert report.tables["statistics"].rows == (
+                ("sphere_at_A", c[0], c[0] / n), ("sphere_at_B", c[1], c[1] / n))
+            assert report.tables["summary"].rows[0][1] == all(single[:n])
+            assert report.flags["single_sphere_every_trial"] == all(single[:n])
 
 
 @pytest.mark.parametrize("amps", [(1.0, 1.0), (0.6, 0.8), (1.0, 0.0)])
@@ -438,9 +441,12 @@ def test_page_geilker_discontinuity_matches_scalar_path():
         a, b = np.sort(rng.uniform(0.0, box, 2))
         mass, width = rng.uniform(0.1, 5.0), rng.uniform(0.05, 2.0)
         time, n_probes = rng.uniform(0.0, 3.0), int(rng.integers(2, 100))
-        res = run_page_geilker(1, 0, box_side=box, position_a=a, position_b=b,
-                               sphere_mass=mass, sphere_width=width,
-                               measurement_time=time, n_probes=n_probes)
+        # the runner itself: the config rule that a sphere be wider than the probe
+        # spacing would reject many of these draws
+        cfg = dict(default_config("page_geilker"), box_side=box, position_a=a, position_b=b,
+                   sphere_mass=mass, sphere_width=width, measurement_time=time,
+                   n_probes=n_probes, n_trials=1)
+        discontinuity = _run_sphere_collapse(cfg, 0).tables["summary"].rows[0][0]
         bumps = (_scalar_bump((a,), mass, width), _scalar_bump((b,), mass, width))
         pre = _scalar_mixture([(0.5, bumps[0]), (0.5, bumps[1])])
         lab = Event(time, (0.5 * (a + b),))
@@ -449,7 +455,7 @@ def test_page_geilker_discontinuity_matches_scalar_path():
                   for bump in bumps)
         # 4 ulp of the profile values the discontinuity is a difference of
         operand = max(p(ev) for ev in probes for p in (pre, *bumps))
-        assert _within_ulps(res.discontinuity, ref, 4, operand)
+        assert _within_ulps(discontinuity, ref, 4, operand)
 
 
 # ---- energy profiles ---------------------------------------------------------
@@ -473,50 +479,68 @@ def test_profile_mixture_is_linear():
 # ---- EPR scenario ---------------------------------------------------------------
 
 def test_epr_scenario_perfect_anticorrelation_and_zero_violation():
-    res = run_epr_scenario(n_trials=2000, master_seed=12)
-    assert res.anticorrelation_rate == 1.0
-    assert res.max_violation_outside == 0.0
-    assert all(rep.passed for rep in res.causality_reports)
-    assert res.born == (0.5, 0.5)
-    assert sum(res.branch_counts) == 2000
+    report = _collapse("epr_collapse", 12, 2000)
+    assert report.flags == {"anticorrelation_exact": True, "causality_pass": True,
+                            "born_within_4sigma": True}
+    for _, violation, _, _, _, passed in report.tables["causality"].rows:
+        assert violation == 0.0 and passed
+    (_, count_i, freq_i, born_i), (_, count_ii, _, born_ii) = report.tables["statistics"].rows
+    assert (born_i, born_ii) == (0.5, 0.5)
+    assert count_i + count_ii == 2000
     # unbiased coin to 4 sigma
-    assert abs(res.branch_frequencies[0] - 0.5) <= 4.0 * np.sqrt(0.25 / 2000)
+    assert abs(freq_i - 0.5) <= 4.0 * np.sqrt(0.25 / 2000)
 
 
 def test_epr_scenario_is_reproducible():
-    r1 = run_epr_scenario(n_trials=200, master_seed=77)
-    r2 = run_epr_scenario(n_trials=200, master_seed=77)
-    assert r1 == r2
+    r1, r2 = (_collapse("epr_collapse", 77, 200) for _ in range(2))
+    assert (r1.tables, r1.flags) == (r2.tables, r2.flags)
 
 
-def test_epr_scenario_rejects_coincident_stations():
-    with pytest.raises(ValueError):
-        run_epr_scenario(n_trials=10, master_seed=0, station_separation=0.0)
-    with pytest.raises(ValueError):
-        run_epr_scenario(n_trials=0, master_seed=0)
+_LENGTHS = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+
+
+@given(box=_LENGTHS, separation=_LENGTHS, when=st.floats(min_value=0.0, max_value=1e300))
+@example(box=10.0, separation=4.0, when=0.5)
+@example(box=1e20, separation=1.0, when=0.5)  # the stations round to one point
+@example(box=1e-160, separation=1e-170, when=0.5)  # their squared gap underflows
+@example(box=1e-160, separation=1e-160 / 3.0, when=1e300)
+def test_epr_scenario_rejects_coincident_stations(box, separation, when):
+    """The config rejects a station pair exactly when the light-cone test, at the
+    stations' shared time, would not put each outside the other's future cone."""
+    cfg = dict(default_config("epr_collapse"), box_side=box, station_separation=separation,
+               measurement_time=when)
+    if separation >= box:
+        with pytest.raises(ScenarioConfigError, match="must be smaller than box_side"):
+            validate_config("epr_collapse", cfg)
+        return
+    left = 0.5 * (box - separation)  # the stations as the runner places them
+    # above 1.3e154 the squared gap overflows to inf, which still reads as apart
+    with np.errstate(over="ignore"):
+        separated = bool(outside_future_cone(Event(when, (left,)), when, (left + separation,)))
+    if separated:
+        validate_config("epr_collapse", cfg)
+    else:
+        with pytest.raises(ScenarioConfigError, match="too small to separate the stations"):
+            validate_config("epr_collapse", cfg)
 
 
 # ---- sphere-superposition scenario ------------------------------------------------
 
 def test_page_geilker_never_averages():
-    res = run_page_geilker(n_trials=500, master_seed=4)
-    assert res.always_single_sphere
-    assert res.discontinuity > 0.0
-    assert sum(res.branch_counts) == 500
-    assert min(res.branch_counts) > 0  # both outcomes occur
+    report = _collapse("page_geilker", 4, 500)
+    assert report.flags == {"single_sphere_every_trial": True, "discontinuity_nonzero": True,
+                            "born_within_4sigma": True}
+    (discontinuity, always_single), = report.tables["summary"].rows
+    assert always_single and discontinuity > 0.0
+    counts = [row[1] for row in report.tables["statistics"].rows]
+    assert sum(counts) == 500
+    assert min(counts) > 0  # both outcomes occur
 
 
 def test_page_geilker_discontinuity_is_half_peak():
     """Relocating the sphere leaves half a bump's peak worth of mismatch at
     whichever position loses its half-sphere."""
     width, mass = 0.4, 1.0
-    res = run_page_geilker(n_trials=10, master_seed=1, sphere_width=width,
-                           sphere_mass=mass)
+    report = _collapse("page_geilker", 1, 10, sphere_width=width, sphere_mass=mass)
     peak = mass / (np.sqrt(2.0 * np.pi) * width)
-    assert_allclose(res.discontinuity, 0.5 * peak, rtol=0.05)
-
-
-def test_page_geilker_reports_acausal_profile_change():
-    res = run_page_geilker(n_trials=10, master_seed=1)
-    # with tol = 0 the relocation is flagged by both branch reports
-    assert not any(rep.passed for rep in res.causality_reports)
+    assert_allclose(report.tables["summary"].rows[0][0], 0.5 * peak, rtol=0.05)
