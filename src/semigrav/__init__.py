@@ -63,7 +63,6 @@ from .measurement import (
     Branch,
     BranchSet,
     CausalityReport,
-    MeasurementEvent,
     NoAdmissibleCausalBranch,
     TrialBatch,
     ZeroOverlapError,

@@ -1,11 +1,11 @@
 """Self-consistency residuals of the semiclassical Einstein equation.
 
 The residual at an event is the component-wise sup norm
-|G_mn - 8 pi <T_mn>|; a state/backend pair is self-consistent on a grid
-when the global maximum vanishes.  Scaling studies certify how residuals
-decay as a volume parameter grows (log-log slope), and a golden-section
-search fits a scalar parameter (such as the field mass) by minimizing the
-residual over a reference grid.
+|G_mn - 8 pi <T_mn>| on the state's own background; a state is
+self-consistent on a grid when the global maximum vanishes.  Scaling
+studies certify how residuals decay as a volume parameter grows (log-log
+slope), and a golden-section search fits a scalar parameter (such as the
+field mass) by minimizing the residual over a reference grid.
 """
 from __future__ import annotations
 
@@ -42,17 +42,18 @@ class ResidualReport:
     stress: np.ndarray = field(repr=False, compare=False)
 
 
-def residual(backend, state, basis, t, x) -> ResidualReport:
+def residual(state, t, x) -> ResidualReport:
     """Max-component |G_mn - 8 pi <T_mn>| at each event plus the global max.
 
-    The events are x (E, d) with t broadcast to (E,), as for ``stress_field``.
+    G is that of the state's backend; the events are x (E, d) with t
+    broadcast to (E,), as for ``stress_field``.
     """
     x = np.asarray(x, dtype=float)
     if not x.size:
         raise ValueError("residual needs a nonempty event grid")
     t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1])
-    stress = stress_field(state, basis, backend, t, x)
-    per = np.abs(einstein_tensor(backend, t, x) - EIGHT_PI * stress).max(axis=(1, 2))
+    stress = stress_field(state, t, x)
+    per = np.abs(einstein_tensor(state.basis.backend, t, x) - EIGHT_PI * stress).max(axis=(1, 2))
     return ResidualReport(t, x, tuple(per.tolist()), float(per.max()), stress)
 
 

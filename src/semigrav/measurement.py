@@ -1,15 +1,16 @@
 """Born-rule projection onto admissible branch sets with a causality gate.
 
-A measurement replaces the state with one member of an orthonormal branch
-set, sampled with probability |<C_i|Psi>|^2 / sum_j |<C_j|Psi>|^2.  Each
-branch carries an energy-density profile: a callable that maps probe
-events, given as arrays t (n,) and x (n, d), to the densities there (n,).
-The causality gate evaluates the pre- and post-projection profiles on the
-whole probe grid at once and demands that they agree, within a declared
-tolerance, wherever ``outside_future_cone`` marks a probe as outside the
-future light cone of the measurement event.  Branches failing the gate
-are inadmissible; if none survive, the engine reports that distinct
-outcome instead of guessing.
+A measurement is its branch set: it replaces the state with one member of
+an orthonormal ``BranchSet``, sampled with probability
+|<C_i|Psi>|^2 / sum_j |<C_j|Psi>|^2.  Each branch carries an
+energy-density profile: a callable that maps probe events, given as
+arrays t (n,) and x (n, d), to the densities there (n,).  The causality
+gate evaluates the pre- and post-projection profiles on the whole probe
+grid at once and demands that they agree, within a declared tolerance,
+wherever ``outside_future_cone`` marks a probe as outside the future
+light cone of the measurement's origin, an ``Event`` that only the gate
+reads.  Branches failing the gate are inadmissible; if none survive, the
+engine reports that distinct outcome instead of guessing.
 
 Admissibility itself is scenario-declared (which branch sets count as
 "classical" is an open modeling question), so this module is agnostic:
@@ -39,7 +40,6 @@ __all__ = [
     "NoAdmissibleCausalBranch",
     "Branch",
     "BranchSet",
-    "MeasurementEvent",
     "CausalityReport",
     "born_probabilities",
     "trial_rng",
@@ -107,14 +107,6 @@ class BranchSet:
 
 
 @dataclass(frozen=True)
-class MeasurementEvent:
-    """Where/when a projection happens, and onto which branch set."""
-
-    event: Event
-    branch_set: BranchSet
-
-
-@dataclass(frozen=True)
 class CausalityReport:
     """Outcome of the outside-light-cone energy-invariance check."""
 
@@ -122,7 +114,6 @@ class CausalityReport:
     max_diff_inside: float
     n_outside: int
     n_inside: int
-    tol: float
     passed: bool
 
 
@@ -164,12 +155,11 @@ def _sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
     return int(len(probabilities) - 1)  # guard against cum rounding below 1
 
 
-def project(state: FockState, measurement: MeasurementEvent,
-            rng_seed) -> tuple[int, FockState]:
+def project(state: FockState, branches: BranchSet, rng_seed) -> tuple[int, FockState]:
     """Sample a branch by the Born rule; the post-state is that branch exactly."""
     rng = np.random.default_rng(rng_seed)
-    idx = _sample_index(born_probabilities(state, measurement.branch_set), rng)
-    return idx, measurement.branch_set[idx].state
+    idx = _sample_index(born_probabilities(state, branches), rng)
+    return idx, branches[idx].state
 
 
 _TRIAL_BLOCK = 4096  # trials drawn at once: bounds memory, not results
@@ -184,18 +174,18 @@ class TrialBatch:
     counts: tuple[int, ...]
 
 
-def run_trials(state: FockState, measurement: MeasurementEvent, master_seed: int,
+def run_trials(state: FockState, branches: BranchSet, master_seed: int,
                n_trials: int) -> TrialBatch:
     """Project ``state`` once in each of trials ``0 .. n_trials - 1``.
 
-    Trial ``t`` picks the branch that ``project(state, measurement,
+    Trial ``t`` picks the branch that ``project(state, branches,
     trial_rng(master_seed, t))`` picks: its uniform is draw ``t`` of the
     seed's stream, and the branch is the first whose cumulative Born
     weight, summed in ``_sample_index``'s order, exceeds it.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
-    born = born_probabilities(state, measurement.branch_set)
+    born = born_probabilities(state, branches)
     cum = np.cumsum(born)
     counts = np.zeros(len(born), dtype=np.int64)
     rng = trial_rng(master_seed, 0)
@@ -225,25 +215,22 @@ def causality_check(pre_profile: Profile, post_profile: Profile, origin: Event,
         max_diff_inside=float(diff[~outside].max(initial=0.0)),
         n_outside=int(outside.sum()),
         n_inside=int((~outside).sum()),
-        tol=tol,
         passed=max_out <= tol,
     )
 
 
-def constrained_project(state: FockState, measurement: MeasurementEvent,
+def constrained_project(state: FockState, branches: BranchSet, origin: Event,
                         pre_profile: Profile, t, x, tol: float,
                         rng_seed) -> tuple[int, FockState, CausalityReport]:
-    """Born sampling restricted to branches passing the causality gate at probes (t, x).
+    """Born sampling restricted to branches that pass ``origin``'s causality gate at (t, x).
 
     Branch probabilities are renormalized over the causal subset; if no
     overlapping branch passes, NoAdmissibleCausalBranch is raised.
     """
     rng = np.random.default_rng(rng_seed)
-    probs = born_probabilities(state, measurement.branch_set)
-    reports = [
-        causality_check(pre_profile, br.energy_profile, measurement.event, t, x, tol)
-        for br in measurement.branch_set
-    ]
+    probs = born_probabilities(state, branches)
+    reports = [causality_check(pre_profile, br.energy_profile, origin, t, x, tol)
+               for br in branches]
     keep = [i for i, rep in enumerate(reports) if rep.passed and probs[i] > 0.0]
     if not keep:
         raise NoAdmissibleCausalBranch(
@@ -251,7 +238,7 @@ def constrained_project(state: FockState, measurement: MeasurementEvent,
         )
     sub = probs[keep] / probs[keep].sum()
     idx = keep[_sample_index(sub, rng)]
-    return idx, measurement.branch_set[idx].state, reports[idx]
+    return idx, branches[idx].state, reports[idx]
 
 
 # ---- energy-profile helpers ---------------------------------------------

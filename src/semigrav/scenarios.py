@@ -2,13 +2,15 @@
 
 Each ``_Scenario`` record in ``_SCENARIOS`` holds the config schema (field
 to validator), the cross-field rules, the runner and an optional volume
-scan.  All eight pipelines are runners here; the two collapse runners build
-their branch sets and hand them to ``measurement``'s trials and gate.
-``SCENARIO_NAMES``, ``SCANS`` and the ``trials`` override (allowed when the
-schema has ``n_trials``) derive from the records.  A runner returns a
-RunReport whose flags record the scenario's own pass criteria.  Config
-validation is total: every field is required, unknown fields are rejected,
-and every error message names the offending field.
+scan.  All eight pipelines are runners here.  A runner hands the engines
+its states alone: each state carries its basis and the basis its backend.
+The two collapse runners build their branch sets and hand them to
+``measurement``'s trials, and the branch profiles with the origin event
+to its gate.  ``SCENARIO_NAMES``, ``SCANS`` and the ``trials`` override
+(allowed when the schema has ``n_trials``) derive from the records.  A
+runner returns a RunReport whose flags record the scenario's own pass
+criteria.  Config validation is total: every field is required, unknown
+fields are rejected, and every error message names the offending field.
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ import numpy as np
 from .bogolubov import bogolubov_coefficients, rindler_occupancy_in_vacuum
 from .consistency import fit_parameter, residual, scaling_study
 from .fock import create, new_vacuum, number_expectation, superpose
-from .measurement import (Branch, BranchSet, MeasurementEvent, causality_check, gaussian_bump,
-                          profile_mixture, run_trials)
+from .measurement import (Branch, BranchSet, causality_check, gaussian_bump, profile_mixture,
+                          run_trials)
 from .modes import eds_basis, minkowski_basis, rindler_basis
 from .report import RunReport, Table
 from .spacetime import Event
@@ -163,11 +165,10 @@ def _random_events(rng: np.random.Generator, n: int, box_side: float, dimension:
 
 def _run_minkowski_vacuum(cfg: dict, seed: int) -> RunReport:
     basis = minkowski_basis(cfg["box_side"], cfg["dimension"], cfg["mass"], cfg["n_max"])
-    backend = basis.backend
     state = new_vacuum(basis)
     rng = np.random.default_rng(seed)
     t, x = _random_events(rng, cfg["n_events"], cfg["box_side"], cfg["dimension"])
-    rep = residual(backend, state, basis, t, x)
+    rep = residual(state, t, x)
     report = RunReport(scenario="minkowski_vacuum", seed=seed)
     report.add_table(_stress_table("minkowski_vacuum", t[:10], x[:10], rep.stress[:10]))
     report.add_table(_residual_table(rep))
@@ -177,16 +178,15 @@ def _run_minkowski_vacuum(cfg: dict, seed: int) -> RunReport:
 
 def _run_minkowski_particle(cfg: dict, seed: int) -> RunReport:
     basis = minkowski_basis(cfg["box_side"], cfg["dimension"], cfg["mass"], cfg["n_max"])
-    backend = basis.backend
     idx = basis.mode_index(cfg["mode_label"])  # the config rules keep it in the basis
     state = create(new_vacuum(basis), idx)
     omega = float(basis.frequencies([idx])[0])
-    total = total_energy(state, basis)
-    lattice = integrated_energy(state, basis, backend, t=0.0,
+    total = total_energy(state)
+    lattice = integrated_energy(state, basis, basis.backend, t=0.0,
                                 points_per_axis=cfg["lattice_points"])
     rng = np.random.default_rng(seed)
     t, x = _random_events(rng, cfg["n_events"], cfg["box_side"], cfg["dimension"])
-    rep = residual(backend, state, basis, t, x)
+    rep = residual(state, t, x)
     report = RunReport(scenario="minkowski_particle", seed=seed)
     report.add_table(_stress_table("minkowski_particle", t, x, rep.stress))
     report.add_table(_residual_table(rep))
@@ -199,19 +199,18 @@ def _run_minkowski_particle(cfg: dict, seed: int) -> RunReport:
 
 def _run_kg_wavepacket(cfg: dict, seed: int) -> RunReport:
     basis = minkowski_basis(cfg["box_side"], 1, cfg["mass"], cfg["n_max"])
-    backend = basis.backend
     state = wavepacket_state(basis, (cfg["x0"],))
     L = cfg["box_side"]
     # the profile, the packet's center and the point opposite it, then the
     # lattice of ``integrated_energy``: one stress_field call, one moments walk
     xs = np.linspace(0.0, L, cfg["profile_points"], endpoint=False).tolist()
     probes = np.array(xs + [cfg["x0"], (cfg["x0"] + 0.5 * L) % L])[:, None]
-    points, cell = box_lattice(backend, cfg["integration_points"])
-    t00 = stress_field(state, basis, backend, 0.0, np.concatenate([probes, points]))[:, 0, 0]
+    points, cell = box_lattice(basis.backend, cfg["integration_points"])
+    t00 = stress_field(state, 0.0, np.concatenate([probes, points]))[:, 0, 0]
     *profile, center, far = t00[:len(probes)].tolist()
     profile_rows = list(zip(xs, profile))
     ratio = center / far
-    total = total_energy(state, basis)
+    total = total_energy(state)
     # rows do not depend on their block, so this is integrated_energy's sum bit for bit
     lattice = float(t00[len(probes):].sum() * cell)
     report = RunReport(scenario="kg_wavepacket", seed=seed)
@@ -233,10 +232,9 @@ def _eds_t00_closed_form(mass: float, volume: float, t: float) -> float:
 
 def _run_eds_cosmology(cfg: dict, seed: int) -> RunReport:
     basis = eds_basis(cfg["comoving_volume"], cfg["mass"])
-    backend = basis.backend
     state = create(new_vacuum(basis), 0)
     t_grid = np.array(cfg["t_grid"])
-    rep = residual(backend, state, basis, t_grid, np.zeros((len(t_grid), 3)))
+    rep = residual(state, t_grid, np.zeros((len(t_grid), 3)))
 
     t00_rows = []
     worst_rel = 0.0
@@ -260,9 +258,8 @@ def _run_eds_cosmology(cfg: dict, seed: int) -> RunReport:
 
 
 def _eds_residual_at(mass: float, volume: float, t_grid) -> float:
-    basis = eds_basis(volume, mass)
-    state = create(new_vacuum(basis), 0)
-    return residual(basis.backend, state, basis, t_grid, np.zeros((len(t_grid), 3))).global_max
+    state = create(new_vacuum(eds_basis(volume, mass)), 0)
+    return residual(state, t_grid, np.zeros((len(t_grid), 3))).global_max
 
 
 def _eds_volume_observable(cfg: dict) -> Callable[[float], float]:
@@ -357,7 +354,7 @@ def _run_epr_collapse(cfg: dict, seed: int) -> RunReport:
     shared = profile_mixture([(0.5, gaussian_bump((x_left,), *sphere)),
                               (0.5, gaussian_bump((x_right,), *sphere))])
     branches = BranchSet([Branch("I", branch_i, shared), Branch("II", branch_ii, shared)])
-    measurement = MeasurementEvent(event=Event(when, (x_left,)), branch_set=branches)
+    origin = Event(when, (x_left,))
 
     # probe grid straddling the cone: same-time points are all outside,
     # later points near the station are inside
@@ -366,8 +363,8 @@ def _run_epr_collapse(cfg: dict, seed: int) -> RunReport:
     x = np.concatenate([np.linspace(0.0, L, k) for k in (n_now, n_probes - n_now)])[:, None]
     # both branches carry the pre-projection profile itself, so one
     # causality report holds for both and for every trial below
-    causal = causality_check(shared, shared, measurement.event, t, x, cfg["tol"])
-    batch = run_trials(singlet, measurement, seed, cfg["n_trials"])
+    causal = causality_check(shared, shared, origin, t, x, cfg["tol"])
+    batch = run_trials(singlet, branches, seed, cfg["n_trials"])
     n = batch.n_trials
 
     def anticorrelated(post) -> bool:  # local "up" pairs with remote "down", and vice versa
@@ -411,17 +408,17 @@ def _run_sphere_collapse(cfg: dict, seed: int) -> RunReport:
     pre = profile_mixture([(0.5, bump_a), (0.5, bump_b)])
     branches = BranchSet([Branch("sphere_at_A", state_a, bump_a),
                           Branch("sphere_at_B", state_b, bump_b)])
-    measurement = MeasurementEvent(event=Event(when, (0.5 * (a + b),)), branch_set=branches)
+    origin = Event(when, (0.5 * (a + b),))
 
     t = np.full(cfg["n_probes"], when)
     x = np.linspace(0.0, cfg["box_side"], cfg["n_probes"])[:, None]
     # equal-time probes sit outside the cone, so the sphere relocation is
     # visible to the check: the smaller branch "violation" is the discontinuity
     discontinuity = min(
-        causality_check(pre, br.energy_profile, measurement.event, t, x, tol).max_violation_outside
+        causality_check(pre, br.energy_profile, origin, t, x, tol).max_violation_outside
         for br in branches)
 
-    batch = run_trials(pointer, measurement, seed, cfg["n_trials"])
+    batch = run_trials(pointer, branches, seed, cfg["n_trials"])
     n = batch.n_trials
     # the two sphere positions at the measurement time
     at_t, at_x = np.full(2, when), np.array([[a], [b]])
@@ -465,7 +462,7 @@ def _box_volume_observable(cfg: dict) -> Callable[[float], float]:
                 "field 'values': volume too small to hold the reference wavevector")
         basis = minkowski_basis(L, 1, cfg["mass"], abs(n))
         state = create(new_vacuum(basis), basis.mode_index((n,)))
-        return residual(basis.backend, state, basis, 0.0, [[0.0]]).global_max
+        return residual(state, 0.0, [[0.0]]).global_max
 
     return observable
 
@@ -482,9 +479,10 @@ _SPHERE_CHECKS = (
 
 
 # the box modes take box_side^dimension (d <= 3) and mass^2: both must stay normal floats
+_BOX_SIDE_CHECK = ("box_side", "must lie between 1e-100 and 1e100",
+                   lambda c: not 1e-100 <= c["box_side"] <= 1e100)
 _BOX_CHECKS = (
-    ("box_side", "must lie between 1e-100 and 1e100",
-     lambda c: not 1e-100 <= c["box_side"] <= 1e100),
+    _BOX_SIDE_CHECK,
     ("mass", "must be at most 1e150", lambda c: c["mass"] > 1e150),
     ("mass", "must be 0 or at least 1e-150", lambda c: 0.0 < c["mass"] < 1e-150),
 )
@@ -589,7 +587,11 @@ _SCENARIOS: dict[str, _Scenario] = {
         checks=(("station_separation", "must be smaller than box_side",
                  lambda c: c["station_separation"] >= c["box_side"]),
                 ("station_separation", "too small to separate the stations at this box_side",
-                 _stations_coincide)) + _SPHERE_CHECKS),
+                 _stations_coincide)) + _SPHERE_CHECKS
+        # the spin modes' box basis, and bumps whose (box_side/sphere_width)^2 stays finite
+        + (_BOX_SIDE_CHECK,
+           ("sphere_width", "box_side/sphere_width must be at most 1e150",
+            lambda c: c["box_side"] / c["sphere_width"] > 1e150))),
     "page_geilker": _Scenario(
         schema={"box_side": _positive, "position_a": _positive, "position_b": _positive,
                 "sphere_mass": _positive, "sphere_width": _positive,

@@ -14,16 +14,17 @@ builds B, the per-mode slot factors times A and D, once per call (per event
 where the factors depend on t, as on the dust background).  It then works
 on blocks of ``_BLOCK`` events: the mode functions f of the support once,
 the images of all d+2 slots (d_t phi, d_x1 phi, ..., phi) in one product
-U = f B, and every slot pair as a sum over the 2R real components of U
-(R rows of A), with the event axis innermost.  A one-quantum state thus
-costs one mode function per event, whatever the basis size.  Then
+U = f B, and every slot pair as one ``einsum`` over the 2R real components
+of U (R rows of A), with the event axis innermost.  A one-quantum state
+thus costs one mode function per event, whatever the basis size.  Then
 
     T_mn = <:d_m phi d_n phi:> - g_mn <:L:>,
     <:L:> = (1/2) (sum_m g^mm <:(d_m phi)^2:> - m^2 <:phi^2:>).
 
-The (E, d+1, d+1) array of ``stress_field`` is the package's one form of
-<T_mn>, exactly symmetric by construction; ``stress_sample`` is its row at
-one ``Event``.
+The (E, d+1, d+1) array of ``stress_field(state, t, x)`` is the package's
+one form of <T_mn>, exactly symmetric by construction; it reads the basis
+from the state and the backend from the basis.  ``stress_sample`` is its
+row at one ``Event``.
 """
 from __future__ import annotations
 
@@ -92,74 +93,62 @@ def _slot_products(factors: np.ndarray, M: np.ndarray) -> np.ndarray:
     return B.reshape(factors.shape[:-2] + (n, S * P))
 
 
-def _stress_block(basis, backend, B, modes, n_rows, t, x) -> np.ndarray:
+def _stress_block(basis, B, modes, n_rows, t, x) -> np.ndarray:
     """T_mn at one block of events, from the ``_slot_products`` B of the slot factors
     and M (A over D, or A alone if D is 0), one column per basis mode indexed by ``modes``."""
     f = basis.field_coeffs(t, x, modes)             # (E, n)
-    E, S = len(f), backend.dimension + 2
+    E, S = len(f), basis.backend.dimension + 2
     # products are stacked per event: a row does not depend on the block's other events
     U = (f[:, None, :] @ B).reshape(E, S, B.shape[-1] // S)
     np.conjugate(U[..., n_rows:], out=U[..., n_rows:])
     # Re(conj(u) v) is a real dot of (re, im) pairs: sum them, event axis innermost
     parts = np.ascontiguousarray(U.view(float).transpose(2, 1, 0))   # (2P, S, E)
-    half = _real_dots(parts[:2 * n_rows], parts[:2 * n_rows])       # Re g_s^H rho g_u
-    if len(parts) > 2 * n_rows:
-        half += _real_dots(parts[2 * n_rows:], parts[:2 * n_rows])  # Re g_s^T K g_u
+    images, pair = parts[:2 * n_rows], parts[2 * n_rows:]
+    half = np.einsum("cse,cue->sue", images, images)                  # Re g_s^H rho g_u
+    if len(pair):
+        half += np.einsum("cse,cue->sue", pair, images)               # Re g_s^T K g_u
     pairs = half + half.transpose(1, 0, 2)          # 2 Re(...), exactly symmetric
     deriv, phi_sq = pairs[:-1, :-1].transpose(2, 0, 1), pairs[-1, -1]
-    g = metric(backend, t, x)
+    g = metric(basis.backend, t, x)
     inv_diag = 1.0 / np.diagonal(g, axis1=1, axis2=2)
     trace = (inv_diag * np.diagonal(deriv, axis1=1, axis2=2)).sum(axis=1)
     lagrangian = 0.5 * (trace - basis.mass ** 2 * phi_sq)
     return deriv - g * lagrangian[:, None, None]
 
 
-def _real_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_c a[c, s] b[c, u] for a, b (C, S, E), summed from zeros in c order as einsum does."""
-    out = np.zeros(a.shape[1:2] + b.shape[1:])
-    for a_c, b_c in zip(a, b):
-        out += a_c[:, None] * b_c[None]
-    return out
-
-
-def stress_field(state: FockState, basis, backend, t, x) -> np.ndarray:
+def stress_field(state: FockState, t, x) -> np.ndarray:
     """<Psi|T_mn|Psi> at E events, shape (E, d+1, d+1): x is (E, d), t broadcasts to (E,)."""
+    basis, d = state.basis, state.basis.backend.dimension
     if not isinstance(basis, (MinkowskiModeBasis, EdSModeBasis)):
         raise ModeBasisError("stress-energy sampling needs a Minkowski or EdS basis")
-    if basis.backend != backend:
-        raise BasisMismatchError("basis was built for a different backend")
-    if state.basis != basis:
-        raise BasisMismatchError("state lives on a different basis")
     _require_normalized(state)
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != backend.dimension:
-        raise BackendDomainError(f"x must have shape (events, {backend.dimension})")
+    if x.ndim != 2 or x.shape[1] != d:
+        raise BackendDomainError(f"x must have shape (events, {d})")
     t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1])
     support, A, D = moments(state)
     # the slot factors and their products with the moments, once for all blocks
     B = _slot_products(basis.slot_factors(t, support), np.concatenate([A, D]) if D.any() else A)
-    out = np.empty((len(t),) + (backend.dimension + 1,) * 2)
+    out = np.empty((len(t),) + (d + 1,) * 2)
     for lo in range(0, len(t), _BLOCK):
         block = slice(lo, lo + _BLOCK)
         B_block = B if B.ndim == 2 else B[block]  # t-dependent factors (EdS) per event
-        out[block] = _stress_block(basis, backend, B_block, support, len(A), t[block], x[block])
+        out[block] = _stress_block(basis, B_block, support, len(A), t[block], x[block])
     return out
 
 
-def stress_sample(state: FockState, basis, backend, event: Event) -> np.ndarray:
+def stress_sample(state: FockState, event: Event) -> np.ndarray:
     """<Psi|T_mn|Psi> at one event, shape (d+1, d+1): the ``stress_field`` row."""
-    return stress_field(state, basis, backend, event.t, [event.x])[0]
+    return stress_field(state, event.t, [event.x])[0]
 
 
-def total_energy(state: FockState, basis) -> float:
+def total_energy(state: FockState) -> float:
     """sum_k omega_k <N_k>; the box-mode form of the integrated energy."""
-    if not isinstance(basis, MinkowskiModeBasis):
+    if not isinstance(state.basis, MinkowskiModeBasis):
         raise ModeBasisError("total_energy is defined for box mode bases")
-    if state.basis != basis:
-        raise BasisMismatchError("state lives on a different basis")
     _require_normalized(state)
     occupied = list({mode for occ in state.terms for mode, _ in occ})
-    omega = dict(zip(occupied, basis.frequencies(occupied).tolist()))
+    omega = dict(zip(occupied, state.basis.frequencies(occupied).tolist()))
     total = 0.0
     for occ, amp in state.terms.items():
         weight = abs(amp) ** 2
@@ -201,8 +190,11 @@ def box_lattice(backend, points_per_axis: int) -> tuple[np.ndarray, float]:
 
 def integrated_energy(state: FockState, basis, backend, t: float = 0.0,
                       points_per_axis: int = 64) -> float:
-    """Riemann sum of T_00 over a uniform box lattice at fixed time."""
+    """Riemann sum of T_00 over a uniform box lattice at fixed time: ``basis`` and
+    ``backend`` must be the state's."""
     if not isinstance(basis, MinkowskiModeBasis):
         raise ModeBasisError("lattice integration is defined for box mode bases")
+    if state.basis != basis or basis.backend != backend:
+        raise BasisMismatchError("basis and backend must be the state's basis and its backend")
     lattice, cell = box_lattice(backend, points_per_axis)
-    return float(stress_field(state, basis, backend, t, lattice)[:, 0, 0].sum() * cell)
+    return float(stress_field(state, t, lattice)[:, 0, 0].sum() * cell)

@@ -19,7 +19,6 @@ from semigrav.fock import annihilate, create, inner, new_vacuum, superpose
 from semigrav.measurement import (
     Branch,
     BranchSet,
-    MeasurementEvent,
     born_probabilities,
     causality_check,
     gaussian_bump,
@@ -57,7 +56,7 @@ def test_criterion_1_single_quantum_energy():
     i = basis.mode_index((1,))
     state = create(new_vacuum(basis), i)
     w = float(basis.frequencies([i])[0])
-    e = total_energy(state, basis)
+    e = total_energy(state)
     rel = abs(e - w) / w
     lattice = integrated_energy(state, basis, basis.backend, t=0.0,
                                 points_per_axis=2 * basis.n_max + 1)
@@ -75,10 +74,10 @@ def test_criterion_2_vacuum_flatness():
     events = [Event(float(rng.uniform(0, 1)), tuple(rng.uniform(0, 10, 3)))
               for _ in range(100)]
     worst = max(
-        np.abs(stress_sample(vac, basis, basis.backend, ev)).max()
+        np.abs(stress_sample(vac, ev)).max()
         for ev in events
     )
-    rep = residual(basis.backend, vac, basis, [ev.t for ev in events], [ev.x for ev in events])
+    rep = residual(vac, [ev.t for ev in events], [ev.x for ev in events])
     _criterion("2", "vacuum stress zero at 100 random events, residual zero",
                worst <= 1e-12 and rep.global_max == 0.0,
                f"max |T|={worst:.1e}, residual={rep.global_max:.1e}")
@@ -94,7 +93,7 @@ def test_criterion_3_large_volume_decay():
         basis = minkowski_basis(box_side=L, dimension=1, mass=1.0, n_max=n)
         state = create(new_vacuum(basis), basis.mode_index((n,)))
         densities.append(
-            stress_sample(state, basis, basis.backend, Event(0.0, (0.0,)))[(0, 0)]
+            stress_sample(state, Event(0.0, (0.0,)))[(0, 0)]
         )
     slope = float(np.polyfit(np.log(volumes), np.log(densities), 1)[0])
     dt = time.perf_counter() - t0
@@ -107,8 +106,8 @@ def test_criterion_4_wavepacket_localization():
     t0 = time.perf_counter()
     basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=32)
     psi = wavepacket_state(basis, (5.0,))
-    at_center = stress_sample(psi, basis, basis.backend, Event(0.0, (5.0,)))[(0, 0)]
-    far = stress_sample(psi, basis, basis.backend, Event(0.0, (0.0,)))[(0, 0)]
+    at_center = stress_sample(psi, Event(0.0, (5.0,)))[(0, 0)]
+    far = stress_sample(psi, Event(0.0, (0.0,)))[(0, 0)]
     ratio = at_center / abs(far)
     dt = time.perf_counter() - t0
     _criterion("4", "wavepacket energy density peaks at x0 by >10x",
@@ -134,7 +133,7 @@ def test_criterion_5a_dust_energy_density_target_form():
     basis, one = _eds_state(mass, v0)
     worst = 0.0
     for t in (0.5, 1.0, 2.0, 4.0):
-        got = stress_sample(one, basis, basis.backend, Event(t, (0.0, 0.0, 0.0)))[(0, 0)]
+        got = stress_sample(one, Event(t, (0.0, 0.0, 0.0)))[(0, 0)]
         target = mass / (v0 * t**2) + 1.0 / (2.0 * mass * v0 * t**4)
         worst = max(worst, abs(got - target) / abs(target))
     _criterion("5a", "dust T_00 matches m/(V0 t^2) + 1/(2 m V0 t^4) @ rel 1e-10",
@@ -146,7 +145,7 @@ def test_criterion_5b_dust_off_diagonals_vanish():
     basis, one = _eds_state(mass, v0)
     worst = 0.0
     for t in (0.5, 1.0, 2.0, 4.0):
-        sample = stress_sample(one, basis, basis.backend, Event(t, (0.0, 0.0, 0.0)))
+        sample = stress_sample(one, Event(t, (0.0, 0.0, 0.0)))
         for mu in range(4):
             for nu in range(4):
                 if mu != nu:
@@ -170,7 +169,7 @@ def test_criterion_6a_dust_residual_target_form():
     worst = 0.0
     for v0 in (6.0 * np.pi, 60.0 * np.pi, 600.0 * np.pi):
         basis, one = _eds_state(v0 / (6.0 * np.pi), v0)
-        got = residual(basis.backend, one, basis, t, [[0.0, 0.0, 0.0]]).global_max
+        got = residual(one, t, [[0.0, 0.0, 0.0]]).global_max
         target = max(24.0 * np.pi**2 / (v0**2 * t**4),
                      24.0 * np.pi**2 / (v0**2 * t ** (8.0 / 3.0)))
         worst = max(worst, abs(got - target) / target)
@@ -184,7 +183,7 @@ def test_criterion_6b_residual_scaling_slope():
 
     def observable(v0):
         basis, one = _eds_state(v0 / (6.0 * np.pi), v0)
-        return residual(basis.backend, one, basis, 1.0, [[0.0, 0.0, 0.0]]).global_max
+        return residual(one, 1.0, [[0.0, 0.0, 0.0]]).global_max
 
     study = scaling_study(observable, volumes, parameter="V0")
     ok = study.status == "ok" and abs(study.slope + 2.0) <= 1e-6
@@ -198,7 +197,7 @@ def test_criterion_6c_fit_recovers_tuned_mass():
 
     def objective(m):
         basis, one = _eds_state(m, v0)
-        return residual(basis.backend, one, basis, [1.0, 2.0, 4.0], np.zeros((3, 3))).global_max
+        return residual(one, [1.0, 2.0, 4.0], np.zeros((3, 3))).global_max
 
     res = fit_parameter(objective, 10.0, 1000.0, tol=1e-4)
     rel = abs(res.parameter - target) / target
@@ -236,14 +235,13 @@ def test_criterion_8_born_statistics():
     b = create(vac, 1).normalized()
     flat = lambda t, x: np.zeros(len(t))
     branches = BranchSet([Branch("a", a, flat), Branch("b", b, flat)])
-    meas = MeasurementEvent(Event(0.0, (5.0,)), branches)
     n = 100_000
     ok = True
     details = []
     for amps in ((1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)), (0.6, 0.8), (1.0, 0.0)):
         psi = superpose([(amps[0], a), (amps[1], b)], normalize=True)
         probs = born_probabilities(psi, branches)
-        counts = run_trials(psi, meas, 2026, n).counts
+        counts = run_trials(psi, branches, 2026, n).counts
         for i, p in enumerate(probs):
             bound = 4.0 * np.sqrt(p * (1.0 - p) / n)
             ok = ok and abs(counts[i] / n - p) <= bound

@@ -23,7 +23,7 @@ def test_minkowski_vacuum_is_exactly_self_consistent():
     vac = new_vacuum(basis)
     t = [0.0, 0.0, 1.0, 1.0]
     x = [[x, 0.0, 0.0] for x in (0.0, 2.5, 0.0, 2.5)]
-    rep = residual(basis.backend, vac, basis, t, x)
+    rep = residual(vac, t, x)
     assert rep.global_max == 0.0
     assert rep.per_event == (0.0, 0.0, 0.0, 0.0)
 
@@ -32,14 +32,14 @@ def test_minkowski_particle_residual_is_thermodynamically_small():
     """A single quantum breaks self-consistency by exactly 8 pi w / V in T_00."""
     basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)
     one = create(new_vacuum(basis), basis.mode_index((1,)))
-    rep = residual(basis.backend, one, basis, 0.0, [[0.0]])
+    rep = residual(one, 0.0, [[0.0]])
     w = basis.frequencies([basis.mode_index((1,))])[0]
     assert_allclose(rep.global_max, 8.0 * np.pi * w / 10.0, rtol=1e-13)
 
 
 def _dust_residual(mass, v0, t):
     basis, one = _eds_one_quantum(mass, v0)
-    return residual(basis.backend, one, basis, t, [[0.0, 0.0, 0.0]]).global_max
+    return residual(one, t, [[0.0, 0.0, 0.0]]).global_max
 
 
 def test_dust_residual_closed_form_at_tuned_mass():
@@ -71,15 +71,15 @@ def test_dust_residual_scaling_slope_is_minus_two():
 def test_residual_report_structure():
     basis, one = _eds_one_quantum(10.0, 60.0 * np.pi)
     x = np.zeros((2, 3))
-    rep = residual(basis.backend, one, basis, [1.0, 2.0], x)
+    rep = residual(one, [1.0, 2.0], x)
     assert rep.t.tolist() == [1.0, 2.0]
     assert np.array_equal(rep.x, x)
     assert rep.stress.shape == (2, 4, 4)
     assert rep.global_max == max(rep.per_event)
     # a scalar t broadcasts over the events, as in ``stress_field``
-    assert residual(basis.backend, one, basis, 1.0, x).per_event[0] == rep.per_event[0]
+    assert residual(one, 1.0, x).per_event[0] == rep.per_event[0]
     with pytest.raises(ValueError):
-        residual(basis.backend, one, basis, [], np.zeros((0, 3)))
+        residual(one, [], np.zeros((0, 3)))
 
 
 def test_scaling_study_validation_and_degenerate_case():
@@ -151,7 +151,7 @@ def test_fit_recovers_dust_mass_from_residual():
     def objective(m):
         basis = basis_for(m)
         one = create(new_vacuum(basis), 0)
-        return residual(basis.backend, one, basis, [1.0, 2.0, 4.0], np.zeros((3, 3))).global_max
+        return residual(one, [1.0, 2.0, 4.0], np.zeros((3, 3))).global_max
 
     target = v0 / (6.0 * np.pi)
     res = fit_parameter(objective, 10.0, 1000.0, tol=1e-4)

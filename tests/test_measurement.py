@@ -1,9 +1,10 @@
 """Born projection, light-cone gating, and the two collapse scenarios."""
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from semigrav import measurement
@@ -12,7 +13,6 @@ from semigrav.measurement import (
     Branch,
     BranchSet,
     CausalityReport,
-    MeasurementEvent,
     NoAdmissibleCausalBranch,
     ZeroOverlapError,
     _sample_index,
@@ -91,30 +91,27 @@ def test_branch_set_validation():
 def test_project_returns_branch_state_exactly():
     branches, a, b = _two_branches()
     psi = superpose([(1.0, a), (0.0001, b)], normalize=True)
-    meas = MeasurementEvent(Event(0.0, (5.0,)), branches)
-    idx, post = project(psi, meas, rng_seed=0)
+    idx, post = project(psi, branches, rng_seed=0)
     assert post is branches[idx].state
 
 
 def test_project_is_deterministic_per_seed():
     branches, a, b = _two_branches()
     psi = superpose([(1.0, a), (1.0, b)], normalize=True)
-    meas = MeasurementEvent(Event(0.0, (5.0,)), branches)
     for trial in range(20):
-        i1, _ = project(psi, meas, trial_rng(99, trial))
-        i2, _ = project(psi, meas, trial_rng(99, trial))
+        i1, _ = project(psi, branches, trial_rng(99, trial))
+        i2, _ = project(psi, branches, trial_rng(99, trial))
         assert i1 == i2
-    picks_a = [project(psi, meas, trial_rng(99, t))[0] for t in range(64)]
-    picks_b = [project(psi, meas, trial_rng(100, t))[0] for t in range(64)]
+    picks_a = [project(psi, branches, trial_rng(99, t))[0] for t in range(64)]
+    picks_b = [project(psi, branches, trial_rng(100, t))[0] for t in range(64)]
     assert picks_a != picks_b  # different master seeds decorrelate
 
 
 def test_degenerate_probabilities_never_pick_zero_branch():
     branches, a, b = _two_branches()
     psi_a = superpose([(1.0, a)])
-    meas = MeasurementEvent(Event(0.0, (5.0,)), branches)
     for trial in range(50):
-        idx, _ = project(psi_a, meas, trial_rng(1, trial))
+        idx, _ = project(psi_a, branches, trial_rng(1, trial))
         assert idx == 0
 
 
@@ -122,19 +119,18 @@ def test_project_matches_uncached_born_sampling():
     # states alternate every other trial; every draw must equal the
     # reference path that samples fresh Born weights
     branches, a, b = _two_branches()
-    meas = MeasurementEvent(Event(0.0, (5.0,)), branches)
     states = [superpose([(amps[0], a), (amps[1], b)], normalize=True)
               for amps in ((1.0, 1.0), (0.6, 0.8), (0.0, 1.0))]
     n = 12_000
     for trial in range(n):
         psi = states[(trial // 2) % len(states)]
-        idx, post = project(psi, meas, trial_rng(31, trial))
+        idx, post = project(psi, branches, trial_rng(31, trial))
         ref = _sample_index(born_probabilities(psi, branches), trial_rng(31, trial))
         assert idx == ref
         assert post is branches[ref].state
     # an unnormalized state is rejected
     with pytest.raises(ValueError):
-        project(superpose([(2.0, a)]), meas, trial_rng(31, n))
+        project(superpose([(2.0, a)]), branches, trial_rng(31, n))
 
 
 # ---- batched trials against the single-trial oracle ----------------------------
@@ -151,12 +147,12 @@ def test_trial_rng_replays_the_block_stream(seed):
         trial_rng(seed, -1)
 
 
-def _reference_picks(state, meas, seed, n):
+def _reference_picks(state, branches, seed, n):
     """The single-trial path: one fresh generator and ``project`` per trial."""
     picks = []
     for t in range(n):
-        idx, post = project(state, meas, trial_rng(seed, t))
-        assert post is meas.branch_set[idx].state
+        idx, post = project(state, branches, trial_rng(seed, t))
+        assert post is branches[idx].state
         picks.append(idx)
     return picks
 
@@ -167,18 +163,17 @@ TRIAL_COUNTS = (1, 4095, 4096, 4097, 10_000)
 @pytest.mark.parametrize("amps", [(0.6, 0.8), (1.0, 0.0)])
 def test_run_trials_matches_project_loop(amps):
     branches, a, b = _two_branches()
-    meas = MeasurementEvent(Event(0.0, (5.0,)), branches)
     psi = superpose([(amps[0], a), (amps[1], b)], normalize=True)
     born = born_probabilities(psi, branches)
     for seed in (3, 2026):
-        picks = _reference_picks(psi, meas, seed, max(TRIAL_COUNTS))
+        picks = _reference_picks(psi, branches, seed, max(TRIAL_COUNTS))
         for n in TRIAL_COUNTS:
-            batch = run_trials(psi, meas, seed, n)
+            batch = run_trials(psi, branches, seed, n)
             assert batch.n_trials == n
             assert batch.counts == (picks[:n].count(0), picks[:n].count(1))
             assert np.array_equal(batch.born, born)
     with pytest.raises(ValueError):
-        run_trials(psi, meas, 3, 0)
+        run_trials(psi, branches, 3, 0)
 
 
 class _FixedDraw:
@@ -197,7 +192,6 @@ def test_run_trials_branch_rule_at_exact_boundaries(monkeypatch):
     # rounds below 1 (amplitudes 0.6, 0.8, 0.6)
     states = [create(VAC, i).normalized() for i in range(3)]
     branches = BranchSet([Branch(str(i), st, FLAT) for i, st in enumerate(states)])
-    meas = MeasurementEvent(Event(0.0, (5.0,)), branches)
     psi = superpose(list(zip((0.6, 0.8, 0.6), states)), normalize=True)
     born = born_probabilities(psi, branches)
     cum = np.cumsum(born)
@@ -206,7 +200,7 @@ def test_run_trials_branch_rule_at_exact_boundaries(monkeypatch):
     picks = []
     for u in r:  # one single-trial batch per preset uniform: its count names the pick
         monkeypatch.setattr(measurement, "trial_rng", lambda seed, t: _FixedDraw(u))
-        picks.append(run_trials(psi, meas, 0, 1).counts.index(1))
+        picks.append(run_trials(psi, branches, 0, 1).counts.index(1))
     assert picks == [_sample_index(born, _FixedDraw(u)) for u in r]
     assert picks == [0, 0, 1, 2, 2, 2]
 
@@ -219,10 +213,9 @@ def _collapse(name, seed, n_trials, **overrides):
 def test_epr_scenario_matches_project_loop():
     spins, branch_i, branch_ii, singlet = _epr_setup(10.0)
     branches = BranchSet([Branch("I", branch_i, FLAT), Branch("II", branch_ii, FLAT)])
-    meas = MeasurementEvent(Event(0.5, (3.0,)), branches)
     born = born_probabilities(singlet, branches)
     for seed in (0, 12, 2**33 + 1):
-        picks = _reference_picks(singlet, meas, seed, max(TRIAL_COUNTS))
+        picks = _reference_picks(singlet, branches, seed, max(TRIAL_COUNTS))
         anti = []
         for idx in picks:
             post = branches[idx].state
@@ -246,10 +239,9 @@ def test_page_geilker_matches_project_loop():
     pre = profile_mixture([(0.5, bump_a), (0.5, bump_b)])
     branches = BranchSet([Branch("sphere_at_A", state_a, bump_a),
                           Branch("sphere_at_B", state_b, bump_b)])
-    meas = MeasurementEvent(Event(1.0, (5.0,)), branches)
     at_t, at_x = [1.0, 1.0], np.array([[3.0], [7.0]])
     for seed in (4, 99):
-        picks = _reference_picks(pointer, meas, seed, max(TRIAL_COUNTS))
+        picks = _reference_picks(pointer, branches, seed, max(TRIAL_COUNTS))
         single = [all(abs(branches[i].energy_profile(at_t, at_x) - pre(at_t, at_x)) > 0.0)
                   for i in picks]
         for n in TRIAL_COUNTS:
@@ -266,11 +258,10 @@ def test_empirical_frequencies_within_four_sigma(amps):
     n = 20_000
     branches, a, b = _two_branches()
     psi = superpose([(amps[0], a), (amps[1], b)], normalize=True)
-    meas = MeasurementEvent(Event(0.0, (5.0,)), branches)
     probs = born_probabilities(psi, branches)
     counts = np.zeros(2)
     for trial in range(n):
-        idx, _ = project(psi, meas, trial_rng(7, trial))
+        idx, _ = project(psi, branches, trial_rng(7, trial))
         counts[idx] += 1
     for i, p in enumerate(probs):
         bound = 4.0 * np.sqrt(p * (1.0 - p) / n)
@@ -314,12 +305,11 @@ def test_constrained_project_excludes_acausal_branch():
     causal = Branch("causal", a, _const(0.0))
     acausal = Branch("acausal", b, _const(1.0))  # changes energy everywhere
     branches = BranchSet([causal, acausal])
-    meas = MeasurementEvent(Event(0.0, (5.0,)), branches)
     psi = superpose([(1.0, a), (1.0, b)], normalize=True)
     t, x = np.zeros(3), np.array([[0.0], [2.0], [9.0]])  # equal-time: outside
     for trial in range(10):
-        idx, post, rep = constrained_project(psi, meas, _const(0.0), t, x, 0.0,
-                                             trial_rng(5, trial))
+        idx, post, rep = constrained_project(psi, branches, Event(0.0, (5.0,)), _const(0.0),
+                                             t, x, 0.0, trial_rng(5, trial))
         assert idx == 0
         assert rep.passed
 
@@ -331,10 +321,10 @@ def test_constrained_project_raises_when_no_branch_is_causal():
         Branch("x", a, _const(1.0)),
         Branch("y", b, _const(2.0)),
     ])
-    meas = MeasurementEvent(Event(0.0, (5.0,)), branches)
     psi = superpose([(1.0, a), (1.0, b)], normalize=True)
     with pytest.raises(NoAdmissibleCausalBranch):
-        constrained_project(psi, meas, _const(0.0), [0.0], [[0.0]], tol=0.0, rng_seed=1)
+        constrained_project(psi, branches, Event(0.0, (5.0,)), _const(0.0), [0.0], [[0.0]],
+                            tol=0.0, rng_seed=1)
 
 
 # ---- the array gate against the per-probe scalar path ------------------------
@@ -375,8 +365,7 @@ def _scalar_check(pre, post, origin, probes, tol):
         else:
             max_in = max(max_in, diff)
     n_out = sum(flags)
-    return flags, CausalityReport(max_out, max_in, n_out, len(flags) - n_out, tol,
-                                  max_out <= tol)
+    return flags, CausalityReport(max_out, max_in, n_out, len(flags) - n_out, max_out <= tol)
 
 
 def _within_ulps(a, b, n, scale=0.0):
@@ -517,11 +506,35 @@ def test_epr_scenario_rejects_coincident_stations(box, separation, when):
     # above 1.3e154 the squared gap overflows to inf, which still reads as apart
     with np.errstate(over="ignore"):
         separated = bool(outside_future_cone(Event(when, (left,)), when, (left + separation,)))
-    if separated:
-        validate_config("epr_collapse", cfg)
-    else:
+    if not separated:
         with pytest.raises(ScenarioConfigError, match="too small to separate the stations"):
             validate_config("epr_collapse", cfg)
+    elif 1e-100 <= box <= 1e100:
+        validate_config("epr_collapse", cfg)
+    else:  # separated stations in a box that the box basis cannot hold
+        with pytest.raises(ScenarioConfigError, match="'box_side': must lie between"):
+            validate_config("epr_collapse", cfg)
+
+
+_LOG_UNIFORM = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e)
+
+
+@settings(deadline=None)
+@given(box=_LOG_UNIFORM, fraction=st.floats(min_value=0.0, max_value=1.0),
+       width=_LOG_UNIFORM, mass=_LOG_UNIFORM, when=_LOG_UNIFORM)
+@example(box=1e30, fraction=0.4, width=1e-140, mass=1.0, when=0.5)  # the bump divides inf
+@example(box=1e200, fraction=0.4, width=0.3, mass=1.0, when=0.5)  # |dx|^2 overflows
+def test_epr_scenario_rejects_or_runs_without_a_warning(box, fraction, width, mass, when):
+    """Every config either exits 2 naming a field or runs with no numpy warning."""
+    cfg = dict(default_config("epr_collapse"), box_side=box, station_separation=fraction * box,
+               sphere_width=width, sphere_mass=mass, measurement_time=when)
+    try:
+        validate_config("epr_collapse", cfg)
+    except ScenarioConfigError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_scenario("epr_collapse", cfg, trials=10)
 
 
 # ---- sphere-superposition scenario ------------------------------------------------

@@ -179,7 +179,7 @@ def _random_events(basis, rng, n):
 
 
 def _assert_matches_walk(state, basis, t, x):
-    got = stress_field(state, basis, basis.backend, t, x)
+    got = stress_field(state, t, x)
     want = np.array([_walk_stress(state, basis, te, xe) for te, xe in zip(t, x)])
     assert np.abs(want).max() > 0.0
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -226,7 +226,7 @@ def test_stress_field_across_block_boundaries(n_events):
 ], ids=["minkowski", "eds"])
 def test_vacuum_stress_field_is_exactly_zero(basis):
     t, x = _random_events(basis, np.random.default_rng(0), 600)
-    assert not stress_field(new_vacuum(basis), basis, basis.backend, t, x).any()
+    assert not stress_field(new_vacuum(basis), t, x).any()
 
 
 SPARSE_BASIS = minkowski_basis(box_side=5.0, dimension=3, mass=1.0, n_max=2)  # 125 modes
@@ -251,8 +251,8 @@ def test_stress_field_on_the_state_support_matches_full_basis_and_walk():
     wide[:, list(support)] = A  # the support's columns, back at full width
     every = np.arange(basis.n_modes)
     B = _slot_products(basis.slot_factors(t, every), wide)
-    full = _stress_block(basis, basis.backend, B, every, len(A), t, x)
-    assert np.array_equal(stress_field(one, basis, basis.backend, t, x), full)
+    full = _stress_block(basis, B, every, len(A), t, x)
+    assert np.array_equal(stress_field(one, t, x), full)
     _assert_matches_walk(one, basis, t, x)
     sparse = _sparse_state(basis, (3, 64, 120))
     assert moments(sparse)[2].any()
@@ -276,7 +276,7 @@ def test_mode_functions_are_evaluated_on_occupied_modes_only(state, occupied, mo
 
     monkeypatch.setattr(MinkowskiModeBasis, "field_coeffs", spy)
     t, x = _random_events(basis, np.random.default_rng(1), _BLOCK + 1)
-    tensors = stress_field(state, basis, basis.backend, t, x)
+    tensors = stress_field(state, t, x)
     assert widths == [occupied] * 2  # one call per block of events
     assert tensors.any() == bool(occupied)
 
@@ -289,9 +289,9 @@ def test_stress_sample_is_the_stress_field_row_bit_for_bit():
     assert len(moments(multi_row)[1]) > 1 and len(moments(one_row)[1]) == 1
     t, x = _random_events(basis, rng, _BLOCK + 3)
     for state in (multi_row, one_row):
-        field = stress_field(state, basis, basis.backend, t, x)
+        field = stress_field(state, t, x)
         for e in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 2):
-            sample = stress_sample(state, basis, basis.backend, Event(t[e], tuple(x[e])))
+            sample = stress_sample(state, Event(t[e], tuple(x[e])))
             assert type(sample) is np.ndarray and np.array_equal(sample, field[e])
 
 
@@ -329,6 +329,13 @@ def _vacuum_plus_pair(basis, mode):
     return superpose([(1.0, vac), (0.6 - 0.8j, create(create(vac, mode), mode))], normalize=True)
 
 
+def _two_mode(basis, a, b, n_quanta, rng):
+    """sum_n c_n |n_a, (n_quanta - n)_b>: n_quanta + 1 terms and n_quanta rows, D = 0."""
+    terms = {tuple((m, c) for m, c in ((a, n), (b, n_quanta - n)) if c):
+             complex(rng.normal(), rng.normal()) for n in range(n_quanta + 1)}
+    return FockState(basis, terms).normalized()
+
+
 _DUST = eds_basis(comoving_volume=60.0, mass=3.0)
 _CUBE = minkowski_basis(box_side=5.0, dimension=3, mass=1.0, n_max=1)
 _LINE = minkowski_basis(box_side=7.0, dimension=1, mass=0.5, n_max=4)
@@ -344,15 +351,18 @@ _LINE = minkowski_basis(box_side=7.0, dimension=1, mass=0.5, n_max=4)
     (_vacuum_plus_pair(_DUST, 0), 1, True),
     (_random_state(_CUBE, np.random.default_rng(4), n_terms=8, max_quanta=2), None, True),
     (_random_state(_LINE, np.random.default_rng(5), n_terms=6, max_quanta=3), None, True),
+    (_two_mode(_CUBE, 3, 22, 16, np.random.default_rng(6)), None, False),
+    (_two_mode(_LINE, 3, 5, 104, np.random.default_rng(7)), None, False),
 ], ids=["vacuum", "one-quantum-3d", "zero-mode-3d", "two-quanta-1d", "vacuum-plus-pair-1d",
-        "one-quantum-eds", "vacuum-plus-pair-eds", "random-3d", "random-1d"])
+        "one-quantum-eds", "vacuum-plus-pair-eds", "random-3d", "random-1d",
+        "two-mode-17-terms-3d", "two-mode-105-terms-1d"])
 def test_component_sum_matches_the_einsum_contraction(state, rows, pair):
     """Bit for bit with at most one row of A; within rounding of the state's scale above."""
     basis = state.basis
     _, A, D = moments(state)
     assert (len(A) == rows if rows is not None else len(A) > 1) and D.any() == pair
     t, x = _random_events(basis, np.random.default_rng(len(A)), 2 * _BLOCK + 7)
-    got = stress_field(state, basis, basis.backend, t, x)
+    got = stress_field(state, t, x)
     want = _einsum_stress(state, basis, t, x)
     if rows is not None:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
@@ -381,14 +391,14 @@ def test_stress_field_rejects_bad_event_arrays():
     basis = minkowski_basis(box_side=10.0, dimension=2, mass=1.0, n_max=1)
     vac = new_vacuum(basis)
     with pytest.raises(ValueError):
-        stress_field(vac, basis, basis.backend, 0.0, np.zeros((4, 3)))
+        stress_field(vac, 0.0, np.zeros((4, 3)))
     with pytest.raises(ValueError):
-        stress_field(vac, basis, basis.backend, 0.0, np.zeros(2))
+        stress_field(vac, 0.0, np.zeros(2))
     with pytest.raises(ValueError):
-        stress_field(vac, basis, basis.backend, np.zeros(3), np.zeros((4, 2)))
+        stress_field(vac, np.zeros(3), np.zeros((4, 2)))
     dust = eds_basis(comoving_volume=10.0, mass=1.0)
     with pytest.raises(ValueError):
-        stress_field(new_vacuum(dust), dust, dust.backend, [1.0, 0.0], np.zeros((2, 3)))
+        stress_field(new_vacuum(dust), [1.0, 0.0], np.zeros((2, 3)))
 
 
 # ---- flat-space closed forms -------------------------------------------------
@@ -396,7 +406,7 @@ def test_stress_field_rejects_bad_event_arrays():
 def test_vacuum_stress_vanishes_identically():
     basis = minkowski_basis(box_side=10.0, dimension=3, mass=1.0, n_max=1)
     vac = new_vacuum(basis)
-    sample = stress_sample(vac, basis, basis.backend, Event(0.3, (1.0, 2.0, 3.0)))
+    sample = stress_sample(vac, Event(0.3, (1.0, 2.0, 3.0)))
     assert np.abs(sample).max() == 0.0
 
 
@@ -409,7 +419,7 @@ def test_single_particle_plane_wave_components():
     w = basis.frequencies([i])[0]
     V = basis.backend.spatial_volume
     one = create(new_vacuum(basis), i)
-    sample = stress_sample(one, basis, basis.backend, Event(0.7, (3.3, 8.1)))
+    sample = stress_sample(one, Event(0.7, (3.3, 8.1)))
     assert_allclose(sample[(0, 0)], w / V, rtol=1e-13)
     for axis in range(2):
         assert_allclose(sample[(0, axis + 1)], -k[axis] / V, rtol=1e-13)
@@ -425,8 +435,8 @@ def test_single_particle_plane_wave_components():
 def test_stress_is_uniform_for_plane_wave_states():
     basis = minkowski_basis(box_side=10.0, dimension=1, mass=0.5, n_max=2)
     one = create(new_vacuum(basis), basis.mode_index((2,)))
-    s1 = stress_sample(one, basis, basis.backend, Event(0.0, (0.0,)))
-    s2 = stress_sample(one, basis, basis.backend, Event(1.3, (7.7,)))
+    s1 = stress_sample(one, Event(0.0, (0.0,)))
+    s2 = stress_sample(one, Event(1.3, (7.7,)))
     assert_allclose(s1, s2, atol=1e-15)
 
 
@@ -434,7 +444,7 @@ def test_two_quanta_double_the_energy_density():
     basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)
     i = basis.mode_index((1,))
     two = create(create(new_vacuum(basis), i), i).normalized()
-    sample = stress_sample(two, basis, basis.backend, Event(0.0, (0.0,)))
+    sample = stress_sample(two, Event(0.0, (0.0,)))
     w = basis.frequencies([i])[0]
     assert_allclose(sample[(0, 0)], 2.0 * w / basis.backend.spatial_volume, rtol=1e-13)
 
@@ -442,13 +452,13 @@ def test_two_quanta_double_the_energy_density():
 def test_total_energy_closed_forms():
     basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=2)
     vac = new_vacuum(basis)
-    assert total_energy(vac, basis) == 0.0
+    assert total_energy(vac) == 0.0
     i = basis.mode_index((1,))
     w = basis.frequencies([i])[0]
-    assert_allclose(total_energy(create(vac, i), basis), w, rtol=1e-14)
+    assert_allclose(total_energy(create(vac, i)), w, rtol=1e-14)
     j = basis.mode_index((-2,))
     pair = superpose([(1.0, create(vac, i)), (1.0, create(vac, j))], normalize=True)
-    assert_allclose(total_energy(pair, basis), 0.5 * (w + basis.frequencies([j])[0]), rtol=1e-14)
+    assert_allclose(total_energy(pair), 0.5 * (w + basis.frequencies([j])[0]), rtol=1e-14)
 
 
 def test_total_energy_matches_lattice_integration():
@@ -459,7 +469,7 @@ def test_total_energy_matches_lattice_integration():
         [(0.6, create(vac, basis.mode_index((1,)))),
          (0.8j, create(vac, basis.mode_index((-2,))))],
     )
-    direct = total_energy(psi, basis)
+    direct = total_energy(psi)
     lattice = integrated_energy(psi, basis, basis.backend, t=0.2,
                                 points_per_axis=2 * basis.n_max + 1)
     assert_allclose(lattice, direct, rtol=1e-12)
@@ -471,8 +481,8 @@ def test_interference_term_integrates_away():
     basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=2)
     vac = new_vacuum(basis)
     psi = superpose([(1.0, create(vac, 0)), (1.0, create(vac, 1))], normalize=True)
-    s_a = stress_sample(psi, basis, basis.backend, Event(0.0, (1.0,)))
-    s_b = stress_sample(psi, basis, basis.backend, Event(0.0, (3.0,)))
+    s_a = stress_sample(psi, Event(0.0, (1.0,)))
+    s_b = stress_sample(psi, Event(0.0, (3.0,)))
     assert abs(s_a[(0, 0)] - s_b[(0, 0)]) > 1e-6  # genuinely non-uniform
     total = integrated_energy(psi, basis, basis.backend, t=0.0, points_per_axis=64)
     expected = 0.5 * (basis.frequencies([0])[0] + basis.frequencies([1])[0])
@@ -485,7 +495,7 @@ def test_energy_density_decays_inversely_with_volume():
     for L in volumes:
         basis = minkowski_basis(box_side=L, dimension=1, mass=1.0, n_max=1)
         one = create(new_vacuum(basis), basis.mode_index((0,)))
-        densities.append(stress_sample(one, basis, basis.backend, Event(0.0, (0.0,)))[(0, 0)])
+        densities.append(stress_sample(one, Event(0.0, (0.0,)))[(0, 0)])
     slope = np.polyfit(np.log(volumes), np.log(densities), 1)[0]
     assert_allclose(slope, -1.0, atol=1e-9)
 
@@ -521,7 +531,7 @@ def test_eds_single_quantum_matches_mode_closed_form(t_val):
     mass, v0 = 100.0, 600.0 * np.pi
     basis = eds_basis(comoving_volume=v0, mass=mass)
     one = create(new_vacuum(basis), 0)
-    sample = stress_sample(one, basis, basis.backend, Event(t_val, (0.0, 0.0, 0.0)))
+    sample = stress_sample(one, Event(t_val, (0.0, 0.0, 0.0)))
     t00_expected = mass / (v0 * t_val**2) + 1.0 / (2.0 * mass * v0 * t_val**4)
     tii_expected = t_val ** (4.0 / 3.0) / (2.0 * mass * v0 * t_val**4)
     assert_allclose(sample[(0, 0)], t00_expected, rtol=1e-10)
@@ -534,7 +544,7 @@ def test_eds_single_quantum_matches_mode_closed_form(t_val):
 
 def test_eds_vacuum_stress_vanishes():
     basis = eds_basis(comoving_volume=100.0, mass=2.0)
-    sample = stress_sample(new_vacuum(basis), basis, basis.backend, Event(1.0, (0, 0, 0)))
+    sample = stress_sample(new_vacuum(basis), Event(1.0, (0, 0, 0)))
     assert np.abs(sample).max() == 0.0
 
 
@@ -553,11 +563,11 @@ def test_wavepacket_is_normalized_single_particle():
 def test_wavepacket_energy_density_is_localized():
     basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=16)
     psi = wavepacket_state(basis, (5.0,))
-    at_center = stress_sample(psi, basis, basis.backend, Event(0.0, (5.0,)))[(0, 0)]
-    far = stress_sample(psi, basis, basis.backend, Event(0.0, (0.0,)))[(0, 0)]
+    at_center = stress_sample(psi, Event(0.0, (5.0,)))[(0, 0)]
+    far = stress_sample(psi, Event(0.0, (0.0,)))[(0, 0)]
     assert at_center > 10.0 * abs(far)
     total = integrated_energy(psi, basis, basis.backend, t=0.0, points_per_axis=64)
-    assert_allclose(total, total_energy(psi, basis), rtol=1e-10)
+    assert_allclose(total, total_energy(psi), rtol=1e-10)
 
 
 def _superposed_packet(basis, x0):
@@ -594,20 +604,24 @@ def test_wavepacket_state_is_the_superposed_packet_bit_for_bit(basis, x0):
 
 def test_stress_sample_rejects_mismatched_inputs():
     basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)
+    with pytest.raises(ModeBasisError):
+        stress_sample(new_vacuum(rindler_basis(1.0, (1.0, 2.0))), Event(0.0, (0.0,)))
+    with pytest.raises(BackendDomainError):
+        stress_sample(new_vacuum(basis), Event(0.0, (0.0, 0.0)))
+
+
+def test_integrated_energy_rejects_a_basis_or_backend_not_the_states():
+    basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)
     other = minkowski_basis(box_side=10.0, dimension=1, mass=2.0, n_max=1)
     vac = new_vacuum(basis)
-    rb = rindler_basis(1.0, (1.0, 2.0))
+    assert integrated_energy(vac, basis, basis.backend) == 0.0
     with pytest.raises(BasisMismatchError):
-        stress_sample(new_vacuum(other), basis, basis.backend, Event(0.0, (0.0,)))
+        integrated_energy(new_vacuum(other), basis, basis.backend)
     with pytest.raises(BasisMismatchError):
-        stress_sample(vac, basis, Minkowski(dimension=2, box_side=10.0), Event(0.0, (0.0,)))
-    with pytest.raises(ModeBasisError):
-        stress_sample(vac, rb, rb.backend, Event(0.0, (0.0,)))
-    with pytest.raises(BackendDomainError):
-        stress_sample(vac, basis, basis.backend, Event(0.0, (0.0, 0.0)))
+        integrated_energy(vac, basis, Minkowski(dimension=2, box_side=10.0))
 
 
 def test_total_energy_requires_box_basis():
     basis = eds_basis(comoving_volume=10.0, mass=1.0)
     with pytest.raises(ModeBasisError):
-        total_energy(new_vacuum(basis), basis)
+        total_energy(new_vacuum(basis))
