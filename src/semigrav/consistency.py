@@ -1,11 +1,12 @@
 """Self-consistency residuals of the semiclassical Einstein equation.
 
-The residual at an event is the component-wise sup norm
-|G_mn - 8 pi <T_mn>| on the state's own background; a state is
-self-consistent on a grid when the global maximum vanishes.  Scaling
-studies certify how residuals decay as a volume parameter grows (log-log
-slope), and a golden-section search fits a scalar parameter (such as the
-field mass) by minimizing the residual over a reference grid.
+The residual at an event is the component-wise sup norm |G_mn - 8 pi <T_mn>|
+on the state's own background, whose G is diagonal (off the diagonal the
+norm reads |8 pi T_mn|); a state is self-consistent on a grid when the
+global maximum vanishes.  Scaling studies certify how residuals decay as a
+volume parameter grows (log-log slope), and a golden-section search fits a
+scalar parameter (such as the field mass) by minimizing the residual over
+a reference grid.
 """
 from __future__ import annotations
 
@@ -46,14 +47,20 @@ def residual(state, t, x) -> ResidualReport:
     """Max-component |G_mn - 8 pi <T_mn>| at each event plus the global max.
 
     G is that of the state's backend; the events are x (E, d) with t
-    broadcast to (E,), as for ``stress_field``.
+    broadcast to (E,), as for ``stress_field``, which checks them.
     """
     x = np.asarray(x, dtype=float)
     if not x.size:
         raise ValueError("residual needs a nonempty event grid")
-    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1])
     stress = stress_field(state, t, x)
-    per = np.abs(einstein_tensor(state.basis.backend, t, x) - EIGHT_PI * stress).max(axis=(1, 2))
+    t = np.asarray(t, dtype=float)
+    if t.shape != x.shape[:1]:
+        t = np.broadcast_to(t, x.shape[:1])
+    # G is diagonal: off it the residual is |8 pi T|, on it |G - 8 pi T| (stride d+2)
+    per = np.abs(EIGHT_PI * stress)
+    G = einstein_tensor(state.basis.backend, t, x)
+    per.reshape(len(x), -1)[:, ::x.shape[1] + 2] = np.abs(G - EIGHT_PI * stress.diagonal(0, 1, 2))
+    per = per.max(axis=(1, 2))
     return ResidualReport(t, x, tuple(per.tolist()), float(per.max()), stress)
 
 

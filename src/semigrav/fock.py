@@ -96,7 +96,10 @@ class FockState:
         n = self.norm()
         if n <= 1e-12:
             raise ZeroNormError("cannot normalize a zero state")
-        return FockState(self.basis, {o: a / n for o, a in self.terms.items()})
+        out = FockState.__new__(FockState)  # the keys are valid: keep only the DROP_TOL filter
+        out.basis = self.basis
+        out.terms = {o: c for o, a in self.terms.items() if abs(c := a / n) > DROP_TOL}
+        return out
 
     def __repr__(self):  # pragma: no cover - debugging aid
         parts = ", ".join(f"{o}: {a:.3g}" for o, a in sorted(self.terms.items()))

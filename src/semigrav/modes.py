@@ -132,7 +132,7 @@ def eds_k0_mode(t, mass: float, comoving_volume: float):
     has unit Klein-Gordon norm with the measure V0 t^2.  ``t`` may be an array.
     """
     t = np.asarray(t, dtype=float)
-    if not np.all(t > 0.0):
+    if not (t > 0.0).all():
         raise BackendDomainError("Einstein-de Sitter chart requires t > 0")
     if not (mass > 0.0):
         raise ModeBasisError("the k = 0 mode requires mass > 0")
@@ -152,19 +152,19 @@ class EdSModeBasis:
     def n_modes(self) -> int:
         return 1
 
-    def field_coeffs(self, t, x, modes=slice(None)) -> np.ndarray:
+    def field_coeffs(self, t, x, modes=(0,)) -> np.ndarray:
         """f0 at the events: t of shape (...) -> (..., 1), or (..., 0) with no mode indexed."""
-        return eds_k0_mode(t, self.mass, self.backend.comoving_volume)[..., None][..., modes]
+        return eds_k0_mode(t, self.mass, self.backend.comoving_volume)[..., None].take(modes, -1)
 
-    def slot_factors(self, t, modes=slice(None)) -> np.ndarray:
+    def slot_factors(self, t, modes=(0,)) -> np.ndarray:
         """Factors of (d_t, d_x1, d_x2, d_x3, 1) f0: -i m - 1/t, 0, 0, 0, 1; [..., 5, 1]."""
         t = np.asarray(t, dtype=float)
-        if not np.all(t > 0.0):
+        if not (t > 0.0).all():
             raise BackendDomainError("Einstein-de Sitter chart requires t > 0")
         out = np.zeros(t.shape + (self.backend.dimension + 2, 1), dtype=complex)
         out[..., 0, 0] = -1j * self.mass - 1.0 / t
         out[..., -1, 0] = 1.0
-        return out[..., modes]
+        return out.take(modes, -1)
 
     dt_coeffs = _dt_coeffs
     dx_coeffs = _dx_coeffs

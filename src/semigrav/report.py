@@ -64,20 +64,19 @@ class RunReport:
         return all(self.flags.values())
 
 
-def _csv_cell(value: Cell) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv_row(row: tuple[Cell, ...]) -> Sequence[Cell]:
+    """The row with its bools spelled true/false.  The C writer already renders
+    a float by repr() and an int or str by str(), so nothing else is mapped."""
+    if bool not in map(type, row):
+        return row
+    return [("true" if v else "false") if type(v) is bool else v for v in row]
 
 
 def _table_to_csv(table: Table) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
     writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_csv_cell(v) for v in row])
+    writer.writerows(map(_csv_row, table.rows))
     return buf.getvalue()
 
 

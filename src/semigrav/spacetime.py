@@ -9,7 +9,8 @@ no numerical relativity is ever needed:
 * ``Rindler2D``     -- the right wedge of 2-D Minkowski space in conformal
   coordinates (tau, xi), metric e^(2 a xi) diag(1, -1).
 
-Signature convention is (+, -, ..., -) throughout.
+Signature convention is (+, -, ..., -) throughout.  Every metric and
+Einstein tensor here is diagonal, so each is carried as its (..., d+1) diagonal.
 """
 from __future__ import annotations
 
@@ -112,19 +113,15 @@ def _event_diagonal(backend: Backend, t, x) -> tuple[np.ndarray, np.ndarray, np.
     if d != backend.dimension:
         raise BackendDomainError(
             f"event has {d} spatial coordinates, backend expects {backend.dimension}")
-    if isinstance(backend, EinsteinDeSitter) and not np.all(t > 0.0):
+    if isinstance(backend, EinsteinDeSitter) and not (t > 0.0).all():
         raise BackendDomainError("Einstein-de Sitter chart requires t > 0")
-    return t, x, np.zeros(np.broadcast_shapes(t.shape, x.shape[:-1]) + (d + 1,))
-
-
-def _diagonal(diag: np.ndarray) -> np.ndarray:
-    out = np.zeros(diag.shape + diag.shape[-1:])
-    np.einsum("...ii->...i", out)[...] = diag
-    return out
+    shape = t.shape if t.shape == x.shape[:-1] else np.broadcast_shapes(t.shape, x.shape[:-1])
+    return t, x, np.zeros(shape + (d + 1,))
 
 
 def metric(backend: Backend, t, x) -> np.ndarray:
-    """Covariant metric g_{mu nu} at the events: t (...) and x (..., d) -> (..., d+1, d+1)."""
+    """Diagonal of the covariant metric g_{mu nu} at the events: t (...) and
+    x (..., d) -> (..., d+1).  Every background here is diagonal."""
     t, x, diag = _event_diagonal(backend, t, x)
     if isinstance(backend, Rindler2D):
         conf = np.exp(2.0 * backend.acceleration * x[..., 0])
@@ -132,11 +129,12 @@ def metric(backend: Backend, t, x) -> np.ndarray:
     else:  # scale factor squared: a^2 = t^(4/3) on the dust background, 1 in the box
         diag[...] = -(t[..., None] ** (4.0 / 3.0)) if isinstance(backend, EinsteinDeSitter) else -1
         diag[..., 0] = 1.0
-    return _diagonal(diag)
+    return diag
 
 
 def einstein_tensor(backend: Backend, t, x) -> np.ndarray:
-    """Covariant Einstein tensor G_{mu nu} at the events (t, x) (closed form).
+    """Diagonal of the covariant Einstein tensor G_{mu nu} at the events (t, x)
+    (closed form); it has no off-diagonal components on these backgrounds.
 
     Shapes as for ``metric``.  Minkowski and Rindler2D are flat: identically
     zero.  For the Einstein-de Sitter background the Friedmann equations
@@ -147,7 +145,7 @@ def einstein_tensor(backend: Backend, t, x) -> np.ndarray:
     if isinstance(backend, EinsteinDeSitter):
         diag[..., 0] = 4.0 / (3.0 * t**2)
         # spatial components: 2*a*a'' + a'^2 = 0 for a = t^(2/3)
-    return _diagonal(diag)
+    return diag
 
 
 def outside_future_cone(origin: Event, t, x) -> np.ndarray:

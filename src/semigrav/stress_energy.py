@@ -18,7 +18,7 @@ U = f B, and every slot pair as one ``einsum`` over the 2R real components
 of U (R rows of A), with the event axis innermost.  A one-quantum state
 thus costs one mode function per event, whatever the basis size.  Then
 
-    T_mn = <:d_m phi d_n phi:> - g_mn <:L:>,
+    T_mn = <:d_m phi d_n phi:> - g_mn <:L:>   (g is diagonal: L enters T_mm only),
     <:L:> = (1/2) (sum_m g^mm <:(d_m phi)^2:> - m^2 <:phi^2:>).
 
 The (E, d+1, d+1) array of ``stress_field(state, t, x)`` is the package's
@@ -68,11 +68,12 @@ def moments(state: FockState) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
             rows[p][0][mode] = amp * sqrt(count)
     support = tuple(sorted({mode for a_row, _ in rows.values() for mode in a_row}))
     column = {mode: j for j, mode in enumerate(support)}
-    A, D = np.zeros((2, len(rows), len(support)), dtype=complex)
-    for row, entries in enumerate(rows.values()):
-        for out, values in zip((A, D), entries):
-            out[row, [column[k] for k in values]] = list(values.values())
-    return support, A, D
+    AD = np.zeros((2, len(rows), len(support)), dtype=complex)
+    cells = {(part * len(rows) + row) * len(support) + column[k]: value  # flat index into AD
+             for row, entries in enumerate(rows.values())
+             for part, values in enumerate(entries) for k, value in values.items()}
+    AD.put(list(cells), list(cells.values()))
+    return support, AD[0], AD[1]
 
 
 def quadratic_expectation(state: FockState, g: np.ndarray, h: np.ndarray) -> float:
@@ -89,7 +90,7 @@ def quadratic_expectation(state: FockState, g: np.ndarray, h: np.ndarray) -> flo
 def _slot_products(factors: np.ndarray, M: np.ndarray) -> np.ndarray:
     """B[..., l, s P + p] = factors[..., s, l] M[p, l]: factors (S, n) or (E, S, n), M (P, n)."""
     (S, n), P = factors.shape[-2:], len(M)
-    B = np.moveaxis(factors[..., None] * M.T, -3, -2)
+    B = (factors[..., None] * M.T).swapaxes(-3, -2)
     return B.reshape(factors.shape[:-2] + (n, S * P))
 
 
@@ -100,20 +101,19 @@ def _stress_block(basis, B, modes, n_rows, t, x) -> np.ndarray:
     E, S = len(f), basis.backend.dimension + 2
     # products are stacked per event: a row does not depend on the block's other events
     U = (f[:, None, :] @ B).reshape(E, S, B.shape[-1] // S)
-    np.conjugate(U[..., n_rows:], out=U[..., n_rows:])
     # Re(conj(u) v) is a real dot of (re, im) pairs: sum them, event axis innermost
     parts = np.ascontiguousarray(U.view(float).transpose(2, 1, 0))   # (2P, S, E)
     images, pair = parts[:2 * n_rows], parts[2 * n_rows:]
     half = np.einsum("cse,cue->sue", images, images)                  # Re g_s^H rho g_u
     if len(pair):
+        np.negative(pair[1::2], out=pair[1::2])     # conjugate the D images
         half += np.einsum("cse,cue->sue", pair, images)               # Re g_s^T K g_u
     pairs = half + half.transpose(1, 0, 2)          # 2 Re(...), exactly symmetric
-    deriv, phi_sq = pairs[:-1, :-1].transpose(2, 0, 1), pairs[-1, -1]
-    g = metric(basis.backend, t, x)
-    inv_diag = 1.0 / np.diagonal(g, axis1=1, axis2=2)
-    trace = (inv_diag * np.diagonal(deriv, axis1=1, axis2=2)).sum(axis=1)
-    lagrangian = 0.5 * (trace - basis.mass ** 2 * phi_sq)
-    return deriv - g * lagrangian[:, None, None]
+    diag = pairs.reshape(S * S, E)[:-1:S + 1].T     # (E, d+1): <:(d_m phi)^2:>, writable
+    g = metric(basis.backend, t, x)                 # (E, d+1) diagonal
+    lagrangian = 0.5 * (((1.0 / g) * diag).sum(1) - basis.mass ** 2 * pairs[-1, -1])
+    diag -= g * lagrangian[:, None]                 # T_mn = <:d_m phi d_n phi:> - g_mn <:L:>
+    return pairs[:-1, :-1].transpose(2, 0, 1)
 
 
 def stress_field(state: FockState, t, x) -> np.ndarray:
@@ -122,10 +122,13 @@ def stress_field(state: FockState, t, x) -> np.ndarray:
     if not isinstance(basis, (MinkowskiModeBasis, EdSModeBasis)):
         raise ModeBasisError("stress-energy sampling needs a Minkowski or EdS basis")
     _require_normalized(state)
-    x = np.asarray(x, dtype=float)
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != d:
         raise BackendDomainError(f"x must have shape (events, {d})")
-    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1])
+    if t.shape != x.shape[:1]:
+        if t.shape not in ((), (1,)):
+            raise BackendDomainError(f"t has shape {t.shape}, events need {x.shape[:1]}")
+        t = np.broadcast_to(t, x.shape[:1])
     support, A, D = moments(state)
     # the slot factors and their products with the moments, once for all blocks
     B = _slot_products(basis.slot_factors(t, support), np.concatenate([A, D]) if D.any() else A)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from semigrav import consistency
 from semigrav.consistency import (
     FitResult,
     fit_parameter,
@@ -11,6 +12,7 @@ from semigrav.consistency import (
 )
 from semigrav.fock import create, new_vacuum
 from semigrav.modes import eds_basis, minkowski_basis
+from semigrav.spacetime import einstein_tensor
 
 
 def _eds_one_quantum(mass, v0):
@@ -26,6 +28,29 @@ def test_minkowski_vacuum_is_exactly_self_consistent():
     rep = residual(vac, t, x)
     assert rep.global_max == 0.0
     assert rep.per_event == (0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("n_events", [1, 130])
+@pytest.mark.parametrize("basis", [
+    minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1),
+    minkowski_basis(box_side=10.0, dimension=3, mass=1.0, n_max=1),
+    eds_basis(comoving_volume=60.0, mass=3.0),
+], ids=["minkowski-1d", "minkowski-3d", "eds"])
+def test_residual_is_the_max_over_the_full_square_tensors(basis, n_events, monkeypatch):
+    """Against any stress array, off-diagonal components included: per event,
+    max |G_square - 8 pi T| with G_square built from the ``einstein_tensor`` diagonal."""
+    rng = np.random.default_rng(n_events)
+    d = basis.backend.dimension
+    t, x = rng.uniform(0.5, 3.0, n_events), rng.uniform(0.0, 5.0, (n_events, d))
+    for scale in (1e-3, 1.0, 1e3):  # off-diagonals, against G_00 ~ 0.1-5 on the dust
+        stress = rng.normal(size=(n_events, d + 1, d + 1))
+        stress *= np.where(np.eye(d + 1, dtype=bool), 1e-3, scale)
+        monkeypatch.setattr(consistency, "stress_field", lambda state, t, x: stress)
+        rep = residual(new_vacuum(basis), t, x)
+        G = np.zeros_like(stress)
+        np.einsum("eii->ei", G)[...] = einstein_tensor(basis.backend, t, x)
+        per = np.abs(G - 8.0 * np.pi * stress).max(axis=(1, 2))
+        assert rep.per_event == tuple(per.tolist()) and rep.global_max == per.max()
 
 
 def test_minkowski_particle_residual_is_thermodynamically_small():

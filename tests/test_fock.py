@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from semigrav.fock import (
@@ -240,6 +240,32 @@ def test_normalized_superpose_is_scale_invariant(u, v, a, b, exponent, factor):
     scaled = superpose([(a * factor, u), (b * factor, v)], normalize=True)
     for occ in ref.terms.keys() | scaled.terms.keys():
         assert abs(scaled.terms.get(occ, 0j) - ref.terms.get(occ, 0j)) <= 1e-13
+
+
+_parts = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.5e-15, -3e-15, 1e-300])
+_wide_amplitudes = st.builds(complex, _parts, _parts)
+
+
+def _bits(state):
+    return [(occ, amp.real.hex(), amp.imag.hex()) for occ, amp in state.terms.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=st.dictionaries(occupations, _wide_amplitudes, min_size=1, max_size=12))
+@example(terms={(): 1e3 + 0j, ((0, 1),): 2e-15j, ((1, 2),): -0.0 + 5.0j})
+def test_normalized_equals_the_rebuilt_state(terms):
+    """Rescaling keeps exactly what ``FockState(basis, {o: a / n})`` keeps: the same
+    keys in the same order, the same bits, amplitudes at or under DROP_TOL dropped."""
+    psi = FockState(BASIS, terms)
+    n = psi.norm()
+    if n <= 1e-12:
+        with pytest.raises(ZeroNormError):
+            psi.normalized()
+        return
+    got = psi.normalized()
+    want = FockState(BASIS, {o: a / n for o, a in psi.terms.items()})
+    assert type(got) is FockState and got.basis is psi.basis
+    assert _bits(got) == _bits(want)
 
 
 def _dict_and_sort_bump(occ, mode, delta):

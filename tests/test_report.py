@@ -1,8 +1,11 @@
 """Report serialization: byte-stable JSON, RFC-4180 CSV."""
+import csv
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semigrav.report import RunReport, Table, _report_to_json, emit
 from semigrav.scenarios import SCENARIO_NAMES, default_config, run_scenario, scan_scenario
@@ -137,6 +140,44 @@ def _csv_oracle(table):
         return text
     return "".join(",".join(cell(v) for v in row) + "\r\n"
                    for row in [table.columns, *table.rows])
+
+
+def _per_cell_csv(table):
+    """The CSV as it was written one formatted cell at a time."""
+    def cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return repr(v) if isinstance(v, float) else str(v)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(table.columns)
+    for row in table.rows:
+        writer.writerow([cell(v) for v in row])
+    return buf.getvalue()
+
+
+def _csv_bytes(table):
+    report = RunReport(scenario="s", seed=0)
+    report.add_table(table)
+    return emit(report, "csv").encode()
+
+
+_cells = (st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+          | st.integers() | st.booleans() | st.text(max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(0, 4), data=st.data())
+def test_csv_rows_through_the_c_writer_match_the_per_cell_path(width, data):
+    rows = data.draw(st.lists(st.tuples(*[_cells] * width), max_size=5))
+    table = Table.build("t", [f"c{i}" for i in range(width)], rows)
+    assert _csv_bytes(table) == _per_cell_csv(table).encode()
+
+
+def test_csv_rows_of_every_cell_kind_match_the_per_cell_path():
+    for rep in _reports():
+        for table in rep.tables.values():
+            assert _csv_bytes(table) == _per_cell_csv(table).encode()
 
 
 def test_csv_of_every_table_matches_a_hand_written_writer(tmp_path):

@@ -1,4 +1,4 @@
-"""Backgrounds: metrics, Einstein tensors, light cones."""
+"""Backgrounds: metrics, Einstein tensors (as their diagonals), light cones."""
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -19,14 +19,14 @@ from semigrav.spacetime import (
 def test_minkowski_metric_is_constant_diag():
     bk = Minkowski(dimension=3, box_side=10.0)
     g = metric(bk, 0.7, (1.0, 2.0, 3.0))
-    assert_allclose(g, np.diag([1.0, -1.0, -1.0, -1.0]))
+    assert_allclose(g, [1.0, -1.0, -1.0, -1.0])
 
 
 def test_eds_metric_scale_factor():
     bk = EinsteinDeSitter(comoving_volume=100.0)
     t = 2.0
     g = metric(bk, t, (0.0, 0.0, 0.0))
-    assert_allclose(np.diag(g), [1.0, -t ** (4.0 / 3.0)] + [-t ** (4.0 / 3.0)] * 2)
+    assert_allclose(g, [1.0, -t ** (4.0 / 3.0)] + [-t ** (4.0 / 3.0)] * 2)
 
 
 def test_rindler_metric_conformal():
@@ -34,7 +34,7 @@ def test_rindler_metric_conformal():
     xi = 0.3
     g = metric(bk, 0.0, (xi,))
     conf = np.exp(2.0 * 2.0 * xi)
-    assert_allclose(g, np.diag([conf, -conf]))
+    assert_allclose(g, [conf, -conf])
 
 
 def _fd_g00_oracle(t: float, h: float = 1e-5) -> float:
@@ -56,11 +56,11 @@ def _fd_gii_oracle(t: float, h: float = 2e-4) -> float:
 def test_eds_einstein_tensor_matches_finite_difference_friedmann(t):
     bk = EinsteinDeSitter(comoving_volume=50.0)
     g = einstein_tensor(bk, t, (0.0, 0.0, 0.0))
-    assert_allclose(g[0, 0], 4.0 / (3.0 * t**2), rtol=1e-14)
-    assert_allclose(g[0, 0], _fd_g00_oracle(t), rtol=1e-8)
+    assert_allclose(g[0], 4.0 / (3.0 * t**2), rtol=1e-14)
+    assert_allclose(g[0], _fd_g00_oracle(t), rtol=1e-8)
     # dust: spatial components vanish identically
     assert abs(_fd_gii_oracle(t)) < 2e-7
-    assert_allclose(g[1:, 1:], np.zeros((3, 3)), atol=0.0)
+    assert_allclose(g[1:], np.zeros(3), atol=0.0)
 
 
 def test_flat_backgrounds_have_zero_einstein_tensor():
@@ -76,12 +76,12 @@ def test_metric_and_curvature_broadcast_over_event_arrays():
     for bk in (Minkowski(), EinsteinDeSitter(comoving_volume=50.0)):
         for fn in (metric, einstein_tensor):
             many = fn(bk, t, x)
-            assert many.shape == (7, 4, 4)
+            assert many.shape == (7, 4)
             for e in range(7):
                 assert np.array_equal(many[e], fn(bk, t[e], x[e]))
     g = metric(Rindler2D(acceleration=0.5), 1.0, rng.uniform(-1.0, 1.0, size=(5, 1)))
-    assert g.shape == (5, 2, 2)
-    assert np.array_equal(g[:, 0, 0], -g[:, 1, 1])
+    assert g.shape == (5, 2)
+    assert np.array_equal(g[:, 0], -g[:, 1])
 
 
 def test_eds_domain_requires_positive_time():

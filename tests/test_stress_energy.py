@@ -1,5 +1,6 @@
 """Stress-energy observables: dense-operator and Fock-walk oracles, closed forms."""
 import itertools
+import re
 from collections import Counter
 from math import sqrt
 
@@ -15,7 +16,11 @@ from semigrav.fock import (
 from semigrav.modes import (
     MinkowskiModeBasis, ModeBasisError, eds_basis, minkowski_basis, rindler_basis,
 )
-from semigrav.spacetime import BackendDomainError, EinsteinDeSitter, Event, Minkowski, metric
+from semigrav.consistency import residual
+from semigrav.spacetime import (
+    BackendDomainError, EinsteinDeSitter, Event, Minkowski, einstein_tensor, metric,
+)
+from semigrav import stress_energy
 from semigrav.stress_energy import (
     _BLOCK,
     _slot_products,
@@ -140,6 +145,13 @@ def _lowering_image(state, coeffs):
     return FockState(state.basis, acc)
 
 
+def _square(diag):
+    """The (..., n, n) tensor with diagonal ``diag``, built as the square metric was."""
+    out = np.zeros(diag.shape + diag.shape[-1:])
+    np.einsum("...ii->...i", out)[...] = diag
+    return out
+
+
 def _walk_stress(state, basis, t, x):
     """T_mn at one event from <:AB:> = 2 Re <A-Psi|B-Psi> + 2 Re <Psi|A-B-Psi>."""
     dx = basis.dx_coeffs(t, x)
@@ -152,7 +164,7 @@ def _walk_stress(state, basis, t, x):
 
     dim = len(coeffs) - 1
     deriv = np.array([[pair(i, j) for j in range(dim)] for i in range(dim)])
-    g = metric(basis.backend, t, x)
+    g = _square(metric(basis.backend, t, x))
     lagrangian = 0.5 * (np.diag(deriv) @ (1.0 / np.diag(g)) - basis.mass**2 * pair(dim, dim))
     return deriv - g * lagrangian
 
@@ -315,7 +327,7 @@ def _einsum_stress(state, basis, t, x):
             half += np.einsum("esp,eup->esu", pair, images)
         pairs = half + half.transpose(0, 2, 1)
         deriv, phi_sq = pairs[:, :-1, :-1], pairs[:, -1, -1]
-        g = metric(basis.backend, tb, xb)
+        g = _square(metric(basis.backend, tb, xb))
         inv_diag = 1.0 / np.diagonal(g, axis1=1, axis2=2)
         trace = (inv_diag * np.diagonal(deriv, axis1=1, axis2=2)).sum(axis=1)
         lagrangian = 0.5 * (trace - basis.mass ** 2 * phi_sq)
@@ -370,6 +382,69 @@ def test_component_sum_matches_the_einsum_contraction(state, rows, pair):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _square_stress_block(basis, B, modes, n_rows, t, x):
+    """``_stress_block`` with its tail in the square form the diagonal one replaced:
+    T = deriv - g L over the full (E, d+1, d+1) metric g."""
+    f = basis.field_coeffs(t, x, modes)
+    E, S = len(f), basis.backend.dimension + 2
+    U = (f[:, None, :] @ B).reshape(E, S, B.shape[-1] // S)
+    np.conjugate(U[..., n_rows:], out=U[..., n_rows:])
+    parts = np.ascontiguousarray(U.view(float).transpose(2, 1, 0))
+    images, pair = parts[:2 * n_rows], parts[2 * n_rows:]
+    half = np.einsum("cse,cue->sue", images, images)
+    if len(pair):
+        half += np.einsum("cse,cue->sue", pair, images)
+    pairs = half + half.transpose(1, 0, 2)
+    deriv, phi_sq = pairs[:-1, :-1].transpose(2, 0, 1), pairs[-1, -1]
+    g = _square(metric(basis.backend, t, x))
+    inv_diag = 1.0 / np.diagonal(g, axis1=1, axis2=2)
+    trace = (inv_diag * np.diagonal(deriv, axis1=1, axis2=2)).sum(axis=1)
+    lagrangian = 0.5 * (trace - basis.mass ** 2 * phi_sq)
+    return deriv - g * lagrangian[:, None, None]
+
+
+_PLANE = minkowski_basis(box_side=6.0, dimension=2, mass=0.7, n_max=2)
+_DIAGONAL_CASES = {
+    "vacuum-1d": new_vacuum(_LINE),
+    "vacuum-eds": new_vacuum(_DUST),
+    "one-quantum-1d": create(new_vacuum(_LINE), 3),
+    "one-quantum-2d": create(new_vacuum(_PLANE), _PLANE.mode_index((1, -2))),
+    "one-quantum-3d": create(new_vacuum(_CUBE), 5),
+    "one-quantum-eds": create(new_vacuum(_DUST), 0),
+    "packet-1d": wavepacket_state(_LINE, [1.3]),
+    "packet-2d": wavepacket_state(_PLANE, [0.4, 2.9]),
+    "packet-3d": wavepacket_state(_CUBE, [1.0, 2.0, 0.5]),
+    "multi-row-1d": _random_state(_LINE, np.random.default_rng(11), n_terms=6, max_quanta=3),
+    "multi-row-3d": _random_state(_CUBE, np.random.default_rng(12), n_terms=8, max_quanta=2),
+    "one-row-pair-eds": _vacuum_plus_pair(_DUST, 0),
+}
+
+
+@pytest.mark.parametrize("n_events", [1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 7])
+@pytest.mark.parametrize("name", list(_DIAGONAL_CASES))
+def test_diagonal_forms_match_the_square_formulas(name, n_events, monkeypatch):
+    """``stress_field`` equals deriv - g_square L bit for bit, and ``residual``'s
+    per-event values equal max |G_square - 8 pi T| over the full square tensors."""
+    state = _DIAGONAL_CASES[name]
+    backend = state.basis.backend
+    rng = np.random.default_rng(n_events)
+    t, x = _random_events(state.basis, rng, n_events)
+    if n_events % 2:  # a scalar time broadcasts over the events
+        t = float(t[0])
+    got = stress_field(state, t, x)
+    report = residual(state, t, x)
+    with monkeypatch.context() as patch:
+        patch.setattr(stress_energy, "_stress_block", _square_stress_block)
+        want = stress_field(state, t, x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
+    assert np.array_equal(report.stress, got)
+    G = _square(einstein_tensor(backend, np.broadcast_to(t, n_events), x))
+    per = np.abs(G - 8.0 * np.pi * want).max(axis=(1, 2))
+    assert report.per_event == tuple(per.tolist())
+    assert report.global_max == per.max()
+    assert got.any() != name.startswith("vacuum")
+
+
 def test_moments_match_ladder_products():
     """rho = A^H A is <a_k+ a_l> and K = D^T A is <a_k a_l>, from the ladder operators."""
     basis = minkowski_basis(box_side=5.0, dimension=1, mass=1.0, n_max=1)
@@ -400,6 +475,22 @@ def test_stress_field_rejects_bad_event_arrays():
     with pytest.raises(ValueError):
         stress_field(new_vacuum(dust), [1.0, 0.0], np.zeros((2, 3)))
 
+
+
+@pytest.mark.parametrize("t_shape", [(3,), (4, 1), (1, 1), (1, 4), (0,)])
+def test_times_that_do_not_broadcast_to_the_events_name_both_shapes(t_shape):
+    """A t that does not broadcast to (E,) is a domain error naming both shapes,
+    from ``stress_field`` and from ``residual``; shapes (), (1,) and (E,) pass."""
+    state = create(new_vacuum(_PLANE), 4)
+    x = np.zeros((4, 2))
+    message = f"t has shape {t_shape}, events need (4,)"
+    for call in (stress_field, residual):
+        with pytest.raises(BackendDomainError, match=re.escape(message)):
+            call(state, np.ones(t_shape), x)
+    want = stress_field(state, np.ones(4), x)
+    for ok in ((), (1,), (4,)):
+        assert np.array_equal(stress_field(state, np.ones(ok), x), want)
+        assert np.array_equal(residual(state, np.ones(ok), x).stress, want)
 
 # ---- flat-space closed forms -------------------------------------------------
 
