@@ -5,9 +5,8 @@ frequency solutions of the Klein-Gordon equation.  The box and dust bases
 expose the complex mode-function coefficients (and their first derivatives)
 needed to assemble field operators at a spacetime event.  The wedge basis is
 its validated frequency grid: its modes are the sharp right-movers
-(a x)^(i w / a) / sqrt(4 pi w) on the t = 0 slice, which ``bogolubov``
-pairs with box modes in closed form, with the finite-window normalization
-in ``bogolubov``'s column weights.
+(a x)^(i w / a) / sqrt(4 pi w) on the t = 0 slice, whose Bogolubov rows
+``bogolubov`` forms in closed form from the frequencies alone.
 """
 from __future__ import annotations
 
@@ -182,8 +181,7 @@ class RindlerModeBasis:
 
     The basis is its frequency grid: on the t = 0 slice mode j is the sharp
     g_j(x) = (a x)^(i w_j / a) / sqrt(4 pi w_j), x > 0, and ``bogolubov``
-    pairs it with the box modes in closed form; the finite-window
-    normalization lives in ``bogolubov``'s column weights.
+    reduces its Bogolubov row to the closed-form sum S_j of w_j / a.
     """
 
     backend: Rindler2D

@@ -297,9 +297,8 @@ def _run_eds_fit(cfg: dict, seed: int) -> RunReport:
 
 def _run_rindler_unruh(cfg: dict, seed: int) -> RunReport:
     a = cfg["acceleration"]
-    mink = minkowski_basis(cfg["box_side"], 1, 0.0, cfg["n_max"])
     rind = rindler_basis(a, np.geomspace(cfg["freq_lo"], cfg["freq_hi"], cfg["n_frequencies"]))
-    matrix = bogolubov_coefficients(mink, rind)
+    matrix = bogolubov_coefficients(rind)
     spectrum_rows = []
     norm_rows = []
     for j, w in enumerate(matrix.row_frequencies):
@@ -567,9 +566,8 @@ _SCENARIOS: dict[str, _Scenario] = {
                  <= c["scaling_volumes"][-1] <= 1e150))
         + _dust_checks("bracket_lo", "bracket_hi")),
     "rindler_unruh": _Scenario(
-        schema={"acceleration": _positive, "box_side": _positive, "n_max": _int_at_least(2),
-                "n_frequencies": _int_at_least(1), "freq_lo": _positive,
-                "freq_hi": _positive, "seed": _seed},
+        schema={"acceleration": _positive, "n_frequencies": _int_at_least(1),
+                "freq_lo": _positive, "freq_hi": _positive, "seed": _seed},
         run=_run_rindler_unruh,
         # nu = w/a must not underflow to 0, where Gamma(i nu) has its pole, and the
         # Planck occupancy e^(-2 pi nu) must stay a normal float

@@ -176,32 +176,52 @@ def test_rindler_small_accelerations_pass_on_the_packaged_grid(acceleration, tmp
     assert payload["flags"] and all(payload["flags"].values())
 
 
-def test_rindler_non_finite_spectrum_fails_every_flag(tmp_path, capsys):
-    """box_side 1e-320 puts k = 2 pi n / L at infinity, so every row is NaN."""
-    path = _write_json(tmp_path / "ru.json",
-                       dict(default_config("rindler_unruh"), box_side=1e-320))
-    with np.errstate(all="ignore"):
-        rc = main(["run", "rindler_unruh", "--config", path])
+# one-function faults in the wedge rows' log-gamma, each with the rindler_unruh
+# flags it must fail, in the report's flag order
+RINDLER_FAULTS = {
+    "nan": (lambda loggamma: lambda z: np.full(np.shape(z), np.nan + 0j),
+            ("thermal_within_1pct", "rows_normalized", "occupancy_positive")),
+    # e^(0.02) = 1.0202 on every S_j: 2% off Planck and off unit norm, still positive
+    "real-bias": (lambda loggamma: lambda z: loggamma(z) + 0.01,
+                  ("thermal_within_1pct", "rows_normalized")),
+}
+
+
+def _run_rindler_with_fault(fault, monkeypatch, capsys):
+    """The packaged rindler_unruh run with ``bogolubov._loggamma`` replaced as
+    ``RINDLER_FAULTS[fault]`` says: it exits 1 and stderr names exactly the flags
+    the entry lists, in order.  Returns the JSON payload."""
+    make, failed = RINDLER_FAULTS[fault]
+    bogolubov = importlib.import_module("semigrav.bogolubov")
+    monkeypatch.setattr(bogolubov, "_loggamma", make(bogolubov._loggamma))
+    rc = main(["run", "rindler_unruh"])
     captured = capsys.readouterr()
-    payload = json.loads(captured.out)
     assert rc == 1
+    assert captured.err == "".join(f"flag {name!r} failed\n" for name in failed)
+    return json.loads(captured.out)
+
+
+def test_rindler_non_finite_spectrum_fails_every_flag(monkeypatch, capsys):
+    """A NaN log-gamma makes every row NaN, and a NaN fails every flag."""
+    payload = _run_rindler_with_fault("nan", monkeypatch, capsys)
     assert list(payload["tables"]) == ["normalization", "spectrum"]
     assert payload["flags"] and not any(payload["flags"].values())
-    # one line per failed flag, in the report's flag order
-    assert captured.err == ("flag 'thermal_within_1pct' failed\n"
-                            "flag 'rows_normalized' failed\n"
-                            "flag 'occupancy_positive' failed\n")
+
+
+def test_rindler_biased_loggamma_fails_the_gamma_identity_flags(monkeypatch, capsys):
+    """|Gamma(i nu)|^2 off by 2% breaks the Planck and norm flags, not positivity."""
+    payload = _run_rindler_with_fault("real-bias", monkeypatch, capsys)
+    assert payload["flags"]["occupancy_positive"]
 
 
 @pytest.mark.parametrize("changes", [
     dict(freq_lo=1e-15, freq_hi=2e-15),
     dict(freq_lo=1e-20, freq_hi=2e-20),
-    dict(acceleration=2.84e95, box_side=6.54e-95, freq_lo=9.19e96, freq_hi=1.38e97,
-         n_max=3, n_frequencies=2),
+    dict(acceleration=2.84e95, freq_lo=9.19e96, freq_hi=1.38e97, n_frequencies=2),
 ], ids=["nu-1e-15", "nu-1e-20", "k-omega-1e192"])
 def test_rindler_row_sums_hold_at_extreme_nu_and_scale(changes, tmp_path, capsys):
-    """Near nu = 0, sum w (|alpha|^2 - |beta|^2) would cancel every digit; at
-    k omega ~ 1e192, |beta|^2 alone would underflow (nu ~ 48 in the last row)."""
+    """Near nu = 0, the norm (1 - e^(-2 pi nu)) S_j must not cancel; at a ~ 1e95,
+    with nu ~ 48 in the last row, neither S_j nor e^(-2 pi nu) S_j may underflow."""
     path = _write_json(tmp_path / "ru.json", dict(default_config("rindler_unruh"), **changes))
     rc = main(["run", "rindler_unruh", "--config", path])
     payload = json.loads(capsys.readouterr().out)
@@ -214,7 +234,8 @@ def test_rindler_row_sums_hold_at_extreme_nu_and_scale(changes, tmp_path, capsys
 def test_rindler_extreme_configs_only_raise_config_errors():
     """Seeded fuzz over [1e-320, 1e308]: a config is either refused or runs.
 
-    Half the draws are log-uniform in all four scales; the other half put
+    Half the draws are log-uniform in all three scales (the acceleration and
+    the two frequencies); the other half put
     the frequencies near the acceleration, so that many configs pass the
     nu = w / a rules and reach the runner.  Non-finite values that extreme
     scales produce must fail flags, not raise.
@@ -224,13 +245,10 @@ def test_rindler_extreme_configs_only_raise_config_errors():
     ran = 0
     for i in range(300):
         with np.errstate(all="ignore"):
-            scales = 10.0 ** rng.uniform(lo, hi, 4)
-            a, box_side = scales[:2]
-            freqs = np.sort(scales[2:] if i % 2 else a * 10.0 ** rng.uniform(-105.0, 5.0, 2))
-            cfg = dict(acceleration=float(a), box_side=float(box_side),
-                       freq_lo=float(freqs[0]), freq_hi=float(freqs[1]),
-                       n_max=int(rng.integers(2, 6)), n_frequencies=int(rng.integers(1, 4)),
-                       seed=0)
+            a, *scales = 10.0 ** rng.uniform(lo, hi, 3)
+            freqs = np.sort(scales if i % 2 else a * 10.0 ** rng.uniform(-105.0, 5.0, 2))
+            cfg = dict(acceleration=float(a), freq_lo=float(freqs[0]), freq_hi=float(freqs[1]),
+                       n_frequencies=int(rng.integers(1, 4)), seed=0)
             try:
                 run_scenario("rindler_unruh", cfg)
             except ScenarioConfigError:
@@ -429,7 +447,7 @@ CONFIG_MESSAGES = [
      "field 'scaling_volumes': must be a list of at least 3 numbers"),
     ("eds_fit", {"bracket_lo": 2.0, "bracket_hi": 2.0},
      "field 'bracket_hi': must exceed bracket_lo"),
-    ("rindler_unruh", {"n_max": 1}, "field 'n_max': must be an integer >= 2"),
+    ("rindler_unruh", {"n_frequencies": 0}, "field 'n_frequencies': must be an integer >= 1"),
     ("rindler_unruh", {"freq_lo": 3.0, "freq_hi": 3.0}, "field 'freq_hi': must exceed freq_lo"),
     ("epr_collapse", {"station_separation": 10.0, "box_side": 10.0},
      "field 'station_separation': must be smaller than box_side"),
@@ -500,6 +518,8 @@ CONFIG_MESSAGES = [
      "field 'box_side': must lie between 1e-100 and 1e100"),
     ("epr_collapse", {"box_side": 1e30, "station_separation": 4e29, "sphere_width": 1e-140},
      "field 'sphere_width': box_side/sphere_width must be at most 1e150"),
+    ("rindler_unruh", {"n_max": 48}, "unknown field 'n_max'"),
+    ("rindler_unruh", {"box_side": 314.1592653589793}, "unknown field 'box_side'"),
 ]
 
 
@@ -797,9 +817,10 @@ def test_vacuum_in_a_3d_box_of_5e8_modes_runs_in_bounded_memory(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_rindler_at_n_max_20000_runs_fast_in_bounded_memory(tmp_path):
-    """20,001 box columns: each row is one Gamma factor times a phase per column."""
-    path = _write_json(tmp_path / "ru.json", dict(default_config("rindler_unruh"), n_max=20000))
+def test_rindler_at_n_frequencies_20000_runs_fast_in_bounded_memory(tmp_path):
+    """20,000 wedge rows: each is one closed-form sum, formed in one vector pass."""
+    path = _write_json(tmp_path / "ru.json",
+                       dict(default_config("rindler_unruh"), n_frequencies=20000))
     proc = _run_bounded(["run", "rindler_unruh", "--config", path], timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stderr.splitlines()[-1]) < 10.0
@@ -870,7 +891,6 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 _ORACLE_NAMES = {
     "project": "the single-trial path that run_trials is checked against",
     "constrained_project": "the causality-gated single trial, the gate's user-facing form",
-    "BogolubovMatrix.beta": "the closed-form beta rows the quadrature oracle is checked against",
 }
 
 

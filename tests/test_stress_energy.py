@@ -639,6 +639,67 @@ def test_eds_vacuum_stress_vanishes():
     assert np.abs(sample).max() == 0.0
 
 
+# ---- conservation: the central-difference divergence of <T_mn> -------------------
+#
+# The oracle shares no code with the engine's contraction: it reads only
+# stress_field and takes differences.  A symmetrized bilinear of any two
+# Klein-Gordon solutions is conserved, so this checks the tensor form and the
+# mode functions; it cannot see the moments (rho, K), which the Fock walk checks.
+
+def _divergence(state, t, x, h):
+    """d_t T_0n - sum_i d_i T_in at the events by central differences of step h,
+    shape (E, d+1): nabla^m T_mn in the box metric diag(1, -1, ..., -1)."""
+    d = x.shape[1]
+    div = (stress_field(state, t + h, x)[:, 0] - stress_field(state, t - h, x)[:, 0]) / (2 * h)
+    for i, step in enumerate(h * np.eye(d)):
+        div -= (stress_field(state, t, x + step)[:, i + 1]
+                - stress_field(state, t, x - step)[:, i + 1]) / (2 * h)
+    return div
+
+
+@pytest.mark.parametrize("basis", [
+    minkowski_basis(box_side=7.0, dimension=1, mass=0.5, n_max=4),
+    minkowski_basis(box_side=7.0, dimension=1, mass=0.0, n_max=4),
+    minkowski_basis(box_side=5.0, dimension=2, mass=1.0, n_max=2),
+    minkowski_basis(box_side=5.0, dimension=2, mass=0.0, n_max=2),
+    minkowski_basis(box_side=5.0, dimension=3, mass=1.0, n_max=1),
+    minkowski_basis(box_side=5.0, dimension=3, mass=0.0, n_max=1),
+], ids=["1d", "1d-massless", "2d", "2d-massless", "3d", "3d-massless"])
+@pytest.mark.parametrize("max_quanta", [1, 3], ids=["one-quantum", "pairs"])
+def test_box_stress_is_conserved(basis, max_quanta):
+    rng = np.random.default_rng(10 * basis.backend.dimension + max_quanta)
+    state = _random_state(basis, rng, n_terms=5, max_quanta=max_quanta)
+    assert moments(state)[2].any() == (max_quanta > 1)  # K != 0 exactly for the pair states
+    t, x = _random_events(basis, rng, 8)
+    w = basis.frequencies(list(moments(state)[0])).max()  # T varies on 1/(2w)
+    scale = w * np.abs(stress_field(state, t, x)).max()
+    # the differences' O(h^2) truncation error, far above rounding at h w <= 0.02; in
+    # massless 1-D it cancels exactly (T is a function of t - x plus one of t + x)
+    for h in (0.02 / w, 0.01 / w):
+        assert np.abs(_divergence(state, t, x, h)).max() <= (h * w) ** 2 * scale
+
+
+@pytest.mark.parametrize("state", [create(new_vacuum(_DUST), 0), _vacuum_plus_pair(_DUST, 0)],
+                         ids=["one-quantum", "vacuum-plus-pair"])
+def test_dust_stress_is_conserved(state):
+    """d rho/dt + H (3 rho + sum_i T_ii / a^2) = 0, with a^2 = t^(4/3) and H = 2/(3t)."""
+    t = np.array([0.4, 1.0, 2.5, 6.0])
+    x = np.zeros((len(t), 3))
+
+    def continuity(h):
+        rho_dot = (stress_field(state, t + h, x)[:, 0, 0]
+                   - stress_field(state, t - h, x)[:, 0, 0]) / (2 * h)
+        T = stress_field(state, t, x)
+        trace = np.trace(T[:, 1:, 1:], axis1=1, axis2=2) / t ** (4.0 / 3.0)
+        return rho_dot + 2.0 / (3.0 * t) * (3.0 * T[:, 0, 0] + trace)
+
+    # the mode varies on 1/m and on t itself; on a step small on both, the residual
+    # is the O(h^2) truncation error of the difference: it falls 4x as h halves
+    step = 0.02 * np.minimum(t, 1.0 / _DUST.mass)
+    coarse, fine = (np.abs(continuity(h)).max() for h in (step, step / 2))
+    assert 3.5 < coarse / fine < 4.5
+
+
 # ---- wavepackets ---------------------------------------------------------------
 
 def test_wavepacket_is_normalized_single_particle():

@@ -11,7 +11,8 @@ in CSV.  Every output file, and each invocation's exit code and stderr (as
 ``<run>.status``), gets one ``sha256  name`` line; the last line is one
 SHA-256 over the sorted ``name NUL sha256 LF`` lines of them all.  Two
 source trees print the same last line exactly when these outputs agree
-byte for byte.
+byte for byte.  A wrong argument count, or a directory that holds no
+``semigrav`` package, exits 2.
 """
 from __future__ import annotations
 
@@ -61,6 +62,9 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     src = Path(argv[0]).resolve()
+    if not (src / "semigrav" / "__init__.py").is_file():
+        print(f"no semigrav package in {src}", file=sys.stderr)
+        return 2
     sys.path.insert(0, str(src))
     import semigrav
     if Path(semigrav.__file__).resolve().parent != src / "semigrav":
