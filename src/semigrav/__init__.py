@@ -33,7 +33,6 @@ from .modes import (
     MinkowskiModeBasis,
     ModeBasisError,
     RindlerModeBasis,
-    default_rindler_grid,
     eds_basis,
     eds_k0_mode,
     minkowski_basis,
@@ -63,17 +62,13 @@ from .measurement import (
     Branch,
     BranchSet,
     CausalityReport,
-    NoAdmissibleCausalBranch,
     TrialBatch,
     ZeroOverlapError,
     born_probabilities,
     causality_check,
-    constrained_project,
     gaussian_bump,
     profile_mixture,
-    project,
     run_trials,
-    trial_rng,
 )
 from .report import RunReport, Table, emit
 from .scenarios import (

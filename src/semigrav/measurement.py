@@ -9,8 +9,8 @@ gate evaluates the pre- and post-projection profiles on the whole probe
 grid at once and demands that they agree, within a declared tolerance,
 wherever ``outside_future_cone`` marks a probe as outside the future
 light cone of the measurement's origin, an ``Event`` that only the gate
-reads.  Branches failing the gate are inadmissible; if none survive, the
-engine reports that distinct outcome instead of guessing.
+reads.  ``causality_check`` returns the verdict with the largest change
+on each side of the cone; the scenarios carry it into their tables.
 
 Admissibility itself is scenario-declared (which branch sets count as
 "classical" is an open modeling question), so this module is agnostic:
@@ -20,8 +20,8 @@ and ``page_geilker``, build their branch sets and profiles in ``scenarios``.
 
 Trials read one counter-based stream: trial ``i`` of master seed ``s`` is
 draw ``i`` of ``Generator(Philox(key=s))``.  ``run_trials`` reads it in
-sequential blocks; ``trial_rng(s, i)`` replays any one trial by advancing
-the Philox counter, and serves as the single-trial oracle for the batch path.
+sequential blocks.  Its oracle, in ``tests/test_measurement.py``, replays
+each trial alone from a fresh generator advanced to that draw.
 """
 from __future__ import annotations
 
@@ -37,17 +37,13 @@ from .spacetime import Event, outside_future_cone
 
 __all__ = [
     "ZeroOverlapError",
-    "NoAdmissibleCausalBranch",
     "Branch",
     "BranchSet",
     "CausalityReport",
     "born_probabilities",
-    "trial_rng",
     "TrialBatch",
     "run_trials",
-    "project",
     "causality_check",
-    "constrained_project",
     "gaussian_bump",
     "profile_mixture",
 ]
@@ -59,10 +55,6 @@ Profile = Callable[[np.ndarray, np.ndarray], np.ndarray]  # t (n,), x (n, d) -> 
 
 class ZeroOverlapError(ValueError):
     """The state is orthogonal to every branch: projection is undefined."""
-
-
-class NoAdmissibleCausalBranch(RuntimeError):
-    """Every overlapping branch would change the energy profile acausally."""
 
 
 @dataclass(frozen=True)
@@ -128,40 +120,6 @@ def born_probabilities(state: FockState, branch_set: BranchSet) -> np.ndarray:
     return weights / total
 
 
-def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Seed ``master_seed``'s trial stream, positioned at trial ``trial_index``.
-
-    The stream is ``Generator(Philox(key=master_seed))``, one uniform per
-    trial.  A Philox counter step yields four 64-bit outputs, so the replay
-    advances the counter by ``trial_index // 4`` and discards the rest.
-    """
-    step, skip = divmod(int(trial_index), 4)
-    if step < 0:
-        raise ValueError("trial index must be non-negative")
-    bits = np.random.Philox(key=int(master_seed))
-    bits.advance(step)
-    rng = np.random.Generator(bits)
-    rng.random(skip)
-    return rng
-
-
-def _sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
-    r = rng.random()
-    cum = 0.0
-    for i, p in enumerate(probabilities):
-        cum += p
-        if r < cum:
-            return i
-    return int(len(probabilities) - 1)  # guard against cum rounding below 1
-
-
-def project(state: FockState, branches: BranchSet, rng_seed) -> tuple[int, FockState]:
-    """Sample a branch by the Born rule; the post-state is that branch exactly."""
-    rng = np.random.default_rng(rng_seed)
-    idx = _sample_index(born_probabilities(state, branches), rng)
-    return idx, branches[idx].state
-
-
 _TRIAL_BLOCK = 4096  # trials drawn at once: bounds memory, not results
 
 
@@ -178,17 +136,17 @@ def run_trials(state: FockState, branches: BranchSet, master_seed: int,
                n_trials: int) -> TrialBatch:
     """Project ``state`` once in each of trials ``0 .. n_trials - 1``.
 
-    Trial ``t`` picks the branch that ``project(state, branches,
-    trial_rng(master_seed, t))`` picks: its uniform is draw ``t`` of the
-    seed's stream, and the branch is the first whose cumulative Born
-    weight, summed in ``_sample_index``'s order, exceeds it.
+    Trial ``t`` reads one uniform, draw ``t`` of the seed's stream
+    ``Generator(Philox(key=master_seed))``, and picks the first branch
+    whose cumulative Born weight exceeds it; a uniform at or above the last
+    cumulative weight, which can round below 1, picks the last branch.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
     born = born_probabilities(state, branches)
     cum = np.cumsum(born)
     counts = np.zeros(len(born), dtype=np.int64)
-    rng = trial_rng(master_seed, 0)
+    rng = np.random.Generator(np.random.Philox(key=int(master_seed)))
     for start in range(0, n_trials, _TRIAL_BLOCK):
         r = rng.random(min(_TRIAL_BLOCK, n_trials - start))
         picks = np.minimum(np.searchsorted(cum, r, side="right"), len(born) - 1)
@@ -217,28 +175,6 @@ def causality_check(pre_profile: Profile, post_profile: Profile, origin: Event,
         n_inside=int((~outside).sum()),
         passed=max_out <= tol,
     )
-
-
-def constrained_project(state: FockState, branches: BranchSet, origin: Event,
-                        pre_profile: Profile, t, x, tol: float,
-                        rng_seed) -> tuple[int, FockState, CausalityReport]:
-    """Born sampling restricted to branches that pass ``origin``'s causality gate at (t, x).
-
-    Branch probabilities are renormalized over the causal subset; if no
-    overlapping branch passes, NoAdmissibleCausalBranch is raised.
-    """
-    rng = np.random.default_rng(rng_seed)
-    probs = born_probabilities(state, branches)
-    reports = [causality_check(pre_profile, br.energy_profile, origin, t, x, tol)
-               for br in branches]
-    keep = [i for i, rep in enumerate(reports) if rep.passed and probs[i] > 0.0]
-    if not keep:
-        raise NoAdmissibleCausalBranch(
-            "every overlapping branch changes the energy profile outside the light cone"
-        )
-    sub = probs[keep] / probs[keep].sum()
-    idx = keep[_sample_index(sub, rng)]
-    return idx, branches[idx].state, reports[idx]
 
 
 # ---- energy-profile helpers ---------------------------------------------

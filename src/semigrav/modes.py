@@ -26,7 +26,6 @@ __all__ = [
     "eds_basis",
     "eds_k0_mode",
     "rindler_basis",
-    "default_rindler_grid",
 ]
 
 
@@ -204,10 +203,3 @@ def rindler_basis(acceleration: float, omegas) -> RindlerModeBasis:
     if any(b <= a for a, b in zip(omegas, omegas[1:])):
         raise ModeBasisError("Rindler frequency grid must be strictly increasing")
     return RindlerModeBasis(backend=backend, omegas=omegas)
-
-
-def default_rindler_grid(acceleration: float, n: int) -> np.ndarray:
-    """``n`` log-spaced wedge frequencies in [0.1 a, 3 a]."""
-    if n < 1:
-        raise ModeBasisError("grid needs at least one point")
-    return np.geomspace(0.1 * acceleration, 3.0 * acceleration, n)

@@ -54,7 +54,6 @@ class RunReport:
     seed: int
     tables: dict[str, Table] = field(default_factory=dict)
     flags: dict[str, bool] = field(default_factory=dict)
-    wall_time: float = 0.0
 
     def add_table(self, table: Table) -> None:
         self.tables[table.name] = table

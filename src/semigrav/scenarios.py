@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass
 from importlib import resources
 from math import isfinite
@@ -669,10 +668,7 @@ def run_scenario(name: str, config: dict | None = None, seed: int | None = None,
                 f"scenario {name!r} has no trial count to override")
         cfg["n_trials"] = _field(scenario.schema, "n_trials", trials)
     effective_seed = cfg["seed"] if seed is None else _field(scenario.schema, "seed", seed)
-    start = time.perf_counter()
-    report = scenario.run(cfg, effective_seed)
-    report.wall_time = time.perf_counter() - start
-    return report
+    return scenario.run(cfg, effective_seed)
 
 
 def scan_scenario(name: str, config: dict | None, param: str,

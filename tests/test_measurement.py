@@ -7,23 +7,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from semigrav import measurement
 from semigrav.fock import create, new_vacuum, number_expectation, superpose
 from semigrav.measurement import (
     Branch,
     BranchSet,
     CausalityReport,
-    NoAdmissibleCausalBranch,
     ZeroOverlapError,
-    _sample_index,
     born_probabilities,
     causality_check,
-    constrained_project,
     gaussian_bump,
     profile_mixture,
-    project,
     run_trials,
-    trial_rng,
 )
 from semigrav.modes import minkowski_basis
 from semigrav.scenarios import (ScenarioConfigError, _epr_setup, _run_sphere_collapse,
@@ -46,6 +40,45 @@ def _two_branches():
     a = create(VAC, 0).normalized()
     b = create(VAC, 1).normalized()
     return BranchSet([Branch("a", a, FLAT), Branch("b", b, FLAT)]), a, b
+
+
+# ---- the single-trial oracle ---------------------------------------------------
+# ``run_trials`` and both collapse scenarios are checked against one trial at a
+# time: ``_trial_rng`` replays trial i of a seed's stream from a fresh generator,
+# and ``_project`` picks its branch with ``_sample_index``'s cumulative loop.
+
+def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
+    """Seed ``master_seed``'s trial stream, positioned at trial ``trial_index``.
+
+    The stream is ``Generator(Philox(key=master_seed))``, one uniform per
+    trial.  A Philox counter step yields four 64-bit outputs, so the replay
+    advances the counter by ``trial_index // 4`` and discards the rest.
+    """
+    step, skip = divmod(int(trial_index), 4)
+    if step < 0:
+        raise ValueError("trial index must be non-negative")
+    bits = np.random.Philox(key=int(master_seed))
+    bits.advance(step)
+    rng = np.random.Generator(bits)
+    rng.random(skip)
+    return rng
+
+
+def _sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
+    r = rng.random()
+    cum = 0.0
+    for i, p in enumerate(probabilities):
+        cum += p
+        if r < cum:
+            return i
+    return int(len(probabilities) - 1)  # guard against cum rounding below 1
+
+
+def _project(state, branches: BranchSet, rng_seed):
+    """Sample a branch by the Born rule; the post-state is that branch exactly."""
+    rng = np.random.default_rng(rng_seed)
+    idx = _sample_index(born_probabilities(state, branches), rng)
+    return idx, branches[idx].state
 
 
 # ---- Born arithmetic ---------------------------------------------------------
@@ -91,7 +124,7 @@ def test_branch_set_validation():
 def test_project_returns_branch_state_exactly():
     branches, a, b = _two_branches()
     psi = superpose([(1.0, a), (0.0001, b)], normalize=True)
-    idx, post = project(psi, branches, rng_seed=0)
+    idx, post = _project(psi, branches, rng_seed=0)
     assert post is branches[idx].state
 
 
@@ -99,11 +132,11 @@ def test_project_is_deterministic_per_seed():
     branches, a, b = _two_branches()
     psi = superpose([(1.0, a), (1.0, b)], normalize=True)
     for trial in range(20):
-        i1, _ = project(psi, branches, trial_rng(99, trial))
-        i2, _ = project(psi, branches, trial_rng(99, trial))
+        i1, _ = _project(psi, branches, _trial_rng(99, trial))
+        i2, _ = _project(psi, branches, _trial_rng(99, trial))
         assert i1 == i2
-    picks_a = [project(psi, branches, trial_rng(99, t))[0] for t in range(64)]
-    picks_b = [project(psi, branches, trial_rng(100, t))[0] for t in range(64)]
+    picks_a = [_project(psi, branches, _trial_rng(99, t))[0] for t in range(64)]
+    picks_b = [_project(psi, branches, _trial_rng(100, t))[0] for t in range(64)]
     assert picks_a != picks_b  # different master seeds decorrelate
 
 
@@ -111,7 +144,7 @@ def test_degenerate_probabilities_never_pick_zero_branch():
     branches, a, b = _two_branches()
     psi_a = superpose([(1.0, a)])
     for trial in range(50):
-        idx, _ = project(psi_a, branches, trial_rng(1, trial))
+        idx, _ = _project(psi_a, branches, _trial_rng(1, trial))
         assert idx == 0
 
 
@@ -124,13 +157,13 @@ def test_project_matches_uncached_born_sampling():
     n = 12_000
     for trial in range(n):
         psi = states[(trial // 2) % len(states)]
-        idx, post = project(psi, branches, trial_rng(31, trial))
-        ref = _sample_index(born_probabilities(psi, branches), trial_rng(31, trial))
+        idx, post = _project(psi, branches, _trial_rng(31, trial))
+        ref = _sample_index(born_probabilities(psi, branches), _trial_rng(31, trial))
         assert idx == ref
         assert post is branches[ref].state
     # an unnormalized state is rejected
     with pytest.raises(ValueError):
-        project(superpose([(2.0, a)]), branches, trial_rng(31, n))
+        _project(superpose([(2.0, a)]), branches, _trial_rng(31, n))
 
 
 # ---- batched trials against the single-trial oracle ----------------------------
@@ -140,18 +173,18 @@ def test_trial_rng_replays_the_block_stream(seed):
     # every residue mod 4 (a Philox counter step is four draws), both sides
     # of the 4096-trial block boundaries, and the last index drawn
     n = 3 * 4096 + 5
-    stream = trial_rng(seed, 0).random(n)
+    stream = _trial_rng(seed, 0).random(n)
     for i in [*range(12), 4095, 4096, 4097, 8191, 8192, n - 1]:
-        assert trial_rng(seed, i).random() == stream[i]
+        assert _trial_rng(seed, i).random() == stream[i]
     with pytest.raises(ValueError):
-        trial_rng(seed, -1)
+        _trial_rng(seed, -1)
 
 
 def _reference_picks(state, branches, seed, n):
-    """The single-trial path: one fresh generator and ``project`` per trial."""
+    """The single-trial path: one fresh generator and ``_project`` per trial."""
     picks = []
     for t in range(n):
-        idx, post = project(state, branches, trial_rng(seed, t))
+        idx, post = _project(state, branches, _trial_rng(seed, t))
         assert post is branches[idx].state
         picks.append(idx)
     return picks
@@ -165,7 +198,8 @@ def test_run_trials_matches_project_loop(amps):
     branches, a, b = _two_branches()
     psi = superpose([(amps[0], a), (amps[1], b)], normalize=True)
     born = born_probabilities(psi, branches)
-    for seed in (3, 2026):
+    # the last two seeds need a key above 64 bits, and the largest key a config takes
+    for seed in (3, 2026, 2**64 + 5, 2**128 - 1):
         picks = _reference_picks(psi, branches, seed, max(TRIAL_COUNTS))
         for n in TRIAL_COUNTS:
             batch = run_trials(psi, branches, seed, n)
@@ -199,7 +233,7 @@ def test_run_trials_branch_rule_at_exact_boundaries(monkeypatch):
     r = np.array([0.0, np.nextafter(cum[0], 0.0), cum[0], cum[1], cum[2], 1.0 - 2.0**-53])
     picks = []
     for u in r:  # one single-trial batch per preset uniform: its count names the pick
-        monkeypatch.setattr(measurement, "trial_rng", lambda seed, t: _FixedDraw(u))
+        monkeypatch.setattr(np.random, "Generator", lambda bits: _FixedDraw(u))
         picks.append(run_trials(psi, branches, 0, 1).counts.index(1))
     assert picks == [_sample_index(born, _FixedDraw(u)) for u in r]
     assert picks == [0, 0, 1, 2, 2, 2]
@@ -261,7 +295,7 @@ def test_empirical_frequencies_within_four_sigma(amps):
     probs = born_probabilities(psi, branches)
     counts = np.zeros(2)
     for trial in range(n):
-        idx, _ = project(psi, branches, trial_rng(7, trial))
+        idx, _ = _project(psi, branches, _trial_rng(7, trial))
         counts[idx] += 1
     for i, p in enumerate(probs):
         bound = 4.0 * np.sqrt(p * (1.0 - p) / n)
@@ -297,34 +331,6 @@ def test_causality_check_flags_outside_change():
     assert rep.max_diff_inside == 0.0 and rep.n_inside == 0
     with pytest.raises(ValueError):
         causality_check(pre, post, origin, [], np.zeros((0, 1)), tol=0.0)
-
-
-def test_constrained_project_excludes_acausal_branch():
-    a = create(VAC, 0).normalized()
-    b = create(VAC, 1).normalized()
-    causal = Branch("causal", a, _const(0.0))
-    acausal = Branch("acausal", b, _const(1.0))  # changes energy everywhere
-    branches = BranchSet([causal, acausal])
-    psi = superpose([(1.0, a), (1.0, b)], normalize=True)
-    t, x = np.zeros(3), np.array([[0.0], [2.0], [9.0]])  # equal-time: outside
-    for trial in range(10):
-        idx, post, rep = constrained_project(psi, branches, Event(0.0, (5.0,)), _const(0.0),
-                                             t, x, 0.0, trial_rng(5, trial))
-        assert idx == 0
-        assert rep.passed
-
-
-def test_constrained_project_raises_when_no_branch_is_causal():
-    a = create(VAC, 0).normalized()
-    b = create(VAC, 1).normalized()
-    branches = BranchSet([
-        Branch("x", a, _const(1.0)),
-        Branch("y", b, _const(2.0)),
-    ])
-    psi = superpose([(1.0, a), (1.0, b)], normalize=True)
-    with pytest.raises(NoAdmissibleCausalBranch):
-        constrained_project(psi, branches, Event(0.0, (5.0,)), _const(0.0), [0.0], [[0.0]],
-                            tol=0.0, rng_seed=1)
 
 
 # ---- the array gate against the per-probe scalar path ------------------------

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from semigrav.modes import (
     ModeBasisError,
-    default_rindler_grid,
     eds_basis,
     eds_k0_mode,
     minkowski_basis,
@@ -232,12 +231,3 @@ def test_rindler_basis_validation():
     basis = rindler_basis(3.0, (1.0, 2.0))
     assert basis.backend.acceleration == 3.0
     assert basis.omegas == (1.0, 2.0)
-
-
-def test_default_grid_is_log_spaced():
-    grid = default_rindler_grid(2.0, n=16)
-    assert grid.shape == (16,)
-    assert_allclose(grid[0], 0.2)
-    assert_allclose(grid[-1], 6.0)
-    ratios = grid[1:] / grid[:-1]
-    assert_allclose(ratios, ratios[0], rtol=1e-12)

@@ -12,7 +12,7 @@ from semigrav.scenarios import SCENARIO_NAMES, default_config, run_scenario, sca
 
 
 def _sample_report():
-    rep = RunReport(scenario="demo", seed=42, wall_time=1.23)
+    rep = RunReport(scenario="demo", seed=42)
     rep.add_table(Table.build(
         "stress",
         ("scenario", "t", "x1", "mu", "nu", "value"),
@@ -32,8 +32,6 @@ def test_json_has_exactly_four_keys_and_is_sorted():
     assert payload["flags"] == {"some_check": True}
     assert payload["tables"]["stress"]["columns"][0] == "scenario"
     assert text.endswith("\n")
-    # wall time must not leak into the serialization
-    assert "wall_time" not in text and "1.23" not in text
 
 
 def test_json_is_byte_stable_across_runs():

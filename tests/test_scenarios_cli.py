@@ -187,18 +187,23 @@ RINDLER_FAULTS = {
 }
 
 
+def _run_failing(name, failed, capsys):
+    """The packaged run of ``name``: it exits 1 and stderr names exactly the
+    flags ``failed`` lists, in order.  Returns the JSON payload."""
+    rc = main(["run", name])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "".join(f"flag {flag!r} failed\n" for flag in failed)
+    return json.loads(captured.out)
+
+
 def _run_rindler_with_fault(fault, monkeypatch, capsys):
     """The packaged rindler_unruh run with ``bogolubov._loggamma`` replaced as
-    ``RINDLER_FAULTS[fault]`` says: it exits 1 and stderr names exactly the flags
-    the entry lists, in order.  Returns the JSON payload."""
+    ``RINDLER_FAULTS[fault]`` says, failing the flags the entry lists."""
     make, failed = RINDLER_FAULTS[fault]
     bogolubov = importlib.import_module("semigrav.bogolubov")
     monkeypatch.setattr(bogolubov, "_loggamma", make(bogolubov._loggamma))
-    rc = main(["run", "rindler_unruh"])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.err == "".join(f"flag {name!r} failed\n" for name in failed)
-    return json.loads(captured.out)
+    return _run_failing("rindler_unruh", failed, capsys)
 
 
 def test_rindler_non_finite_spectrum_fails_every_flag(monkeypatch, capsys):
@@ -212,6 +217,34 @@ def test_rindler_biased_loggamma_fails_the_gamma_identity_flags(monkeypatch, cap
     """|Gamma(i nu)|^2 off by 2% breaks the Planck and norm flags, not positivity."""
     payload = _run_rindler_with_fault("real-bias", monkeypatch, capsys)
     assert payload["flags"]["occupancy_positive"]
+
+
+class _Squared:
+    """A generator whose every uniform u comes out as u**2."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, size=None):
+        return self.rng.random(size) ** 2
+
+
+# faults in the trial stream, made through ``np.random.Generator``, each with
+# the collapse flags it must fail, in the report's flag order
+COLLAPSE_FAULTS = {
+    # an even split's first branch gets P(u**2 < 1/2) = 1/sqrt(2) of the trials
+    "squared-uniforms": (lambda generator: lambda bits: _Squared(generator(bits)),
+                         ("born_within_4sigma",)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(COLLAPSE_FAULTS))
+@pytest.mark.parametrize("name", ["epr_collapse", "page_geilker"])
+def test_collapse_skewed_trial_stream_fails_the_born_flag(name, fault, monkeypatch, capsys):
+    """A trial stream that is not uniform fails the Born statistics, and only them."""
+    make, failed = COLLAPSE_FAULTS[fault]
+    monkeypatch.setattr(np.random, "Generator", make(np.random.Generator))
+    _run_failing(name, failed, capsys)
 
 
 @pytest.mark.parametrize("changes", [
@@ -887,13 +920,6 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert leaks == []
 
 
-# public names (``Class.method`` for methods) that only tests call, each kept on purpose
-_ORACLE_NAMES = {
-    "project": "the single-trial path that run_trials is checked against",
-    "constrained_project": "the causality-gated single trial, the gate's user-facing form",
-}
-
-
 def _definition_span(tree, name):
     """First and last line of the top-level statement that defines ``name``, if any."""
     for node in tree.body:
@@ -930,8 +956,7 @@ def test_every_public_name_has_a_user():
     """A name bound in semigrav/__init__.py or listed in a module's __all__, or
     a public method or property of a class the package defines, is bound in
     its module and read by a package module outside its own definition, by
-    bench/, by the acceptance gate, or is a named oracle; a named oracle is a
-    public name that nothing of those reads."""
+    bench/ or by the acceptance gate."""
     root = Path(__file__).resolve().parents[1]
     package = root / "src" / "semigrav"
 
@@ -962,8 +987,7 @@ def test_every_public_name_has_a_user():
               if not read(name, home, _definition_span(modules[home], name))}
     unread |= {f"{cls}.{name}" for home, tree in modules.items()
                for cls, name, span in _public_methods(tree) if not read(name, home, span)}
-    assert sorted(unread - set(_ORACLE_NAMES)) == []
-    assert sorted(set(_ORACLE_NAMES) - unread) == []  # a stale or needless exemption
+    assert sorted(unread) == []
 
 
 # public functions that take a state together with its basis or backend, each kept on purpose
