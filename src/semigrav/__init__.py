@@ -45,7 +45,6 @@ from .bogolubov import (
 )
 from .stress_energy import (
     integrated_energy,
-    quadratic_expectation,
     stress_sample,
     total_energy,
     wavepacket_state,
@@ -59,15 +58,12 @@ from .consistency import (
     scaling_study,
 )
 from .measurement import (
-    Branch,
     BranchSet,
     CausalityReport,
     TrialBatch,
     ZeroOverlapError,
     born_probabilities,
     causality_check,
-    gaussian_bump,
-    profile_mixture,
     run_trials,
 )
 from .report import RunReport, Table, emit

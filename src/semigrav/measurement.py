@@ -1,22 +1,21 @@
 """Born-rule projection onto admissible branch sets with a causality gate.
 
 A measurement is its branch set: it replaces the state with one member of
-an orthonormal ``BranchSet``, sampled with probability
-|<C_i|Psi>|^2 / sum_j |<C_j|Psi>|^2.  Each branch carries an
-energy-density profile: a callable that maps probe events, given as
-arrays t (n,) and x (n, d), to the densities there (n,).  The causality
-gate evaluates the pre- and post-projection profiles on the whole probe
-grid at once and demands that they agree, within a declared tolerance,
-wherever ``outside_future_cone`` marks a probe as outside the future
-light cone of the measurement's origin, an ``Event`` that only the gate
-reads.  ``causality_check`` returns the verdict with the largest change
-on each side of the cone; the scenarios carry it into their tables.
+an orthonormal ``BranchSet``, built from labelled states and sampled with
+probability |<C_i|Psi>|^2 / sum_j |<C_j|Psi>|^2.  The causality gate takes
+the pre- and post-projection energy densities as arrays, one value per
+probe event of the grid t (n,), x (n, d), and demands that they agree,
+within a declared tolerance, wherever ``outside_future_cone`` marks a probe
+as outside the future light cone of the measurement's origin, an ``Event``
+that only the gate reads.  ``causality_check`` returns the verdict with the
+largest change on each side of the cone; the scenarios carry it into their
+tables.
 
 Admissibility itself is scenario-declared (which branch sets count as
 "classical" is an open modeling question), so this module is agnostic:
 it takes a BranchSet and enforces only orthonormality, Born statistics,
 and the light-cone condition.  The two collapse scenarios, ``epr_collapse``
-and ``page_geilker``, build their branch sets and profiles in ``scenarios``.
+and ``page_geilker``, build their branch sets and densities in ``scenarios``.
 
 Trials read one counter-based stream: trial ``i`` of master seed ``s`` is
 draw ``i`` of ``Generator(Philox(key=s))``.  ``run_trials`` reads it in
@@ -26,9 +25,7 @@ each trial alone from a fresh generator advanced to that draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import math
+from typing import Mapping
 
 import numpy as np
 
@@ -37,65 +34,42 @@ from .spacetime import Event, outside_future_cone
 
 __all__ = [
     "ZeroOverlapError",
-    "Branch",
     "BranchSet",
     "CausalityReport",
     "born_probabilities",
     "TrialBatch",
     "run_trials",
     "causality_check",
-    "gaussian_bump",
-    "profile_mixture",
 ]
 
 _ORTHO_TOL = 1e-10
-
-Profile = Callable[[np.ndarray, np.ndarray], np.ndarray]  # t (n,), x (n, d) -> (n,)
 
 
 class ZeroOverlapError(ValueError):
     """The state is orthogonal to every branch: projection is undefined."""
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One admissible post-measurement alternative."""
-
-    label: str
-    state: FockState
-    energy_profile: Profile
-
-
 class BranchSet:
-    """An orthonormal family of branches (checked on construction)."""
+    """An orthonormal family of labelled branch states (checked on construction)."""
 
-    __slots__ = ("branches",)
+    __slots__ = ("labels", "states")
 
-    def __init__(self, branches: Sequence[Branch]):
-        branches = tuple(branches)
-        if not branches:
+    def __init__(self, branches: Mapping[str, FockState]):
+        labels, states = tuple(branches), tuple(branches.values())
+        if not states:
             raise ValueError("branch set cannot be empty")
-        for br in branches:
-            if abs(br.state.norm() - 1.0) > NORM_TOL:
-                raise ValueError(f"branch {br.label!r} is not unit-norm")
-        for i in range(len(branches)):
-            for j in range(i + 1, len(branches)):
-                ov = abs(inner(branches[i].state, branches[j].state))
+        for label, state in zip(labels, states):
+            if abs(state.norm() - 1.0) > NORM_TOL:
+                raise ValueError(f"branch {label!r} is not unit-norm")
+        for i in range(len(states)):
+            for j in range(i + 1, len(states)):
+                ov = abs(inner(states[i], states[j]))
                 if ov >= _ORTHO_TOL:
                     raise ValueError(
-                        f"branches {branches[i].label!r} and {branches[j].label!r} "
+                        f"branches {labels[i]!r} and {labels[j]!r} "
                         f"are not orthogonal (|overlap| = {ov:.3e})"
                     )
-        self.branches = branches
-
-    def __len__(self) -> int:
-        return len(self.branches)
-
-    def __iter__(self):
-        return iter(self.branches)
-
-    def __getitem__(self, i: int) -> Branch:
-        return self.branches[i]
+        self.labels, self.states = labels, states
 
 
 @dataclass(frozen=True)
@@ -113,7 +87,7 @@ def born_probabilities(state: FockState, branch_set: BranchSet) -> np.ndarray:
     """p_i = |<C_i|Psi>|^2 / sum_j |<C_j|Psi>|^2 over the branch set."""
     if abs(state.norm() - 1.0) > NORM_TOL:
         raise ValueError("state must be normalized")
-    weights = np.array([abs(inner(br.state, state)) ** 2 for br in branch_set])
+    weights = np.array([abs(inner(branch, state)) ** 2 for branch in branch_set.states])
     total = float(weights.sum())
     if total <= 1e-24:
         raise ZeroOverlapError("state has zero overlap with every branch")
@@ -154,19 +128,22 @@ def run_trials(state: FockState, branches: BranchSet, master_seed: int,
     return TrialBatch(n_trials, tuple(float(p) for p in born), tuple(int(c) for c in counts))
 
 
-def causality_check(pre_profile: Profile, post_profile: Profile, origin: Event,
-                    t, x, tol: float) -> CausalityReport:
-    """Compare energy profiles at the probes t (n,), x (n, d), split by the light cone.
+def causality_check(pre, post, origin: Event, t, x, tol: float) -> CausalityReport:
+    """Compare energy densities at the probes t (n,), x (n, d), split by the light cone.
 
-    Outside the future cone of ``origin`` the profiles must agree within
-    ``tol``; inside, any difference is legitimate and reported only for
-    contrast.
+    ``pre`` and ``post`` hold the pre- and post-projection densities, one
+    value per probe.  Outside the future cone of ``origin`` they must agree
+    within ``tol``; inside, any difference is legitimate and reported only
+    for contrast.
     """
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     if not t.size:
         raise ValueError("causality check needs a nonempty probe grid")
-    diff = np.abs(pre_profile(t, x) - post_profile(t, x))
     outside = outside_future_cone(origin, t, x)
+    pre, post = np.asarray(pre, dtype=float), np.asarray(post, dtype=float)
+    if pre.shape != outside.shape or post.shape != outside.shape:
+        raise ValueError(f"pre and post need one density per probe, shape {outside.shape}")
+    diff = np.abs(pre - post)
     max_out = float(diff[outside].max(initial=0.0))
     return CausalityReport(
         max_violation_outside=max_out,
@@ -175,22 +152,3 @@ def causality_check(pre_profile: Profile, post_profile: Profile, origin: Event,
         n_inside=int((~outside).sum()),
         passed=max_out <= tol,
     )
-
-
-# ---- energy-profile helpers ---------------------------------------------
-
-def gaussian_bump(center, mass: float, width: float) -> Profile:
-    """Normalized static Gaussian energy density carrying total ``mass``."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if not (width > 0.0):
-        raise ValueError("width must be positive")
-    d = len(center)
-    norm = mass / ((2.0 * math.pi) ** (d / 2.0) * width**d)
-    # np.vecdot sums |x - center|^2 as a one-event ``dx @ dx`` does, bit for bit
-    return lambda t, x: norm * np.exp(-np.vecdot(x - center, x - center) / (2.0 * width**2))
-
-
-def profile_mixture(parts: Sequence[tuple[float, Profile]]) -> Profile:
-    """Convex (or any linear) combination of energy profiles."""
-    parts = list(parts)
-    return lambda t, x: sum(w * p(t, x) for w, p in parts)

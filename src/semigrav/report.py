@@ -105,7 +105,6 @@ def _report_to_json(report: RunReport) -> str:
               + f',\n      "rows": {_rows_to_json(t)}\n    }}'
               for name, t in sorted(report.tables.items())]
     body = "{\n" + ",\n".join(tables) + "\n  }" if tables else "{}"
-    # wall time is deliberately excluded: serialized output stays byte-stable;
     # "tables" sorts after the head's keys, so it goes before head's closing "\n}"
     return f'{head[:-2]},\n  "tables": {body}\n}}\n'
 

@@ -4,13 +4,15 @@ Each ``_Scenario`` record in ``_SCENARIOS`` holds the config schema (field
 to validator), the cross-field rules, the runner and an optional volume
 scan.  All eight pipelines are runners here.  A runner hands the engines
 its states alone: each state carries its basis and the basis its backend.
-The two collapse runners build their branch sets and hand them to
-``measurement``'s trials, and the branch profiles with the origin event
-to its gate.  ``SCENARIO_NAMES``, ``SCANS`` and the ``trials`` override
-(allowed when the schema has ``n_trials``) derive from the records.  A
-runner returns a RunReport whose flags record the scenario's own pass
-criteria.  Config validation is total: every field is required, unknown
-fields are rejected, and every error message names the offending field.
+The two collapse runners build their branch sets from labelled states and
+hand them to ``measurement``'s trials.  Each evaluates its Gaussian spheres
+once, as arrays at its probes (``_spheres``), and hands the pre- and
+post-projection densities with the origin event to the gate.
+``SCENARIO_NAMES``, ``SCANS`` and the ``trials`` override (allowed when
+the schema has ``n_trials``) derive from the records.  A runner returns a
+RunReport whose flags record the scenario's own pass criteria.  Config
+validation is total: every field is required, unknown fields are
+rejected, and every error message names the offending field.
 """
 from __future__ import annotations
 
@@ -26,8 +28,7 @@ import numpy as np
 from .bogolubov import bogolubov_coefficients, rindler_occupancy_in_vacuum
 from .consistency import fit_parameter, residual, scaling_study
 from .fock import create, new_vacuum, number_expectation, superpose
-from .measurement import (Branch, BranchSet, causality_check, gaussian_bump, profile_mixture,
-                          run_trials)
+from .measurement import BranchSet, causality_check, run_trials
 from .modes import eds_basis, minkowski_basis, rindler_basis
 from .report import RunReport, Table
 from .spacetime import Event
@@ -333,10 +334,20 @@ def _epr_setup(box_side: float):
     return (l_up, r_dn, r_up), branch_i, branch_ii, singlet
 
 
+def _spheres(centers, mass: float, width: float, x: np.ndarray) -> np.ndarray:
+    """Static Gaussian energy densities, each carrying total ``mass``, at
+    positions x (n, d): one row (n,) per sphere center (a point of d coordinates)."""
+    d = x.shape[-1]
+    norm = mass / ((2.0 * math.pi) ** (d / 2.0) * width**d)
+    dx = x - np.reshape(centers, (len(centers), 1, d))
+    # np.vecdot sums |x - center|^2 as a one-event ``dx @ dx`` does, bit for bit
+    return norm * np.exp(-np.vecdot(dx, dx) / (2.0 * width**2))
+
+
 def _run_epr_collapse(cfg: dict, seed: int) -> RunReport:
     """Anticorrelated pair: project at station X, verify spin at station Y.
 
-    Both branches share one energy profile (a bump at each station with the
+    Both branches share one energy density (a sphere at each station with the
     same mass), so the projection changes spin correlations but not energy:
     the causality check passes with violation exactly zero, and the remote
     spin is always opposite to the local one.
@@ -347,11 +358,7 @@ def _run_epr_collapse(cfg: dict, seed: int) -> RunReport:
     # each lies outside the other's future cone
     x_left = 0.5 * (L - cfg["station_separation"])
     x_right = x_left + cfg["station_separation"]
-    # one shared profile: equal-mass bumps at both stations, in every branch
-    sphere = cfg["sphere_mass"], cfg["sphere_width"]
-    shared = profile_mixture([(0.5, gaussian_bump((x_left,), *sphere)),
-                              (0.5, gaussian_bump((x_right,), *sphere))])
-    branches = BranchSet([Branch("I", branch_i, shared), Branch("II", branch_ii, shared)])
+    branches = BranchSet({"I": branch_i, "II": branch_ii})
     origin = Event(when, (x_left,))
 
     # probe grid straddling the cone: same-time points are all outside,
@@ -359,7 +366,10 @@ def _run_epr_collapse(cfg: dict, seed: int) -> RunReport:
     n_now = n_probes // 2
     t = np.repeat([when, when + 1.0], [n_now, n_probes - n_now])
     x = np.concatenate([np.linspace(0.0, L, k) for k in (n_now, n_probes - n_now)])[:, None]
-    # both branches carry the pre-projection profile itself, so one
+    # one shared density: equal-mass spheres at both stations, in every branch
+    left, right = _spheres((x_left, x_right), cfg["sphere_mass"], cfg["sphere_width"], x)
+    shared = 0.5 * left + 0.5 * right
+    # both branches carry the pre-projection density itself, so one
     # causality report holds for both and for every trial below
     causal = causality_check(shared, shared, origin, t, x, cfg["tol"])
     batch = run_trials(singlet, branches, seed, cfg["n_trials"])
@@ -371,16 +381,16 @@ def _run_epr_collapse(cfg: dict, seed: int) -> RunReport:
 
     # a trial's post-state is its branch's state exactly, so the check runs
     # once per branch that occurred and counts for all of its trials
-    n_anti = sum(c for br, c in zip(branches, batch.counts) if c and anticorrelated(br.state))
+    n_anti = sum(c for post, c in zip(branches.states, batch.counts) if c and anticorrelated(post))
     report = RunReport(scenario="epr_collapse", seed=seed)
     report.add_table(Table.build(
         "statistics", ("branch", "count", "frequency", "born"),
-        [(br.label, c, c / n, p) for br, c, p in zip(branches, batch.counts, batch.born)]))
+        [(label, c, c / n, p) for label, c, p in zip(branches.labels, batch.counts, batch.born)]))
     report.add_table(Table.build(
         "causality",
         ("branch", "max_violation_outside", "max_diff_inside", "n_outside", "n_inside", "passed"),
-        [(br.label, causal.max_violation_outside, causal.max_diff_inside,
-          causal.n_outside, causal.n_inside, causal.passed) for br in branches]))
+        [(label, causal.max_violation_outside, causal.max_diff_inside,
+          causal.n_outside, causal.n_inside, causal.passed) for label in branches.labels]))
     report.flags["anticorrelation_exact"] = n_anti == n
     report.flags["causality_pass"] = causal.passed
     report.flags["born_within_4sigma"] = all(
@@ -391,9 +401,9 @@ def _run_epr_collapse(cfg: dict, seed: int) -> RunReport:
 def _run_sphere_collapse(cfg: dict, seed: int) -> RunReport:
     """A sphere in an equal superposition of two positions, then observed.
 
-    Before projection the sourced energy profile is the expectation value,
+    Before projection the sourced energy density is the expectation value,
     half a sphere at each position; afterwards it is one full sphere.  The
-    jump between those profiles is the stress-energy discontinuity that a
+    jump between those densities is the stress-energy discontinuity that a
     sourced Einstein equation cannot absorb at the projection event.
     """
     basis = minkowski_basis(box_side=cfg["box_side"], dimension=1, mass=1.0, n_max=1)
@@ -402,34 +412,34 @@ def _run_sphere_collapse(cfg: dict, seed: int) -> RunReport:
     pointer = superpose([(1.0, state_a), (1.0, state_b)], normalize=True)
 
     a, b, when, tol = cfg["position_a"], cfg["position_b"], cfg["measurement_time"], cfg["tol"]
-    bump_a, bump_b = (gaussian_bump((p,), cfg["sphere_mass"], cfg["sphere_width"]) for p in (a, b))
-    pre = profile_mixture([(0.5, bump_a), (0.5, bump_b)])
-    branches = BranchSet([Branch("sphere_at_A", state_a, bump_a),
-                          Branch("sphere_at_B", state_b, bump_b)])
+    branches = BranchSet({"sphere_at_A": state_a, "sphere_at_B": state_b})
     origin = Event(when, (0.5 * (a + b),))
 
-    t = np.full(cfg["n_probes"], when)
-    x = np.linspace(0.0, cfg["box_side"], cfg["n_probes"])[:, None]
+    n_probes = cfg["n_probes"]
+    t = np.full(n_probes, when)
+    x = np.linspace(0.0, cfg["box_side"], n_probes)[:, None]
+    # the branch densities, one full sphere each, at the probes and then at the
+    # two sphere positions; before projection, half of each
+    posts = _spheres((a, b), cfg["sphere_mass"], cfg["sphere_width"], np.vstack([x, [[a], [b]]]))
+    pre = 0.5 * posts[0] + 0.5 * posts[1]
     # equal-time probes sit outside the cone, so the sphere relocation is
     # visible to the check: the smaller branch "violation" is the discontinuity
     discontinuity = min(
-        causality_check(pre, br.energy_profile, origin, t, x, tol).max_violation_outside
-        for br in branches)
+        causality_check(pre[:n_probes], post[:n_probes], origin, t, x, tol).max_violation_outside
+        for post in posts)
 
     batch = run_trials(pointer, branches, seed, cfg["n_trials"])
     n = batch.n_trials
-    # the two sphere positions at the measurement time
-    at_t, at_x = np.full(2, when), np.array([[a], [b]])
-    # the post profile is one full sphere, never the pre-projection average:
-    # it must deviate from the average at both positions
+    # the post density is one full sphere, never the pre-projection average:
+    # it must deviate from the average at both sphere positions
     single_sphere = all(
-        bool(np.all(np.abs(br.energy_profile(at_t, at_x) - pre(at_t, at_x)) > 0.0))
-        for br, c in zip(branches, batch.counts) if c)
+        bool(np.all(np.abs(post[n_probes:] - pre[n_probes:]) > 0.0))
+        for post, c in zip(posts, batch.counts) if c)
 
     report = RunReport(scenario="page_geilker", seed=seed)
     report.add_table(Table.build(
         "statistics", ("branch", "count", "frequency"),
-        [(br.label, c, c / n) for br, c in zip(branches, batch.counts)]))
+        [(label, c, c / n) for label, c in zip(branches.labels, batch.counts)]))
     report.add_table(Table.build(
         "summary", ("discontinuity", "always_single_sphere"), [(discontinuity, single_sphere)]))
     report.flags["single_sphere_every_trial"] = single_sphere

@@ -38,7 +38,6 @@ from .spacetime import BackendDomainError, Event, metric
 
 __all__ = [
     "moments",
-    "quadratic_expectation",
     "stress_field",
     "stress_sample",
     "total_energy",
@@ -74,17 +73,6 @@ def moments(state: FockState) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
              for part, values in enumerate(entries) for k, value in values.items()}
     AD.put(list(cells), list(cells.values()))
     return support, AD[0], AD[1]
-
-
-def quadratic_expectation(state: FockState, g: np.ndarray, h: np.ndarray) -> float:
-    """<Psi| :A B: |Psi> for A = sum(g_k a_k + h.c.), B likewise from h (per mode)."""
-    g, h = np.asarray(g, dtype=complex), np.asarray(h, dtype=complex)
-    if g.shape != (state.basis.n_modes,) or h.shape != g.shape:
-        raise BasisMismatchError("coefficient arrays must have one entry per basis mode")
-    _require_normalized(state)
-    support, A, D = moments(state)
-    g, h = g[list(support)], h[list(support)]
-    return float(2.0 * (np.vdot(A @ g, A @ h) + (D @ g) @ (A @ h)).real)
 
 
 def _slot_products(factors: np.ndarray, M: np.ndarray) -> np.ndarray:

@@ -9,37 +9,26 @@ from numpy.testing import assert_allclose
 
 from semigrav.fock import create, new_vacuum, number_expectation, superpose
 from semigrav.measurement import (
-    Branch,
     BranchSet,
     CausalityReport,
     ZeroOverlapError,
     born_probabilities,
     causality_check,
-    gaussian_bump,
-    profile_mixture,
     run_trials,
 )
 from semigrav.modes import minkowski_basis
 from semigrav.scenarios import (ScenarioConfigError, _epr_setup, _run_sphere_collapse,
-                                default_config, run_scenario, validate_config)
+                                _spheres, default_config, run_scenario, validate_config)
 from semigrav.spacetime import Event, outside_future_cone
 
 BASIS = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)
 VAC = new_vacuum(BASIS)
 
 
-def _const(value):
-    """A uniform energy profile: ``value`` at every probe."""
-    return lambda t, x: np.full(len(t), value)
-
-
-FLAT = _const(0.0)
-
-
 def _two_branches():
     a = create(VAC, 0).normalized()
     b = create(VAC, 1).normalized()
-    return BranchSet([Branch("a", a, FLAT), Branch("b", b, FLAT)]), a, b
+    return BranchSet({"a": a, "b": b}), a, b
 
 
 # ---- the single-trial oracle ---------------------------------------------------
@@ -78,7 +67,7 @@ def _project(state, branches: BranchSet, rng_seed):
     """Sample a branch by the Born rule; the post-state is that branch exactly."""
     rng = np.random.default_rng(rng_seed)
     idx = _sample_index(born_probabilities(state, branches), rng)
-    return idx, branches[idx].state
+    return idx, branches.states[idx]
 
 
 # ---- Born arithmetic ---------------------------------------------------------
@@ -112,11 +101,11 @@ def test_branch_set_validation():
     a = create(VAC, 0).normalized()
     overlapping = superpose([(0.9, a), (0.1, create(VAC, 1))], normalize=True)
     with pytest.raises(ValueError):
-        BranchSet([])
+        BranchSet({})
     with pytest.raises(ValueError):
-        BranchSet([Branch("big", superpose([(2.0, a)]), FLAT)])
+        BranchSet({"big": superpose([(2.0, a)])})
     with pytest.raises(ValueError):
-        BranchSet([Branch("a", a, FLAT), Branch("b", overlapping, FLAT)])
+        BranchSet({"a": a, "b": overlapping})
 
 
 # ---- projection ----------------------------------------------------------------
@@ -125,7 +114,7 @@ def test_project_returns_branch_state_exactly():
     branches, a, b = _two_branches()
     psi = superpose([(1.0, a), (0.0001, b)], normalize=True)
     idx, post = _project(psi, branches, rng_seed=0)
-    assert post is branches[idx].state
+    assert post is branches.states[idx]
 
 
 def test_project_is_deterministic_per_seed():
@@ -160,7 +149,7 @@ def test_project_matches_uncached_born_sampling():
         idx, post = _project(psi, branches, _trial_rng(31, trial))
         ref = _sample_index(born_probabilities(psi, branches), _trial_rng(31, trial))
         assert idx == ref
-        assert post is branches[ref].state
+        assert post is branches.states[ref]
     # an unnormalized state is rejected
     with pytest.raises(ValueError):
         _project(superpose([(2.0, a)]), branches, _trial_rng(31, n))
@@ -185,7 +174,7 @@ def _reference_picks(state, branches, seed, n):
     picks = []
     for t in range(n):
         idx, post = _project(state, branches, _trial_rng(seed, t))
-        assert post is branches[idx].state
+        assert post is branches.states[idx]
         picks.append(idx)
     return picks
 
@@ -225,7 +214,7 @@ def test_run_trials_branch_rule_at_exact_boundaries(monkeypatch):
     # cumulative weight, and at or above a last cumulative weight that
     # rounds below 1 (amplitudes 0.6, 0.8, 0.6)
     states = [create(VAC, i).normalized() for i in range(3)]
-    branches = BranchSet([Branch(str(i), st, FLAT) for i, st in enumerate(states)])
+    branches = BranchSet({str(i): st for i, st in enumerate(states)})
     psi = superpose(list(zip((0.6, 0.8, 0.6), states)), normalize=True)
     born = born_probabilities(psi, branches)
     cum = np.cumsum(born)
@@ -246,13 +235,13 @@ def _collapse(name, seed, n_trials, **overrides):
 
 def test_epr_scenario_matches_project_loop():
     spins, branch_i, branch_ii, singlet = _epr_setup(10.0)
-    branches = BranchSet([Branch("I", branch_i, FLAT), Branch("II", branch_ii, FLAT)])
+    branches = BranchSet({"I": branch_i, "II": branch_ii})
     born = born_probabilities(singlet, branches)
     for seed in (0, 12, 2**33 + 1):
         picks = _reference_picks(singlet, branches, seed, max(TRIAL_COUNTS))
         anti = []
         for idx in picks:
-            post = branches[idx].state
+            post = branches.states[idx]
             up, dn, rup = (number_expectation(post, m) for m in spins)
             anti.append((up, dn, rup) in ((1.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
         for n in TRIAL_COUNTS:
@@ -269,15 +258,13 @@ def test_page_geilker_matches_project_loop():
     state_a = create(vac, basis.mode_index((-1,))).normalized()
     state_b = create(vac, basis.mode_index((1,))).normalized()
     pointer = superpose([(1.0, state_a), (1.0, state_b)], normalize=True)
-    bump_a, bump_b = gaussian_bump((3.0,), 1.0, 0.4), gaussian_bump((7.0,), 1.0, 0.4)
-    pre = profile_mixture([(0.5, bump_a), (0.5, bump_b)])
-    branches = BranchSet([Branch("sphere_at_A", state_a, bump_a),
-                          Branch("sphere_at_B", state_b, bump_b)])
-    at_t, at_x = [1.0, 1.0], np.array([[3.0], [7.0]])
+    bumps = (_scalar_bump((3.0,), 1.0, 0.4), _scalar_bump((7.0,), 1.0, 0.4))
+    pre = _scalar_mixture([(0.5, bumps[0]), (0.5, bumps[1])])
+    branches = BranchSet({"sphere_at_A": state_a, "sphere_at_B": state_b})
+    at = (Event(1.0, (3.0,)), Event(1.0, (7.0,)))
     for seed in (4, 99):
         picks = _reference_picks(pointer, branches, seed, max(TRIAL_COUNTS))
-        single = [all(abs(branches[i].energy_profile(at_t, at_x) - pre(at_t, at_x)) > 0.0)
-                  for i in picks]
+        single = [all(abs(bumps[i](ev) - pre(ev)) > 0.0 for ev in at) for i in picks]
         for n in TRIAL_COUNTS:
             report = _collapse("page_geilker", seed, n)
             c = (picks[:n].count(0), picks[:n].count(1))
@@ -307,13 +294,10 @@ def test_empirical_frequencies_within_four_sigma(amps):
 def test_causality_check_splits_probes_by_cone():
     origin = Event(0.0, (0.0,))
     t, x = np.ones(5), np.array([[-3.0], [-0.5], [0.0], [0.5], [3.0]])
-    pre = _const(1.0)
-
+    pre = np.ones(5)
     # difference only strictly inside the cone: check must pass at tol 0
-    def post(t, x):
-        outside_marker = (t < 0.0) | (np.abs(x[:, 0]) > t)
-        return 1.0 + np.where(outside_marker, 0.0, 0.7)
-
+    outside_marker = (t < 0.0) | (np.abs(x[:, 0]) > t)
+    post = 1.0 + np.where(outside_marker, 0.0, 0.7)
     rep = causality_check(pre, post, origin, t, x, tol=0.0)
     assert rep.passed
     assert rep.n_outside == 2 and rep.n_inside == 3
@@ -323,14 +307,16 @@ def test_causality_check_splits_probes_by_cone():
 
 def test_causality_check_flags_outside_change():
     origin = Event(0.0, (0.0,))
-    pre = _const(0.0)
-    post = _const(0.3)  # uniform shift leaks outside the cone
+    pre, post = np.zeros(2), np.full(2, 0.3)  # a uniform shift leaks outside the cone
     rep = causality_check(pre, post, origin, [0.5, 0.5], [[-4.0], [4.0]], tol=0.1)
     assert not rep.passed
     assert_allclose(rep.max_violation_outside, 0.3)
     assert rep.max_diff_inside == 0.0 and rep.n_inside == 0
     with pytest.raises(ValueError):
-        causality_check(pre, post, origin, [], np.zeros((0, 1)), tol=0.0)
+        causality_check([], [], origin, [], np.zeros((0, 1)), tol=0.0)
+    for wrong in ((np.zeros(3), post), (pre, np.zeros(1))):  # not one density per probe
+        with pytest.raises(ValueError, match="one density per probe"):
+            causality_check(*wrong, origin, [0.5, 0.5], [[-4.0], [4.0]], tol=0.1)
 
 
 # ---- the array gate against the per-probe scalar path ------------------------
@@ -403,9 +389,8 @@ def test_array_gate_matches_scalar_path(dimension):
         centers = rng.uniform(0.0, 10.0, (3, dimension))
         mass, width = rng.uniform(0.5, 2.0), rng.uniform(0.2, 1.5)
         w = rng.uniform(0.0, 1.0)
-        pre = profile_mixture([(w, gaussian_bump(centers[0], mass, width)),
-                               (1.0 - w, gaussian_bump(centers[1], mass, width))])
-        post = gaussian_bump(centers[2], mass, width)
+        spheres = _spheres(centers, mass, width, x)
+        pre, post = w * spheres[0] + (1.0 - w) * spheres[1], spheres[2]
         scalar_pre = _scalar_mixture([(w, _scalar_bump(centers[0], mass, width)),
                                       (1.0 - w, _scalar_bump(centers[1], mass, width))])
         scalar_post = _scalar_bump(centers[2], mass, width)
@@ -453,22 +438,12 @@ def test_page_geilker_discontinuity_matches_scalar_path():
         assert _within_ulps(discontinuity, ref, 4, operand)
 
 
-# ---- energy profiles ---------------------------------------------------------
+# ---- sphere densities ---------------------------------------------------------
 
 def test_gaussian_bump_carries_its_mass():
-    bump = gaussian_bump((5.0,), mass=2.0, width=0.3)
     xs = np.linspace(-5.0, 15.0, 20001)
-    total = np.trapezoid(bump(np.zeros(len(xs)), xs[:, None]), xs)
-    assert_allclose(total, 2.0, rtol=1e-10)
-    with pytest.raises(ValueError):
-        gaussian_bump((0.0,), 1.0, width=0.0)
-
-
-def test_profile_mixture_is_linear():
-    bump = gaussian_bump((1.0,), 1.0, 0.5)
-    mix = profile_mixture([(0.25, bump), (0.5, bump)])
-    t, x = [0.0, 0.0], [[1.2], [-3.0]]
-    assert_allclose(mix(t, x), 0.75 * bump(t, x), rtol=1e-14)
+    bump, = _spheres((5.0,), mass=2.0, width=0.3, x=xs[:, None])
+    assert_allclose(np.trapezoid(bump, xs), 2.0, rtol=1e-10)
 
 
 # ---- EPR scenario ---------------------------------------------------------------

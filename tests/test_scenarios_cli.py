@@ -247,6 +247,30 @@ def test_collapse_skewed_trial_stream_fails_the_born_flag(name, fault, monkeypat
     _run_failing(name, failed, capsys)
 
 
+# collapse flags that no valid config and no fault in the trial stream can turn
+# false, each with what makes it hold by construction
+COLLAPSE_IDENTITIES = {
+    "causality_pass": "both EPR branches carry the pre-projection density itself, "
+                      "so the gate compares one array with itself",
+    "anticorrelation_exact": "the EPR branches are built as |L+ R-> and |L- R+>, "
+                             "so every branch state has opposite spins",
+    "discontinuity_nonzero": "it compares two declared Gaussians at distinct positions, "
+                             "not densities computed from the branch states",
+    "single_sphere_every_trial": "it compares a declared full Gaussian with the declared "
+                                 "half-and-half average at the two sphere positions",
+}
+
+
+def test_every_collapse_flag_has_a_fault_or_an_identity_entry():
+    """A collapse flag is failed by a ``COLLAPSE_FAULTS`` entry or holds by
+    construction for the reason ``COLLAPSE_IDENTITIES`` gives, not both."""
+    flags = {flag for name in ("epr_collapse", "page_geilker")
+             for flag in run_scenario(name, trials=10).flags}
+    faulted = {flag for _, failed in COLLAPSE_FAULTS.values() for flag in failed}
+    assert not faulted & set(COLLAPSE_IDENTITIES)
+    assert sorted(flags) == sorted(faulted | set(COLLAPSE_IDENTITIES))
+
+
 @pytest.mark.parametrize("changes", [
     dict(freq_lo=1e-15, freq_hi=2e-15),
     dict(freq_lo=1e-20, freq_hi=2e-20),
