@@ -10,7 +10,6 @@ from .spacetime import (
     Event,
     EinsteinDeSitter,
     Minkowski,
-    Rindler2D,
     einstein_tensor,
     metric,
     outside_future_cone,
@@ -32,17 +31,11 @@ from .modes import (
     EdSModeBasis,
     MinkowskiModeBasis,
     ModeBasisError,
-    RindlerModeBasis,
     eds_basis,
     eds_k0_mode,
     minkowski_basis,
-    rindler_basis,
 )
-from .bogolubov import (
-    BogolubovMatrix,
-    bogolubov_coefficients,
-    rindler_occupancy_in_vacuum,
-)
+from .bogolubov import BogolubovMatrix, bogolubov_coefficients
 from .stress_energy import (
     integrated_energy,
     stress_sample,

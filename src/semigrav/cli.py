@@ -66,7 +66,7 @@ def _load_config(path: str) -> dict:
 
 def _parse_values(raw: str) -> list[float]:
     try:
-        values = [float(v) for v in raw.split(",") if v.strip()]
+        values = [float(v) for v in raw.split(",")]
     except ValueError:
         raise ScenarioConfigError("field 'values': must be comma-separated numbers") from None
     if len(values) < 3:

@@ -3,10 +3,9 @@
 A mode basis assigns dense integer indices to a finite set of positive-
 frequency solutions of the Klein-Gordon equation.  The box and dust bases
 expose the complex mode-function coefficients (and their first derivatives)
-needed to assemble field operators at a spacetime event.  The wedge basis is
-its validated frequency grid: its modes are the sharp right-movers
-(a x)^(i w / a) / sqrt(4 pi w) on the t = 0 slice, whose Bogolubov rows
-``bogolubov`` forms in closed form from the frequencies alone.
+needed to assemble field operators at a spacetime event.  The Rindler wedge
+modes have no basis object: they are their frequency grid, which
+``bogolubov.bogolubov_coefficients`` validates and turns into rows.
 """
 from __future__ import annotations
 
@@ -15,17 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spacetime import EinsteinDeSitter, Minkowski, Rindler2D, BackendDomainError
+from .spacetime import EinsteinDeSitter, Minkowski, BackendDomainError
 
 __all__ = [
     "ModeBasisError",
     "MinkowskiModeBasis",
     "EdSModeBasis",
-    "RindlerModeBasis",
     "minkowski_basis",
     "eds_basis",
     "eds_k0_mode",
-    "rindler_basis",
 ]
 
 
@@ -172,34 +169,3 @@ def eds_basis(comoving_volume: float, mass: float) -> EdSModeBasis:
     if not (0.0 < mass < np.inf):
         raise ModeBasisError("mass must be positive and finite")
     return EdSModeBasis(backend=EinsteinDeSitter(comoving_volume=comoving_volume), mass=mass)
-
-
-@dataclass(frozen=True)
-class RindlerModeBasis:
-    """Right-wedge massless right-movers, positive frequency in wedge time tau.
-
-    The basis is its frequency grid: on the t = 0 slice mode j is the sharp
-    g_j(x) = (a x)^(i w_j / a) / sqrt(4 pi w_j), x > 0, and ``bogolubov``
-    reduces its Bogolubov row to the closed-form sum S_j of w_j / a.
-    """
-
-    backend: Rindler2D
-    omegas: tuple[float, ...]
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.omegas)
-
-
-def rindler_basis(acceleration: float, omegas) -> RindlerModeBasis:
-    if acceleration == np.inf:  # Rindler2D rejects NaN and a <= 0
-        raise ModeBasisError("acceleration must be finite")
-    backend = Rindler2D(acceleration=acceleration)
-    omegas = tuple(float(w) for w in omegas)
-    if not omegas:
-        raise ModeBasisError("Rindler basis needs at least one frequency")
-    if not all(0.0 < w < np.inf for w in omegas):
-        raise ModeBasisError("Rindler frequencies must be positive and finite")
-    if any(b <= a for a, b in zip(omegas, omegas[1:])):
-        raise ModeBasisError("Rindler frequency grid must be strictly increasing")
-    return RindlerModeBasis(backend=backend, omegas=omegas)

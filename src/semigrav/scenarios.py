@@ -25,11 +25,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bogolubov import bogolubov_coefficients, rindler_occupancy_in_vacuum
+from .bogolubov import bogolubov_coefficients
 from .consistency import fit_parameter, residual, scaling_study
 from .fock import create, new_vacuum, number_expectation, superpose
 from .measurement import BranchSet, causality_check, run_trials
-from .modes import eds_basis, minkowski_basis, rindler_basis
+from .modes import eds_basis, minkowski_basis
 from .report import RunReport, Table
 from .spacetime import Event
 from .stress_energy import (box_lattice, integrated_energy, stress_field, total_energy,
@@ -295,17 +295,20 @@ def _run_eds_fit(cfg: dict, seed: int) -> RunReport:
     return report
 
 
+def _rindler_grid(cfg: dict) -> np.ndarray:
+    """The wedge frequencies: n_frequencies geometric steps from freq_lo to freq_hi."""
+    return np.geomspace(cfg["freq_lo"], cfg["freq_hi"], cfg["n_frequencies"])
+
+
 def _run_rindler_unruh(cfg: dict, seed: int) -> RunReport:
     a = cfg["acceleration"]
-    rind = rindler_basis(a, np.geomspace(cfg["freq_lo"], cfg["freq_hi"], cfg["n_frequencies"]))
-    matrix = bogolubov_coefficients(rind)
+    matrix = bogolubov_coefficients(a, _rindler_grid(cfg))
+    omegas = matrix.row_frequencies.tolist()
     spectrum_rows = []
-    norm_rows = []
-    for j, w in enumerate(matrix.row_frequencies):
-        occ = rindler_occupancy_in_vacuum(matrix, j)
+    for w, occ in zip(omegas, matrix.occupancy):
         planck = 1.0 / math.expm1(2.0 * math.pi * w / a)
-        spectrum_rows.append((float(w), occ, planck, abs(occ - planck) / planck))
-        norm_rows.append((float(w), matrix.row_normalization(j)))
+        spectrum_rows.append((w, occ, planck, abs(occ - planck) / planck))
+    norm_rows = list(zip(omegas, matrix.row_norms))
 
     report = RunReport(scenario="rindler_unruh", seed=seed)
     report.add_table(Table.build("spectrum", ("omega", "occupancy", "planck", "rel_err"),
@@ -584,7 +587,12 @@ _SCENARIOS: dict[str, _Scenario] = {
                 ("freq_lo", "freq_lo/acceleration must be at least 1e-100",
                  lambda c: c["freq_lo"] / c["acceleration"] < 1e-100),
                 ("freq_hi", "freq_hi/acceleration must be at most 100",
-                 lambda c: c["freq_hi"] / c["acceleration"] > 100.0))),
+                 lambda c: c["freq_hi"] / c["acceleration"] > 100.0),
+                # the rule below builds the grid, so it must stay small enough to build
+                ("n_frequencies", "must be at most 1000000",
+                 lambda c: c["n_frequencies"] > 1_000_000),
+                ("n_frequencies", "too many frequencies between freq_lo and freq_hi",
+                 lambda c: not np.all(np.diff(_rindler_grid(c)) > 0.0)))),
     "epr_collapse": _Scenario(
         schema={"box_side": _positive, "station_separation": _positive,
                 "measurement_time": _nonnegative, "sphere_mass": _positive,

@@ -1,13 +1,14 @@
 """Fixed background spacetimes: metrics, Einstein tensors, and light cones.
 
-Three backgrounds are supported, each with closed-form curvature so that
+Two backgrounds are supported, each with closed-form curvature so that
 no numerical relativity is ever needed:
 
 * ``Minkowski``     -- flat space in a periodic box of side L, d spatial dims.
 * ``EinsteinDeSitter`` -- spatially flat matter-dominated cosmology with
   scale factor a(t) = t^(2/3), valid for t > 0.
-* ``Rindler2D``     -- the right wedge of 2-D Minkowski space in conformal
-  coordinates (tau, xi), metric e^(2 a xi) diag(1, -1).
+
+The Rindler wedge needs no background here: its Bogolubov rows depend on
+the acceleration and the frequencies alone (``bogolubov``).
 
 Signature convention is (+, -, ..., -) throughout.  Every metric and
 Einstein tensor here is diagonal, so each is carried as its (..., d+1) diagonal.
@@ -23,7 +24,6 @@ __all__ = [
     "BackendDomainError",
     "Minkowski",
     "EinsteinDeSitter",
-    "Rindler2D",
     "Backend",
     "Event",
     "metric",
@@ -73,22 +73,7 @@ class EinsteinDeSitter:
         return 3
 
 
-@dataclass(frozen=True)
-class Rindler2D:
-    """Right Rindler wedge in conformal coordinates, proper acceleration ``a``."""
-
-    acceleration: float
-
-    def __post_init__(self):
-        if not (self.acceleration > 0.0):
-            raise BackendDomainError("acceleration must be positive")
-
-    @property
-    def dimension(self) -> int:
-        return 1
-
-
-Backend = Union[Minkowski, EinsteinDeSitter, Rindler2D]
+Backend = Union[Minkowski, EinsteinDeSitter]
 
 
 @dataclass(frozen=True)
@@ -123,12 +108,9 @@ def metric(backend: Backend, t, x) -> np.ndarray:
     """Diagonal of the covariant metric g_{mu nu} at the events: t (...) and
     x (..., d) -> (..., d+1).  Every background here is diagonal."""
     t, x, diag = _event_diagonal(backend, t, x)
-    if isinstance(backend, Rindler2D):
-        conf = np.exp(2.0 * backend.acceleration * x[..., 0])
-        diag[..., 0], diag[..., 1] = conf, -conf
-    else:  # scale factor squared: a^2 = t^(4/3) on the dust background, 1 in the box
-        diag[...] = -(t[..., None] ** (4.0 / 3.0)) if isinstance(backend, EinsteinDeSitter) else -1
-        diag[..., 0] = 1.0
+    # scale factor squared: a^2 = t^(4/3) on the dust background, 1 in the box
+    diag[...] = -(t[..., None] ** (4.0 / 3.0)) if isinstance(backend, EinsteinDeSitter) else -1
+    diag[..., 0] = 1.0
     return diag
 
 
@@ -136,10 +118,10 @@ def einstein_tensor(backend: Backend, t, x) -> np.ndarray:
     """Diagonal of the covariant Einstein tensor G_{mu nu} at the events (t, x)
     (closed form); it has no off-diagonal components on these backgrounds.
 
-    Shapes as for ``metric``.  Minkowski and Rindler2D are flat: identically
-    zero.  For the Einstein-de Sitter background the Friedmann equations
-    with a = t^(2/3) give G_00 = 3 (a'/a)^2 = 4/(3 t^2) and
-    G_ij = -(2 a a'' + a'^2) delta_ij, which vanishes exactly for dust.
+    Shapes as for ``metric``.  Minkowski is flat: identically zero.  For the
+    Einstein-de Sitter background the Friedmann equations with a = t^(2/3)
+    give G_00 = 3 (a'/a)^2 = 4/(3 t^2) and G_ij = -(2 a a'' + a'^2) delta_ij,
+    which vanishes exactly for dust.
     """
     t, x, diag = _event_diagonal(backend, t, x)
     if isinstance(backend, EinsteinDeSitter):

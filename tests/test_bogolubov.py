@@ -30,9 +30,10 @@ data: integrating the slice product by parts leaves a factor (k + |k|).
 The sharp wedge modes take their finite log-window normalization from the
 column weights w_k = 2 pi a k (log-k cell) / (log-k window), and since
 |alpha_jk|^2 is proportional to 1/(k w), w_k |alpha_jk|^2 does not depend
-on k: every box k grid sums row j to the same S_j, which is all that
-``bogolubov_coefficients`` forms.
+on k: every box k grid sums row j to the same S_j, from which
+``bogolubov_coefficients`` forms each row.
 """
+import math
 from math import factorial
 
 import numpy as np
@@ -41,8 +42,8 @@ from numpy.testing import assert_allclose
 from scipy.special import gamma as cgamma
 from scipy.special import loggamma
 
-from semigrav.bogolubov import _loggamma, bogolubov_coefficients, rindler_occupancy_in_vacuum
-from semigrav.modes import ModeBasisError, minkowski_basis, rindler_basis
+from semigrav.bogolubov import _loggamma, bogolubov_coefficients
+from semigrav.modes import ModeBasisError, minkowski_basis
 
 
 def _panel_rule(span, panels, gl_nodes):
@@ -154,7 +155,8 @@ def _box_wavenumbers(box_side=100.0 * np.pi, n_max=48):
 
 
 def _wedge_grid(n_freq=6, accel=1.0):
-    return rindler_basis(accel, tuple(np.geomspace(0.1, 3.0, n_freq) * accel))
+    """Wedge frequencies w with nu = w / accel from 0.1 to 3."""
+    return tuple(np.geomspace(0.1, 3.0, n_freq) * accel)
 
 
 def test_closed_form_matches_per_column_quadrature():
@@ -166,10 +168,9 @@ def test_closed_form_matches_per_column_quadrature():
     integrals behind beta are e^(-pi nu) smaller than the pieces the
     quadrature sums, so it resolves beta only to that scale.
     """
-    rind = _wedge_grid(n_freq=6)
-    a = rind.backend.acceleration
+    a = 1.0
     k = _box_wavenumbers()
-    for w in rind.omegas:
+    for w in _wedge_grid(n_freq=6, accel=a):
         nu = w / a
         norm = 4.0 * np.pi * np.sqrt(k * w)
         ip, iq = _half_line_integrals(nu, k, -1, a)
@@ -182,40 +183,51 @@ def test_closed_form_matches_per_column_quadrature():
 
 def test_row_is_bit_identical_to_a_one_row_build():
     omegas = np.geomspace(0.1, 3.0, 16)
-    full = bogolubov_coefficients(rindler_basis(1.0, tuple(omegas)))
+    full = bogolubov_coefficients(1.0, omegas)
     for j, w in enumerate(omegas):
-        one = bogolubov_coefficients(rindler_basis(1.0, (w,)))
+        one = bogolubov_coefficients(1.0, (w,))
         assert np.array_equal(one.row_sums, full.row_sums[j:j + 1])
+        assert one.occupancy == full.occupancy[j:j + 1]
+        assert one.row_norms == full.row_norms[j:j + 1]
+
+
+def test_occupancy_and_row_norms_are_the_scalar_row_factors():
+    """Each row's occupancy is math.exp(-x) S_j and its norm -math.expm1(-x) S_j,
+    x = 2 pi w_j / a, bit for bit: per-row scalar arithmetic, not a vector exp."""
+    for accel in (1.0, 2.5, 1e-3):
+        mat = bogolubov_coefficients(accel, _wedge_grid(n_freq=16, accel=accel))
+        for j in range(len(mat.row_sums)):
+            s = float(mat.row_sums[j])
+            x = 2.0 * np.pi * float(mat.row_frequencies[j]) / accel
+            assert mat.occupancy[j].hex() == (math.exp(-x) * s).hex()
+            assert mat.row_norms[j].hex() == (-math.expm1(-x) * s).hex()
 
 
 def test_alpha_beta_thermal_ratio():
     """|beta_jk| = e^{-pi nu_j} |alpha_jk|, for every row and column."""
-    rind = _wedge_grid()
-    a = rind.backend.acceleration
+    a = 1.0
     k = _box_wavenumbers()
-    for w in rind.omegas:
+    for w in _wedge_grid(accel=a):
         ratio = _pairing(w, k, a, +1) / _pairing(w, k, a, -1)
         assert_allclose(ratio, -np.exp(-np.pi * w / a) * np.ones(len(k)), rtol=1e-7)
 
 
 def test_pointwise_unit_wronskian():
     """|alpha_jk|^2 - |beta_jk|^2 = 1 / (2 pi a k) before weighting."""
-    rind = _wedge_grid(n_freq=4)
-    a = rind.backend.acceleration
+    a = 1.0
     k = _box_wavenumbers()
-    for w in rind.omegas:
+    for w in _wedge_grid(n_freq=4, accel=a):
         lhs = np.abs(_pairing(w, k, a, -1)) ** 2 - np.abs(_pairing(w, k, a, +1)) ** 2
         assert_allclose(lhs, 1.0 / (2.0 * np.pi * a * k), rtol=1e-7)
 
 
 def test_row_normalization_and_planck_occupancy():
-    rind = _wedge_grid(n_freq=8)
-    a = rind.backend.acceleration
-    mat = bogolubov_coefficients(rind)
-    for j, w in enumerate(mat.row_frequencies):
-        assert_allclose(mat.row_normalization(j), 1.0, atol=1e-10)
+    a = 1.0
+    mat = bogolubov_coefficients(a, _wedge_grid(n_freq=8, accel=a))
+    for w, occupancy, norm in zip(mat.row_frequencies, mat.occupancy, mat.row_norms):
+        assert_allclose(norm, 1.0, atol=1e-10)
         planck = 1.0 / np.expm1(2.0 * np.pi * w / a)
-        assert_allclose(rindler_occupancy_in_vacuum(mat, j), planck, rtol=1e-7)
+        assert_allclose(occupancy, planck, rtol=1e-7)
 
 
 def test_row_sums_match_the_direct_weighted_sums():
@@ -226,18 +238,16 @@ def test_row_sums_match_the_direct_weighted_sums():
     they differ by rounding, up to 8.3e-15 relative on these grids."""
     for box_side, n_max, accel in ((100.0 * np.pi, 48, 1.0), (0.01, 2, 1.0),
                                    (1e4, 500, 1.0), (7.0, 9, 2.5)):
-        rind = _wedge_grid(n_freq=8, accel=accel)
-        mat = bogolubov_coefficients(rind)
+        omegas = _wedge_grid(n_freq=8, accel=accel)
+        mat = bogolubov_coefficients(accel, omegas)
         k = _box_wavenumbers(box_side, n_max)
         weights = _column_weights(k, accel)
-        for j, w in enumerate(rind.omegas):
+        for j, w in enumerate(omegas):
             alpha2 = np.abs(_pairing(w, k, accel, -1)) ** 2
             beta2 = np.abs(_pairing(w, k, accel, +1)) ** 2
             assert_allclose(mat.row_sums[j], np.sum(weights * alpha2), rtol=1e-12)
-            assert_allclose(rindler_occupancy_in_vacuum(mat, j), np.sum(weights * beta2),
-                            rtol=1e-12)
-            assert_allclose(mat.row_normalization(j), np.sum(weights * (alpha2 - beta2)),
-                            rtol=1e-12)
+            assert_allclose(mat.occupancy[j], np.sum(weights * beta2), rtol=1e-12)
+            assert_allclose(mat.row_norms[j], np.sum(weights * (alpha2 - beta2)), rtol=1e-12)
 
 
 def test_occupancy_at_special_frequencies():
@@ -246,22 +256,26 @@ def test_occupancy_at_special_frequencies():
     for target, n_exp in ((np.log(2.0), 1.0), (np.log(1.5), 2.0)):
         w = accel * target / (2.0 * np.pi)
         grid = np.geomspace(w / 2.0, 2.0 * w, 9)  # w is the geometric midpoint
-        mat = bogolubov_coefficients(rindler_basis(accel, tuple(grid)))
+        mat = bogolubov_coefficients(accel, grid)
         j = int(np.argmin(np.abs(mat.row_frequencies - w)))
         assert_allclose(mat.row_frequencies[j], w, rtol=1e-12)
-        assert_allclose(rindler_occupancy_in_vacuum(mat, j), n_exp, rtol=1e-7)
+        assert_allclose(mat.occupancy[j], n_exp, rtol=1e-7)
 
 
-def test_wedge_pairing_input_validation():
-    with pytest.raises(ModeBasisError):  # not a mode basis
-        bogolubov_coefficients(object())
-    with pytest.raises(ModeBasisError):  # a box basis is not a wedge basis
-        bogolubov_coefficients(minkowski_basis(10.0, 1, 0.0, 4))
-
-
-def test_row_index_bounds():
-    mat = bogolubov_coefficients(_wedge_grid(n_freq=2))
-    with pytest.raises(IndexError):
-        mat.row_normalization(2)
-    with pytest.raises(IndexError):
-        rindler_occupancy_in_vacuum(mat, -1)
+def test_wedge_validation():
+    """The acceleration and the frequency grid are checked before any row is formed."""
+    for omegas, message in [((), "Rindler basis needs at least one frequency"),
+                            ((1.0, 0.5), "Rindler frequency grid must be strictly increasing"),
+                            ((-1.0, 0.5), "Rindler frequencies must be positive and finite"),
+                            ((np.nan,), "Rindler frequencies must be positive and finite"),
+                            ((1.0, np.nan), "Rindler frequencies must be positive and finite"),
+                            ((1.0, np.inf), "Rindler frequencies must be positive and finite")]:
+        with pytest.raises(ModeBasisError, match=f"^{message}$"):
+            bogolubov_coefficients(1.0, omegas)
+    for accel, message in [(np.inf, "acceleration must be finite"),
+                           (0.0, "acceleration must be positive"),
+                           (np.nan, "acceleration must be positive")]:
+        with pytest.raises(ModeBasisError, match=f"^{message}$"):
+            bogolubov_coefficients(accel, (1.0, 2.0))
+    mat = bogolubov_coefficients(3.0, (1.0, 2.0))
+    assert mat.row_frequencies.tolist() == [1.0, 2.0]

@@ -11,7 +11,6 @@ from semigrav.modes import (
     eds_basis,
     eds_k0_mode,
     minkowski_basis,
-    rindler_basis,
 )
 from semigrav.spacetime import BackendDomainError
 
@@ -212,22 +211,3 @@ def test_eds_mode_domain_checks():
     assert basis.n_modes == 1
     assert basis.dx_coeffs(1.0, (0, 0, 0)).shape == (1, 3)
     assert np.all(basis.dx_coeffs(1.0, (0, 0, 0)) == 0.0)
-
-
-# ---- Rindler wedge ----------------------------------------------------------
-
-def test_rindler_basis_validation():
-    with pytest.raises(ModeBasisError):
-        rindler_basis(1.0, ())
-    with pytest.raises(ModeBasisError):
-        rindler_basis(1.0, (1.0, 0.5))
-    with pytest.raises(ModeBasisError):
-        rindler_basis(1.0, (-1.0, 0.5))
-    for omegas in [(np.nan,), (1.0, np.nan), (1.0, np.inf)]:
-        with pytest.raises(ModeBasisError):
-            rindler_basis(1.0, omegas)
-    with pytest.raises(ModeBasisError):
-        rindler_basis(np.inf, (1.0, 2.0))
-    basis = rindler_basis(3.0, (1.0, 2.0))
-    assert basis.backend.acceleration == 3.0
-    assert basis.omegas == (1.0, 2.0)

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -187,10 +188,11 @@ RINDLER_FAULTS = {
 }
 
 
-def _run_failing(name, failed, capsys):
-    """The packaged run of ``name``: it exits 1 and stderr names exactly the
-    flags ``failed`` lists, in order.  Returns the JSON payload."""
-    rc = main(["run", name])
+def _run_failing(name, failed, capsys, *options):
+    """The run of ``name`` (packaged, unless ``options`` adds ``--config``): it
+    exits 1 and stderr names exactly the flags ``failed`` lists, in order.
+    Returns the JSON payload."""
+    rc = main(["run", name, *options])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err == "".join(f"flag {flag!r} failed\n" for flag in failed)
@@ -247,8 +249,35 @@ def test_collapse_skewed_trial_stream_fails_the_born_flag(name, fault, monkeypat
     _run_failing(name, failed, capsys)
 
 
-# collapse flags that no valid config and no fault in the trial stream can turn
-# false, each with what makes it hold by construction
+# valid configs, each with its scenario, its changes to the packaged config and
+# the flags it must fail, in the report's flag order
+_ULP = math.ulp(1.0)
+CONFIG_CONTROLS = {
+    # 1e-9 apart, the two declared spheres agree at both positions to the last bit
+    "page_geilker-coincident-spheres": ("page_geilker", {"position_b": 3.0 + 1e-9},
+                                        ("single_sphere_every_trial",)),
+    # a one-ulp bracket at 10 cannot hold the mass V0/(6 pi) = 100
+    "eds_fit-one-ulp-bracket": ("eds_fit", {"bracket_hi": math.nextafter(10.0, math.inf)},
+                                ("fit_recovers_mass",)),
+    # volumes one ulp apart leave the log-log slope to rounding
+    "eds_fit-ulp-volumes": ("eds_fit", {"scaling_volumes": [1.0, 1.0 + _ULP, 1.0 + 2 * _ULP]},
+                            ("scaling_slope_minus_2",)),
+    # a one-point lattice samples the packet at x = 0 only
+    "kg_wavepacket-one-point": ("kg_wavepacket", {"integration_points": 1},
+                                ("energy_matches",)),
+}
+
+
+@pytest.mark.parametrize("control", sorted(CONFIG_CONTROLS))
+def test_config_control_fails_exactly_its_flags(control, tmp_path, capsys):
+    """A valid config turns the flags its entry lists false, and only them."""
+    name, changes, failed = CONFIG_CONTROLS[control]
+    path = _write_json(tmp_path / "control.json", dict(default_config(name), **changes))
+    _run_failing(name, failed, capsys, "--config", path)
+
+
+# flags that no valid config and no one-function fault can turn false, each
+# with what makes it hold by construction
 COLLAPSE_IDENTITIES = {
     "causality_pass": "both EPR branches carry the pre-projection density itself, "
                       "so the gate compares one array with itself",
@@ -256,19 +285,21 @@ COLLAPSE_IDENTITIES = {
                              "so every branch state has opposite spins",
     "discontinuity_nonzero": "it compares two declared Gaussians at distinct positions, "
                              "not densities computed from the branch states",
-    "single_sphere_every_trial": "it compares a declared full Gaussian with the declared "
-                                 "half-and-half average at the two sphere positions",
 }
 
 
 def test_every_collapse_flag_has_a_fault_or_an_identity_entry():
-    """A collapse flag is failed by a ``COLLAPSE_FAULTS`` entry or holds by
-    construction for the reason ``COLLAPSE_IDENTITIES`` gives, not both."""
-    flags = {flag for name in ("epr_collapse", "page_geilker")
-             for flag in run_scenario(name, trials=10).flags}
-    faulted = {flag for _, failed in COLLAPSE_FAULTS.values() for flag in failed}
-    assert not faulted & set(COLLAPSE_IDENTITIES)
-    assert sorted(flags) == sorted(faulted | set(COLLAPSE_IDENTITIES))
+    """Every flag of the collapse, wedge and fit scenarios is failed by a
+    ``CONFIG_CONTROLS`` entry or a fault entry, or holds by construction for
+    the reason ``COLLAPSE_IDENTITIES`` gives: exactly one of the three."""
+    flags = {flag for name in ("epr_collapse", "page_geilker", "rindler_unruh", "eds_fit")
+             for flag in run_scenario(name, trials=10 if name in FAST_TRIALS else None).flags}
+    tables = ({flag for *_, failed in CONFIG_CONTROLS.values() for flag in failed},
+              {flag for faults in (COLLAPSE_FAULTS, RINDLER_FAULTS)
+               for _, failed in faults.values() for flag in failed},
+              set(COLLAPSE_IDENTITIES))
+    counts = {flag: sum(flag in table for table in tables) for flag in flags}
+    assert counts == dict.fromkeys(flags, 1)
 
 
 @pytest.mark.parametrize("changes", [
@@ -577,6 +608,10 @@ CONFIG_MESSAGES = [
      "field 'sphere_width': box_side/sphere_width must be at most 1e150"),
     ("rindler_unruh", {"n_max": 48}, "unknown field 'n_max'"),
     ("rindler_unruh", {"box_side": 314.1592653589793}, "unknown field 'box_side'"),
+    ("rindler_unruh", {"freq_lo": 1.0, "freq_hi": 1.00000000000001, "n_frequencies": 100},
+     "field 'n_frequencies': too many frequencies between freq_lo and freq_hi"),
+    ("rindler_unruh", {"n_frequencies": 1_000_001},
+     "field 'n_frequencies': must be at most 1000000"),
 ]
 
 
@@ -710,6 +745,10 @@ CLI_MESSAGES = [
      "field 'box_side': must lie between 1e-100 and 1e100"),
     (["run", "epr_collapse", "--config", "{tmp}/epr_pinpoint.json"],
      "field 'sphere_width': box_side/sphere_width must be at most 1e150"),
+    (["scan", "eds_cosmology", "--param", "V0", "--values", "10,,20,30"],
+     "field 'values': must be comma-separated numbers"),
+    (["run", "rindler_unruh", "--config", "{tmp}/ru_near.json"],
+     "field 'n_frequencies': too many frequencies between freq_lo and freq_hi"),
 ]
 
 # config files the CLI cases read: file stem -> (scenario, changes to its packaged config)
@@ -735,6 +774,8 @@ CLI_CONFIGS = {
     "epr_huge": ("epr_collapse", {"box_side": 1e200, "station_separation": 4e199}),
     "epr_pinpoint": ("epr_collapse", {"box_side": 1e30, "station_separation": 4e29,
                                       "sphere_width": 1e-140}),
+    "ru_near": ("rindler_unruh", {"freq_lo": 1.0, "freq_hi": 1.00000000000001,
+                                  "n_frequencies": 100}),
 }
 
 

@@ -9,7 +9,6 @@ from semigrav.spacetime import (
     EinsteinDeSitter,
     Event,
     Minkowski,
-    Rindler2D,
     einstein_tensor,
     metric,
     outside_future_cone,
@@ -27,14 +26,6 @@ def test_eds_metric_scale_factor():
     t = 2.0
     g = metric(bk, t, (0.0, 0.0, 0.0))
     assert_allclose(g, [1.0, -t ** (4.0 / 3.0)] + [-t ** (4.0 / 3.0)] * 2)
-
-
-def test_rindler_metric_conformal():
-    bk = Rindler2D(acceleration=2.0)
-    xi = 0.3
-    g = metric(bk, 0.0, (xi,))
-    conf = np.exp(2.0 * 2.0 * xi)
-    assert_allclose(g, [conf, -conf])
 
 
 def _fd_g00_oracle(t: float, h: float = 1e-5) -> float:
@@ -65,7 +56,6 @@ def test_eds_einstein_tensor_matches_finite_difference_friedmann(t):
 
 def test_flat_backgrounds_have_zero_einstein_tensor():
     assert not einstein_tensor(Minkowski(), 0.1, (1.0, 1.0, 1.0)).any()
-    assert not einstein_tensor(Rindler2D(1.0), 0.1, (0.2,)).any()
 
 
 def test_metric_and_curvature_broadcast_over_event_arrays():
@@ -79,9 +69,6 @@ def test_metric_and_curvature_broadcast_over_event_arrays():
             assert many.shape == (7, 4)
             for e in range(7):
                 assert np.array_equal(many[e], fn(bk, t[e], x[e]))
-    g = metric(Rindler2D(acceleration=0.5), 1.0, rng.uniform(-1.0, 1.0, size=(5, 1)))
-    assert g.shape == (5, 2)
-    assert np.array_equal(g[:, 0], -g[:, 1])
 
 
 def test_eds_domain_requires_positive_time():
@@ -104,8 +91,6 @@ def test_invalid_backend_parameters_rejected():
         Minkowski(box_side=-1.0)
     with pytest.raises(BackendDomainError):
         EinsteinDeSitter(comoving_volume=0.0)
-    with pytest.raises(BackendDomainError):
-        Rindler2D(acceleration=0.0)
     # an infinite box normalizes every mode to zero: a one-quantum state
     # would have exactly zero stress rather than an error
     with pytest.raises(BackendDomainError, match="box_side must be positive and finite"):
