@@ -35,7 +35,10 @@ from .modes import (
     eds_k0_mode,
     minkowski_basis,
 )
-from .bogolubov import BogolubovMatrix, bogolubov_coefficients
+from .bogolubov import (
+    BogolubovMatrix,
+    bogolubov_coefficients,
+)
 from .stress_energy import (
     integrated_energy,
     stress_sample,
