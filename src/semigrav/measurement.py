@@ -19,12 +19,15 @@ and ``page_geilker``, build their branch sets and densities in ``scenarios``.
 
 Trials read one counter-based stream: trial ``i`` of master seed ``s`` is
 draw ``i`` of ``Generator(Philox(key=s))``.  ``run_trials`` reads it in
-sequential blocks.  Its oracle, in ``tests/test_measurement.py``, replays
+blocks and counts a block's picks against the cumulative Born weights, with
+no per-trial index.  Its oracle, in ``tests/test_measurement.py``, replays
 each trial alone from a fresh generator advanced to that draw.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping
 
 import numpy as np
@@ -61,14 +64,11 @@ class BranchSet:
         for label, state in zip(labels, states):
             if abs(state.norm() - 1.0) > NORM_TOL:
                 raise ValueError(f"branch {label!r} is not unit-norm")
-        for i in range(len(states)):
-            for j in range(i + 1, len(states)):
-                ov = abs(inner(states[i], states[j]))
-                if ov >= _ORTHO_TOL:
-                    raise ValueError(
-                        f"branches {labels[i]!r} and {labels[j]!r} "
-                        f"are not orthogonal (|overlap| = {ov:.3e})"
-                    )
+        for (label_a, a), (label_b, b) in combinations(zip(labels, states), 2):
+            ov = abs(inner(a, b))
+            if ov >= _ORTHO_TOL:
+                raise ValueError(f"branches {label_a!r} and {label_b!r} "
+                                 f"are not orthogonal (|overlap| = {ov:.3e})")
         self.labels, self.states = labels, states
 
 
@@ -94,7 +94,7 @@ def born_probabilities(state: FockState, branch_set: BranchSet) -> np.ndarray:
     return weights / total
 
 
-_TRIAL_BLOCK = 4096  # trials drawn at once: bounds memory, not results
+_TRIAL_BLOCK = 1 << 14  # trials drawn at once: bounds memory, not results
 
 
 @dataclass(frozen=True)
@@ -112,20 +112,25 @@ def run_trials(state: FockState, branches: BranchSet, master_seed: int,
 
     Trial ``t`` reads one uniform, draw ``t`` of the seed's stream
     ``Generator(Philox(key=master_seed))``, and picks the first branch
-    whose cumulative Born weight exceeds it; a uniform at or above the last
-    cumulative weight, which can round below 1, picks the last branch.
+    whose cumulative Born weight exceeds it, or the last branch if none
+    does (the last weight can round below 1).  A block's picks are counted
+    against the inner cumulative weights, with no per-trial index.
     """
+    for name, value in (("master_seed", master_seed), ("n_trials", n_trials)):
+        if isinstance(value, bool) or not hasattr(value, "__index__"):
+            raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+    master_seed, n_trials = operator.index(master_seed), operator.index(n_trials)
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
     born = born_probabilities(state, branches)
-    cum = np.cumsum(born)
-    counts = np.zeros(len(born), dtype=np.int64)
-    rng = np.random.Generator(np.random.Philox(key=int(master_seed)))
+    thresholds = np.cumsum(born)[:-1].tolist()
+    below = [0] * len(thresholds)  # trials picking a branch <= j, per inner weight j
+    rng = np.random.Generator(np.random.Philox(key=master_seed))
     for start in range(0, n_trials, _TRIAL_BLOCK):
         r = rng.random(min(_TRIAL_BLOCK, n_trials - start))
-        picks = np.minimum(np.searchsorted(cum, r, side="right"), len(born) - 1)
-        counts += np.bincount(picks, minlength=len(born))
-    return TrialBatch(n_trials, tuple(float(p) for p in born), tuple(int(c) for c in counts))
+        below = [b + int(np.count_nonzero(r < c)) for b, c in zip(below, thresholds)]
+    counts = tuple(hi - lo for lo, hi in zip([0, *below], [*below, n_trials]))
+    return TrialBatch(n_trials, tuple(float(p) for p in born), counts)
 
 
 def causality_check(pre, post, origin: Event, t, x, tol: float) -> CausalityReport:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from semigrav import measurement
 from semigrav.fock import create, new_vacuum, number_expectation, superpose
 from semigrav.measurement import (
     BranchSet,
@@ -157,13 +158,17 @@ def test_project_matches_uncached_born_sampling():
 
 # ---- batched trials against the single-trial oracle ----------------------------
 
+BLOCK = measurement._TRIAL_BLOCK
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2026, 2**64 + 5, 2**128 - 1])
 def test_trial_rng_replays_the_block_stream(seed):
     # every residue mod 4 (a Philox counter step is four draws), both sides
-    # of the 4096-trial block boundaries, and the last index drawn
-    n = 3 * 4096 + 5
+    # of 4096 and of the first two block boundaries, and the last index drawn
+    n = 3 * BLOCK + 5
     stream = _trial_rng(seed, 0).random(n)
-    for i in [*range(12), 4095, 4096, 4097, 8191, 8192, n - 1]:
+    for i in [*range(12), 4095, 4096, 4097, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1,
+              2 * BLOCK, n - 1]:
         assert _trial_rng(seed, i).random() == stream[i]
     with pytest.raises(ValueError):
         _trial_rng(seed, -1)
@@ -179,7 +184,8 @@ def _reference_picks(state, branches, seed, n):
     return picks
 
 
-TRIAL_COUNTS = (1, 4095, 4096, 4097, 10_000)
+# both sides of 4096 and of the block boundary
+TRIAL_COUNTS = (1, 4095, 4096, 4097, 10_000, BLOCK - 1, BLOCK, BLOCK + 1)
 
 
 @pytest.mark.parametrize("amps", [(0.6, 0.8), (1.0, 0.0)])
@@ -226,6 +232,91 @@ def test_run_trials_branch_rule_at_exact_boundaries(monkeypatch):
         picks.append(run_trials(psi, branches, 0, 1).counts.index(1))
     assert picks == [_sample_index(born, _FixedDraw(u)) for u in r]
     assert picks == [0, 0, 1, 2, 2, 2]
+
+
+# ---- threshold counts against the per-trial pick they replaced -------------------
+
+class _PresetDraws:
+    """Generator stand-in that hands out preset uniforms in order."""
+
+    def __init__(self, draws):
+        self.draws, self.used = draws, 0
+
+    def random(self, size):
+        self.used += size
+        return self.draws[self.used - size:self.used]
+
+
+def _searchsorted_counts(born, r):
+    """The replaced rule: ``searchsorted`` side "right", the clamp, then ``bincount``."""
+    picks = np.minimum(np.searchsorted(np.cumsum(born), r, side="right"), len(born) - 1)
+    return tuple(int(c) for c in np.bincount(picks, minlength=len(born)))
+
+
+VAC_17_MODES = new_vacuum(minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=8))
+
+
+@settings(deadline=None)
+@given(amps=st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 1.0)), min_size=2,
+                     max_size=16).filter(any),
+       uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+       block=st.sampled_from([1, 3, BLOCK]))
+@example(amps=[0.6, 0.8, 0.6], uniforms=[], block=BLOCK)  # last weight rounds below 1
+@example(amps=[0.0, 1.0, 0.0, 0.0, 0.5], uniforms=[0.0], block=1)
+def test_threshold_counts_match_searchsorted_rule(amps, uniforms, block):
+    """Zero-weight branches included, every uniform in [0, 1) lands where the
+    per-trial pick put it, whatever the block size."""
+    states = [create(VAC_17_MODES, i).normalized() for i in range(len(amps))]
+    branches = BranchSet({str(i): s for i, s in enumerate(states)})
+    psi = superpose([(a, s) for a, s in zip(amps, states) if a], normalize=True)
+    born = born_probabilities(psi, branches)
+    cum = np.cumsum(born)
+    # seeded draws practically never give these: each cumulative weight exactly,
+    # one ulp either side, and the largest uniform below 1
+    edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
+                            [0.0, 1.0 - 2.0**-53]])
+    r = np.concatenate([uniforms, edges[edges < 1.0]])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measurement, "_TRIAL_BLOCK", block)
+        patch.setattr(np.random, "Generator", lambda bits: _PresetDraws(r))
+        batch = run_trials(psi, branches, 0, len(r))
+    assert batch.counts == _searchsorted_counts(born, r)
+
+
+@pytest.mark.parametrize("seed", [5, 2**128 - 1])
+def test_three_branch_trials_span_a_block_boundary(seed):
+    states = [create(VAC, i).normalized() for i in range(3)]
+    branches = BranchSet({str(i): s for i, s in enumerate(states)})
+    psi = superpose(list(zip((0.6, 0.8, 0.6), states)), normalize=True)
+    picks = _reference_picks(psi, branches, seed, BLOCK + 2)
+    for n in (BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2):
+        assert run_trials(psi, branches, seed, n).counts == tuple(map(picks[:n].count, range(3)))
+
+
+@pytest.mark.parametrize("seed,n_trials,error,name", [
+    (1.5, 10, TypeError, "master_seed"),  # int() would run seed 1's stream
+    (1.9, 10, TypeError, "master_seed"),
+    (True, 10, TypeError, "master_seed"),
+    (np.float64(2.0), 10, TypeError, "master_seed"),
+    (1, True, TypeError, "n_trials"),
+    (1, np.True_, TypeError, "n_trials"),
+    (1, 2.5, TypeError, "n_trials"),
+    (1, "10", TypeError, "n_trials"),
+    (1, 0, ValueError, "n_trials"),
+    (1, -4, ValueError, "n_trials"),
+])
+def test_run_trials_rejects_non_integer_arguments(seed, n_trials, error, name):
+    branches, a, _ = _two_branches()
+    with pytest.raises(error, match=name):
+        run_trials(a, branches, seed, n_trials)
+
+
+def test_run_trials_takes_numpy_integers_as_ints():
+    branches, a, b = _two_branches()
+    psi = superpose([(0.6, a), (0.8, b)], normalize=True)
+    batch = run_trials(psi, branches, np.uint64(3), np.int64(100))
+    assert type(batch.n_trials) is int
+    assert batch == run_trials(psi, branches, 3, 100)
 
 
 def _collapse(name, seed, n_trials, **overrides):

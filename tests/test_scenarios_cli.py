@@ -265,6 +265,9 @@ CONFIG_CONTROLS = {
     # a one-point lattice samples the packet at x = 0 only
     "kg_wavepacket-one-point": ("kg_wavepacket", {"integration_points": 1},
                                 ("energy_matches",)),
+    # a near-massless packet of the modes |n| <= 1 is broad: T_00 at x0 is 5.2 times
+    # that at the antipode, under the 10 that ``localized`` asks
+    "kg_wavepacket-spread": ("kg_wavepacket", {"n_max": 1, "mass": 0.01}, ("localized",)),
 }
 
 
@@ -289,10 +292,11 @@ COLLAPSE_IDENTITIES = {
 
 
 def test_every_collapse_flag_has_a_fault_or_an_identity_entry():
-    """Every flag of the collapse, wedge and fit scenarios is failed by a
-    ``CONFIG_CONTROLS`` entry or a fault entry, or holds by construction for
+    """Every flag of the collapse, wedge, fit and wave-packet scenarios is failed
+    by a ``CONFIG_CONTROLS`` entry or a fault entry, or holds by construction for
     the reason ``COLLAPSE_IDENTITIES`` gives: exactly one of the three."""
-    flags = {flag for name in ("epr_collapse", "page_geilker", "rindler_unruh", "eds_fit")
+    flags = {flag for name in ("epr_collapse", "page_geilker", "rindler_unruh", "eds_fit",
+                               "kg_wavepacket")
              for flag in run_scenario(name, trials=10 if name in FAST_TRIALS else None).flags}
     tables = ({flag for *_, failed in CONFIG_CONTROLS.values() for flag in failed},
               {flag for faults in (COLLAPSE_FAULTS, RINDLER_FAULTS)
