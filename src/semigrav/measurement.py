@@ -120,6 +120,8 @@ def run_trials(state: FockState, branches: BranchSet, master_seed: int,
         if isinstance(value, bool) or not hasattr(value, "__index__"):
             raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
     master_seed, n_trials = operator.index(master_seed), operator.index(n_trials)
+    if not 0 <= master_seed < 2**128:  # the Philox key is 128 bits
+        raise ValueError(f"master_seed must lie in [0, 2**128), not {master_seed}")
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
     born = born_probabilities(state, branches)

@@ -5,9 +5,10 @@ to validator), the cross-field rules, the runner and an optional volume
 scan.  All eight pipelines are runners here.  A runner hands the engines
 its states alone: each state carries its basis and the basis its backend.
 The two collapse runners build their branch sets from labelled states and
-hand them to ``measurement``'s trials.  Each evaluates its Gaussian spheres
-once, as arrays at its probes (``_spheres``), and hands the pre- and
-post-projection densities with the origin event to the gate.
+hand them to ``measurement``'s trials.  Each places its measurement at
+t = 0 and hands the gate the pre- and post-projection densities at its
+probes: EPR's are equal by construction, so it passes one zero array as
+both; ``page_geilker`` evaluates its Gaussian spheres once (``_spheres``).
 ``SCENARIO_NAMES``, ``SCANS`` and the ``trials`` override (allowed when
 the schema has ``n_trials``) derive from the records.  A runner returns a
 RunReport whose flags record the scenario's own pass criteria.  Config
@@ -348,33 +349,30 @@ def _spheres(centers, mass: float, width: float, x: np.ndarray) -> np.ndarray:
 
 
 def _run_epr_collapse(cfg: dict, seed: int) -> RunReport:
-    """Anticorrelated pair: project at station X, verify spin at station Y.
+    """Anticorrelated pair: project at station X at t = 0, verify spin at station Y.
 
-    Both branches share one energy density (a sphere at each station with the
-    same mass), so the projection changes spin correlations but not energy:
-    the causality check passes with violation exactly zero, and the remote
-    spin is always opposite to the local one.
+    The branches differ only in which station holds which spin, so the
+    projection changes spin correlations but not energy: the causality gate
+    is handed a zero change at every probe, and the remote spin is always
+    opposite to the local one.
     """
     spins, branch_i, branch_ii, singlet = _epr_setup(cfg["box_side"])
-    L, when, n_probes = cfg["box_side"], cfg["measurement_time"], cfg["n_probes"]
+    L, n_probes = cfg["box_side"], cfg["n_probes"]
     # the config rules keep the two stations apart, so at one shared time
     # each lies outside the other's future cone
     x_left = 0.5 * (L - cfg["station_separation"])
-    x_right = x_left + cfg["station_separation"]
     branches = BranchSet({"I": branch_i, "II": branch_ii})
-    origin = Event(when, (x_left,))
+    origin = Event(0.0, (x_left,))
 
     # probe grid straddling the cone: same-time points are all outside,
     # later points near the station are inside
     n_now = n_probes // 2
-    t = np.repeat([when, when + 1.0], [n_now, n_probes - n_now])
+    t = np.repeat([0.0, 1.0], [n_now, n_probes - n_now])
     x = np.concatenate([np.linspace(0.0, L, k) for k in (n_now, n_probes - n_now)])[:, None]
-    # one shared density: equal-mass spheres at both stations, in every branch
-    left, right = _spheres((x_left, x_right), cfg["sphere_mass"], cfg["sphere_width"], x)
-    shared = 0.5 * left + 0.5 * right
-    # both branches carry the pre-projection density itself, so one
-    # causality report holds for both and for every trial below
-    causal = causality_check(shared, shared, origin, t, x, cfg["tol"])
+    # the gate reads only |pre - post|, which the shared density makes zero, so
+    # one causality report holds for both branches and for every trial below
+    unchanged = np.zeros(n_probes)
+    causal = causality_check(unchanged, unchanged, origin, t, x, 0.0)
     batch = run_trials(singlet, branches, seed, cfg["n_trials"])
     n = batch.n_trials
 
@@ -414,12 +412,12 @@ def _run_sphere_collapse(cfg: dict, seed: int) -> RunReport:
     state_a, state_b = (create(vac, basis.mode_index((n,))).normalized() for n in (-1, 1))
     pointer = superpose([(1.0, state_a), (1.0, state_b)], normalize=True)
 
-    a, b, when, tol = cfg["position_a"], cfg["position_b"], cfg["measurement_time"], cfg["tol"]
+    a, b = cfg["position_a"], cfg["position_b"]
     branches = BranchSet({"sphere_at_A": state_a, "sphere_at_B": state_b})
-    origin = Event(when, (0.5 * (a + b),))
+    origin = Event(0.0, (0.5 * (a + b),))
 
     n_probes = cfg["n_probes"]
-    t = np.full(n_probes, when)
+    t = np.zeros(n_probes)
     x = np.linspace(0.0, cfg["box_side"], n_probes)[:, None]
     # the branch densities, one full sphere each, at the probes and then at the
     # two sphere positions; before projection, half of each
@@ -428,7 +426,7 @@ def _run_sphere_collapse(cfg: dict, seed: int) -> RunReport:
     # equal-time probes sit outside the cone, so the sphere relocation is
     # visible to the check: the smaller branch "violation" is the discontinuity
     discontinuity = min(
-        causality_check(pre[:n_probes], post[:n_probes], origin, t, x, tol).max_violation_outside
+        causality_check(pre[:n_probes], post[:n_probes], origin, t, x, 0.0).max_violation_outside
         for post in posts)
 
     batch = run_trials(pointer, branches, seed, cfg["n_trials"])
@@ -479,15 +477,6 @@ def _box_volume_observable(cfg: dict) -> Callable[[float], float]:
 
 
 # ---- the registry --------------------------------------------------------------
-
-# a Gaussian sphere needs 2 width^2 to stay a normal float and a finite peak density
-_SPHERE_CHECKS = (
-    ("sphere_width", "must lie between 1e-150 and 1e150",
-     lambda c: not 1e-150 <= c["sphere_width"] <= 1e150),
-    ("sphere_width", "too narrow for sphere_mass: the peak density overflows",
-     lambda c: math.isinf(c["sphere_mass"] / (math.sqrt(2.0 * math.pi) * c["sphere_width"]))),
-)
-
 
 # the box modes take box_side^dimension (d <= 3) and mass^2: both must stay normal floats
 _BOX_SIDE_CHECK = ("box_side", "must lie between 1e-100 and 1e100",
@@ -595,33 +584,33 @@ _SCENARIOS: dict[str, _Scenario] = {
                  lambda c: not np.all(np.diff(_rindler_grid(c)) > 0.0)))),
     "epr_collapse": _Scenario(
         schema={"box_side": _positive, "station_separation": _positive,
-                "measurement_time": _nonnegative, "sphere_mass": _positive,
-                "sphere_width": _positive, "n_trials": _int_at_least(1),
-                "n_probes": _int_at_least(2), "tol": _nonnegative, "seed": _seed},
+                "n_trials": _int_at_least(1), "n_probes": _int_at_least(2), "seed": _seed},
         run=_run_epr_collapse,
         checks=(("station_separation", "must be smaller than box_side",
                  lambda c: c["station_separation"] >= c["box_side"]),
                 ("station_separation", "too small to separate the stations at this box_side",
-                 _stations_coincide)) + _SPHERE_CHECKS
-        # the spin modes' box basis, and bumps whose (box_side/sphere_width)^2 stays finite
-        + (_BOX_SIDE_CHECK,
-           ("sphere_width", "box_side/sphere_width must be at most 1e150",
-            lambda c: c["box_side"] / c["sphere_width"] > 1e150))),
+                 _stations_coincide),
+                _BOX_SIDE_CHECK)),  # the spin modes' box basis
     "page_geilker": _Scenario(
         schema={"box_side": _positive, "position_a": _positive, "position_b": _positive,
                 "sphere_mass": _positive, "sphere_width": _positive,
-                "measurement_time": _nonnegative, "n_trials": _int_at_least(1),
-                "n_probes": _int_at_least(2), "tol": _nonnegative, "seed": _seed},
+                "n_trials": _int_at_least(1), "n_probes": _int_at_least(2), "seed": _seed},
         run=_run_sphere_collapse,
         checks=(("position_a", "sphere positions must lie inside the box",
                  lambda c: c["position_a"] >= c["box_side"]),
                 ("position_b", "sphere positions must lie inside the box",
                  lambda c: c["position_b"] >= c["box_side"]),
                 ("position_b", "positions must differ",
-                 lambda c: c["position_a"] == c["position_b"])) + _SPHERE_CHECKS
-        # a sphere between two probes of the equal-time grid would go unseen
-        + (("sphere_width", "narrower than the probe spacing box_side/(n_probes-1)",
-            lambda c: c["n_probes"] - 1 < c["box_side"] / c["sphere_width"]),)),
+                 lambda c: c["position_a"] == c["position_b"]),
+                # a Gaussian sphere needs 2 width^2 to stay a normal float and a finite peak
+                ("sphere_width", "must lie between 1e-150 and 1e150",
+                 lambda c: not 1e-150 <= c["sphere_width"] <= 1e150),
+                ("sphere_width", "too narrow for sphere_mass: the peak density overflows",
+                 lambda c: math.isinf(
+                     c["sphere_mass"] / (math.sqrt(2.0 * math.pi) * c["sphere_width"]))),
+                # a sphere between two probes of the equal-time grid would go unseen
+                ("sphere_width", "narrower than the probe spacing box_side/(n_probes-1)",
+                 lambda c: c["n_probes"] - 1 < c["box_side"] / c["sphere_width"]))),
 }
 
 SCENARIO_NAMES = tuple(sorted(_SCENARIOS))

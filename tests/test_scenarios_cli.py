@@ -113,6 +113,54 @@ def test_every_scenario_passes_its_flags(name):
     json.dumps(report.flags)  # flags must be JSON-clean
 
 
+# config fields that no one-field change moves an output byte of, each with the reason
+INERT_FIELDS = {
+    ("minkowski_vacuum", "mass"): "the vacuum T is zero at every mass; the field names "
+                                  "the vacuum whose zero residual is certified",
+    ("minkowski_vacuum", "n_max"): "the vacuum T is zero at every cutoff; the field names "
+                                   "the vacuum whose zero residual is certified",
+    ("minkowski_particle", "n_max"): "the one-quantum T does not depend on the cutoff; "
+                                     "the bench field workload sets it",
+}
+# the one-field change of each field whose generic nudge is not a valid config,
+# or moves no byte although another value of the field does
+FIELD_NUDGES = {
+    ("minkowski_vacuum", "dimension"): {"dimension": 2},
+    ("minkowski_particle", "dimension"): {"dimension": 1, "mode_label": [1]},
+    # a station at 2 has 4 later probes in its cone; one at 3 or at 2.5 (the
+    # nudge) has 5
+    ("epr_collapse", "station_separation"): {"station_separation": 6.0},
+    # a bracket shrinks by 1.618 a step: a tol 1.25 times as large stops at the same step
+    ("eds_fit", "fit_tol"): {"fit_tol": 1e-5},
+    # the discontinuity is read at the probe nearest a = 3; there the B sphere's tail
+    # is below an ulp at b = 8.75 (the nudge) and at b = 7, but 8e-13 at b = 6
+    ("page_geilker", "position_b"): {"position_b": 6.0},
+}
+
+
+def _nudged(value):
+    """A nearby value of a config field: an integer plus one, a float times 1.25,
+    a list with its first entry nudged."""
+    if isinstance(value, list):
+        return [_nudged(value[0])] + value[1:]
+    return value + 1 if isinstance(value, int) else value * 1.25
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_every_config_field_reaches_the_output(name):
+    """Each field of the schema has a valid change that moves a byte of the packaged
+    run's JSON, or an ``INERT_FIELDS`` entry that says why it has none."""
+    base = default_config(name)
+    packaged = emit(run_scenario(name, base), "json")
+    inert = []
+    for key in validate_config(name, base):
+        cfg = dict(base, **FIELD_NUDGES.get((name, key), {key: _nudged(base[key])}))
+        validate_config(name, cfg)  # an invalid nudge belongs in FIELD_NUDGES
+        if emit(run_scenario(name, cfg), "json") == packaged:
+            inert.append(key)
+    assert inert == [key for scenario, key in INERT_FIELDS if scenario == name]
+
+
 def test_run_scenario_is_deterministic():
     a = run_scenario("eds_cosmology")
     b = run_scenario("eds_cosmology")
@@ -188,11 +236,11 @@ RINDLER_FAULTS = {
 }
 
 
-def _run_failing(name, failed, capsys, *options):
-    """The run of ``name`` (packaged, unless ``options`` adds ``--config``): it
+def _run_failing(argv, failed, capsys):
+    """The ``main`` call ``argv`` (a packaged run, unless it adds ``--config``): it
     exits 1 and stderr names exactly the flags ``failed`` lists, in order.
     Returns the JSON payload."""
-    rc = main(["run", name, *options])
+    rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err == "".join(f"flag {flag!r} failed\n" for flag in failed)
@@ -205,7 +253,7 @@ def _run_rindler_with_fault(fault, monkeypatch, capsys):
     make, failed = RINDLER_FAULTS[fault]
     bogolubov = importlib.import_module("semigrav.bogolubov")
     monkeypatch.setattr(bogolubov, "_loggamma", make(bogolubov._loggamma))
-    return _run_failing("rindler_unruh", failed, capsys)
+    return _run_failing(["run", "rindler_unruh"], failed, capsys)
 
 
 def test_rindler_non_finite_spectrum_fails_every_flag(monkeypatch, capsys):
@@ -246,7 +294,59 @@ def test_collapse_skewed_trial_stream_fails_the_born_flag(name, fault, monkeypat
     """A trial stream that is not uniform fails the Born statistics, and only them."""
     make, failed = COLLAPSE_FAULTS[fault]
     monkeypatch.setattr(np.random, "Generator", make(np.random.Generator))
-    _run_failing(name, failed, capsys)
+    _run_failing(["run", name], failed, capsys)
+
+
+def _graded(slot_factors):
+    """EdS slot factors whose k = 0 mode has a gradient of 1e-6 in x1."""
+    def faulty(self, t, modes=(0,)):
+        out = slot_factors(self, t, modes)
+        out[..., 1, :] = 1e-6j
+        return out
+    return faulty
+
+
+# one-function faults in the field engines, each with its scenario, the
+# ``module:attribute`` it replaces and the flags it must fail, in the report's flag order
+FIELD_FAULTS = {
+    # a flat box given a curvature of 1e-9 in every diagonal G_mm
+    "curved-flat-box": ("minkowski_vacuum", "semigrav.consistency:einstein_tensor",
+                        lambda einstein_tensor: lambda backend, t, x:
+                        einstein_tensor(backend, t, x) + 1e-9,
+                        ("residual_zero",)),
+    # the quantum lands one mode past the labelled one, whose w the flag reads
+    "create-next-mode": ("minkowski_particle", "semigrav.scenarios:create",
+                         lambda create: lambda state, mode: create(state, mode + 1),
+                         ("total_energy_exact",)),
+    # n lattice points a side, each given a cell of side L/(n+1)
+    "short-cells": ("minkowski_particle", "semigrav.stress_energy:box_lattice",
+                    lambda box_lattice: lambda backend, n: (
+                        box_lattice(backend, n)[0],
+                        (backend.box_side / (n + 1)) ** backend.dimension),
+                    ("lattice_energy_matches",)),
+    # the dust mode normalized to m V0, not 2 m V0: twice the closed-form T_00
+    "half-norm-dust-mode": ("eds_cosmology", "semigrav.modes:eds_k0_mode",
+                            lambda mode: lambda t, mass, volume:
+                            math.sqrt(2.0) * mode(t, mass, volume),
+                            ("t00_closed_form",)),
+    # T_01 reads 3e-11 to 2e-9 on the grid, over the 1e-12 bound, and T_00 still
+    # rounds to the closed form
+    "graded-dust-mode": ("eds_cosmology", "semigrav.modes:EdSModeBasis.slot_factors", _graded,
+                         ("off_diagonals_zero",)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FIELD_FAULTS))
+def test_field_fault_fails_exactly_its_flags(fault, monkeypatch, capsys):
+    """A fault in one engine function turns its entry's flags false, and only them."""
+    name, target, make, failed = FIELD_FAULTS[fault]
+    module, path = target.split(":")
+    *parents, attr = path.split(".")
+    owner = importlib.import_module(module)
+    for parent in parents:
+        owner = getattr(owner, parent)
+    monkeypatch.setattr(owner, attr, make(getattr(owner, attr)))
+    _run_failing(["run", name], failed, capsys)
 
 
 # valid configs, each with its scenario, its changes to the packaged config and
@@ -256,6 +356,12 @@ CONFIG_CONTROLS = {
     # 1e-9 apart, the two declared spheres agree at both positions to the last bit
     "page_geilker-coincident-spheres": ("page_geilker", {"position_b": 3.0 + 1e-9},
                                         ("single_sphere_every_trial",)),
+    # at V0 = 1e10 and its self-consistent mass V0/(6 pi), the 1/t^4 tail (1.5e-19 at
+    # t = 2) is under half an ulp of G_00 = 1/3: the residual rounds to 0
+    "eds_cosmology-tail-below-ulp": ("eds_cosmology", {"comoving_volume": 1e10,
+                                                       "mass": 1e10 / (6.0 * math.pi),
+                                                       "t_grid": [2.0, 4.0]},
+                                     ("finite_volume_obstruction_present",)),
     # a one-ulp bracket at 10 cannot hold the mass V0/(6 pi) = 100
     "eds_fit-one-ulp-bracket": ("eds_fit", {"bracket_hi": math.nextafter(10.0, math.inf)},
                                 ("fit_recovers_mass",)),
@@ -276,14 +382,29 @@ def test_config_control_fails_exactly_its_flags(control, tmp_path, capsys):
     """A valid config turns the flags its entry lists false, and only them."""
     name, changes, failed = CONFIG_CONTROLS[control]
     path = _write_json(tmp_path / "control.json", dict(default_config(name), **changes))
-    _run_failing(name, failed, capsys, "--config", path)
+    _run_failing(["run", name, "--config", path], failed, capsys)
+
+
+# valid scans, each with its scenario, parameter and values and the flags it must fail
+SCAN_CONTROLS = {
+    # at V0 = 2e9 the 1/t^4 tail is below an ulp of G_00: the residual rounds to 0,
+    # and the log-log slope of a zero observable is undefined
+    "eds_cosmology-zero-residual": ("eds_cosmology", "V0", "5e8,1e9,2e9", ("slope_defined",)),
+}
+
+
+@pytest.mark.parametrize("control", sorted(SCAN_CONTROLS))
+def test_scan_control_fails_exactly_its_flags(control, capsys):
+    """A valid scan turns the flags its entry lists false, and only them."""
+    name, param, values, failed = SCAN_CONTROLS[control]
+    _run_failing(["scan", name, "--param", param, "--values", values], failed, capsys)
 
 
 # flags that no valid config and no one-function fault can turn false, each
 # with what makes it hold by construction
 COLLAPSE_IDENTITIES = {
-    "causality_pass": "both EPR branches carry the pre-projection density itself, "
-                      "so the gate compares one array with itself",
+    "causality_pass": "both EPR branches carry the pre-projection density, so the "
+                      "runner hands the gate one zero array as both pre and post",
     "anticorrelation_exact": "the EPR branches are built as |L+ R-> and |L- R+>, "
                              "so every branch state has opposite spins",
     "discontinuity_nonzero": "it compares two declared Gaussians at distinct positions, "
@@ -291,16 +412,25 @@ COLLAPSE_IDENTITIES = {
 }
 
 
+# a valid scan of each scannable scenario: its config changes and its values
+_SCAN_RUNS = {"minkowski_particle": ({"dimension": 1, "mode_label": [1]}, (10.0, 20.0, 40.0)),
+              "eds_cosmology": ({}, (18.85, 188.5, 1885.0))}
+
+
 def test_every_collapse_flag_has_a_fault_or_an_identity_entry():
-    """Every flag of the collapse, wedge, fit and wave-packet scenarios is failed
-    by a ``CONFIG_CONTROLS`` entry or a fault entry, or holds by construction for
-    the reason ``COLLAPSE_IDENTITIES`` gives: exactly one of the three."""
-    flags = {flag for name in ("epr_collapse", "page_geilker", "rindler_unruh", "eds_fit",
-                               "kg_wavepacket")
-             for flag in run_scenario(name, trials=10 if name in FAST_TRIALS else None).flags}
-    tables = ({flag for *_, failed in CONFIG_CONTROLS.values() for flag in failed},
-              {flag for faults in (COLLAPSE_FAULTS, RINDLER_FAULTS)
-               for _, failed in faults.values() for flag in failed},
+    """Every flag of the eight scenarios and the two scans is failed by a config or
+    scan control or by a fault entry, or holds by construction for the reason
+    ``COLLAPSE_IDENTITIES`` gives: exactly one of the three."""
+    flags = {flag for name in SCENARIO_NAMES
+             for flag in run_scenario(name, _small_config(name), trials=FAST_TRIALS.get(name)).flags}
+    assert set(_SCAN_RUNS) == set(SCANS)
+    flags |= {flag for name, (changes, values) in _SCAN_RUNS.items()
+              for flag in scan_scenario(name, dict(default_config(name), **changes), SCANS[name],
+                                        values).flags}
+    tables = ({flag for controls in (CONFIG_CONTROLS, SCAN_CONTROLS)
+               for *_, failed in controls.values() for flag in failed},
+              {flag for faults in (COLLAPSE_FAULTS, RINDLER_FAULTS, FIELD_FAULTS)
+               for *_, failed in faults.values() for flag in failed},
               set(COLLAPSE_IDENTITIES))
     counts = {flag: sum(flag in table for table in tables) for flag in flags}
     assert counts == dict.fromkeys(flags, 1)
@@ -555,10 +685,9 @@ CONFIG_MESSAGES = [
      "field 'station_separation': too small to separate the stations at this box_side"),
     ("epr_collapse", {"box_side": 1e-250, "station_separation": 1e-260},  # gap^2 underflows
      "field 'station_separation': too small to separate the stations at this box_side"),
-    ("epr_collapse", {"sphere_width": 1e-200},
-     "field 'sphere_width': must lie between 1e-150 and 1e150"),
-    ("epr_collapse", {"sphere_width": 1e200},
-     "field 'sphere_width': must lie between 1e-150 and 1e150"),
+    # the deleted EPR sphere fields, in the slots of their deleted rules
+    ("epr_collapse", {"sphere_width": 0.3}, "unknown field 'sphere_width'"),
+    ("epr_collapse", {"sphere_mass": 1.0}, "unknown field 'sphere_mass'"),
     ("page_geilker", {"sphere_width": 1e-200},
      "field 'sphere_width': must lie between 1e-150 and 1e150"),
     ("page_geilker", {"sphere_width": 1e200},
@@ -606,16 +735,18 @@ CONFIG_MESSAGES = [
      "field 'freq_lo': freq_lo/acceleration must be at least 1e-100"),
     ("epr_collapse", {"box_side": 1e200, "station_separation": 4e199},  # |dx|^2 overflows
      "field 'box_side': must lie between 1e-100 and 1e100"),
-    ("epr_collapse", {"box_side": 1e-120, "station_separation": 4e-121, "sphere_width": 1e-140},
+    ("epr_collapse", {"box_side": 1e-120, "station_separation": 4e-121},
      "field 'box_side': must lie between 1e-100 and 1e100"),
-    ("epr_collapse", {"box_side": 1e30, "station_separation": 4e29, "sphere_width": 1e-140},
-     "field 'sphere_width': box_side/sphere_width must be at most 1e150"),
+    ("epr_collapse", {"measurement_time": 0.5}, "unknown field 'measurement_time'"),
     ("rindler_unruh", {"n_max": 48}, "unknown field 'n_max'"),
     ("rindler_unruh", {"box_side": 314.1592653589793}, "unknown field 'box_side'"),
     ("rindler_unruh", {"freq_lo": 1.0, "freq_hi": 1.00000000000001, "n_frequencies": 100},
      "field 'n_frequencies': too many frequencies between freq_lo and freq_hi"),
     ("rindler_unruh", {"n_frequencies": 1_000_001},
      "field 'n_frequencies': must be at most 1000000"),
+    ("epr_collapse", {"tol": 0.0}, "unknown field 'tol'"),
+    ("page_geilker", {"measurement_time": 1.0}, "unknown field 'measurement_time'"),
+    ("page_geilker", {"tol": 0.0}, "unknown field 'tol'"),
 ]
 
 
@@ -716,8 +847,8 @@ CLI_MESSAGES = [
      "field 'station_separation': too small to separate the stations at this box_side"),
     (["run", "epr_collapse", "--config", "{tmp}/epr_close.json"],
      "field 'station_separation': too small to separate the stations at this box_side"),
-    (["run", "epr_collapse", "--config", "{tmp}/epr_thin.json"],
-     "field 'sphere_width': must lie between 1e-150 and 1e150"),
+    (["run", "epr_collapse", "--config", "{tmp}/epr_sphere.json"],
+     "unknown field 'sphere_width'"),
     (["run", "page_geilker", "--config", "{tmp}/pg_wide.json"],
      "field 'sphere_width': must lie between 1e-150 and 1e150"),
     (["run", "minkowski_vacuum", "--config", "{tmp}/mv_heavy.json"],
@@ -747,12 +878,13 @@ CLI_MESSAGES = [
      "field 'freq_hi': freq_hi/acceleration must be at most 100"),
     (["run", "epr_collapse", "--config", "{tmp}/epr_huge.json"],
      "field 'box_side': must lie between 1e-100 and 1e100"),
-    (["run", "epr_collapse", "--config", "{tmp}/epr_pinpoint.json"],
-     "field 'sphere_width': box_side/sphere_width must be at most 1e150"),
+    (["run", "epr_collapse", "--config", "{tmp}/epr_timed.json"],
+     "unknown field 'measurement_time'"),
     (["scan", "eds_cosmology", "--param", "V0", "--values", "10,,20,30"],
      "field 'values': must be comma-separated numbers"),
     (["run", "rindler_unruh", "--config", "{tmp}/ru_near.json"],
      "field 'n_frequencies': too many frequencies between freq_lo and freq_hi"),
+    (["run", "page_geilker", "--config", "{tmp}/pg_tol.json"], "unknown field 'tol'"),
 ]
 
 # config files the CLI cases read: file stem -> (scenario, changes to its packaged config)
@@ -761,7 +893,7 @@ CLI_CONFIGS = {
     "mp1": ("minkowski_particle", {"dimension": 1, "mode_label": [1]}),
     "epr_far": ("epr_collapse", {"box_side": 1e300}),
     "epr_close": ("epr_collapse", {"station_separation": 1e-320}),
-    "epr_thin": ("epr_collapse", {"sphere_width": 1e-200}),
+    "epr_sphere": ("epr_collapse", {"sphere_width": 0.3}),
     "pg_wide": ("page_geilker", {"sphere_width": 1e200}),
     "mv_heavy": ("minkowski_vacuum", {"mass": 1e300}),
     "mp_heavy": ("minkowski_particle", {"mass": 1e300}),
@@ -776,10 +908,10 @@ CLI_CONFIGS = {
     "ru_slow": ("rindler_unruh", {"acceleration": 1e-3}),
     "ru_slowest": ("rindler_unruh", {"acceleration": 1e-300}),
     "epr_huge": ("epr_collapse", {"box_side": 1e200, "station_separation": 4e199}),
-    "epr_pinpoint": ("epr_collapse", {"box_side": 1e30, "station_separation": 4e29,
-                                      "sphere_width": 1e-140}),
+    "epr_timed": ("epr_collapse", {"measurement_time": 0.5}),
     "ru_near": ("rindler_unruh", {"freq_lo": 1.0, "freq_hi": 1.00000000000001,
                                   "n_frequencies": 100}),
+    "pg_tol": ("page_geilker", {"tol": 0.0}),
 }
 
 
