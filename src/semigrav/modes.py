@@ -79,30 +79,54 @@ class MinkowskiModeBasis:
         """w = sqrt(k^2 + m^2) of the modes indexed, shape (n,)."""
         return np.sqrt(np.sum(self.wavevectors(modes) ** 2, axis=1) + self.mass**2)
 
-    def _modes(self, modes) -> tuple[np.ndarray, np.ndarray]:
+    def _modes(self, modes) -> tuple:
         key = range(*modes.indices(self.n_modes)) if isinstance(modes, slice) else tuple(modes)
         return self._cached_modes(key)
 
     @functools.lru_cache(maxsize=8)
-    def _cached_modes(self, modes: tuple | range) -> tuple[np.ndarray, np.ndarray]:
-        """k and w of the modes indexed: once for all blocks of a ``stress_field`` call."""
-        return self.wavevectors(modes), self.frequencies(modes)
+    def _cached_modes(self, modes: tuple | range) -> tuple:
+        """k and w of the modes indexed, once for all blocks of a ``stress_field`` call, and
+        their +- pairs: mode i's mirror n_modes - 1 - i has -k and the same w, so a mode whose
+        mirror came earlier is column ``mirror[j]``, the conjugate of ``lead`` column ``partner[j]``."""
+        lead, partner, mirror, seen = [], [], [], {}
+        for j, mode in enumerate(modes):
+            if self.n_modes - 1 - mode in seen:
+                partner.append(seen[self.n_modes - 1 - mode])
+                mirror.append(j)
+            else:
+                seen[mode] = len(lead)
+                lead.append(j)
+        pairs = tuple(np.array(c, dtype=np.intp) for c in (lead, partner, mirror))
+        return self.wavevectors(modes), self.frequencies(modes), pairs
 
     # ---- field-operator coefficients at events ----------------------------
     def field_coeffs(self, t, x, modes=slice(None)) -> np.ndarray:
-        """f_k at the events for the modes indexed: t (...), x (..., d) -> (..., n)."""
+        """f_k at the events for the modes indexed: t (...), x (..., d) -> (..., n).
+
+        If every t is 0 (or -0.0), exp runs once per +- pair: the mirror's column is the
+        conjugate, its imaginary part written 0.0 - imag to keep the direct path's +0 at a
+        zero phase, so the result is that path's bit for bit."""
         t = np.asarray(t, dtype=float)[..., None]
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        k, w = self._modes(modes)
+        k, w, (lead, partner, mirror) = self._modes(modes)
+        paired = len(mirror) > 0 and not t.any()
+        if paired:
+            k, w = k[lead], w[lead]
         # einsum (not BLAS: rows independent of the other events), then in place
         f = 1j * (np.einsum("...d,kd->...k", x, k) - w * t)
         np.exp(f, out=f)
         f /= np.sqrt(2.0 * w * self.backend.spatial_volume)
+        if not paired:
+            return f
+        g, f = f, np.empty(f.shape[:-1] + (len(lead) + len(mirror),), dtype=complex)
+        f[..., lead] = g
+        f.real[..., mirror] = g.real[..., partner]
+        f.imag[..., mirror] = 0.0 - g.imag[..., partner]
         return f
 
     def slot_factors(self, t, modes=slice(None)) -> np.ndarray:
         """Constant factors of (d_t, d_x1, ..., d_xd, 1) f_k: -i w_k, i k_k, 1; [d+2, n]."""
-        k, w = self._modes(modes)
+        k, w, _ = self._modes(modes)
         return np.vstack([-1j * w, 1j * k.T, np.ones_like(w)])
 
     dt_coeffs = _dt_coeffs

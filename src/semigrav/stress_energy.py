@@ -12,11 +12,13 @@ column per mode of the state's support, the modes it occupies: any other
 mode would have all-zero columns and add exactly nothing.  ``stress_field``
 builds B, the per-mode slot factors times A and D, once per call (per event
 where the factors depend on t, as on the dust background).  It then works
-on blocks of ``_BLOCK`` events: the mode functions f of the support once,
-the images of all d+2 slots (d_t phi, d_x1 phi, ..., phi) in one product
-U = f B, and every slot pair as one ``einsum`` over the 2R real components
-of U (R rows of A), with the event axis innermost.  A one-quantum state
-thus costs one mode function per event, whatever the basis size.  Then
+on blocks of events sized to the support, as many as fit ``_WORKING_SET``
+doubles at 2 |support| + 2 (B columns) + S^2 each: the mode functions f of
+the support once, the images of all S = d+2 slots (d_t phi, d_x1 phi, ...,
+phi) in one product U = f B, and every slot pair as one ``einsum`` over the
+2R real components of U (R rows of A), with the event axis innermost.  A
+state thus costs one mode function per occupied mode and event, whatever the
+basis size, and on a t = 0 slice one exponential per +- pair of them.  Then
 
     T_mn = <:d_m phi d_n phi:> - g_mn <:L:>   (g is diagonal: L enters T_mm only),
     <:L:> = (1/2) (sum_m g^mm <:(d_m phi)^2:> - m^2 <:phi^2:>).
@@ -46,7 +48,7 @@ __all__ = [
     "integrated_energy",
 ]
 
-_BLOCK = 128  # events per block of stress_field
+_WORKING_SET = 1 << 15  # doubles (256 KiB) that one block of stress_field may hold
 
 
 def _require_normalized(state: FockState) -> None:
@@ -121,8 +123,9 @@ def stress_field(state: FockState, t, x) -> np.ndarray:
     # the slot factors and their products with the moments, once for all blocks
     B = _slot_products(basis.slot_factors(t, support), np.concatenate([A, D]) if D.any() else A)
     out = np.empty((len(t),) + (d + 1,) * 2)
-    for lo in range(0, len(t), _BLOCK):
-        block = slice(lo, lo + _BLOCK)
+    size = max(1, _WORKING_SET // (2 * len(support) + 2 * B.shape[-1] + (d + 2) ** 2))
+    for lo in range(0, len(t), size):
+        block = slice(lo, lo + size)
         B_block = B if B.ndim == 2 else B[block]  # t-dependent factors (EdS) per event
         out[block] = _stress_block(basis, B_block, support, len(A), t[block], x[block])
     return out

@@ -166,6 +166,61 @@ def test_field_completeness_on_dual_lattice():
         assert_allclose(s, expected, atol=1e-13)
 
 
+def _direct_field_coeffs(basis, t, x, modes=slice(None)):
+    """f_k by one exp per mode and event: the expression the t = 0 pairing replaced."""
+    t = np.asarray(t, dtype=float)[..., None]
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    k, w = basis.wavevectors(modes), basis.frequencies(modes)
+    f = 1j * (np.einsum("...d,kd->...k", x, k) - w * t)
+    np.exp(f, out=f)
+    f /= np.sqrt(2.0 * w * basis.backend.spatial_volume)
+    return f
+
+
+def _pairing_supports(basis, rng):
+    n = basis.n_modes
+    lower = list(range(n // 2))
+    return {
+        "full": slice(None),
+        "symmetric": tuple(sorted({*lower[::3], *(n - 1 - i for i in lower[::3])})),
+        "asymmetric": tuple(sorted(rng.choice(n, size=max(2, n // 3), replace=False).tolist())),
+        "one-side": tuple(lower[1::2]),  # no mode with its mirror
+        "unsorted": (n - 1, 0, n // 2, 1, n - 2),
+    }
+
+
+@pytest.mark.parametrize("mass", [1.0, 0.0])
+@pytest.mark.parametrize("dimension, n_max", [(1, 6), (2, 3), (3, 2)])
+def test_equal_time_pairing_matches_the_direct_expression_bit_for_bit(dimension, n_max, mass):
+    basis = minkowski_basis(box_side=7.3, dimension=dimension, mass=mass, n_max=n_max)
+    rng = np.random.default_rng(dimension + 10 * n_max)
+    x = rng.uniform(-8.0, 8.0, size=(40, dimension))
+    x[:4] = 0.0
+    x[4:8] = -0.0
+    x[8:16] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(8, dimension))
+    for name, modes in _pairing_supports(basis, rng).items():
+        for t0 in (0.0, -0.0):
+            for t, xs in [(t0, x), (np.full(len(x), t0), x), (t0, x[5]), (np.full(1, t0), x[:1])]:
+                got = basis.field_coeffs(t, xs, modes)
+                want = _direct_field_coeffs(basis, t, xs, modes)
+                assert got.shape == want.shape, name
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
+def test_one_nonzero_time_takes_the_direct_path():
+    basis = minkowski_basis(box_side=7.3, dimension=2, mass=1.0, n_max=3)
+    _, _, (lead, partner, mirror) = basis._modes(slice(None))
+    assert len(lead) == (basis.n_modes + 1) // 2  # one exp per pair, the k = 0 mode alone
+    x = np.random.default_rng(3).uniform(0.0, 7.3, size=(9, 2))
+    t = np.zeros(9)
+    t[6] = 0.7
+    got = basis.field_coeffs(t, x)
+    assert np.array_equal(got.view(np.int64), _direct_field_coeffs(basis, t, x).view(np.int64))
+    # at t != 0 a mirror is no conjugate, so a paired block would have been wrong
+    assert not np.allclose(got[6, mirror], got[6, lead][partner].conj())
+    assert np.array_equal(got[5, mirror], got[5, lead][partner].conj())
+
+
 # ---- dust-cosmology zero mode ----------------------------------------------
 
 def test_eds_mode_solves_curved_wave_equation_symbolically():

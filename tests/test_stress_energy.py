@@ -23,7 +23,6 @@ from semigrav.spacetime import (
 )
 from semigrav import stress_energy
 from semigrav.stress_energy import (
-    _BLOCK,
     _slot_products,
     _stress_block,
     integrated_energy,
@@ -163,6 +162,18 @@ def _random_events(basis, rng, n):
     return rng.uniform(0.3, 3.0, size=n), rng.uniform(0.0, L, size=(n, basis.backend.dimension))
 
 
+def _doubles_per_event(state):
+    """A ``stress_field`` block's doubles per event: 2 |support| + 2 (B columns) + S^2."""
+    support, A, D = moments(state)
+    S = state.basis.backend.dimension + 2
+    return 2 * len(support) + 2 * S * len(A) * (1 + D.any()) + S ** 2
+
+
+def _block_events(state):
+    """Events per block of ``stress_field`` for the state."""
+    return stress_energy._WORKING_SET // _doubles_per_event(state)
+
+
 def _assert_matches_walk(state, basis, t, x):
     got = stress_field(state, t, x)
     want = np.array([_walk_stress(state, basis, te, xe) for te, xe in zip(t, x)])
@@ -197,11 +208,12 @@ def test_stress_field_matches_fock_walk_on_eds_mixed_times():
     _assert_matches_walk(state, basis, t, np.zeros((13, 3)))
 
 
-@pytest.mark.parametrize("n_events", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
-def test_stress_field_across_block_boundaries(n_events):
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+def test_stress_field_across_block_boundaries(offset):
     basis = minkowski_basis(box_side=4.0, dimension=1, mass=1.0, n_max=1)
-    rng = np.random.default_rng(n_events)
+    rng = np.random.default_rng(128 + offset)
     state = _random_state(basis, rng, n_terms=4, max_quanta=2)
+    n_events = _block_events(state) + offset
     _assert_matches_walk(state, basis, *_random_events(basis, rng, n_events))
 
 
@@ -260,7 +272,7 @@ def test_mode_functions_are_evaluated_on_occupied_modes_only(state, occupied, mo
         return f
 
     monkeypatch.setattr(MinkowskiModeBasis, "field_coeffs", spy)
-    t, x = _random_events(basis, np.random.default_rng(1), _BLOCK + 1)
+    t, x = _random_events(basis, np.random.default_rng(1), _block_events(state) + 1)
     tensors = stress_field(state, t, x)
     assert widths == [occupied] * 2  # one call per block of events
     assert tensors.any() == bool(occupied)
@@ -272,40 +284,37 @@ def test_stress_sample_is_the_stress_field_row_bit_for_bit():
     multi_row = _random_state(basis, rng, n_terms=8, max_quanta=2)
     one_row = create(new_vacuum(basis), 11)
     assert len(moments(multi_row)[1]) > 1 and len(moments(one_row)[1]) == 1
-    t, x = _random_events(basis, rng, _BLOCK + 3)
     for state in (multi_row, one_row):
+        size = _block_events(state)
+        t, x = _random_events(basis, rng, size + 3)
         field = stress_field(state, t, x)
-        for e in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 2):
+        for e in (0, 1, size - 1, size, size + 2):
             sample = stress_sample(state, Event(t[e], tuple(x[e])))
             assert type(sample) is np.ndarray and np.array_equal(sample, field[e])
 
 
 def _einsum_stress(state, basis, t, x):
     """The stress field by the per-event einsum contraction, with the slot factors
-    and B rebuilt per block: the form the component sum replaced."""
+    and B rebuilt for all events at once: the form the component sum replaced."""
     support, A, D = moments(state)
     M = np.concatenate([A, D]) if D.any() else A
-    blocks = []
-    for lo in range(0, len(t), _BLOCK):
-        tb, xb = t[lo:lo + _BLOCK], x[lo:lo + _BLOCK]
-        f = basis.field_coeffs(tb, xb, support)
-        factors = basis.slot_factors(tb, support)
-        (E, n), S, P = f.shape, factors.shape[-2], len(M)
-        B = np.moveaxis(factors[..., None] * M.T, -3, -2).reshape(factors.shape[:-2] + (n, S * P))
-        U = (f[:, None, :] @ B).reshape(E, S, P)
-        images = U[..., :len(A)].view(float)
-        half = np.einsum("esp,eup->esu", images, images)
-        if P > len(A):
-            pair = U[..., len(A):].conj().view(float)
-            half += np.einsum("esp,eup->esu", pair, images)
-        pairs = half + half.transpose(0, 2, 1)
-        deriv, phi_sq = pairs[:, :-1, :-1], pairs[:, -1, -1]
-        g = _square(metric(basis.backend, tb, xb))
-        inv_diag = 1.0 / np.diagonal(g, axis1=1, axis2=2)
-        trace = (inv_diag * np.diagonal(deriv, axis1=1, axis2=2)).sum(axis=1)
-        lagrangian = 0.5 * (trace - basis.mass ** 2 * phi_sq)
-        blocks.append(deriv - g * lagrangian[:, None, None])
-    return np.concatenate(blocks)
+    f = basis.field_coeffs(t, x, support)
+    factors = basis.slot_factors(t, support)
+    (E, n), S, P = f.shape, factors.shape[-2], len(M)
+    B = np.moveaxis(factors[..., None] * M.T, -3, -2).reshape(factors.shape[:-2] + (n, S * P))
+    U = (f[:, None, :] @ B).reshape(E, S, P)
+    images = U[..., :len(A)].view(float)
+    half = np.einsum("esp,eup->esu", images, images)
+    if P > len(A):
+        pair = U[..., len(A):].conj().view(float)
+        half += np.einsum("esp,eup->esu", pair, images)
+    pairs = half + half.transpose(0, 2, 1)
+    deriv, phi_sq = pairs[:, :-1, :-1], pairs[:, -1, -1]
+    g = _square(metric(basis.backend, t, x))
+    inv_diag = 1.0 / np.diagonal(g, axis1=1, axis2=2)
+    trace = (inv_diag * np.diagonal(deriv, axis1=1, axis2=2)).sum(axis=1)
+    lagrangian = 0.5 * (trace - basis.mass ** 2 * phi_sq)
+    return deriv - g * lagrangian[:, None, None]
 
 
 def _vacuum_plus_pair(basis, mode):
@@ -346,7 +355,7 @@ def test_component_sum_matches_the_einsum_contraction(state, rows, pair):
     basis = state.basis
     _, A, D = moments(state)
     assert (len(A) == rows if rows is not None else len(A) > 1) and D.any() == pair
-    t, x = _random_events(basis, np.random.default_rng(len(A)), 2 * _BLOCK + 7)
+    t, x = _random_events(basis, np.random.default_rng(len(A)), 2 * _block_events(state) + 7)
     got = stress_field(state, t, x)
     want = _einsum_stress(state, basis, t, x)
     if rows is not None:
@@ -393,7 +402,7 @@ _DIAGONAL_CASES = {
 }
 
 
-@pytest.mark.parametrize("n_events", [1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 7])
+@pytest.mark.parametrize("n_events", [1, 127, 129, 263])
 @pytest.mark.parametrize("name", list(_DIAGONAL_CASES))
 def test_diagonal_forms_match_the_square_formulas(name, n_events, monkeypatch):
     """``stress_field`` equals deriv - g_square L bit for bit, and ``residual``'s
@@ -416,6 +425,35 @@ def test_diagonal_forms_match_the_square_formulas(name, n_events, monkeypatch):
     assert report.per_event == tuple(per.tolist())
     assert report.global_max == per.max()
     assert got.any() != name.startswith("vacuum")
+
+
+_BLOCK_CASES = {
+    "one-quantum-3d": create(new_vacuum(_CUBE), 5),
+    "packet-257-terms": wavepacket_state(minkowski_basis(10.0, 1, 1.0, 128), [3.7]),
+    "packet-3d": wavepacket_state(SPARSE_BASIS, [1.0, 2.0, 0.5]),
+    "multi-row-3d-pair": _random_state(_CUBE, np.random.default_rng(12), n_terms=8, max_quanta=2),
+    "dust-pair": _vacuum_plus_pair(_DUST, 0),
+}
+
+
+@pytest.mark.parametrize("equal_time", [True, False], ids=["equal-time", "random-times"])
+@pytest.mark.parametrize("name", list(_BLOCK_CASES))
+def test_rows_do_not_depend_on_the_block_size(name, equal_time, monkeypatch):
+    """Blocks of 1, 7, the derived size and the whole call give the same rows bit for bit."""
+    state = _BLOCK_CASES[name]
+    _, A, D = moments(state)
+    assert D.any() == name.endswith("pair") and (len(A) > 1) == name.startswith("multi-row")
+    size = _block_events(state)
+    assert size > 7
+    rng = np.random.default_rng(size)
+    t, x = _random_events(state.basis, rng, 2 * size + 7)
+    if equal_time:  # the t = 0 slice pairs the box modes; the dust chart needs t > 0
+        t = 1.5 if state.basis is _DUST else 0.0
+    want = stress_field(state, t, x)
+    for fixed in (1, 7, len(x)):
+        monkeypatch.setattr(stress_energy, "_WORKING_SET", fixed * _doubles_per_event(state))
+        got = stress_field(state, t, x)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), fixed
 
 
 def test_moments_match_ladder_products():
