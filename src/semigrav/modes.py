@@ -86,8 +86,9 @@ class MinkowskiModeBasis:
     @functools.lru_cache(maxsize=8)
     def _cached_modes(self, modes: tuple | range) -> tuple:
         """k and w of the modes indexed, once for all blocks of a ``stress_field`` call, and
-        their +- pairs: mode i's mirror n_modes - 1 - i has -k and the same w, so a mode whose
-        mirror came earlier is column ``mirror[j]``, the conjugate of ``lead`` column ``partner[j]``."""
+        their +- pairs: mode i's mirror n_modes - 1 - i has -k and the same w, so a mode
+        whose mirror came earlier is column ``mirror[j]``, the conjugate of ``lead`` column
+        ``partner[j]``."""
         lead, partner, mirror, seen = [], [], [], {}
         for j, mode in enumerate(modes):
             if self.n_modes - 1 - mode in seen:

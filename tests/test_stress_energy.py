@@ -411,7 +411,7 @@ def test_diagonal_forms_match_the_square_formulas(name, n_events, monkeypatch):
     backend = state.basis.backend
     rng = np.random.default_rng(n_events)
     t, x = _random_events(state.basis, rng, n_events)
-    if n_events % 2:  # a scalar time broadcasts over the events
+    if n_events % 4 == 1:  # 1 and 129: a scalar time broadcasts over the events
         t = float(t[0])
     got = stress_field(state, t, x)
     report = residual(state, t, x)
