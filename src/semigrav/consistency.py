@@ -33,11 +33,10 @@ EIGHT_PI = 8.0 * np.pi
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Per-event and global sup-norm residuals of G = 8 pi T at the events
-    t (E,), x (E, d), with the <T_mn> array (E, d+1, d+1) they came from."""
+    """Per-event and global sup-norm residuals of G = 8 pi T, one per event in
+    the caller's order, with the <T_mn> array (E, d+1, d+1) they came from.
+    The events themselves stay with the caller."""
 
-    t: np.ndarray = field(repr=False, compare=False)
-    x: np.ndarray = field(repr=False, compare=False)
     per_event: tuple[float, ...]
     global_max: float
     stress: np.ndarray = field(repr=False, compare=False)
@@ -47,21 +46,19 @@ def residual(state, t, x) -> ResidualReport:
     """Max-component |G_mn - 8 pi <T_mn>| at each event plus the global max.
 
     G is that of the state's backend; the events are x (E, d) with t
-    broadcast to (E,), as for ``stress_field``, which checks them.
+    broadcasting to (E,), as for ``stress_field``, which checks them, and
+    ``einstein_tensor``.  The report holds what is computed, not the events.
     """
     x = np.asarray(x, dtype=float)
     if not x.size:
         raise ValueError("residual needs a nonempty event grid")
     stress = stress_field(state, t, x)
-    t = np.asarray(t, dtype=float)
-    if t.shape != x.shape[:1]:
-        t = np.broadcast_to(t, x.shape[:1])
     # G is diagonal: off it the residual is |8 pi T|, on it |G - 8 pi T| (stride d+2)
     per = np.abs(EIGHT_PI * stress)
     G = einstein_tensor(state.basis.backend, t, x)
     per.reshape(len(x), -1)[:, ::x.shape[1] + 2] = np.abs(G - EIGHT_PI * stress.diagonal(0, 1, 2))
     per = per.max(axis=(1, 2))
-    return ResidualReport(t, x, tuple(per.tolist()), float(per.max()), stress)
+    return ResidualReport(tuple(per.tolist()), float(per.max()), stress)
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,13 @@ class FockState:
     def norm(self) -> float:
         return sqrt(sum(abs(a) ** 2 for a in self.terms.values()))
 
+    def require_unit_norm(self, what: str = "state") -> None:
+        """Raise ValueError, naming ``what`` and the norm, unless the norm is 1
+        within ``NORM_TOL``: the one check of every operation that needs it."""
+        nrm = self.norm()
+        if abs(nrm - 1.0) > NORM_TOL:
+            raise ValueError(f"{what} must be normalized to unit norm (norm={nrm:.6g})")
+
     def normalized(self) -> "FockState":
         n = self.norm()
         if n <= 1e-12:
@@ -153,9 +160,7 @@ def inner(a: FockState, b: FockState) -> complex:
 def number_expectation(state: FockState, mode: int) -> float:
     """<N_mode> for a unit-norm state."""
     _check_mode(state, mode)
-    nrm = state.norm()
-    if abs(nrm - 1.0) > NORM_TOL:
-        raise ValueError(f"number_expectation requires a normalized state (norm={nrm:.6g})")
+    state.require_unit_norm()
     return float(sum(abs(amp) ** 2 * _find(occ, mode)[1] for occ, amp in state.terms.items()))
 
 

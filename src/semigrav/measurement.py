@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .fock import NORM_TOL, FockState, inner
+from .fock import FockState, inner
 from .spacetime import Event, outside_future_cone
 
 __all__ = [
@@ -62,8 +62,7 @@ class BranchSet:
         if not states:
             raise ValueError("branch set cannot be empty")
         for label, state in zip(labels, states):
-            if abs(state.norm() - 1.0) > NORM_TOL:
-                raise ValueError(f"branch {label!r} is not unit-norm")
+            state.require_unit_norm(f"branch {label!r}")
         for (label_a, a), (label_b, b) in combinations(zip(labels, states), 2):
             ov = abs(inner(a, b))
             if ov >= _ORTHO_TOL:
@@ -85,8 +84,7 @@ class CausalityReport:
 
 def born_probabilities(state: FockState, branch_set: BranchSet) -> np.ndarray:
     """p_i = |<C_i|Psi>|^2 / sum_j |<C_j|Psi>|^2 over the branch set."""
-    if abs(state.norm() - 1.0) > NORM_TOL:
-        raise ValueError("state must be normalized")
+    state.require_unit_norm()
     weights = np.array([abs(inner(branch, state)) ** 2 for branch in branch_set.states])
     total = float(weights.sum())
     if total <= 1e-24:

@@ -55,9 +55,6 @@ class RunReport:
     tables: dict[str, Table] = field(default_factory=dict)
     flags: dict[str, bool] = field(default_factory=dict)
 
-    def add_table(self, table: Table) -> None:
-        self.tables[table.name] = table
-
     @property
     def passed(self) -> bool:
         return all(self.flags.values())

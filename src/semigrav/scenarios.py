@@ -10,10 +10,13 @@ t = 0 and hands the gate the pre- and post-projection densities at its
 probes: EPR's are equal by construction, so it passes one zero array as
 both; ``page_geilker`` evaluates its Gaussian spheres once (``_spheres``).
 ``SCENARIO_NAMES``, ``SCANS`` and the ``trials`` override (allowed when
-the schema has ``n_trials``) derive from the records.  A runner returns a
-RunReport whose flags record the scenario's own pass criteria.  Config
-validation is total: every field is required, unknown fields are
-rejected, and every error message names the offending field.
+the schema has ``n_trials``) derive from the records.  A runner reads
+the validated config alone, seed included, and returns its tables and
+flags, the flags recording the scenario's own pass criteria; the
+``RunReport`` is built from the registry key and the config's seed by
+``run_scenario`` and ``scan_scenario`` alone.  Config validation is
+total: every field is required, unknown fields are rejected, and every
+error message names the offending field.
 """
 from __future__ import annotations
 
@@ -149,10 +152,10 @@ def _stress_table(scenario: str, t, x, tensors: np.ndarray) -> Table:  # a row p
     return Table.build("stress", columns, rows)
 
 
-def _residual_table(report) -> Table:
-    columns = ("t",) + _x_columns(report.x.shape[1]) + ("residual",)
+def _residual_table(t, x, report) -> Table:  # a row per event (t, x) of ``residual``
+    columns = ("t",) + _x_columns(x.shape[1]) + ("residual",)
     rows = [(ti,) + tuple(xi) + (r,)
-            for ti, xi, r in zip(report.t.tolist(), report.x.tolist(), report.per_event)]
+            for ti, xi, r in zip(t.tolist(), x.tolist(), report.per_event)]
     return Table.build("residuals", columns, rows)
 
 
@@ -164,20 +167,21 @@ def _random_events(rng: np.random.Generator, n: int, box_side: float, dimension:
 
 # ---- scenario pipelines ----------------------------------------------------
 
-def _run_minkowski_vacuum(cfg: dict, seed: int) -> RunReport:
+_Outcome = tuple[list[Table], dict[str, bool]]  # a runner's tables and flags, in report order
+
+
+def _run_minkowski_vacuum(cfg: dict) -> _Outcome:
     basis = minkowski_basis(cfg["box_side"], cfg["dimension"], cfg["mass"], cfg["n_max"])
     state = new_vacuum(basis)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg["seed"])
     t, x = _random_events(rng, cfg["n_events"], cfg["box_side"], cfg["dimension"])
     rep = residual(state, t, x)
-    report = RunReport(scenario="minkowski_vacuum", seed=seed)
-    report.add_table(_stress_table("minkowski_vacuum", t[:10], x[:10], rep.stress[:10]))
-    report.add_table(_residual_table(rep))
-    report.flags["residual_zero"] = bool(rep.global_max <= 1e-12)
-    return report
+    tables = [_stress_table("minkowski_vacuum", t[:10], x[:10], rep.stress[:10]),
+              _residual_table(t, x, rep)]
+    return tables, {"residual_zero": bool(rep.global_max <= 1e-12)}
 
 
-def _run_minkowski_particle(cfg: dict, seed: int) -> RunReport:
+def _run_minkowski_particle(cfg: dict) -> _Outcome:
     basis = minkowski_basis(cfg["box_side"], cfg["dimension"], cfg["mass"], cfg["n_max"])
     idx = basis.mode_index(cfg["mode_label"])  # the config rules keep it in the basis
     state = create(new_vacuum(basis), idx)
@@ -185,20 +189,19 @@ def _run_minkowski_particle(cfg: dict, seed: int) -> RunReport:
     total = total_energy(state)
     lattice = integrated_energy(state, basis, basis.backend, t=0.0,
                                 points_per_axis=cfg["lattice_points"])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg["seed"])
     t, x = _random_events(rng, cfg["n_events"], cfg["box_side"], cfg["dimension"])
     rep = residual(state, t, x)
-    report = RunReport(scenario="minkowski_particle", seed=seed)
-    report.add_table(_stress_table("minkowski_particle", t, x, rep.stress))
-    report.add_table(_residual_table(rep))
-    report.add_table(Table.build(
-        "energy", ("total_energy", "omega", "lattice_energy"), [(total, omega, lattice)]))
-    report.flags["total_energy_exact"] = bool(abs(total - omega) <= 1e-12 * max(1.0, omega))
-    report.flags["lattice_energy_matches"] = bool(abs(lattice - total) <= 1e-8 * total)
-    return report
+    tables = [_stress_table("minkowski_particle", t, x, rep.stress),
+              _residual_table(t, x, rep),
+              Table.build("energy", ("total_energy", "omega", "lattice_energy"),
+                          [(total, omega, lattice)])]
+    return tables, {
+        "total_energy_exact": bool(abs(total - omega) <= 1e-12 * max(1.0, omega)),
+        "lattice_energy_matches": bool(abs(lattice - total) <= 1e-8 * total)}
 
 
-def _run_kg_wavepacket(cfg: dict, seed: int) -> RunReport:
+def _run_kg_wavepacket(cfg: dict) -> _Outcome:
     basis = minkowski_basis(cfg["box_side"], 1, cfg["mass"], cfg["n_max"])
     state = wavepacket_state(basis, (cfg["x0"],))
     L = cfg["box_side"]
@@ -214,15 +217,12 @@ def _run_kg_wavepacket(cfg: dict, seed: int) -> RunReport:
     total = total_energy(state)
     # rows do not depend on their block, so this is integrated_energy's sum bit for bit
     lattice = float(t00[len(probes):].sum() * cell)
-    report = RunReport(scenario="kg_wavepacket", seed=seed)
-    report.add_table(Table.build("energy_density", ("x", "t00"), profile_rows))
-    report.add_table(Table.build(
-        "summary",
-        ("t00_center", "t00_far", "ratio", "total_energy", "lattice_energy"),
-        [(center, far, ratio, total, lattice)]))
-    report.flags["localized"] = bool(ratio > 10.0)
-    report.flags["energy_matches"] = bool(abs(lattice - total) <= 1e-3 * total)
-    return report
+    tables = [Table.build("energy_density", ("x", "t00"), profile_rows),
+              Table.build("summary",
+                          ("t00_center", "t00_far", "ratio", "total_energy", "lattice_energy"),
+                          [(center, far, ratio, total, lattice)])]
+    return tables, {"localized": bool(ratio > 10.0),
+                    "energy_matches": bool(abs(lattice - total) <= 1e-3 * total)}
 
 
 def _eds_t00_closed_form(mass: float, volume: float, t: float) -> float:
@@ -231,15 +231,16 @@ def _eds_t00_closed_form(mass: float, volume: float, t: float) -> float:
     return mass / (volume * t**2) + 1.0 / (2.0 * mass * volume * t**4)
 
 
-def _run_eds_cosmology(cfg: dict, seed: int) -> RunReport:
+def _run_eds_cosmology(cfg: dict) -> _Outcome:
     basis = eds_basis(cfg["comoving_volume"], cfg["mass"])
     state = create(new_vacuum(basis), 0)
     t_grid = np.array(cfg["t_grid"])
-    rep = residual(state, t_grid, np.zeros((len(t_grid), 3)))
+    x = np.zeros((len(t_grid), 3))
+    rep = residual(state, t_grid, x)
 
     t00_rows = []
     worst_rel = 0.0
-    for t, value in zip(rep.t.tolist(), rep.stress[:, 0, 0].tolist()):
+    for t, value in zip(t_grid.tolist(), rep.stress[:, 0, 0].tolist()):
         closed = _eds_t00_closed_form(cfg["mass"], cfg["comoving_volume"], t)
         rel = abs(value - closed) / closed
         worst_rel = max(worst_rel, rel)
@@ -247,15 +248,14 @@ def _run_eds_cosmology(cfg: dict, seed: int) -> RunReport:
     off_diagonal = ~np.eye(rep.stress.shape[1], dtype=bool)
     worst_offdiag = np.abs(rep.stress[:, off_diagonal]).max()
 
-    report = RunReport(scenario="eds_cosmology", seed=seed)
-    report.add_table(_stress_table("eds_cosmology", rep.t, rep.x, rep.stress))
-    report.add_table(Table.build("t00", ("t", "value", "closed_form", "rel_err"), t00_rows))
-    report.add_table(_residual_table(rep))
-    report.flags["t00_closed_form"] = bool(worst_rel <= 1e-10)
-    report.flags["off_diagonals_zero"] = bool(worst_offdiag <= 1e-12)
-    # at finite comoving volume the 1/t^4 tail obstructs exact consistency
-    report.flags["finite_volume_obstruction_present"] = bool(rep.global_max > 0.0)
-    return report
+    tables = [_stress_table("eds_cosmology", t_grid, x, rep.stress),
+              Table.build("t00", ("t", "value", "closed_form", "rel_err"), t00_rows),
+              _residual_table(t_grid, x, rep)]
+    return tables, {
+        "t00_closed_form": bool(worst_rel <= 1e-10),
+        "off_diagonals_zero": bool(worst_offdiag <= 1e-12),
+        # at finite comoving volume the 1/t^4 tail obstructs exact consistency
+        "finite_volume_obstruction_present": bool(rep.global_max > 0.0)}
 
 
 def _eds_residual_at(mass: float, volume: float, t_grid) -> float:
@@ -268,32 +268,30 @@ def _eds_volume_observable(cfg: dict) -> Callable[[float], float]:
     return lambda volume: _eds_residual_at(volume / (6.0 * math.pi), volume, (1.0,))
 
 
-def _add_scaling_tables(report: RunReport, study) -> None:
-    report.add_table(Table.build("scaling", (study.parameter, "residual"), study.rows()))
-    report.add_table(Table.build(
-        "scaling_slope", ("slope", "status"),
-        [(study.slope if study.slope is not None else float("nan"), study.status)]))
+def _scaling_tables(study) -> list[Table]:
+    return [Table.build("scaling", (study.parameter, "residual"), study.rows()),
+            Table.build("scaling_slope", ("slope", "status"),
+                        [(study.slope if study.slope is not None else float("nan"),
+                          study.status)])]
 
 
-def _run_eds_fit(cfg: dict, seed: int) -> RunReport:
+def _run_eds_fit(cfg: dict) -> _Outcome:
     volume = cfg["comoving_volume"]
     target = volume / (6.0 * math.pi)
     fit = fit_parameter(lambda m: _eds_residual_at(m, volume, cfg["t_grid"]),
                         cfg["bracket_lo"], cfg["bracket_hi"], cfg["fit_tol"])
     study = scaling_study(_eds_volume_observable(cfg), cfg["scaling_volumes"], parameter="V0")
 
-    report = RunReport(scenario="eds_fit", seed=seed)
-    report.add_table(Table.build(
+    fit_table = Table.build(
         "fit",
         ("best_mass", "best_residual", "target_mass", "rel_err", "hit_boundary"),
         [(fit.parameter, fit.value, target, abs(fit.parameter - target) / target,
-          fit.hit_boundary)]))
-    _add_scaling_tables(report, study)
-    report.flags["fit_recovers_mass"] = bool(
-        not fit.hit_boundary and abs(fit.parameter - target) <= 1e-3 * target)
-    report.flags["scaling_slope_minus_2"] = bool(
-        study.slope is not None and abs(study.slope + 2.0) <= 1e-6)
-    return report
+          fit.hit_boundary)])
+    return [fit_table, *_scaling_tables(study)], {
+        "fit_recovers_mass": bool(
+            not fit.hit_boundary and abs(fit.parameter - target) <= 1e-3 * target),
+        "scaling_slope_minus_2": bool(
+            study.slope is not None and abs(study.slope + 2.0) <= 1e-6)}
 
 
 def _rindler_grid(cfg: dict) -> np.ndarray:
@@ -301,7 +299,7 @@ def _rindler_grid(cfg: dict) -> np.ndarray:
     return np.geomspace(cfg["freq_lo"], cfg["freq_hi"], cfg["n_frequencies"])
 
 
-def _run_rindler_unruh(cfg: dict, seed: int) -> RunReport:
+def _run_rindler_unruh(cfg: dict) -> _Outcome:
     a = cfg["acceleration"]
     matrix = bogolubov_coefficients(a, _rindler_grid(cfg))
     omegas = matrix.row_frequencies.tolist()
@@ -311,15 +309,14 @@ def _run_rindler_unruh(cfg: dict, seed: int) -> RunReport:
         spectrum_rows.append((w, occ, planck, abs(occ - planck) / planck))
     norm_rows = list(zip(omegas, matrix.row_norms))
 
-    report = RunReport(scenario="rindler_unruh", seed=seed)
-    report.add_table(Table.build("spectrum", ("omega", "occupancy", "planck", "rel_err"),
-                                 spectrum_rows))
-    report.add_table(Table.build("normalization", ("omega", "row_norm"), norm_rows))
+    tables = [Table.build("spectrum", ("omega", "occupancy", "planck", "rel_err"),
+                          spectrum_rows),
+              Table.build("normalization", ("omega", "row_norm"), norm_rows)]
     # all() rather than a running max, so that a NaN fails its flag
-    report.flags["thermal_within_1pct"] = all(row[3] <= 0.01 for row in spectrum_rows)
-    report.flags["rows_normalized"] = all(abs(norm - 1.0) <= 1e-3 for _, norm in norm_rows)
-    report.flags["occupancy_positive"] = all(row[1] > 0.0 for row in spectrum_rows)
-    return report
+    return tables, {
+        "thermal_within_1pct": all(row[3] <= 0.01 for row in spectrum_rows),
+        "rows_normalized": all(abs(norm - 1.0) <= 1e-3 for _, norm in norm_rows),
+        "occupancy_positive": all(row[1] > 0.0 for row in spectrum_rows)}
 
 
 def _four_sigma(p: float, n: int) -> float:
@@ -348,7 +345,7 @@ def _spheres(centers, mass: float, width: float, x: np.ndarray) -> np.ndarray:
     return norm * np.exp(-np.vecdot(dx, dx) / (2.0 * width**2))
 
 
-def _run_epr_collapse(cfg: dict, seed: int) -> RunReport:
+def _run_epr_collapse(cfg: dict) -> _Outcome:
     """Anticorrelated pair: project at station X at t = 0, verify spin at station Y.
 
     The branches differ only in which station holds which spin, so the
@@ -373,7 +370,7 @@ def _run_epr_collapse(cfg: dict, seed: int) -> RunReport:
     # one causality report holds for both branches and for every trial below
     unchanged = np.zeros(n_probes)
     causal = causality_check(unchanged, unchanged, origin, t, x, 0.0)
-    batch = run_trials(singlet, branches, seed, cfg["n_trials"])
+    batch = run_trials(singlet, branches, cfg["seed"], cfg["n_trials"])
     n = batch.n_trials
 
     def anticorrelated(post) -> bool:  # local "up" pairs with remote "down", and vice versa
@@ -383,23 +380,24 @@ def _run_epr_collapse(cfg: dict, seed: int) -> RunReport:
     # a trial's post-state is its branch's state exactly, so the check runs
     # once per branch that occurred and counts for all of its trials
     n_anti = sum(c for post, c in zip(branches.states, batch.counts) if c and anticorrelated(post))
-    report = RunReport(scenario="epr_collapse", seed=seed)
-    report.add_table(Table.build(
-        "statistics", ("branch", "count", "frequency", "born"),
-        [(label, c, c / n, p) for label, c, p in zip(branches.labels, batch.counts, batch.born)]))
-    report.add_table(Table.build(
-        "causality",
-        ("branch", "max_violation_outside", "max_diff_inside", "n_outside", "n_inside", "passed"),
-        [(label, causal.max_violation_outside, causal.max_diff_inside,
-          causal.n_outside, causal.n_inside, causal.passed) for label in branches.labels]))
-    report.flags["anticorrelation_exact"] = n_anti == n
-    report.flags["causality_pass"] = causal.passed
-    report.flags["born_within_4sigma"] = all(
-        abs(c / n - p) <= _four_sigma(p, n) for c, p in zip(batch.counts, batch.born))
-    return report
+    tables = [
+        Table.build("statistics", ("branch", "count", "frequency", "born"),
+                    [(label, c, c / n, p)
+                     for label, c, p in zip(branches.labels, batch.counts, batch.born)]),
+        Table.build("causality",
+                    ("branch", "max_violation_outside", "max_diff_inside", "n_outside",
+                     "n_inside", "passed"),
+                    [(label, causal.max_violation_outside, causal.max_diff_inside,
+                      causal.n_outside, causal.n_inside, causal.passed)
+                     for label in branches.labels])]
+    return tables, {
+        "anticorrelation_exact": n_anti == n,
+        "causality_pass": causal.passed,
+        "born_within_4sigma": all(
+            abs(c / n - p) <= _four_sigma(p, n) for c, p in zip(batch.counts, batch.born))}
 
 
-def _run_sphere_collapse(cfg: dict, seed: int) -> RunReport:
+def _run_sphere_collapse(cfg: dict) -> _Outcome:
     """A sphere in an equal superposition of two positions, then observed.
 
     Before projection the sourced energy density is the expectation value,
@@ -429,7 +427,7 @@ def _run_sphere_collapse(cfg: dict, seed: int) -> RunReport:
         causality_check(pre[:n_probes], post[:n_probes], origin, t, x, 0.0).max_violation_outside
         for post in posts)
 
-    batch = run_trials(pointer, branches, seed, cfg["n_trials"])
+    batch = run_trials(pointer, branches, cfg["seed"], cfg["n_trials"])
     n = batch.n_trials
     # the post density is one full sphere, never the pre-projection average:
     # it must deviate from the average at both sphere positions
@@ -437,16 +435,14 @@ def _run_sphere_collapse(cfg: dict, seed: int) -> RunReport:
         bool(np.all(np.abs(post[n_probes:] - pre[n_probes:]) > 0.0))
         for post, c in zip(posts, batch.counts) if c)
 
-    report = RunReport(scenario="page_geilker", seed=seed)
-    report.add_table(Table.build(
-        "statistics", ("branch", "count", "frequency"),
-        [(label, c, c / n) for label, c in zip(branches.labels, batch.counts)]))
-    report.add_table(Table.build(
-        "summary", ("discontinuity", "always_single_sphere"), [(discontinuity, single_sphere)]))
-    report.flags["single_sphere_every_trial"] = single_sphere
-    report.flags["discontinuity_nonzero"] = discontinuity > 0.0
-    report.flags["born_within_4sigma"] = abs(batch.counts[0] / n - 0.5) <= _four_sigma(0.5, n)
-    return report
+    tables = [Table.build("statistics", ("branch", "count", "frequency"),
+                          [(label, c, c / n) for label, c in zip(branches.labels, batch.counts)]),
+              Table.build("summary", ("discontinuity", "always_single_sphere"),
+                          [(discontinuity, single_sphere)])]
+    return tables, {
+        "single_sphere_every_trial": single_sphere,
+        "discontinuity_nonzero": discontinuity > 0.0,
+        "born_within_4sigma": abs(batch.counts[0] / n - 0.5) <= _four_sigma(0.5, n)}
 
 
 # ---- scan observables ----------------------------------------------------------
@@ -517,7 +513,7 @@ def _stations_coincide(c: dict) -> bool:
 @dataclass(frozen=True)
 class _Scenario:
     schema: dict[str, Callable]
-    run: Callable[[dict, int], RunReport]
+    run: Callable[[dict], _Outcome]
     # cross-field rules in order: (field, message, test that is true for a bad config)
     checks: tuple[tuple[str, str, Callable[[dict], bool]], ...] = ()
     # (scanned parameter, factory of the observable from a validated config)
@@ -663,9 +659,10 @@ def run_scenario(name: str, config: dict | None = None, seed: int | None = None,
                  trials: int | None = None) -> RunReport:
     """Validate the config and execute one scenario deterministically.
 
-    ``seed`` overrides the config seed; ``trials`` overrides the trial
-    count of the scenarios whose config has ``n_trials``.  Both overrides
-    go through the config field's own validator.
+    ``seed`` overrides the config's ``seed``; ``trials`` overrides the
+    ``n_trials`` of the scenarios whose config has one.  Each override is
+    checked by that field's own validator and written into the validated
+    config, the one source of the run's inputs and of the report's seed.
     """
     scenario = _scenario(name)
     cfg = validate_config(name, default_config(name) if config is None else config)
@@ -674,8 +671,10 @@ def run_scenario(name: str, config: dict | None = None, seed: int | None = None,
             raise ScenarioConfigError(
                 f"scenario {name!r} has no trial count to override")
         cfg["n_trials"] = _field(scenario.schema, "n_trials", trials)
-    effective_seed = cfg["seed"] if seed is None else _field(scenario.schema, "seed", seed)
-    return scenario.run(cfg, effective_seed)
+    if seed is not None:
+        cfg["seed"] = _field(scenario.schema, "seed", seed)
+    tables, flags = scenario.run(cfg)
+    return RunReport(name, cfg["seed"], {table.name: table for table in tables}, flags)
 
 
 def scan_scenario(name: str, config: dict | None, param: str,
@@ -702,7 +701,6 @@ def scan_scenario(name: str, config: dict | None, param: str,
         raise
     except (ValueError, ArithmeticError) as exc:
         raise ScenarioConfigError(f"field 'values': {exc}") from None
-    report = RunReport(scenario=f"scan_{name}", seed=cfg["seed"])
-    _add_scaling_tables(report, study)
-    report.flags["slope_defined"] = study.status == "ok"
-    return report
+    return RunReport(f"scan_{name}", cfg["seed"],
+                     {table.name: table for table in _scaling_tables(study)},
+                     {"slope_defined": study.status == "ok"})

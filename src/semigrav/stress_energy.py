@@ -34,7 +34,7 @@ from math import frexp, ldexp, sqrt
 
 import numpy as np
 
-from .fock import NORM_TOL, BasisMismatchError, FockState, bump
+from .fock import BasisMismatchError, FockState, bump
 from .modes import EdSModeBasis, MinkowskiModeBasis, ModeBasisError
 from .spacetime import BackendDomainError, Event, metric
 
@@ -49,11 +49,6 @@ __all__ = [
 ]
 
 _WORKING_SET = 1 << 15  # doubles (256 KiB) that one block of stress_field may hold
-
-
-def _require_normalized(state: FockState) -> None:
-    if abs(state.norm() - 1.0) > NORM_TOL:
-        raise ValueError("state must be normalized to unit norm")
 
 
 def moments(state: FockState) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
@@ -111,7 +106,7 @@ def stress_field(state: FockState, t, x) -> np.ndarray:
     basis, d = state.basis, state.basis.backend.dimension
     if not isinstance(basis, (MinkowskiModeBasis, EdSModeBasis)):
         raise ModeBasisError("stress-energy sampling needs a Minkowski or EdS basis")
-    _require_normalized(state)
+    state.require_unit_norm()
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != d:
         raise BackendDomainError(f"x must have shape (events, {d})")
@@ -140,7 +135,7 @@ def total_energy(state: FockState) -> float:
     """sum_k omega_k <N_k>; the box-mode form of the integrated energy."""
     if not isinstance(state.basis, MinkowskiModeBasis):
         raise ModeBasisError("total_energy is defined for box mode bases")
-    _require_normalized(state)
+    state.require_unit_norm()
     occupied = list({mode for occ in state.terms for mode, _ in occ})
     omega = dict(zip(occupied, state.basis.frequencies(occupied).tolist()))
     total = 0.0

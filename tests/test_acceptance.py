@@ -326,9 +326,9 @@ def test_criterion_11_property_suites():
         ok = ok and abs(resid) < 1e-6 * (1.0 + dust.mass**2) * abs(f0(t))
 
     # serialization is deterministic
-    rep = RunReport(scenario="gate", seed=1)
-    rep.add_table(Table.build("t", ("a", "b"), [(1.0, 2.0), (3.0, 4.0)]))
-    rep.flags["ok"] = True
+    rep = RunReport(scenario="gate", seed=1,
+                    tables={"t": Table.build("t", ("a", "b"), [(1.0, 2.0), (3.0, 4.0)])},
+                    flags={"ok": True})
     ok = ok and emit(rep, "json") == emit(rep, "json")
     ok = ok and emit(rep, "csv") == emit(rep, "csv")
 

@@ -115,7 +115,7 @@ def test_inner_is_antilinear_in_first_argument():
 def test_number_expectation_requires_normalization():
     vac = new_vacuum(BASIS)
     big = superpose([(2.0, vac)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="norm="):
         number_expectation(big, 0)
 
 

@@ -88,7 +88,7 @@ def test_born_probabilities_from_amplitudes(amps, expected):
 
 def test_born_requires_normalized_state():
     branches, a, _ = _two_branches()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="norm="):
         born_probabilities(superpose([(2.0, a)]), branches)
 
 
@@ -104,7 +104,7 @@ def test_branch_set_validation():
     overlapping = superpose([(0.9, a), (0.1, create(VAC, 1))], normalize=True)
     with pytest.raises(ValueError):
         BranchSet({})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="branch 'big' .*norm=2"):
         BranchSet({"big": superpose([(2.0, a)])})
     with pytest.raises(ValueError):
         BranchSet({"a": a, "b": overlapping})
@@ -153,7 +153,7 @@ def test_project_matches_uncached_born_sampling():
         assert idx == ref
         assert post is branches.states[ref]
     # an unnormalized state is rejected
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="norm="):
         _project(superpose([(2.0, a)]), branches, _trial_rng(31, n))
 
 
@@ -520,7 +520,9 @@ def test_page_geilker_discontinuity_matches_scalar_path():
         # spacing would reject many of these draws
         cfg = dict(default_config("page_geilker"), box_side=box, position_a=a, position_b=b,
                    sphere_mass=mass, sphere_width=width, n_probes=n_probes, n_trials=1)
-        discontinuity = _run_sphere_collapse(cfg, 0).tables["summary"].rows[0][0]
+        tables, _ = _run_sphere_collapse(dict(cfg, seed=0))
+        summary, = (table for table in tables if table.name == "summary")
+        discontinuity = summary.rows[0][0]
         bumps = (_scalar_bump((a,), mass, width), _scalar_bump((b,), mass, width))
         pre = _scalar_mixture([(0.5, bumps[0]), (0.5, bumps[1])])
         lab = Event(0.0, (0.5 * (a + b),))  # the runner measures at t = 0

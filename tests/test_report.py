@@ -11,16 +11,20 @@ from semigrav.report import RunReport, Table, _report_to_json, emit
 from semigrav.scenarios import SCENARIO_NAMES, default_config, run_scenario, scan_scenario
 
 
+def _by_name(*tables):
+    """The ``RunReport.tables`` mapping of ``tables``, in their order."""
+    return {table.name: table for table in tables}
+
+
 def _sample_report():
-    rep = RunReport(scenario="demo", seed=42)
-    rep.add_table(Table.build(
-        "stress",
-        ("scenario", "t", "x1", "mu", "nu", "value"),
-        [("demo", 0.5, 1.25, 0, 0, 0.1), ("demo", 0.5, 1.25, 0, 1, -0.25)],
-    ))
-    rep.add_table(Table.build("flags_extra", ("ok",), [(True,), (False,)]))
-    rep.flags["some_check"] = True
-    return rep
+    return RunReport(scenario="demo", seed=42, tables=_by_name(
+        Table.build(
+            "stress",
+            ("scenario", "t", "x1", "mu", "nu", "value"),
+            [("demo", 0.5, 1.25, 0, 0, 0.1), ("demo", 0.5, 1.25, 0, 1, -0.25)],
+        ),
+        Table.build("flags_extra", ("ok",), [(True,), (False,)]),
+    ), flags={"some_check": True})
 
 
 def test_json_has_exactly_four_keys_and_is_sorted():
@@ -85,26 +89,24 @@ def test_report_passed_property():
 
 
 def test_csv_quotes_cells_with_commas():
-    rep = RunReport(scenario="x", seed=0)
-    rep.add_table(Table.build("t", ("label",), [("a,b",)]))
+    rep = RunReport(scenario="x", seed=0, tables=_by_name(Table.build("t", ("label",), [("a,b",)])))
     text = emit(rep, "csv")
     assert text == 'label\r\n"a,b"\r\n'
 
 
 def _edge_report():
     """Every cell kind json and csv treat specially, and every empty shape."""
-    rep = RunReport(scenario='ed"ge\n', seed=-3)
-    rep.add_table(Table.build("values", ("a", "b\u00e9", "c"), [
-        (math.nan, math.inf, -math.inf),
-        (-0.0, 5e-324, True),
-        (False, 7, 'q"u,o\nt\u00f6\\'),
-        (2 ** 70, 1e300, ""),
-    ]))
-    rep.add_table(Table.build("empty", ("x",), ()))
-    rep.add_table(Table.build("no_columns", (), ((), ())))
-    rep.add_table(Table.build("A", ("x",), [(1.5,)]))
-    rep.flags.update(zz=True, aa=False)
-    return rep
+    return RunReport(scenario='ed"ge\n', seed=-3, tables=_by_name(
+        Table.build("values", ("a", "b\u00e9", "c"), [
+            (math.nan, math.inf, -math.inf),
+            (-0.0, 5e-324, True),
+            (False, 7, 'q"u,o\nt\u00f6\\'),
+            (2 ** 70, 1e300, ""),
+        ]),
+        Table.build("empty", ("x",), ()),
+        Table.build("no_columns", (), ((), ())),
+        Table.build("A", ("x",), [(1.5,)]),
+    ), flags={"zz": True, "aa": False})
 
 
 def _reports():
@@ -155,9 +157,7 @@ def _per_cell_csv(table):
 
 
 def _csv_bytes(table):
-    report = RunReport(scenario="s", seed=0)
-    report.add_table(table)
-    return emit(report, "csv").encode()
+    return emit(RunReport(scenario="s", seed=0, tables=_by_name(table)), "csv").encode()
 
 
 _cells = (st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])

@@ -198,6 +198,36 @@ def test_seed_override_lands_in_report():
     assert report.seed == 777
 
 
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_seed_override_is_the_config_seed(name):
+    """``--seed`` and a config ``seed`` are one input: the same bytes either way."""
+    cfg = dict(_small_config(name), **({"n_trials": FAST_TRIALS[name]}
+                                        if name in FAST_TRIALS else {}))
+    assert cfg["seed"] != 4242
+    overridden = emit(run_scenario(name, cfg, seed=4242), "json")
+    assert overridden == emit(run_scenario(name, dict(cfg, seed=4242)), "json")
+    assert json.loads(overridden)["seed"] == 4242
+
+
+def test_only_the_entry_points_build_reports_and_runners_take_the_config_alone():
+    """Each ``_run_*`` reads its seed from the validated config and returns its
+    tables and flags; ``run_scenario`` and ``scan_scenario`` build every report."""
+    path = Path(__file__).resolve().parents[1] / "src" / "semigrav" / "scenarios.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    builders, runners = set(), {}
+    for node in tree.body:
+        owner = getattr(node, "name", "<module>")
+        if any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "RunReport"
+               for call in ast.walk(node)):
+            builders.add(owner)
+        if isinstance(node, ast.FunctionDef) and owner.startswith("_run_"):
+            args = node.args
+            runners[owner] = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    assert builders == {"run_scenario", "scan_scenario"}
+    assert len(runners) == len(SCENARIO_NAMES)
+    assert runners == {name: ["cfg"] for name in runners}
+
+
 def test_trials_override_only_for_projection_scenarios():
     with pytest.raises(ScenarioConfigError, match="trial count"):
         run_scenario("eds_cosmology", trials=10)

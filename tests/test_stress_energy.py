@@ -473,6 +473,16 @@ def test_moments_match_ladder_products():
     assert np.abs(pair).max() > 0.1
 
 
+def test_stress_entry_points_reject_a_state_off_unit_norm():
+    basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)
+    big = superpose([(2.0, create(new_vacuum(basis), 0))])
+    message = r"^state must be normalized to unit norm \(norm=2\)$"
+    with pytest.raises(ValueError, match=message):
+        stress_field(big, 0.0, np.zeros((1, 1)))
+    with pytest.raises(ValueError, match=message):
+        total_energy(big)
+
+
 def test_stress_field_rejects_bad_event_arrays():
     basis = minkowski_basis(box_side=10.0, dimension=2, mass=1.0, n_max=1)
     vac = new_vacuum(basis)
