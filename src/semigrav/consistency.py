@@ -71,9 +71,6 @@ class ScalingStudy:
     slope: float | None
     status: str  # "ok" or "undefined(zero)"
 
-    def rows(self) -> list[tuple[float, float]]:
-        return list(zip(self.values, self.observables))
-
 
 def scaling_study(observable: Callable[[float], float], values: Sequence[float],
                   parameter: str = "V") -> ScalingStudy:

@@ -1,15 +1,16 @@
 """Run reports and their CSV/JSON serialization.
 
-A report is a set of named tables (labeled numeric columns), pass/fail
-flags, the scenario name and the seed.  Serialization is byte-stable for a
-fixed report: JSON keys are sorted and floats use Python's shortest
-round-trip repr; CSV is RFC-4180 style (CRLF line endings, minimal
+A report is a set of named tables, pass/fail flags, the scenario name and
+the seed.  A table holds columns, a numpy array or a short list per label;
+only this module turns cells into Python scalars.  Serialization is
+byte-stable for a fixed report: JSON keys are sorted and floats use Python's
+shortest round-trip repr; CSV is RFC-4180 style (CRLF line endings, minimal
 quoting), one file per table.
 
 The JSON text is ``json.dumps(payload, sort_keys=True, indent=2)`` plus a
 newline, byte for byte.  ``indent`` turns off json's C encoder, so only the
-small skeleton goes through ``json.dumps``; each table's cells are C-encoded
-in one call, one per line, and laid out at their fixed depth.
+small skeleton goes through ``json.dumps``; each column's cells are
+C-encoded a chunk of rows per call, then zipped into rows at their depth.
 """
 from __future__ import annotations
 
@@ -18,32 +19,37 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 __all__ = ["Table", "RunReport", "emit"]
 
 Cell = float | int | str | bool
 
 
+def _cells(column) -> list[Cell]:  # a column's cells as Python scalars
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
 @dataclass(frozen=True)
 class Table:
-    """A named table of labeled columns over numeric/text rows."""
+    """A named table: one column of cells (a sequence or a 1-D numpy array)
+    per label, all of one length; ``rows`` derives the rows of Python scalars."""
 
     name: str
     columns: tuple[str, ...]
-    rows: tuple[tuple[Cell, ...], ...]
+    data: tuple[Sequence[Cell], ...]
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"table {self.name!r}: row of width {len(row)} does not match "
-                    f"{len(self.columns)} columns"
-                )
+        lengths = [len(column) for column in self.data]
+        if len(lengths) != len(self.columns) or len(set(lengths)) > 1:
+            raise ValueError(f"table {self.name!r}: {len(self.columns)} labels over "
+                             f"columns of lengths {lengths}")
 
-    @staticmethod
-    def build(name: str, columns: Sequence[str], rows: Sequence[Sequence[Cell]]) -> "Table":
-        return Table(name, tuple(columns), tuple(tuple(r) for r in rows))
+    @property
+    def rows(self) -> tuple[tuple[Cell, ...], ...]:
+        return tuple(zip(*map(_cells, self.data)))
 
 
 @dataclass
@@ -60,50 +66,54 @@ class RunReport:
         return all(self.flags.values())
 
 
-def _csv_row(row: tuple[Cell, ...]) -> Sequence[Cell]:
-    """The row with its bools spelled true/false.  The C writer already renders
-    a float by repr() and an int or str by str(), so nothing else is mapped."""
-    if bool not in map(type, row):
-        return row
-    return [("true" if v else "false") if type(v) is bool else v for v in row]
+def _csv_column(column) -> list[Cell]:
+    """The column's cells with its bools spelled true/false.  The C writer already
+    renders a float by repr() and an int or str by str(), so nothing else is mapped."""
+    cells = _cells(column)
+    if bool not in map(type, cells):
+        return cells
+    return [("true" if v else "false") if type(v) is bool else v for v in cells]
 
 
 def _table_to_csv(table: Table) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
     writer.writerow(table.columns)
-    writer.writerows(map(_csv_row, table.rows))
+    writer.writerows(zip(*map(_csv_column, table.data)))
     return buf.getvalue()
 
 
 _CELLS = json.JSONEncoder(separators=("\n", ": "))  # no indent: the C encoder runs
+_CHUNK = 8192  # rows per encoder call on each column: bounds the per-cell strings alive
 
 
-def _rows_to_json(table: Table) -> str:
-    """``table.rows`` as ``json.dumps(..., indent=2)`` lays them out at depth 3."""
-    if not table.rows:
-        return "[]"
-    width = len(table.columns)
-    if width:
-        cells = _CELLS.encode([c for row in table.rows for c in row])[1:-1].split("\n")
-        rows = ["[\n          " + ",\n          ".join(cells[i:i + width]) + "\n        ]"
-                for i in range(0, len(cells), width)]
-    else:
-        rows = ["[]"] * len(table.rows)
-    return "[\n        " + ",\n        ".join(rows) + "\n      ]"
+def _rows_to_json(table: Table) -> Iterator[str]:
+    """``table.rows`` as ``json.dumps(..., indent=2)`` lays them out at depth 3, in pieces."""
+    n_rows = len(table.data[0]) if table.data else 0
+    if not n_rows:
+        yield "[]"
+        return
+    row_sep = "\n        ],\n        [\n          "
+    yield "[\n        [\n          "
+    for start in range(0, n_rows, _CHUNK):
+        cells = [_CELLS.encode(_cells(column[start:start + _CHUNK]))[1:-1].split("\n")
+                 for column in table.data]
+        yield (row_sep if start else "") + row_sep.join(map(",\n          ".join, zip(*cells)))
+    yield "\n        ]\n      ]"
 
 
 def _report_to_json(report: RunReport) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for byte."""
     head = json.dumps({"flags": report.flags, "scenario": report.scenario,
                        "seed": report.seed}, sort_keys=True, indent=2)
-    tables = [f'    {json.dumps(name)}: {{\n      "columns": '
-              + json.dumps(list(t.columns), indent=2).replace("\n", "\n      ")
-              + f',\n      "rows": {_rows_to_json(t)}\n    }}'
-              for name, t in sorted(report.tables.items())]
-    body = "{\n" + ",\n".join(tables) + "\n  }" if tables else "{}"
     # "tables" sorts after the head's keys, so it goes before head's closing "\n}"
-    return f'{head[:-2]},\n  "tables": {body}\n}}\n'
+    pieces = [head[:-2], ',\n  "tables": {']
+    for i, (name, t) in enumerate(sorted(report.tables.items())):
+        pieces += [",\n" if i else "\n", f'    {json.dumps(name)}: {{\n      "columns": ',
+                   json.dumps(list(t.columns), indent=2).replace("\n", "\n      "),
+                   ',\n      "rows": ', *_rows_to_json(t), "\n    }"]
+    pieces.append("\n  }\n}\n" if report.tables else "}\n}\n")
+    return "".join(pieces)
 
 
 def emit(report: RunReport, format: str, destination=None) -> str:
@@ -121,9 +131,7 @@ def emit(report: RunReport, format: str, destination=None) -> str:
     if format != "csv":
         raise ValueError(f"unknown output format {format!r}")
 
-    tables = list(report.tables.values())
-    if not tables:
-        tables = [Table.build("empty", (), ())]
+    tables = list(report.tables.values()) or [Table("empty", (), ())]
     primary = _table_to_csv(tables[0])
     if destination is not None:
         dest = Path(destination)

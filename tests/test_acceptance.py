@@ -327,7 +327,7 @@ def test_criterion_11_property_suites():
 
     # serialization is deterministic
     rep = RunReport(scenario="gate", seed=1,
-                    tables={"t": Table.build("t", ("a", "b"), [(1.0, 2.0), (3.0, 4.0)])},
+                    tables={"t": Table("t", ("a", "b"), ([1.0, 3.0], [2.0, 4.0]))},
                     flags={"ok": True})
     ok = ok and emit(rep, "json") == emit(rep, "json")
     ok = ok and emit(rep, "csv") == emit(rep, "csv")

@@ -87,9 +87,9 @@ def test_dust_residual_scaling_slope_is_minus_two():
     )
     assert study.status == "ok"
     assert_allclose(study.slope, -2.0, atol=1e-6)
-    assert len(study.rows()) == 3
+    assert len(study.values) == len(study.observables) == 3
     # the observable itself follows 24 pi^2 / V0^2
-    for v0, obs in study.rows():
+    for v0, obs in zip(study.values, study.observables):
         assert_allclose(obs, 24.0 * np.pi**2 / v0**2, rtol=1e-8)
 
 

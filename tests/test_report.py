@@ -4,9 +4,13 @@ import io
 import json
 import math
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semigrav import report
 from semigrav.report import RunReport, Table, _report_to_json, emit
 from semigrav.scenarios import SCENARIO_NAMES, default_config, run_scenario, scan_scenario
 
@@ -18,12 +22,12 @@ def _by_name(*tables):
 
 def _sample_report():
     return RunReport(scenario="demo", seed=42, tables=_by_name(
-        Table.build(
+        Table(
             "stress",
             ("scenario", "t", "x1", "mu", "nu", "value"),
-            [("demo", 0.5, 1.25, 0, 0, 0.1), ("demo", 0.5, 1.25, 0, 1, -0.25)],
+            (["demo", "demo"], [0.5, 0.5], [1.25, 1.25], [0, 0], [0, 1], [0.1, -0.25]),
         ),
-        Table.build("flags_extra", ("ok",), [(True,), (False,)]),
+        Table("flags_extra", ("ok",), ([True, False],)),
     ), flags={"some_check": True})
 
 
@@ -75,8 +79,14 @@ def test_unknown_format_rejected():
 
 
 def test_table_width_validation():
-    with pytest.raises(ValueError):
-        Table.build("bad", ("a", "b"), [(1.0,)])
+    """Labels that do not match the columns one to one, or ragged columns."""
+    cases = [("few", ("a", "b"), ([1.0],), r"2 labels over columns of lengths \[1\]"),
+             ("many", ("a",), ([1.0], [2.0]), r"1 labels over columns of lengths \[1, 1\]"),
+             ("ragged", ("a", "b"), ([1.0, 2.0], np.array([3.0])),
+              r"2 labels over columns of lengths \[2, 1\]")]
+    for name, labels, data, message in cases:
+        with pytest.raises(ValueError, match=f"^table '{name}': {message}$"):
+            Table(name, labels, data)
 
 
 def test_report_passed_property():
@@ -89,7 +99,7 @@ def test_report_passed_property():
 
 
 def test_csv_quotes_cells_with_commas():
-    rep = RunReport(scenario="x", seed=0, tables=_by_name(Table.build("t", ("label",), [("a,b",)])))
+    rep = RunReport(scenario="x", seed=0, tables=_by_name(Table("t", ("label",), (["a,b"],))))
     text = emit(rep, "csv")
     assert text == 'label\r\n"a,b"\r\n'
 
@@ -97,15 +107,19 @@ def test_csv_quotes_cells_with_commas():
 def _edge_report():
     """Every cell kind json and csv treat specially, and every empty shape."""
     return RunReport(scenario='ed"ge\n', seed=-3, tables=_by_name(
-        Table.build("values", ("a", "b\u00e9", "c"), [
-            (math.nan, math.inf, -math.inf),
-            (-0.0, 5e-324, True),
-            (False, 7, 'q"u,o\nt\u00f6\\'),
-            (2 ** 70, 1e300, ""),
-        ]),
-        Table.build("empty", ("x",), ()),
-        Table.build("no_columns", (), ((), ())),
-        Table.build("A", ("x",), [(1.5,)]),
+        Table("values", ("a", "b\u00e9", "c"), (
+            [math.nan, -0.0, False, 2 ** 70],
+            [math.inf, 5e-324, 7, 1e300],
+            [-math.inf, True, 'q"u,o\nt\u00f6\\', ""],
+        )),
+        Table("arrays", ("f", "i", "b"), (
+            np.array([math.nan, -0.0, 1e300]),
+            np.array([2 ** 62, -1, 0]),
+            np.array([True, False, True]),
+        )),
+        Table("empty", ("x",), ([],)),
+        Table("no_columns", (), ()),
+        Table("A", ("x",), ([1.5],)),
     ), flags={"zz": True, "aa": False})
 
 
@@ -118,16 +132,27 @@ def _reports():
     return reports + [_edge_report(), RunReport(scenario="bare", seed=0)]
 
 
+def _json_oracle(rep):
+    payload = {
+        "scenario": rep.scenario,
+        "seed": rep.seed,
+        "tables": {name: {"columns": list(t.columns), "rows": [list(r) for r in t.rows]}
+                   for name, t in rep.tables.items()},
+        "flags": dict(rep.flags),
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def test_json_equals_json_dumps_with_indent_2():
     for rep in _reports():
-        payload = {
-            "scenario": rep.scenario,
-            "seed": rep.seed,
-            "tables": {name: {"columns": list(t.columns), "rows": [list(r) for r in t.rows]}
-                       for name, t in rep.tables.items()},
-            "flags": dict(rep.flags),
-        }
-        assert _report_to_json(rep) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert _report_to_json(rep) == _json_oracle(rep)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_json_is_the_same_at_every_chunk_size(monkeypatch, chunk):
+    monkeypatch.setattr(report, "_CHUNK", chunk)
+    for rep in _reports():
+        assert _report_to_json(rep) == _json_oracle(rep)
 
 
 def _csv_oracle(table):
@@ -165,10 +190,11 @@ _cells = (st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e
 
 
 @settings(max_examples=200, deadline=None)
-@given(width=st.integers(0, 4), data=st.data())
-def test_csv_rows_through_the_c_writer_match_the_per_cell_path(width, data):
-    rows = data.draw(st.lists(st.tuples(*[_cells] * width), max_size=5))
-    table = Table.build("t", [f"c{i}" for i in range(width)], rows)
+@given(width=st.integers(0, 4), n_rows=st.integers(0, 5), data=st.data())
+def test_csv_rows_through_the_c_writer_match_the_per_cell_path(width, n_rows, data):
+    columns = tuple(data.draw(st.lists(_cells, min_size=n_rows, max_size=n_rows))
+                    for _ in range(width))
+    table = Table("t", tuple(f"c{i}" for i in range(width)), columns)
     assert _csv_bytes(table) == _per_cell_csv(table).encode()
 
 
@@ -182,8 +208,31 @@ def test_csv_of_every_table_matches_a_hand_written_writer(tmp_path):
     for i, rep in enumerate(_reports()):
         dest = tmp_path / f"r{i}.csv"
         emit(rep, "csv", dest)
-        tables = list(rep.tables.values()) or [Table.build("empty", (), ())]
+        tables = list(rep.tables.values()) or [Table("empty", (), ())]
         assert dest.read_bytes().decode() == _csv_oracle(tables[0])
         for extra in tables[1:]:
             sibling = dest.with_name(f"{dest.stem}.{extra.name}.csv")
             assert sibling.read_bytes().decode() == _csv_oracle(extra)
+
+
+def test_every_cell_of_every_report_is_a_python_scalar():
+    """A numpy scalar in a list column would make json raise and csv print
+    ``True`` for ``true``: ``rows`` must hold Python scalars only."""
+    for rep in _reports():
+        for table in rep.tables.values():
+            kinds = {type(cell) for row in table.rows for cell in row}
+            assert kinds <= {float, int, str, bool}, (rep.scenario, table.name, kinds)
+
+
+def test_a_rindler_report_retains_at_most_96_bytes_per_frequency():
+    n = 50_000
+    config = dict(default_config("rindler_unruh"), n_frequencies=n, freq_hi=50.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rindler = run_scenario("rindler_unruh", config)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rindler.tables["spectrum"].data[0]) == n
+    assert retained / n <= 96.0
