@@ -7,7 +7,6 @@ projection under a light-cone causality constraint.
 """
 from .spacetime import (
     BackendDomainError,
-    Event,
     EinsteinDeSitter,
     Minkowski,
     einstein_tensor,

@@ -4,12 +4,11 @@ A measurement is its branch set: it replaces the state with one member of
 an orthonormal ``BranchSet``, built from labelled states and sampled with
 probability |<C_i|Psi>|^2 / sum_j |<C_j|Psi>|^2.  The causality gate takes
 the pre- and post-projection energy densities as arrays, one value per
-probe event of the grid t (n,), x (n, d), and demands that they agree,
-within a declared tolerance, wherever ``outside_future_cone`` marks a probe
-as outside the future light cone of the measurement's origin, an ``Event``
-that only the gate reads.  ``causality_check`` returns the verdict with the
-largest change on each side of the cone; the scenarios carry it into their
-tables.
+probe event of the grid t (n,), x (n, d), and demands that they agree
+exactly wherever ``outside_future_cone`` marks a probe as outside the future
+light cone of the measurement's origin, the event (t0, x0).
+``causality_check`` returns the verdict with the largest change on each side
+of the cone; the scenarios carry it into their tables.
 
 Admissibility itself is scenario-declared (which branch sets count as
 "classical" is an open modeling question), so this module is agnostic:
@@ -33,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from .fock import FockState, inner
-from .spacetime import Event, outside_future_cone
+from .spacetime import outside_future_cone
 
 __all__ = [
     "ZeroOverlapError",
@@ -133,18 +132,18 @@ def run_trials(state: FockState, branches: BranchSet, master_seed: int,
     return TrialBatch(n_trials, tuple(float(p) for p in born), counts)
 
 
-def causality_check(pre, post, origin: Event, t, x, tol: float) -> CausalityReport:
+def causality_check(pre, post, t0, x0, t, x) -> CausalityReport:
     """Compare energy densities at the probes t (n,), x (n, d), split by the light cone.
 
     ``pre`` and ``post`` hold the pre- and post-projection densities, one
-    value per probe.  Outside the future cone of ``origin`` they must agree
-    within ``tol``; inside, any difference is legitimate and reported only
-    for contrast.
+    value per probe.  Outside the future cone of the origin, time t0 and
+    point x0 (d,), they must agree exactly (a NaN there fails); inside, any
+    difference is legitimate and reported only for contrast.
     """
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     if not t.size:
         raise ValueError("causality check needs a nonempty probe grid")
-    outside = outside_future_cone(origin, t, x)
+    outside = outside_future_cone(t0, x0, t, x)
     pre, post = np.asarray(pre, dtype=float), np.asarray(post, dtype=float)
     if pre.shape != outside.shape or post.shape != outside.shape:
         raise ValueError(f"pre and post need one density per probe, shape {outside.shape}")
@@ -155,5 +154,5 @@ def causality_check(pre, post, origin: Event, t, x, tol: float) -> CausalityRepo
         max_diff_inside=float(diff[~outside].max(initial=0.0)),
         n_outside=int(outside.sum()),
         n_inside=int((~outside).sum()),
-        passed=max_out <= tol,
+        passed=max_out <= 0.0,
     )

@@ -35,7 +35,6 @@ from .fock import create, new_vacuum, number_expectation, superpose
 from .measurement import BranchSet, causality_check, run_trials
 from .modes import eds_basis, minkowski_basis
 from .report import RunReport, Table
-from .spacetime import Event
 from .stress_energy import (box_lattice, integrated_energy, stress_field, total_energy,
                             wavepacket_state)
 from .stress_energy import stress_sample  # noqa: F401  (the one-event view, traced by bench/)
@@ -352,7 +351,6 @@ def _run_epr_collapse(cfg: dict) -> _Outcome:
     # each lies outside the other's future cone
     x_left = 0.5 * (L - cfg["station_separation"])
     branches = BranchSet({"I": branch_i, "II": branch_ii})
-    origin = Event(0.0, (x_left,))
 
     # probe grid straddling the cone: same-time points are all outside,
     # later points near the station are inside
@@ -362,7 +360,7 @@ def _run_epr_collapse(cfg: dict) -> _Outcome:
     # the gate reads only |pre - post|, which the shared density makes zero, so
     # one causality report holds for both branches and for every trial below
     unchanged = np.zeros(n_probes)
-    causal = causality_check(unchanged, unchanged, origin, t, x, 0.0)
+    causal = causality_check(unchanged, unchanged, 0.0, (x_left,), t, x)
     batch = run_trials(singlet, branches, cfg["seed"], cfg["n_trials"])
     n = batch.n_trials
 
@@ -405,7 +403,6 @@ def _run_sphere_collapse(cfg: dict) -> _Outcome:
 
     a, b = cfg["position_a"], cfg["position_b"]
     branches = BranchSet({"sphere_at_A": state_a, "sphere_at_B": state_b})
-    origin = Event(0.0, (0.5 * (a + b),))
 
     n_probes = cfg["n_probes"]
     t = np.zeros(n_probes)
@@ -416,9 +413,9 @@ def _run_sphere_collapse(cfg: dict) -> _Outcome:
     pre = 0.5 * posts[0] + 0.5 * posts[1]
     # equal-time probes sit outside the cone, so the sphere relocation is
     # visible to the check: the smaller branch "violation" is the discontinuity
-    discontinuity = min(
-        causality_check(pre[:n_probes], post[:n_probes], origin, t, x, 0.0).max_violation_outside
-        for post in posts)
+    reports = (causality_check(pre[:n_probes], post[:n_probes], 0.0, (0.5 * (a + b),), t, x)
+               for post in posts)
+    discontinuity = min(rep.max_violation_outside for rep in reports)
 
     batch = run_trials(pointer, branches, cfg["seed"], cfg["n_trials"])
     n = batch.n_trials

@@ -25,7 +25,6 @@ __all__ = [
     "Minkowski",
     "EinsteinDeSitter",
     "Backend",
-    "Event",
     "metric",
     "einstein_tensor",
     "outside_future_cone",
@@ -76,21 +75,6 @@ class EinsteinDeSitter:
 Backend = Union[Minkowski, EinsteinDeSitter]
 
 
-@dataclass(frozen=True)
-class Event:
-    """A spacetime point: coordinate time plus a spatial coordinate tuple."""
-
-    t: float
-    x: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(c) for c in self.x))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.x)
-
-
 def _event_diagonal(backend: Backend, t, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Checked event arrays and a zero tensor diagonal, shape (events..., d+1)."""
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
@@ -130,16 +114,18 @@ def einstein_tensor(backend: Backend, t, x) -> np.ndarray:
     return diag
 
 
-def outside_future_cone(origin: Event, t, x) -> np.ndarray:
-    """True where probes (t, x) lie strictly outside the future light cone of ``origin``.
+def outside_future_cone(t0, x0, t, x) -> np.ndarray:
+    """True where probes (t, x) lie strictly outside the future light cone of (t0, x0).
 
-    Shapes as for ``metric``: t (...) and x (..., d) give a bool array (...).
-    The null boundary counts as inside (not outside).  Probes earlier than
-    ``origin`` are outside its *future* cone by definition.
+    Shapes as for ``metric``: t (...) and x (..., d) give a bool array (...),
+    for a scalar t0 and x0 (d,).  The null boundary counts as inside (not
+    outside).  Probes earlier than t0 are outside its *future* cone by definition.
     """
+    t0, x0 = np.asarray(t0, dtype=float), np.asarray(x0, dtype=float)
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
-    if x.shape[-1:] != (origin.dimension,):
-        raise ValueError("events live in different spatial dimensions")
-    dt = t - origin.t
-    dx = x - np.asarray(origin.x)
+    if t0.ndim:
+        raise ValueError(f"origin time t0 must be a scalar, not shape {t0.shape}")
+    if x0.ndim != 1 or x.shape[-1:] != x0.shape:
+        raise ValueError(f"origin point x0 has shape {x0.shape}, probes x have {x.shape}")
+    dt, dx = t - t0, x - x0
     return (dt < 0.0) | (np.sqrt(np.vecdot(dx, dx)) > dt)

@@ -26,7 +26,7 @@ basis size, and on a t = 0 slice one exponential per +- pair of them.  Then
 The (E, d+1, d+1) array of ``stress_field(state, t, x)`` is the package's
 one form of <T_mn>, exactly symmetric by construction; it reads the basis
 from the state and the backend from the basis.  ``stress_sample`` is its
-row at one ``Event``.
+row at one event (t, x).
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from .fock import BasisMismatchError, FockState, bump
 from .modes import EdSModeBasis, MinkowskiModeBasis, ModeBasisError
-from .spacetime import BackendDomainError, Event, metric
+from .spacetime import BackendDomainError, metric
 
 __all__ = [
     "moments",
@@ -126,9 +126,9 @@ def stress_field(state: FockState, t, x) -> np.ndarray:
     return out
 
 
-def stress_sample(state: FockState, event: Event) -> np.ndarray:
-    """<Psi|T_mn|Psi> at one event, shape (d+1, d+1): the ``stress_field`` row."""
-    return stress_field(state, event.t, [event.x])[0]
+def stress_sample(state: FockState, t, x) -> np.ndarray:
+    """<Psi|T_mn|Psi> at one event, t and x (d,), shape (d+1, d+1): the ``stress_field`` row."""
+    return stress_field(state, t, [x])[0]
 
 
 def total_energy(state: FockState) -> float:

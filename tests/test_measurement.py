@@ -21,7 +21,7 @@ from semigrav.measurement import (
 from semigrav.modes import minkowski_basis
 from semigrav.scenarios import (ScenarioConfigError, _epr_setup, _run_sphere_collapse,
                                 _spheres, default_config, run_scenario, validate_config)
-from semigrav.spacetime import Event, outside_future_cone
+from semigrav.spacetime import outside_future_cone
 
 BASIS = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)
 VAC = new_vacuum(BASIS)
@@ -356,7 +356,7 @@ def test_page_geilker_matches_project_loop():
     bumps = (_scalar_bump((3.0,), 1.0, 0.4), _scalar_bump((7.0,), 1.0, 0.4))
     pre = _scalar_mixture([(0.5, bumps[0]), (0.5, bumps[1])])
     branches = BranchSet({"sphere_at_A": state_a, "sphere_at_B": state_b})
-    at = (Event(0.0, (3.0,)), Event(0.0, (7.0,)))
+    at = ((0.0, (3.0,)), (0.0, (7.0,)))
     for seed in (4, 99):
         picks = _reference_picks(pointer, branches, seed, max(TRIAL_COUNTS))
         single = [all(abs(bumps[i](ev) - pre(ev)) > 0.0 for ev in at) for i in picks]
@@ -386,14 +386,16 @@ def test_empirical_frequencies_within_four_sigma(amps):
 
 # ---- causality ------------------------------------------------------------------
 
+# probes at t = 1 about the origin (0, 0): two outside the cone, three inside
+_GATE_T, _GATE_X = np.ones(5), np.array([[-3.0], [-0.5], [0.0], [0.5], [3.0]])
+_GATE_OUTSIDE = np.abs(_GATE_X[:, 0]) > _GATE_T
+
+
 def test_causality_check_splits_probes_by_cone():
-    origin = Event(0.0, (0.0,))
-    t, x = np.ones(5), np.array([[-3.0], [-0.5], [0.0], [0.5], [3.0]])
     pre = np.ones(5)
-    # difference only strictly inside the cone: check must pass at tol 0
-    outside_marker = (t < 0.0) | (np.abs(x[:, 0]) > t)
-    post = 1.0 + np.where(outside_marker, 0.0, 0.7)
-    rep = causality_check(pre, post, origin, t, x, tol=0.0)
+    # difference only strictly inside the cone: the check must pass
+    post = 1.0 + np.where(_GATE_OUTSIDE, 0.0, 0.7)
+    rep = causality_check(pre, post, 0.0, (0.0,), _GATE_T, _GATE_X)
     assert rep.passed
     assert rep.n_outside == 2 and rep.n_inside == 3
     assert rep.max_violation_outside == 0.0
@@ -401,28 +403,70 @@ def test_causality_check_splits_probes_by_cone():
 
 
 def test_causality_check_flags_outside_change():
-    origin = Event(0.0, (0.0,))
     pre, post = np.zeros(2), np.full(2, 0.3)  # a uniform shift leaks outside the cone
-    rep = causality_check(pre, post, origin, [0.5, 0.5], [[-4.0], [4.0]], tol=0.1)
+    rep = causality_check(pre, post, 0.0, (0.0,), [0.5, 0.5], [[-4.0], [4.0]])
     assert not rep.passed
     assert_allclose(rep.max_violation_outside, 0.3)
     assert rep.max_diff_inside == 0.0 and rep.n_inside == 0
     with pytest.raises(ValueError):
-        causality_check([], [], origin, [], np.zeros((0, 1)), tol=0.0)
+        causality_check([], [], 0.0, (0.0,), [], np.zeros((0, 1)))
     for wrong in ((np.zeros(3), post), (pre, np.zeros(1))):  # not one density per probe
         with pytest.raises(ValueError, match="one density per probe"):
-            causality_check(*wrong, origin, [0.5, 0.5], [[-4.0], [4.0]], tol=0.1)
+            causality_check(*wrong, 0.0, (0.0,), [0.5, 0.5], [[-4.0], [4.0]])
+
+
+@pytest.mark.parametrize("probe", np.flatnonzero(_GATE_OUTSIDE).tolist())
+@pytest.mark.parametrize("pre", [0.0, 1.0, 2.7e-3, 5e-324, 1e300])
+def test_causality_check_fails_one_ulp_outside(probe, pre):
+    """The gate has no tolerance: the smallest change at one outside probe fails it."""
+    post = np.full(5, pre)
+    post[probe] = np.nextafter(pre, np.inf)
+    rep = causality_check(np.full(5, pre), post, 0.0, (0.0,), _GATE_T, _GATE_X)
+    assert not rep.passed
+    assert rep.max_violation_outside == np.spacing(pre) and rep.max_diff_inside == 0.0
+
+
+_DENSITY = st.floats(min_value=-1e300, max_value=1e300)  # pre - post cannot overflow
+
+
+@given(pre=st.lists(_DENSITY, min_size=5, max_size=5),
+       change=st.lists(_DENSITY | st.sampled_from([math.nan, math.inf, -math.inf]),
+                       min_size=3, max_size=3))
+def test_causality_check_passes_any_change_inside(pre, change):
+    """Whatever a density becomes inside the future cone, NaN and inf included,
+    the gate passes."""
+    post = np.array(pre)
+    post[~_GATE_OUTSIDE] = change
+    rep = causality_check(pre, post, 0.0, (0.0,), _GATE_T, _GATE_X)
+    assert rep.passed and rep.max_violation_outside == 0.0
+    assert (rep.n_outside, rep.n_inside) == (2, 3)
+
+
+@pytest.mark.parametrize("side", ["pre", "post"])
+def test_causality_check_fails_nan_outside(side):
+    densities = {"pre": np.ones(5), "post": np.ones(5)}
+    densities[side][0] = np.nan  # probe 0 is outside the cone
+    rep = causality_check(densities["pre"], densities["post"], 0.0, (0.0,), _GATE_T, _GATE_X)
+    assert not rep.passed and math.isnan(rep.max_violation_outside)
+
+
+@pytest.mark.parametrize("t0, x0", [(0.0, (0.0, 0.0)), (0.0, [[0.0]]), ([0.0, 1.0], (0.0,))],
+                         ids=["x0-of-wrong-dimension", "2-d-x0", "array-t0"])
+def test_causality_check_rejects_a_malformed_origin(t0, x0):
+    with pytest.raises(ValueError, match="^origin (time t0 must|point x0 has)"):
+        causality_check(np.ones(5), np.ones(5), t0, x0, _GATE_T, _GATE_X)
 
 
 # ---- the array gate against the per-probe scalar path ------------------------
-# The oracle is the gate as it was before event arrays: one ``Event`` per
+# The oracle is the gate as it was before event arrays: one (t, x) pair per
 # probe, a scalar cone test and a ``math.exp`` bump.
 
-def _scalar_outside(origin, ev):
-    dt = ev.t - origin.t
+def _scalar_outside(origin, probe):
+    (t0, x0), (t, x) = origin, probe
+    dt = t - t0
     if dt < 0.0:
         return True
-    dx = np.asarray(ev.x) - np.asarray(origin.x)
+    dx = np.asarray(x) - np.asarray(x0)
     return bool(np.sqrt(float(np.dot(dx, dx))) > dt)
 
 
@@ -430,8 +474,8 @@ def _scalar_bump(center, mass, width):
     center = np.atleast_1d(np.asarray(center, dtype=float))
     norm = mass / ((2.0 * math.pi) ** (len(center) / 2.0) * width**len(center))
 
-    def profile(ev):
-        dx = np.asarray(ev.x) - center
+    def profile(probe):
+        dx = np.asarray(probe[1]) - center
         return float(norm * math.exp(-float(dx @ dx) / (2.0 * width**2)))
 
     return profile
@@ -441,8 +485,8 @@ def _scalar_mixture(parts):
     return lambda ev: float(sum(w * p(ev) for w, p in parts))
 
 
-def _scalar_check(pre, post, origin, probes, tol):
-    """Per-probe loop: (outside flags, CausalityReport)."""
+def _scalar_check(pre, post, origin, probes):
+    """Per-probe loop at zero tolerance: (outside flags, CausalityReport)."""
     flags, max_out, max_in = [], 0.0, 0.0
     for ev in probes:
         diff = abs(float(pre(ev)) - float(post(ev)))
@@ -452,7 +496,7 @@ def _scalar_check(pre, post, origin, probes, tol):
         else:
             max_in = max(max_in, diff)
     n_out = sum(flags)
-    return flags, CausalityReport(max_out, max_in, n_out, len(flags) - n_out, max_out <= tol)
+    return flags, CausalityReport(max_out, max_in, n_out, len(flags) - n_out, max_out <= 0.0)
 
 
 def _within_ulps(a, b, n, scale=0.0):
@@ -470,17 +514,17 @@ def test_array_gate_matches_scalar_path(dimension):
     rng = np.random.default_rng(40 + dimension)
     for _ in range(25):
         # a dyadic origin keeps the null probes below exact in binary floating point
-        origin = Event(rng.integers(0, 16) / 8.0, tuple(rng.integers(0, 80, dimension) / 8.0))
+        t0, x0 = rng.integers(0, 16) / 8.0, rng.integers(0, 80, dimension) / 8.0
         n = int(rng.integers(1, 120))
-        t = origin.t + rng.uniform(-1.0, 4.0, n)
+        t = t0 + rng.uniform(-1.0, 4.0, n)
         x = rng.uniform(0.0, 10.0, (n, dimension))
         # null-boundary probes at dyadic offsets, then a probe earlier than the origin
         steps = _NULL_STEPS[dimension]
         for dt, dx in steps:
-            t = np.append(t, origin.t + dt / 8.0)
-            x = np.vstack([x, np.asarray(origin.x) + np.asarray(dx) / 8.0])
-        t = np.append(t, origin.t - 0.5)
-        x = np.vstack([x, origin.x])
+            t = np.append(t, t0 + dt / 8.0)
+            x = np.vstack([x, x0 + np.asarray(dx) / 8.0])
+        t = np.append(t, t0 - 0.5)
+        x = np.vstack([x, x0])
         centers = rng.uniform(0.0, 10.0, (3, dimension))
         mass, width = rng.uniform(0.5, 2.0), rng.uniform(0.2, 1.5)
         w = rng.uniform(0.0, 1.0)
@@ -489,15 +533,16 @@ def test_array_gate_matches_scalar_path(dimension):
         scalar_pre = _scalar_mixture([(w, _scalar_bump(centers[0], mass, width)),
                                       (1.0 - w, _scalar_bump(centers[1], mass, width))])
         scalar_post = _scalar_bump(centers[2], mass, width)
-        tol = rng.uniform(0.0, 0.2)
+        rng.uniform(0.0, 0.2)  # the gate's former tolerance: still drawn, so the draws match
 
-        probes = [Event(ti, xi) for ti, xi in zip(t, x)]
-        flags, ref = _scalar_check(scalar_pre, scalar_post, origin, probes, tol)
-        assert outside_future_cone(origin, t, x).tolist() == flags
+        probes = list(zip(t, x))
+        flags, ref = _scalar_check(scalar_pre, scalar_post, (t0, x0), probes)
+        assert outside_future_cone(t0, x0, t, x).tolist() == flags
         assert not any(flags[-1 - len(steps):-1])  # the null boundary is inside
         assert flags[-1]  # earlier: outside
-        got = causality_check(pre, post, origin, t, x, tol)
-        assert (got.n_outside, got.n_inside) == (ref.n_outside, ref.n_inside)
+        got = causality_check(pre, post, t0, x0, t, x)
+        assert (got.n_outside, got.n_inside, got.passed) == (ref.n_outside, ref.n_inside,
+                                                             ref.passed)
         # np.exp and math.exp differ in the last ulp, so a difference agrees within
         # 4 ulp of its larger operand; where pre and post nearly cancel, that is
         # many ulp of the difference itself
@@ -525,9 +570,9 @@ def test_page_geilker_discontinuity_matches_scalar_path():
         discontinuity = summary.rows[0][0]
         bumps = (_scalar_bump((a,), mass, width), _scalar_bump((b,), mass, width))
         pre = _scalar_mixture([(0.5, bumps[0]), (0.5, bumps[1])])
-        lab = Event(0.0, (0.5 * (a + b),))  # the runner measures at t = 0
-        probes = [Event(0.0, (x,)) for x in np.linspace(0.0, box, n_probes)]
-        ref = min(_scalar_check(pre, bump, lab, probes, 0.0)[1].max_violation_outside
+        lab = (0.0, (0.5 * (a + b),))  # the runner measures at t = 0
+        probes = [(0.0, (x,)) for x in np.linspace(0.0, box, n_probes)]
+        ref = min(_scalar_check(pre, bump, lab, probes)[1].max_violation_outside
                   for bump in bumps)
         # 4 ulp of the profile values the discontinuity is a difference of
         operand = max(p(ev) for ev in probes for p in (pre, *bumps))
@@ -581,7 +626,7 @@ def test_epr_scenario_rejects_coincident_stations(box, separation):
     left = 0.5 * (box - separation)  # the stations as the runner places them
     # above 1.3e154 the squared gap overflows to inf, which still reads as apart
     with np.errstate(over="ignore"):
-        separated = bool(outside_future_cone(Event(0.0, (left,)), 0.0, (left + separation,)))
+        separated = bool(outside_future_cone(0.0, (left,), 0.0, (left + separation,)))
     if not separated:
         with pytest.raises(ScenarioConfigError, match="too small to separate the stations"):
             validate_config("epr_collapse", cfg)

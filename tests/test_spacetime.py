@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from semigrav.spacetime import (
     BackendDomainError,
     EinsteinDeSitter,
-    Event,
     Minkowski,
     einstein_tensor,
     metric,
@@ -106,20 +105,34 @@ def test_invalid_backend_parameters_rejected():
 # ---- light cone ------------------------------------------------------------
 
 def test_cone_examples():
-    origin = Event(0.0, (0.0,))
     t = [-0.1, 1.0, 1.0, 1.0, 0.0]
     x = [[0.0], [1.5], [0.5], [1.0], [0.0]]
     # earlier, spacelike, timelike, null boundary, the event itself
-    assert outside_future_cone(origin, t, x).tolist() == [True, True, False, False, False]
+    assert outside_future_cone(0.0, (0.0,), t, x).tolist() == [True, True, False, False, False]
     # scalar probes broadcast like ``metric``: a 0-d answer
-    assert outside_future_cone(origin, -0.1, (0.0,)).shape == ()
+    assert outside_future_cone(0.0, (0.0,), -0.1, (0.0,)).shape == ()
     with pytest.raises(ValueError):
-        outside_future_cone(origin, [1.0], [[0.0, 0.0]])
+        outside_future_cone(0.0, (0.0,), [1.0], [[0.0, 0.0]])
+
+
+# an origin (t0, x0) that cannot sit among 1-D probes at t (2,), x (2, 1)
+BAD_ORIGINS = [
+    ((0.0, 0.0), (0.0,), "origin time t0 must be a scalar, not shape (2,)"),
+    (0.0, (0.0, 0.0), "origin point x0 has shape (2,), probes x have (2, 1)"),
+    (0.0, [[0.0]], "origin point x0 has shape (1, 1), probes x have (2, 1)"),
+]
+
+
+@pytest.mark.parametrize("t0, x0, message", BAD_ORIGINS)
+def test_cone_rejects_a_malformed_origin(t0, x0, message):
+    with pytest.raises(ValueError) as exc:
+        outside_future_cone(t0, x0, [0.0, 1.0], [[0.0], [4.0]])
+    assert str(exc.value) == message
 
 
 def test_cone_euclidean_distance_3d():
-    origin = Event(0.0, (0.0, 0.0, 0.0))
-    got = outside_future_cone(origin, [2.0, 1.0], [[1.0, 1.0, 1.0]] * 2)  # |dx| = 1.73
+    # |dx| = 1.73 at both probes
+    got = outside_future_cone(0.0, (0.0, 0.0, 0.0), [2.0, 1.0], [[1.0, 1.0, 1.0]] * 2)
     assert got.tolist() == [False, True]
 
 
@@ -131,11 +144,9 @@ delays = st.integers(min_value=0, max_value=200).map(lambda n: n / 8.0)
 @given(t0=coords, x0=coords, t1=coords, x1=coords, dt=delays,
        shift_t=coords, shift_x=coords)
 def test_cone_translation_invariance_and_monotonicity(t0, x0, t1, x1, dt, shift_t, shift_x):
-    origin = Event(t0, (x0,))
-    outside = outside_future_cone(origin, t1, (x1,))
-    shifted = outside_future_cone(Event(t0 + shift_t, (x0 + shift_x,)),
-                                  t1 + shift_t, (x1 + shift_x,))
+    outside = outside_future_cone(t0, (x0,), t1, (x1,))
+    shifted = outside_future_cone(t0 + shift_t, (x0 + shift_x,), t1 + shift_t, (x1 + shift_x,))
     assert outside == shifted
     # once inside the future cone, later probes at the same point stay inside
     if not outside and t1 >= t0:
-        assert not outside_future_cone(origin, t1 + dt, (x1,))
+        assert not outside_future_cone(t0, (x0,), t1 + dt, (x1,))

@@ -19,7 +19,7 @@ from semigrav.modes import (
 )
 from semigrav.consistency import residual
 from semigrav.spacetime import (
-    BackendDomainError, EinsteinDeSitter, Event, Minkowski, einstein_tensor, metric,
+    BackendDomainError, EinsteinDeSitter, Minkowski, einstein_tensor, metric,
 )
 from semigrav import stress_energy
 from semigrav.stress_energy import (
@@ -289,7 +289,7 @@ def test_stress_sample_is_the_stress_field_row_bit_for_bit():
         t, x = _random_events(basis, rng, size + 3)
         field = stress_field(state, t, x)
         for e in (0, 1, size - 1, size, size + 2):
-            sample = stress_sample(state, Event(t[e], tuple(x[e])))
+            sample = stress_sample(state, t[e], x[e])
             assert type(sample) is np.ndarray and np.array_equal(sample, field[e])
 
 
@@ -518,7 +518,7 @@ def test_times_that_do_not_broadcast_to_the_events_name_both_shapes(t_shape):
 def test_vacuum_stress_vanishes_identically():
     basis = minkowski_basis(box_side=10.0, dimension=3, mass=1.0, n_max=1)
     vac = new_vacuum(basis)
-    sample = stress_sample(vac, Event(0.3, (1.0, 2.0, 3.0)))
+    sample = stress_field(vac, 0.3, [(1.0, 2.0, 3.0)])[0]
     assert np.abs(sample).max() == 0.0
 
 
@@ -531,7 +531,7 @@ def test_single_particle_plane_wave_components():
     w = basis.frequencies([i])[0]
     V = basis.backend.spatial_volume
     one = create(new_vacuum(basis), i)
-    sample = stress_sample(one, Event(0.7, (3.3, 8.1)))
+    sample = stress_field(one, 0.7, [(3.3, 8.1)])[0]
     assert_allclose(sample[(0, 0)], w / V, rtol=1e-13)
     for axis in range(2):
         assert_allclose(sample[(0, axis + 1)], -k[axis] / V, rtol=1e-13)
@@ -547,8 +547,8 @@ def test_single_particle_plane_wave_components():
 def test_stress_is_uniform_for_plane_wave_states():
     basis = minkowski_basis(box_side=10.0, dimension=1, mass=0.5, n_max=2)
     one = create(new_vacuum(basis), basis.mode_index((2,)))
-    s1 = stress_sample(one, Event(0.0, (0.0,)))
-    s2 = stress_sample(one, Event(1.3, (7.7,)))
+    s1 = stress_field(one, 0.0, [(0.0,)])[0]
+    s2 = stress_field(one, 1.3, [(7.7,)])[0]
     assert_allclose(s1, s2, atol=1e-15)
 
 
@@ -556,7 +556,7 @@ def test_two_quanta_double_the_energy_density():
     basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)
     i = basis.mode_index((1,))
     two = create(create(new_vacuum(basis), i), i).normalized()
-    sample = stress_sample(two, Event(0.0, (0.0,)))
+    sample = stress_field(two, 0.0, [(0.0,)])[0]
     w = basis.frequencies([i])[0]
     assert_allclose(sample[(0, 0)], 2.0 * w / basis.backend.spatial_volume, rtol=1e-13)
 
@@ -593,8 +593,8 @@ def test_interference_term_integrates_away():
     basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=2)
     vac = new_vacuum(basis)
     psi = superpose([(1.0, create(vac, 0)), (1.0, create(vac, 1))], normalize=True)
-    s_a = stress_sample(psi, Event(0.0, (1.0,)))
-    s_b = stress_sample(psi, Event(0.0, (3.0,)))
+    s_a = stress_field(psi, 0.0, [(1.0,)])[0]
+    s_b = stress_field(psi, 0.0, [(3.0,)])[0]
     assert abs(s_a[(0, 0)] - s_b[(0, 0)]) > 1e-6  # genuinely non-uniform
     total = integrated_energy(psi, basis, basis.backend, t=0.0, points_per_axis=64)
     expected = 0.5 * (basis.frequencies([0])[0] + basis.frequencies([1])[0])
@@ -607,7 +607,7 @@ def test_energy_density_decays_inversely_with_volume():
     for L in volumes:
         basis = minkowski_basis(box_side=L, dimension=1, mass=1.0, n_max=1)
         one = create(new_vacuum(basis), basis.mode_index((0,)))
-        densities.append(stress_sample(one, Event(0.0, (0.0,)))[(0, 0)])
+        densities.append(stress_field(one, 0.0, [(0.0,)])[0][(0, 0)])
     slope = np.polyfit(np.log(volumes), np.log(densities), 1)[0]
     assert_allclose(slope, -1.0, atol=1e-9)
 
@@ -643,7 +643,7 @@ def test_eds_single_quantum_matches_mode_closed_form(t_val):
     mass, v0 = 100.0, 600.0 * np.pi
     basis = eds_basis(comoving_volume=v0, mass=mass)
     one = create(new_vacuum(basis), 0)
-    sample = stress_sample(one, Event(t_val, (0.0, 0.0, 0.0)))
+    sample = stress_field(one, t_val, [(0.0, 0.0, 0.0)])[0]
     t00_expected = mass / (v0 * t_val**2) + 1.0 / (2.0 * mass * v0 * t_val**4)
     tii_expected = t_val ** (4.0 / 3.0) / (2.0 * mass * v0 * t_val**4)
     assert_allclose(sample[(0, 0)], t00_expected, rtol=1e-10)
@@ -656,7 +656,7 @@ def test_eds_single_quantum_matches_mode_closed_form(t_val):
 
 def test_eds_vacuum_stress_vanishes():
     basis = eds_basis(comoving_volume=100.0, mass=2.0)
-    sample = stress_sample(new_vacuum(basis), Event(1.0, (0, 0, 0)))
+    sample = stress_field(new_vacuum(basis), 1.0, [(0, 0, 0)])[0]
     assert np.abs(sample).max() == 0.0
 
 
@@ -736,8 +736,8 @@ def test_wavepacket_is_normalized_single_particle():
 def test_wavepacket_energy_density_is_localized():
     basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=16)
     psi = wavepacket_state(basis, (5.0,))
-    at_center = stress_sample(psi, Event(0.0, (5.0,)))[(0, 0)]
-    far = stress_sample(psi, Event(0.0, (0.0,)))[(0, 0)]
+    at_center = stress_field(psi, 0.0, [(5.0,)])[0][(0, 0)]
+    far = stress_field(psi, 0.0, [(0.0,)])[0][(0, 0)]
     assert at_center > 10.0 * abs(far)
     total = integrated_energy(psi, basis, basis.backend, t=0.0, points_per_axis=64)
     assert_allclose(total, total_energy(psi), rtol=1e-10)
@@ -775,14 +775,14 @@ def test_wavepacket_state_is_the_superposed_packet_bit_for_bit(basis, x0):
 
 # ---- input validation -----------------------------------------------------------
 
-def test_stress_sample_rejects_mismatched_inputs():
+def test_stress_field_rejects_mismatched_inputs():
     basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)
     # a basis object over a 1-D box backend that is neither a box nor a dust basis
     stand_in = SimpleNamespace(n_modes=2, backend=Minkowski(dimension=1))
     with pytest.raises(ModeBasisError):
-        stress_sample(new_vacuum(stand_in), Event(0.0, (0.0,)))
+        stress_field(new_vacuum(stand_in), 0.0, [(0.0,)])
     with pytest.raises(BackendDomainError):
-        stress_sample(new_vacuum(basis), Event(0.0, (0.0, 0.0)))
+        stress_field(new_vacuum(basis), 0.0, [(0.0, 0.0)])
 
 
 def test_integrated_energy_rejects_a_basis_or_backend_not_the_states():
