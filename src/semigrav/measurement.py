@@ -137,8 +137,8 @@ def causality_check(pre, post, t0, x0, t, x) -> CausalityReport:
 
     ``pre`` and ``post`` hold the pre- and post-projection densities, one
     value per probe.  Outside the future cone of the origin, time t0 and
-    point x0 (d,), they must agree exactly (a NaN there fails); inside, any
-    difference is legitimate and reported only for contrast.
+    point x0 (d,), they must agree exactly (a NaN there fails, and an overflowing
+    difference is inf); inside, any difference is legitimate, reported for contrast.
     """
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     if not t.size:
@@ -147,7 +147,8 @@ def causality_check(pre, post, t0, x0, t, x) -> CausalityReport:
     pre, post = np.asarray(pre, dtype=float), np.asarray(post, dtype=float)
     if pre.shape != outside.shape or post.shape != outside.shape:
         raise ValueError(f"pre and post need one density per probe, shape {outside.shape}")
-    diff = np.abs(pre - post)
+    with np.errstate(over="ignore"):
+        diff = np.abs(pre - post)
     max_out = float(diff[outside].max(initial=0.0))
     return CausalityReport(
         max_violation_outside=max_out,

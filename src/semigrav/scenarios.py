@@ -1,22 +1,22 @@
 """Named end-to-end scenarios: one registry record per scenario.
 
-Each ``_Scenario`` record in ``_SCENARIOS`` holds the config schema (field
-to validator), the cross-field rules, the runner and an optional volume
-scan.  All eight pipelines are runners here.  A runner hands the engines
-its states alone: each state carries its basis and the basis its backend.
-The two collapse runners build their branch sets from labelled states and
-hand them to ``measurement``'s trials.  Each places its measurement at
-t = 0 and hands the gate the pre- and post-projection densities at its
-probes: EPR's are equal by construction, so it passes one zero array as
-both; ``page_geilker`` evaluates its Gaussian spheres once (``_spheres``).
-``SCENARIO_NAMES``, ``SCANS`` and the ``trials`` override (allowed when
-the schema has ``n_trials``) derive from the records.  A runner reads
-the validated config alone, seed included, and returns its tables and
-flags, the flags recording the scenario's own pass criteria; the
-``RunReport`` is built from the registry key and the config's seed by
-``run_scenario`` and ``scan_scenario`` alone.  Config validation is
-total: every field is required, unknown fields are rejected, and every
-error message names the offending field.
+Each ``_Scenario`` record in ``_SCENARIOS`` holds the config schema (one
+``_Field`` record of kind and bounds per field), the rules that read two or
+more fields, the runner and an optional volume scan.  All eight pipelines
+are runners here.  A runner hands the engines its states alone: each state
+carries its basis and the basis its backend.  The two collapse runners
+build their branch sets from labelled states and hand them to
+``measurement``'s trials.  Each places its measurement at t = 0 and hands
+the gate the pre- and post-projection densities at its probes: EPR's are
+equal by construction, so it passes one zero array as both; ``page_geilker``
+evaluates its Gaussian spheres once (``_spheres``).  ``SCENARIO_NAMES``,
+``SCANS`` and the ``trials`` override (allowed when the schema has
+``n_trials``) derive from the records.  A runner reads the validated config
+alone, seed included, and returns its tables and flags, the flags recording
+the scenario's own pass criteria; the ``RunReport`` is built from the
+registry key and the config's seed by ``run_scenario`` and ``scan_scenario``
+alone.  Config validation is total: every field is required, unknown fields
+are rejected, and every error message names the offending field.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ class _Bad(Exception):
     pass
 
 
-# ---- field validators ------------------------------------------------------
+# ---- field records ---------------------------------------------------------
 
 def _number(v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -72,68 +72,75 @@ def _number(v) -> float:
     return v
 
 
-def _positive(v) -> float:
-    v = _number(v)
-    if v <= 0.0:
-        raise _Bad("must be positive")
-    return v
-
-
-def _nonnegative(v) -> float:
-    v = _number(v)
-    if v < 0.0:
-        raise _Bad("must be non-negative")
-    return v
-
-
 def _integer(v) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise _Bad("must be an integer")
     return v
 
 
-def _int_at_least(lo: int) -> Callable:
-    def check(v):
-        v = _integer(v)
-        if v < lo:
-            raise _Bad(f"must be an integer >= {lo}")
+@dataclass(frozen=True)
+class _Field:
+    """One config field's kind and bounds, from which its validator and messages derive.
+
+    Kinds: "number" (positive, or non-negative with ``zero``), "integer",
+    "integers" (a list of integers) and "increasing" (a strictly increasing list
+    of at least ``min_len`` positive numbers).  An integer, a nonzero number and
+    each entry lie in [lo, hi] where those are set.  ``floor`` phrases ``lo`` as
+    "0 or at least"; ``texts`` holds the (lo, hi) messages a bound cannot phrase.
+    """
+    kind: str
+    lo: float | None = None
+    hi: float | None = None
+    zero: bool = False
+    floor: bool = False
+    min_len: int = 1
+    texts: tuple[str, str] | None = None
+
+    @property
+    def messages(self) -> tuple[str, str]:
+        """What a value below ``lo`` and a value above ``hi`` fail with, where those are set."""
+        if self.texts:
+            return self.texts
+        lo, hi = (str(b).replace("e+", "e") for b in (self.lo, self.hi))  # 1e100, not 1e+100
+        if self.kind == "integer":
+            return f"must be an integer >= {lo}", f"must be at most {hi}"
+        if self.floor or self.lo is None:
+            return f"must be 0 or at least {lo}", f"must be at most {hi}"
+        return f"must lie between {lo} and {hi}", f"must lie between {lo} and {hi}"
+
+    def _bound(self, values, prefix: str = "") -> None:
+        for v in values:
+            if self.lo is not None and v < self.lo:
+                raise _Bad(prefix + self.messages[0])
+            if self.hi is not None and v > self.hi:
+                raise _Bad(prefix + self.messages[1])
+
+    def check(self, v):
+        """The validated value; raises _Bad with the message of the first failure."""
+        if self.kind == "integers":
+            if not isinstance(v, (list, tuple)):
+                raise _Bad("must be a list of integers")
+            return tuple(_integer(c) for c in v)
+        if self.kind == "increasing":
+            if not isinstance(v, (list, tuple)) or len(v) < self.min_len:
+                raise _Bad(f"must be a list of at least {self.min_len} numbers")
+            vals = tuple(_number(c) for c in v)
+            if any(c <= 0.0 for c in vals):
+                raise _Bad("entries must be positive")
+            if any(b <= a for a, b in zip(vals, vals[1:])):
+                raise _Bad("entries must be strictly increasing")
+            self._bound(vals, "entries ")
+            return vals
+        if self.kind == "integer":
+            v = _integer(v)
+        else:
+            v = _number(v)
+            if v < 0.0 if self.zero else v <= 0.0:
+                raise _Bad("must be non-negative" if self.zero else "must be positive")
+            if v == 0.0:  # where ``zero`` admits it, 0 is exempt from ``lo``
+                return v
+        self._bound((v,))
         return v
-    return check
-
-
-def _dimension(v) -> int:
-    v = _integer(v)
-    if v not in (1, 2, 3):
-        raise _Bad("must be 1, 2 or 3")
-    return v
-
-
-def _seed(v) -> int:
-    v = _integer(v)
-    if v < 0:
-        raise _Bad("must be a non-negative integer")
-    if v >= 2**128:  # the trial stream's Philox key is 128 bits
-        raise _Bad("must be below 2**128")
-    return v
-
-
-def _int_vector(v) -> tuple:
-    if not isinstance(v, (list, tuple)):
-        raise _Bad("must be a list of integers")
-    return tuple(_integer(c) for c in v)
-
-
-def _increasing_positive(min_len: int) -> Callable:
-    def check(v):
-        if not isinstance(v, (list, tuple)) or len(v) < min_len:
-            raise _Bad(f"must be a list of at least {min_len} numbers")
-        vals = [_number(c) for c in v]
-        if any(c <= 0.0 for c in vals):
-            raise _Bad("entries must be positive")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise _Bad("entries must be strictly increasing")
-        return tuple(vals)
-    return check
 
 
 # ---- shared table builders -------------------------------------------------
@@ -464,47 +471,46 @@ def _box_volume_observable(cfg: dict) -> Callable[[float], float]:
 
 # ---- the registry --------------------------------------------------------------
 
+_POSITIVE, _NONNEGATIVE = _Field("number"), _Field("number", zero=True)
+_COUNT = _Field("integer", lo=1)
+_DIMENSION = _Field("integer", lo=1, hi=3, texts=("must be 1, 2 or 3",) * 2)
+_SEED = _Field("integer", lo=0, hi=2**128 - 1,  # the trial stream's Philox key is 128 bits
+               texts=("must be a non-negative integer", "must be below 2**128"))
 # the box modes take box_side^dimension (d <= 3) and mass^2: both must stay normal floats
-_BOX_SIDE_CHECK = ("box_side", "must lie between 1e-100 and 1e100",
-                   lambda c: not 1e-100 <= c["box_side"] <= 1e100)
-_BOX_CHECKS = (
-    _BOX_SIDE_CHECK,
-    ("mass", "must be at most 1e150", lambda c: c["mass"] > 1e150),
-    ("mass", "must be 0 or at least 1e-150", lambda c: 0.0 < c["mass"] < 1e-150),
-)
+_BOX_SIDE = _Field("number", lo=1e-100, hi=1e100)
+_BOX_MASS = _Field("number", lo=1e-150, hi=1e150, zero=True, floor=True)
+# the dust closed form takes t^4 and m^2 (``_dust_check``)
+_T_GRID = _Field("increasing", lo=1e-75, hi=1e75)
+_DUST_MASS = _Field("number", hi=1e150)
 
 
-def _dust_checks(lightest: str, heaviest: str) -> tuple:
-    """Rules for the dust closed form m/(V0 t^2) + 1/(2 m V0 t^4) over the masses
-    from field ``lightest`` to field ``heaviest``: t^4 and m^2 must stay finite,
-    both denominators normal at the first time, and the rest-mass term at most
-    1e300 there and nonzero at the last time."""
+def _dust_check(lightest: str, heaviest: str) -> tuple:
+    """The rule for the dust closed form m/(V0 t^2) + 1/(2 m V0 t^4) over the masses
+    from field ``lightest`` to field ``heaviest``: both denominators normal at the
+    first time, and the rest-mass term at most 1e300 there and nonzero at the last
+    time (the ``t_grid`` and mass records keep t^4 and m^2 finite)."""
     def out_of_range(c: dict) -> bool:
         volume, first, last = c["comoving_volume"], c["t_grid"][0], c["t_grid"][-1]
         return (min(volume * first**2, 2.0 * c[lightest] * volume * first**4) < 1e-300
                 or c[heaviest] / volume / first**2 > 1e300
                 or c[lightest] / volume / last**2 < 1e-300)
-    return (("t_grid", "entries must lie between 1e-75 and 1e75",
-             lambda c: not 1e-75 <= c["t_grid"][0] <= c["t_grid"][-1] <= 1e75),
-            (heaviest, "must be at most 1e150", lambda c: c[heaviest] > 1e150),
-            ("t_grid", "leaves the float range of the closed form at this mass and "
-             "comoving_volume", out_of_range))
+    return ("t_grid", "leaves the float range of the closed form at this mass and "
+            "comoving_volume", out_of_range)
 
 
 def _stations_coincide(c: dict) -> bool:
     """The EPR stations, placed as ``_run_epr_collapse`` places them, round to one
-    point or lie so close that their squared distance underflows to zero: exactly
-    the configs where ``outside_future_cone`` would not separate them."""
+    point: exactly the configs where ``outside_future_cone`` would not separate
+    them, since the ``box_side`` bounds keep a nonzero gap's square a normal float."""
     left = 0.5 * (c["box_side"] - c["station_separation"])
-    gap = left + c["station_separation"] - left
-    return gap * gap == 0.0
+    return left + c["station_separation"] - left == 0.0
 
 
 @dataclass(frozen=True)
 class _Scenario:
-    schema: dict[str, Callable]
+    schema: dict[str, _Field]
     run: Callable[[dict], _Outcome]
-    # cross-field rules in order: (field, message, test that is true for a bad config)
+    # rules over two or more fields, in order: (field, message, test true for a bad config)
     checks: tuple[tuple[str, str, Callable[[dict], bool]], ...] = ()
     # (scanned parameter, factory of the observable from a validated config)
     scan: tuple[str, Callable[[dict], Callable[[float], float]]] | None = None
@@ -512,49 +518,45 @@ class _Scenario:
 
 _SCENARIOS: dict[str, _Scenario] = {
     "minkowski_vacuum": _Scenario(
-        schema={"box_side": _positive, "dimension": _dimension, "mass": _nonnegative,
-                "n_max": _int_at_least(1), "n_events": _int_at_least(1), "seed": _seed},
-        run=_run_minkowski_vacuum, checks=_BOX_CHECKS),
+        schema={"box_side": _BOX_SIDE, "dimension": _DIMENSION, "mass": _BOX_MASS,
+                "n_max": _COUNT, "n_events": _COUNT, "seed": _SEED},
+        run=_run_minkowski_vacuum),
     "minkowski_particle": _Scenario(
-        schema={"box_side": _positive, "dimension": _dimension, "mass": _nonnegative,
-                "n_max": _int_at_least(1), "mode_label": _int_vector,
-                "n_events": _int_at_least(1), "lattice_points": _int_at_least(1),
-                "seed": _seed},
+        schema={"box_side": _BOX_SIDE, "dimension": _DIMENSION, "mass": _BOX_MASS,
+                "n_max": _COUNT, "mode_label": _Field("integers"), "n_events": _COUNT,
+                "lattice_points": _COUNT, "seed": _SEED},
         run=_run_minkowski_particle, scan=("V", _box_volume_observable),
         checks=(("mode_label", "must have one integer per spatial dimension",
                  lambda c: len(c["mode_label"]) != c["dimension"]),
                 ("mode_label", "exceeds n_max",
                  lambda c: max(abs(n) for n in c["mode_label"]) > c["n_max"]),
                 ("mode_label", "zero mode does not exist for a massless field",
-                 lambda c: c["mass"] == 0.0 and all(n == 0 for n in c["mode_label"])))
-        + _BOX_CHECKS),
+                 lambda c: c["mass"] == 0.0 and all(n == 0 for n in c["mode_label"])))),
     "kg_wavepacket": _Scenario(
-        schema={"box_side": _positive, "mass": _positive, "n_max": _int_at_least(1),
-                "x0": _nonnegative, "profile_points": _int_at_least(2),
-                "integration_points": _int_at_least(1), "seed": _seed},
+        schema={"box_side": _BOX_SIDE, "mass": _Field("number", lo=1e-150, hi=1e150, floor=True),
+                "n_max": _COUNT, "x0": _NONNEGATIVE, "profile_points": _Field("integer", lo=2),
+                "integration_points": _COUNT, "seed": _SEED},
         run=_run_kg_wavepacket,
-        checks=(("x0", "must lie inside the box", lambda c: c["x0"] >= c["box_side"]),)
-        + _BOX_CHECKS),
+        checks=(("x0", "must lie inside the box", lambda c: c["x0"] >= c["box_side"]),)),
     "eds_cosmology": _Scenario(
-        schema={"comoving_volume": _positive, "mass": _positive,
-                "t_grid": _increasing_positive(1), "seed": _seed},
+        schema={"comoving_volume": _POSITIVE, "mass": _DUST_MASS, "t_grid": _T_GRID,
+                "seed": _SEED},
         run=_run_eds_cosmology, scan=("V0", _eds_volume_observable),
-        checks=_dust_checks("mass", "mass")),
+        checks=(_dust_check("mass", "mass"),)),
     "eds_fit": _Scenario(
-        schema={"comoving_volume": _positive, "t_grid": _increasing_positive(1),
-                "bracket_lo": _positive, "bracket_hi": _positive, "fit_tol": _positive,
-                "scaling_volumes": _increasing_positive(3), "seed": _seed},
+        schema={"comoving_volume": _POSITIVE, "t_grid": _T_GRID, "bracket_lo": _POSITIVE,
+                "bracket_hi": _DUST_MASS, "fit_tol": _POSITIVE,
+                # the scan's mass V0/(6 pi) takes m^2 and its tail 3 pi/V0^2 at t = 1
+                "scaling_volumes": _Field("increasing", lo=1e-149, hi=1e150, min_len=3),
+                "seed": _SEED},
         run=_run_eds_fit,
         checks=(("bracket_hi", "must exceed bracket_lo",
                  lambda c: c["bracket_hi"] <= c["bracket_lo"]),
-                # the scan's mass V0/(6 pi) takes m^2 and its tail 3 pi/V0^2 at t = 1
-                ("scaling_volumes", "entries must lie between 1e-149 and 1e150",
-                 lambda c: not 1e-149 <= c["scaling_volumes"][0]
-                 <= c["scaling_volumes"][-1] <= 1e150))
-        + _dust_checks("bracket_lo", "bracket_hi")),
+                _dust_check("bracket_lo", "bracket_hi"))),
     "rindler_unruh": _Scenario(
-        schema={"acceleration": _positive, "n_frequencies": _int_at_least(1),
-                "freq_lo": _positive, "freq_hi": _positive, "seed": _seed},
+        # the last rule below builds the grid, so n_frequencies is capped to keep it buildable
+        schema={"acceleration": _POSITIVE, "n_frequencies": _Field("integer", lo=1, hi=1_000_000),
+                "freq_lo": _POSITIVE, "freq_hi": _POSITIVE, "seed": _SEED},
         run=_run_rindler_unruh,
         # nu = w/a must not underflow to 0, where Gamma(i nu) has its pole, and the
         # Planck occupancy e^(-2 pi nu) must stay a normal float
@@ -563,24 +565,23 @@ _SCENARIOS: dict[str, _Scenario] = {
                  lambda c: c["freq_lo"] / c["acceleration"] < 1e-100),
                 ("freq_hi", "freq_hi/acceleration must be at most 100",
                  lambda c: c["freq_hi"] / c["acceleration"] > 100.0),
-                # the rule below builds the grid, so it must stay small enough to build
-                ("n_frequencies", "must be at most 1000000",
-                 lambda c: c["n_frequencies"] > 1_000_000),
                 ("n_frequencies", "too many frequencies between freq_lo and freq_hi",
                  lambda c: not np.all(np.diff(_rindler_grid(c)) > 0.0)))),
     "epr_collapse": _Scenario(
-        schema={"box_side": _positive, "station_separation": _positive,
-                "n_trials": _int_at_least(1), "n_probes": _int_at_least(2), "seed": _seed},
+        schema={"box_side": _BOX_SIDE,  # the spin modes' box basis
+                "station_separation": _POSITIVE, "n_trials": _COUNT,
+                "n_probes": _Field("integer", lo=2), "seed": _SEED},
         run=_run_epr_collapse,
         checks=(("station_separation", "must be smaller than box_side",
                  lambda c: c["station_separation"] >= c["box_side"]),
                 ("station_separation", "too small to separate the stations at this box_side",
-                 _stations_coincide),
-                _BOX_SIDE_CHECK)),  # the spin modes' box basis
+                 _stations_coincide))),
     "page_geilker": _Scenario(
-        schema={"box_side": _positive, "position_a": _positive, "position_b": _positive,
-                "sphere_mass": _positive, "sphere_width": _positive,
-                "n_trials": _int_at_least(1), "n_probes": _int_at_least(2), "seed": _seed},
+        schema={"box_side": _POSITIVE, "position_a": _POSITIVE, "position_b": _POSITIVE,
+                "sphere_mass": _POSITIVE,
+                # a Gaussian sphere needs 2 width^2 to stay a normal float and a finite peak
+                "sphere_width": _Field("number", lo=1e-150, hi=1e150),
+                "n_trials": _COUNT, "n_probes": _Field("integer", lo=2), "seed": _SEED},
         run=_run_sphere_collapse,
         checks=(("position_a", "sphere positions must lie inside the box",
                  lambda c: c["position_a"] >= c["box_side"]),
@@ -588,9 +589,6 @@ _SCENARIOS: dict[str, _Scenario] = {
                  lambda c: c["position_b"] >= c["box_side"]),
                 ("position_b", "positions must differ",
                  lambda c: c["position_a"] == c["position_b"]),
-                # a Gaussian sphere needs 2 width^2 to stay a normal float and a finite peak
-                ("sphere_width", "must lie between 1e-150 and 1e150",
-                 lambda c: not 1e-150 <= c["sphere_width"] <= 1e150),
                 ("sphere_width", "too narrow for sphere_mass: the peak density overflows",
                  lambda c: math.isinf(
                      c["sphere_mass"] / (math.sqrt(2.0 * math.pi) * c["sphere_width"]))),
@@ -612,7 +610,7 @@ def _scenario(name: str) -> _Scenario:
 
 def _field(schema: dict, key: str, value):
     try:
-        return schema[key](value)
+        return schema[key].check(value)
     except _Bad as bad:
         raise ScenarioConfigError(f"field {key!r}: {bad}") from None
 

@@ -118,8 +118,8 @@ def outside_future_cone(t0, x0, t, x) -> np.ndarray:
     """True where probes (t, x) lie strictly outside the future light cone of (t0, x0).
 
     Shapes as for ``metric``: t (...) and x (..., d) give a bool array (...),
-    for a scalar t0 and x0 (d,).  The null boundary counts as inside (not
-    outside).  Probes earlier than t0 are outside its *future* cone by definition.
+    for a scalar t0 and x0 (d,).  The null boundary counts as inside.  Probes
+    earlier than t0, or at a NaN separation, are outside its *future* cone.
     """
     t0, x0 = np.asarray(t0, dtype=float), np.asarray(x0, dtype=float)
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
@@ -128,4 +128,4 @@ def outside_future_cone(t0, x0, t, x) -> np.ndarray:
     if x0.ndim != 1 or x.shape[-1:] != x0.shape:
         raise ValueError(f"origin point x0 has shape {x0.shape}, probes x have {x.shape}")
     dt, dx = t - t0, x - x0
-    return (dt < 0.0) | (np.sqrt(np.vecdot(dx, dx)) > dt)
+    return ~((dt >= 0.0) & (np.sqrt(np.vecdot(dx, dx)) <= dt))  # NaN fails both: outside

@@ -426,12 +426,13 @@ def test_causality_check_fails_one_ulp_outside(probe, pre):
     assert rep.max_violation_outside == np.spacing(pre) and rep.max_diff_inside == 0.0
 
 
-_DENSITY = st.floats(min_value=-1e300, max_value=1e300)  # pre - post cannot overflow
+_DENSITY = st.floats(allow_nan=False, allow_infinity=False)  # pre - post may overflow
 
 
 @given(pre=st.lists(_DENSITY, min_size=5, max_size=5),
        change=st.lists(_DENSITY | st.sampled_from([math.nan, math.inf, -math.inf]),
                        min_size=3, max_size=3))
+@example(pre=[1.7e308] * 5, change=[-1.7e308] * 3)  # pre - post overflows inside
 def test_causality_check_passes_any_change_inside(pre, change):
     """Whatever a density becomes inside the future cone, NaN and inf included,
     the gate passes."""
@@ -448,6 +449,37 @@ def test_causality_check_fails_nan_outside(side):
     densities[side][0] = np.nan  # probe 0 is outside the cone
     rep = causality_check(densities["pre"], densities["post"], 0.0, (0.0,), _GATE_T, _GATE_X)
     assert not rep.passed and math.isnan(rep.max_violation_outside)
+
+
+@pytest.mark.parametrize("where", ["t0", "x0", "t", "x"])
+def test_causality_check_counts_a_nan_event_as_outside(where):
+    """A NaN origin puts every probe outside its cone, and a NaN probe lies outside:
+    a change at a probe inside the finite cone then fails the gate."""
+    t0, x0, t, x = 0.0, np.zeros(1), _GATE_T.copy(), _GATE_X.copy()
+    probe = 2  # inside the cone of the finite origin
+    if where == "t0":
+        t0 = math.nan
+    elif where == "x0":
+        x0[0] = math.nan
+    elif where == "t":
+        t[probe] = math.nan
+    else:
+        x[probe, 0] = math.nan
+    post = np.ones(5)
+    post[probe] = 2.0
+    rep = causality_check(np.ones(5), post, t0, x0, t, x)
+    assert not rep.passed and rep.max_violation_outside == 1.0
+    assert rep.n_outside == (5 if where in ("t0", "x0") else 3)
+
+
+def test_causality_check_reads_an_overflowing_change_as_inf():
+    pre, post = np.ones(5), np.ones(5)
+    probe = int(np.flatnonzero(_GATE_OUTSIDE)[0])
+    pre[probe], post[probe] = 1.7e308, -1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = causality_check(pre, post, 0.0, (0.0,), _GATE_T, _GATE_X)
+    assert not rep.passed and rep.max_violation_outside == math.inf
 
 
 @pytest.mark.parametrize("t0, x0", [(0.0, (0.0, 0.0)), (0.0, [[0.0]]), ([0.0, 1.0], (0.0,))],
@@ -613,27 +645,27 @@ _LENGTHS = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
 @given(box=_LENGTHS, separation=_LENGTHS)
 @example(box=10.0, separation=4.0)
 @example(box=1e20, separation=1.0)  # the stations round to one point
-@example(box=1e-160, separation=1e-170)  # their squared gap underflows
+@example(box=1e-160, separation=1e-170)  # a box below the box basis's range
 @example(box=1e-160, separation=1e-160 / 3.0)
+@example(box=1e-100, separation=1e-170)  # the smallest box: the stations round to one point
 def test_epr_scenario_rejects_coincident_stations(box, separation):
-    """The config rejects a station pair exactly when the light-cone test, at the
-    runner's measurement time 0, would not put each outside the other's future cone."""
+    """The config checks the box range, then that the stations fit in the box, and
+    then rejects a station pair exactly when the light-cone test, at the runner's
+    measurement time 0, would not put each outside the other's future cone."""
     cfg = dict(default_config("epr_collapse"), box_side=box, station_separation=separation)
+    if not 1e-100 <= box <= 1e100:  # a box that the box basis cannot hold
+        with pytest.raises(ScenarioConfigError, match="'box_side': must lie between"):
+            validate_config("epr_collapse", cfg)
+        return
     if separation >= box:
         with pytest.raises(ScenarioConfigError, match="must be smaller than box_side"):
             validate_config("epr_collapse", cfg)
         return
     left = 0.5 * (box - separation)  # the stations as the runner places them
-    # above 1.3e154 the squared gap overflows to inf, which still reads as apart
-    with np.errstate(over="ignore"):
-        separated = bool(outside_future_cone(0.0, (left,), 0.0, (left + separation,)))
-    if not separated:
-        with pytest.raises(ScenarioConfigError, match="too small to separate the stations"):
-            validate_config("epr_collapse", cfg)
-    elif 1e-100 <= box <= 1e100:
+    if bool(outside_future_cone(0.0, (left,), 0.0, (left + separation,))):
         validate_config("epr_collapse", cfg)
-    else:  # separated stations in a box that the box basis cannot hold
-        with pytest.raises(ScenarioConfigError, match="'box_side': must lie between"):
+    else:
+        with pytest.raises(ScenarioConfigError, match="too small to separate the stations"):
             validate_config("epr_collapse", cfg)
 
 

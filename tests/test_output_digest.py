@@ -1,11 +1,13 @@
 """``tools/output_digest.py``, the digest that byte-identity claims rest on."""
 import hashlib
 import os
+import platform
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semigrav.scenarios import SCENARIO_NAMES
@@ -13,6 +15,8 @@ from semigrav.scenarios import SCENARIO_NAMES
 ROOT = Path(__file__).resolve().parents[1]
 STEMS = (*SCENARIO_NAMES, "epr7", "pg5", "scan_V", "scan_V0")
 USAGE = "python tools/output_digest.py <src dir>\n"
+# the tool's output for this tree, after a first line "# <environment stamp>"
+PINNED = ROOT / "tests" / "output_digests.txt"
 
 
 def _digest(*args):
@@ -21,8 +25,23 @@ def _digest(*args):
                           capture_output=True, text=True, timeout=120, cwd=ROOT, env=env)
 
 
-def test_digest_prints_one_line_per_output_and_status_file_then_the_combined_one():
-    proc = _digest(str(ROOT / "src"))
+def _stamp() -> str:
+    """Python, numpy, BLAS and the SIMD targets numpy dispatches to: what the digests rest on."""
+    config = np.show_config(mode="dicts")
+    blas, simd = config["Build Dependencies"]["blas"], config["SIMD Extensions"]
+    return (f"python {platform.python_version()}; numpy {np.__version__}; "
+            f"blas {blas['name']} {blas['version']}; "
+            f"cpu {' '.join(simd['baseline'] + simd['found'])}")
+
+
+@pytest.fixture(scope="module")
+def src_digest():
+    """One tool run over this tree's ``src``, shared by the tests below."""
+    return _digest(str(ROOT / "src"))
+
+
+def test_digest_prints_one_line_per_output_and_status_file_then_the_combined_one(src_digest):
+    proc = src_digest
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     lines = [re.fullmatch(r"([0-9a-f]{64})  (\S+)", line) for line in proc.stdout.splitlines()]
@@ -44,6 +63,20 @@ def test_digest_prints_one_line_per_output_and_status_file_then_the_combined_one
     assert {sha for sha, name in files if name.endswith(".status")} == {passed}
     body = "".join(f"{name}\0{sha}\n" for sha, name in files)
     assert combined == hashlib.sha256(body.encode()).hexdigest()
+
+
+def test_digests_match_the_pinned_file(src_digest):
+    """Every packaged output is byte for byte the pinned one.  A change of output on
+    purpose rewrites the file: the stamp line, then the tool's output."""
+    assert src_digest.returncode == 0, src_digest.stderr
+    stamp, *pinned = PINNED.read_text(encoding="utf-8").splitlines()
+    assert stamp == f"# {_stamp()}", (
+        f"{PINNED.name} was pinned in another environment: it reads {stamp[2:]!r}, "
+        f"this one is {_stamp()!r}")
+    want, got = ({name: sha for sha, name in (line.split("  ") for line in lines)}
+                 for lines in (pinned, src_digest.stdout.splitlines()))
+    differing = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+    assert not differing, f"outputs differ from {PINNED.name}: {', '.join(differing)}"
 
 
 @pytest.mark.parametrize("args", [(), ("src", "src"), ("tests",)],

@@ -17,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 from semigrav.cli import build_parser, main
 from semigrav.report import emit
 from semigrav.scenarios import (
+    _SCENARIOS,
     SCANS,
     SCENARIO_NAMES,
     ScenarioConfigError,
+    _field,
     default_config,
     run_scenario,
     scan_scenario,
@@ -709,12 +711,12 @@ CONFIG_MESSAGES = [
      "field 'position_b': sphere positions must lie inside the box"),
     ("page_geilker", {"position_a": 3.0, "position_b": 3.0},
      "field 'position_b': positions must differ"),
-    ("epr_collapse", {"box_side": 1e300},
-     "field 'station_separation': too small to separate the stations at this box_side"),
+    ("epr_collapse", {"box_side": 1e300},  # the bound runs before the station rule
+     "field 'box_side': must lie between 1e-100 and 1e100"),
     ("epr_collapse", {"station_separation": 1e-320},
      "field 'station_separation': too small to separate the stations at this box_side"),
-    ("epr_collapse", {"box_side": 1e-250, "station_separation": 1e-260},  # gap^2 underflows
-     "field 'station_separation': too small to separate the stations at this box_side"),
+    ("epr_collapse", {"box_side": 1e-250, "station_separation": 1e-260},
+     "field 'box_side': must lie between 1e-100 and 1e100"),
     # the deleted EPR sphere fields, in the slots of their deleted rules
     ("epr_collapse", {"sphere_width": 0.3}, "unknown field 'sphere_width'"),
     ("epr_collapse", {"sphere_mass": 1.0}, "unknown field 'sphere_mass'"),
@@ -777,6 +779,11 @@ CONFIG_MESSAGES = [
     ("epr_collapse", {"tol": 0.0}, "unknown field 'tol'"),
     ("page_geilker", {"measurement_time": 1.0}, "unknown field 'measurement_time'"),
     ("page_geilker", {"tol": 0.0}, "unknown field 'tol'"),
+    # the station rule at in-range box sides: the stations round to one point
+    ("epr_collapse", {"box_side": 1e50},
+     "field 'station_separation': too small to separate the stations at this box_side"),
+    ("epr_collapse", {"box_side": 1e-100, "station_separation": 1e-170},
+     "field 'station_separation': too small to separate the stations at this box_side"),
 ]
 
 
@@ -791,6 +798,58 @@ def test_config_error_messages_are_exact(name, changes, message):
     with pytest.raises(ScenarioConfigError) as exc:
         validate_config(name, cfg)
     assert str(exc.value) == message
+
+
+# ---- field records ---------------------------------------------------------------
+
+# (scenario, field) of every schema record with a bound
+_BOUNDED = [(name, key) for name, scenario in _SCENARIOS.items()
+            for key, rec in scenario.schema.items() if rec.lo is not None or rec.hi is not None]
+
+
+def _of_kind(rec, x):
+    """x as a value of the record's kind: an increasing list holds x among entries
+    strictly inside the bounds."""
+    if rec.kind != "increasing":
+        return x
+    return sorted({x, *np.geomspace(rec.lo, rec.hi, rec.min_len + 2)[1:-1].tolist()})
+
+
+def _beyond(rec, side):
+    """Values past the lower (side 0) or upper (side 1) bound that pass the sign test."""
+    bound = (rec.lo, rec.hi)[side]
+    if rec.kind == "integer":
+        return st.integers(max_value=bound - 1) if side == 0 else st.integers(min_value=bound + 1)
+    if side == 0:
+        return st.floats(0.0, math.nextafter(bound, 0.0), exclude_min=True)
+    return st.floats(math.nextafter(bound, math.inf), allow_infinity=False)
+
+
+@pytest.mark.parametrize("name, key", _BOUNDED, ids=[f"{n}-{k}" for n, k in _BOUNDED])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_field_record_accepts_its_bounds_and_rejects_beyond(name, key, data):
+    """Each bound of each record is accepted; the next float (or integer) beyond it,
+    and any drawn value beyond it, fail with the record's message naming the field."""
+    schema = _SCENARIOS[name].schema
+    rec = schema[key]
+    integer = rec.kind == "integer"
+    inside = (st.integers(rec.lo, rec.hi) if integer
+              else st.floats(rec.lo or 0.0, rec.hi, exclude_min=rec.lo is None))
+    if rec.zero:
+        assert _field(schema, key, 0.0) == 0.0
+    assert _field(schema, key, _of_kind(rec, data.draw(inside))) is not None
+    prefix = "entries " if rec.kind == "increasing" else ""
+    for side, (bound, message) in enumerate(zip((rec.lo, rec.hi), rec.messages)):
+        if bound is None:
+            continue
+        _field(schema, key, _of_kind(rec, bound))
+        step = (-1, 1)[side]
+        edge = bound + step if integer else math.nextafter(bound, step * math.inf)
+        for past in (edge, data.draw(_beyond(rec, side))):
+            with pytest.raises(ScenarioConfigError) as exc:
+                _field(schema, key, _of_kind(rec, past))
+            assert str(exc.value) == f"field {key!r}: {prefix}{message}"
 
 
 UNKNOWN = ("unknown scenario 'warp_drive'; choose from eds_cosmology, eds_fit, epr_collapse, "
@@ -874,7 +933,7 @@ CLI_MESSAGES = [
       "--config", "{tmp}/negative.json"],
      "unknown field 'box_side'"),
     (["run", "epr_collapse", "--config", "{tmp}/epr_far.json"],
-     "field 'station_separation': too small to separate the stations at this box_side"),
+     "field 'box_side': must lie between 1e-100 and 1e100"),
     (["run", "epr_collapse", "--config", "{tmp}/epr_close.json"],
      "field 'station_separation': too small to separate the stations at this box_side"),
     (["run", "epr_collapse", "--config", "{tmp}/epr_sphere.json"],
@@ -915,6 +974,8 @@ CLI_MESSAGES = [
     (["run", "rindler_unruh", "--config", "{tmp}/ru_near.json"],
      "field 'n_frequencies': too many frequencies between freq_lo and freq_hi"),
     (["run", "page_geilker", "--config", "{tmp}/pg_tol.json"], "unknown field 'tol'"),
+    (["run", "epr_collapse", "--config", "{tmp}/epr_wide.json"],
+     "field 'station_separation': too small to separate the stations at this box_side"),
 ]
 
 # config files the CLI cases read: file stem -> (scenario, changes to its packaged config)
@@ -942,6 +1003,7 @@ CLI_CONFIGS = {
     "ru_near": ("rindler_unruh", {"freq_lo": 1.0, "freq_hi": 1.00000000000001,
                                   "n_frequencies": 100}),
     "pg_tol": ("page_geilker", {"tol": 0.0}),
+    "epr_wide": ("epr_collapse", {"box_side": 1e50}),
 }
 
 
