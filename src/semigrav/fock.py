@@ -15,7 +15,7 @@ construction (exact cancellations therefore yield the empty zero state).
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import frexp, ldexp, sqrt
+from math import frexp, isfinite, ldexp, sqrt
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -89,6 +89,13 @@ class FockState:
         self.basis = basis
         self.terms = cleaned
 
+    @classmethod
+    def of_valid_terms(cls, basis, terms: dict[Occupation, complex]) -> "FockState":
+        """The state of ``terms`` as built: valid keys, complex amplitudes above ``DROP_TOL``."""
+        out = cls.__new__(cls)
+        out.basis, out.terms = basis, terms
+        return out
+
     def norm(self) -> float:
         return sqrt(sum(abs(a) ** 2 for a in self.terms.values()))
 
@@ -96,17 +103,17 @@ class FockState:
         """Raise ValueError, naming ``what`` and the norm, unless the norm is 1
         within ``NORM_TOL``: the one check of every operation that needs it."""
         nrm = self.norm()
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:  # a NaN norm fails too
             raise ValueError(f"{what} must be normalized to unit norm (norm={nrm:.6g})")
 
     def normalized(self) -> "FockState":
         n = self.norm()
+        if not isfinite(n):
+            raise ValueError(f"cannot normalize a state of non-finite norm ({n})")
         if n <= 1e-12:
             raise ZeroNormError("cannot normalize a zero state")
-        out = FockState.__new__(FockState)  # the keys are valid: keep only the DROP_TOL filter
-        out.basis = self.basis
-        out.terms = {o: c for o, a in self.terms.items() if abs(c := a / n) > DROP_TOL}
-        return out
+        return FockState.of_valid_terms(  # the keys are valid: keep only the DROP_TOL filter
+            self.basis, {o: c for o, a in self.terms.items() if abs(c := a / n) > DROP_TOL})
 
     def __repr__(self):  # pragma: no cover - debugging aid
         parts = ", ".join(f"{o}: {a:.3g}" for o, a in sorted(self.terms.items()))

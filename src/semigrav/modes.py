@@ -30,6 +30,14 @@ class ModeBasisError(ValueError):
     """Raised for invalid basis parameters or unsupported basis operations."""
 
 
+def _progression(index: list):  # a slice if ``index`` (not empty) is a progression, else an array
+    step = index[1] - index[0] if len(index) > 1 else 1
+    stop = index[0] + step * len(index)
+    if step and index == list(range(index[0], stop, step)):
+        return slice(index[0], stop if stop >= 0 else None, step)
+    return np.array(index, dtype=np.intp)
+
+
 def _dt_coeffs(basis, t, x) -> np.ndarray:  # d_t f_k, shape [..., n_modes]
     return basis.slot_factors(t)[..., 0, :] * basis.field_coeffs(t, x)
 
@@ -85,10 +93,10 @@ class MinkowskiModeBasis:
 
     @functools.lru_cache(maxsize=8)
     def _cached_modes(self, modes: tuple | range) -> tuple:
-        """k and w of the modes indexed, once for all blocks of a ``stress_field`` call, and
-        their +- pairs: mode i's mirror n_modes - 1 - i has -k and the same w, so a mode
-        whose mirror came earlier is column ``mirror[j]``, the conjugate of ``lead`` column
-        ``partner[j]``."""
+        """k, w and 1/sqrt(2 w V) of the modes indexed, once for all blocks of a ``stress_field``
+        call, and their +- pairs (or None): mode i's mirror n_modes - 1 - i has -k and the same
+        w, so a mode whose mirror came earlier is column ``mirror[j]``, the conjugate of ``lead``
+        column ``partner[j]``; a slice where it is a progression, as on any symmetric support."""
         lead, partner, mirror, seen = [], [], [], {}
         for j, mode in enumerate(modes):
             if self.n_modes - 1 - mode in seen:
@@ -97,29 +105,31 @@ class MinkowskiModeBasis:
             else:
                 seen[mode] = len(lead)
                 lead.append(j)
-        pairs = tuple(np.array(c, dtype=np.intp) for c in (lead, partner, mirror))
-        return self.wavevectors(modes), self.frequencies(modes), pairs
+        k, w = self.wavevectors(modes), self.frequencies(modes)
+        pairs = tuple(map(_progression, (lead, partner, mirror))) if mirror else None
+        return k, w, 1.0 / np.sqrt(2.0 * w * self.backend.spatial_volume), pairs
 
     # ---- field-operator coefficients at events ----------------------------
     def field_coeffs(self, t, x, modes=slice(None)) -> np.ndarray:
         """f_k at the events for the modes indexed: t (...), x (..., d) -> (..., n).
 
-        If every t is 0 (or -0.0), exp runs once per +- pair: the mirror's column is the
-        conjugate, its imaginary part written 0.0 - imag to keep the direct path's +0 at a
-        zero phase, so the result is that path's bit for bit."""
+        Bit for bit exp(1j (k.x - w t)) / sqrt(2 w V): numpy divides by a real r as (re + im 0)
+        (1/r), re (a cosine) is never 0 and exp(1j z) has no -0.0 imaginary part.  At t = +-0,
+        w t is a signed zero that exp drops: exp runs once per +- pair, the mirror's column the
+        conjugate, its imaginary part 0.0 - imag to keep the direct path's +0 at a zero phase."""
         t = np.asarray(t, dtype=float)[..., None]
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        k, w, (lead, partner, mirror) = self._modes(modes)
-        paired = len(mirror) > 0 and not t.any()
-        if paired:
-            k, w = k[lead], w[lead]
+        k, w, scale, pairs = self._modes(modes)
+        paired = pairs is not None and not t.any()
+        lead, partner, mirror = pairs if paired else (slice(None),) * 3
         # einsum (not BLAS: rows independent of the other events), then in place
-        f = 1j * (np.einsum("...d,kd->...k", x, k) - w * t)
+        phase = np.einsum("...d,kd->...k", x, k[lead])
+        f = 1j * (phase if paired else phase - w * t)
         np.exp(f, out=f)
-        f /= np.sqrt(2.0 * w * self.backend.spatial_volume)
+        f *= scale[lead]
         if not paired:
             return f
-        g, f = f, np.empty(f.shape[:-1] + (len(lead) + len(mirror),), dtype=complex)
+        g, f = f, np.empty(f.shape[:-1] + (len(w),), dtype=complex)
         f[..., lead] = g
         f.real[..., mirror] = g.real[..., partner]
         f.imag[..., mirror] = 0.0 - g.imag[..., partner]
@@ -127,7 +137,7 @@ class MinkowskiModeBasis:
 
     def slot_factors(self, t, modes=slice(None)) -> np.ndarray:
         """Constant factors of (d_t, d_x1, ..., d_xd, 1) f_k: -i w_k, i k_k, 1; [d+2, n]."""
-        k, w, _ = self._modes(modes)
+        k, w, *_ = self._modes(modes)
         return np.vstack([-1j * w, 1j * k.T, np.ones_like(w)])
 
     dt_coeffs = _dt_coeffs

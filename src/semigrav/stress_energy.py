@@ -30,11 +30,11 @@ row at one event (t, x).
 """
 from __future__ import annotations
 
-from math import frexp, ldexp, sqrt
+from math import frexp, sqrt
 
 import numpy as np
 
-from .fock import BasisMismatchError, FockState, bump
+from .fock import DROP_TOL, BasisMismatchError, FockState
 from .modes import EdSModeBasis, MinkowskiModeBasis, ModeBasisError
 from .spacetime import BackendDomainError, metric
 
@@ -56,10 +56,11 @@ def moments(state: FockState) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     its two-point moments, rho = A^H A and K = D^T A, one column per support mode."""
     rows: dict = {}  # once-lowered occupation p -> ({l: A_pl}, {k: D_pk})
     for occ, amp in state.terms.items():
-        for mode, count in occ:
-            p = bump(occ, mode, -1)
+        for i, (mode, count) in enumerate(occ):  # lower the pair at its own position
+            p = occ[:i] + ((mode, count - 1),) * (count > 1) + occ[i + 1:]
             if p not in rows:  # D_pk = sqrt(n_k) conj(<p - e_k|Psi>)
-                twice = ((k, n, state.terms.get(bump(p, k, -1))) for k, n in p)
+                twice = ((k, n, state.terms.get(p[:j] + ((k, n - 1),) * (n > 1) + p[j + 1:]))
+                         for j, (k, n) in enumerate(p))
                 rows[p] = ({}, {k: sqrt(n) * c.conjugate() for k, n, c in twice if c is not None})
             rows[p][0][mode] = amp * sqrt(count)
     support = tuple(sorted({mode for a_row, _ in rows.values() for mode in a_row}))
@@ -151,20 +152,22 @@ def wavepacket_state(basis: MinkowskiModeBasis, x0) -> FockState:
 
     Built in one pass, bit for bit the ``superpose`` of the ``create``d
     one-quantum states with ``normalize=True``: the same exact power-of-two
-    prescale (the largest |c| into [1, 2)), the same ``0j +`` sum (which
-    turns -0.0 into 0.0), then one ``normalized()``.
+    prescale (the largest |c| into [1, 2)) by ``ldexp`` on each part, ``+ 0.0``
+    for superpose's sum from ``0j`` (it turns -0.0 into 0.0), and the same
+    ``DROP_TOL`` filter on keys built valid, then one ``normalized()``.
     """
     if not isinstance(basis, MinkowskiModeBasis):
         raise ModeBasisError("wavepacket_state is defined for box mode bases")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (basis.backend.dimension,):
         raise ValueError("x0 must have one coordinate per spatial dimension")
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 must be finite")
     amps = np.exp(-1j * basis.wavevectors() @ x0) / np.sqrt(2.0 * basis.frequencies())
-    amps = amps.tolist()
-    k = 1 - frexp(max(map(abs, amps)))[1]
-    terms = {((mode, 1),): 0j + complex(ldexp(c.real, k), ldexp(c.imag, k))
-             for mode, c in enumerate(amps)}
-    return FockState(basis, terms).normalized()
+    k = 1 - frexp(np.abs(amps).max())[1]
+    amps.real, amps.imag = np.ldexp(amps.real, k) + 0.0, np.ldexp(amps.imag, k) + 0.0
+    terms = {((mode, 1),): c for mode, c in enumerate(amps.tolist()) if abs(c) > DROP_TOL}
+    return FockState.of_valid_terms(basis, terms).normalized()
 
 
 def box_lattice(backend, points_per_axis: int) -> tuple[np.ndarray, float]:

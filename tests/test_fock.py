@@ -119,6 +119,16 @@ def test_number_expectation_requires_normalization():
         number_expectation(big, 0)
 
 
+def test_a_non_finite_norm_fails_the_checks():
+    for amp, shown in ((complex("nan+nanj"), "nan"), (complex("inf"), "inf")):
+        psi = FockState(BASIS, {((0, 1),): amp})
+        with pytest.raises(ValueError, match=rf"\(norm={shown}\)$"):
+            psi.require_unit_norm()
+        message = rf"^cannot normalize a state of non-finite norm \({shown}\)$"
+        with pytest.raises(ValueError, match=message):
+            psi.normalized()
+
+
 def test_tiny_amplitudes_are_dropped():
     vac = new_vacuum(BASIS)
     st_small = superpose([(1.0, vac), (DROP_TOL / 10.0, create(vac, 0))])

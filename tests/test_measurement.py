@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from semigrav import measurement
-from semigrav.fock import create, new_vacuum, number_expectation, superpose
+from semigrav.fock import FockState, create, new_vacuum, number_expectation, superpose
 from semigrav.measurement import (
     BranchSet,
     CausalityReport,
@@ -90,6 +90,9 @@ def test_born_requires_normalized_state():
     branches, a, _ = _two_branches()
     with pytest.raises(ValueError, match="norm="):
         born_probabilities(superpose([(2.0, a)]), branches)
+    nan = FockState(a.basis, {occ: complex("nan+nanj") for occ in a.terms})
+    with pytest.raises(ValueError, match=r"\(norm=nan\)$"):
+        born_probabilities(nan, branches)
 
 
 def test_zero_overlap_raises():

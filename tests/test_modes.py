@@ -186,6 +186,7 @@ def _pairing_supports(basis, rng):
         "asymmetric": tuple(sorted(rng.choice(n, size=max(2, n // 3), replace=False).tolist())),
         "one-side": tuple(lower[1::2]),  # no mode with its mirror
         "unsorted": (n - 1, 0, n // 2, 1, n - 2),
+        "all-but-one": tuple(m for m in range(n) if m != 1),  # slice and array indices mixed
     }
 
 
@@ -207,10 +208,20 @@ def test_equal_time_pairing_matches_the_direct_expression_bit_for_bit(dimension,
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
 
 
+def test_pairing_indices_are_slices_where_they_form_a_progression():
+    basis = minkowski_basis(box_side=7.3, dimension=2, mass=0.0, n_max=3)
+    full, all_but_one = (_pairing_supports(basis, np.random.default_rng(0))[name]
+                         for name in ("full", "all-but-one"))
+    assert all(isinstance(index, slice) for index in basis._modes(full)[-1])
+    kinds = {type(index) for index in basis._modes(all_but_one)[-1]}
+    assert kinds == {slice, np.ndarray}
+
+
 def test_one_nonzero_time_takes_the_direct_path():
     basis = minkowski_basis(box_side=7.3, dimension=2, mass=1.0, n_max=3)
-    _, _, (lead, partner, mirror) = basis._modes(slice(None))
-    assert len(lead) == (basis.n_modes + 1) // 2  # one exp per pair, the k = 0 mode alone
+    *_, (lead, partner, mirror) = basis._modes(slice(None))
+    n_lead = len(np.arange(basis.n_modes)[lead])  # lead may be a slice or an array
+    assert n_lead == (basis.n_modes + 1) // 2  # one exp per pair, the k = 0 mode alone
     x = np.random.default_rng(3).uniform(0.0, 7.3, size=(9, 2))
     t = np.zeros(9)
     t[6] = 0.7

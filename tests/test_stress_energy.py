@@ -456,6 +456,41 @@ def test_rows_do_not_depend_on_the_block_size(name, equal_time, monkeypatch):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), fixed
 
 
+def _bump_moments(state):
+    """``moments`` with each occupation lowered by ``bump``'s bisection: the walk that
+    lowering by the pair's own position replaced."""
+    rows = {}
+    for occ, amp in state.terms.items():
+        for mode, count in occ:
+            p = bump(occ, mode, -1)
+            if p not in rows:
+                twice = ((k, n, state.terms.get(bump(p, k, -1))) for k, n in p)
+                rows[p] = ({}, {k: sqrt(n) * c.conjugate() for k, n, c in twice if c is not None})
+            rows[p][0][mode] = amp * sqrt(count)
+    support = tuple(sorted({mode for a_row, _ in rows.values() for mode in a_row}))
+    column = {mode: j for j, mode in enumerate(support)}
+    AD = np.zeros((2, len(rows), len(support)), dtype=complex)
+    cells = {(part * len(rows) + row) * len(support) + column[k]: value
+             for row, entries in enumerate(rows.values())
+             for part, values in enumerate(entries) for k, value in values.items()}
+    AD.put(list(cells), list(cells.values()))
+    return support, AD[0], AD[1]
+
+
+def test_moments_match_the_bump_walk_bit_for_bit():
+    rng = np.random.default_rng(12)
+    states = [_random_state(BASIS, rng, n_terms=7, max_quanta=3) for _ in range(4)]
+    assert any(n > 1 for state in states for occ in state.terms for _, n in occ)
+    packet = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=128)
+    states += [wavepacket_state(packet, (3.7,)), new_vacuum(BASIS)]
+    for state in states:
+        (support, A, D), (want_support, want_A, want_D) = moments(state), _bump_moments(state)
+        assert support == want_support
+        assert A.shape == want_A.shape and np.array_equal(A.view(np.uint64), want_A.view(np.uint64))
+        assert D.shape == want_D.shape and np.array_equal(D.view(np.uint64), want_D.view(np.uint64))
+    assert moments(states[0])[2].any() and len(states[-2].terms) == 257
+
+
 def test_moments_match_ladder_products():
     """rho = A^H A is <a_k+ a_l> and K = D^T A is <a_k a_l>, from the ladder operators."""
     basis = minkowski_basis(box_side=5.0, dimension=1, mass=1.0, n_max=1)
@@ -481,6 +516,10 @@ def test_stress_entry_points_reject_a_state_off_unit_norm():
         stress_field(big, 0.0, np.zeros((1, 1)))
     with pytest.raises(ValueError, match=message):
         total_energy(big)
+    nan = FockState(basis, {((0, 1),): complex("nan+nanj")})  # a NaN norm fails the check too
+    for call in (lambda: stress_field(nan, 0.0, np.zeros((1, 1))), lambda: total_energy(nan)):
+        with pytest.raises(ValueError, match=r"\(norm=nan\)$"):
+            call()
 
 
 def test_stress_field_rejects_bad_event_arrays():
@@ -774,6 +813,13 @@ def test_wavepacket_state_is_the_superposed_packet_bit_for_bit(basis, x0):
 
 
 # ---- input validation -----------------------------------------------------------
+
+def test_wavepacket_state_rejects_a_non_finite_centre():
+    basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=2)
+    for x0 in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^x0 must be finite$"):
+            wavepacket_state(basis, (x0,))
+
 
 def test_stress_field_rejects_mismatched_inputs():
     basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)
