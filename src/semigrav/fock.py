@@ -15,7 +15,7 @@ construction (exact cancellations therefore yield the empty zero state).
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import frexp, isfinite, ldexp, sqrt
+from math import frexp, hypot, inf, isfinite, ldexp, sqrt
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -97,7 +97,11 @@ class FockState:
         return out
 
     def norm(self) -> float:
-        return sqrt(sum(abs(a) ** 2 for a in self.terms.values()))
+        try:
+            nrm = sqrt(sum(abs(a) ** 2 for a in self.terms.values()))
+        except OverflowError:  # an |a|^2 beyond the float range
+            nrm = inf  # as for a sum past it: hypot, scaled by the largest |a|, takes over
+        return nrm if nrm != inf else hypot(*map(abs, self.terms.values()))
 
     def require_unit_norm(self, what: str = "state") -> None:
         """Raise ValueError, naming ``what`` and the norm, unless the norm is 1

@@ -85,14 +85,13 @@ class _Field:
     Kinds: "number" (positive, or non-negative with ``zero``), "integer",
     "integers" (a list of integers) and "increasing" (a strictly increasing list
     of at least ``min_len`` positive numbers).  An integer, a nonzero number and
-    each entry lie in [lo, hi] where those are set.  ``floor`` phrases ``lo`` as
-    "0 or at least"; ``texts`` holds the (lo, hi) messages a bound cannot phrase.
+    each entry lie in [lo, hi] where those are set (with ``zero``, a number's lo reads
+    "0 or at least"); ``texts`` holds the (lo, hi) messages a bound cannot phrase.
     """
     kind: str
     lo: float | None = None
     hi: float | None = None
     zero: bool = False
-    floor: bool = False
     min_len: int = 1
     texts: tuple[str, str] | None = None
 
@@ -104,7 +103,7 @@ class _Field:
         lo, hi = (str(b).replace("e+", "e") for b in (self.lo, self.hi))  # 1e100, not 1e+100
         if self.kind == "integer":
             return f"must be an integer >= {lo}", f"must be at most {hi}"
-        if self.floor or self.lo is None:
+        if self.zero or self.lo is None:
             return f"must be 0 or at least {lo}", f"must be at most {hi}"
         return f"must lie between {lo} and {hi}", f"must lie between {lo} and {hi}"
 
@@ -175,8 +174,8 @@ _Outcome = tuple[list[Table], dict[str, bool]]  # a runner's tables and flags, i
 
 
 def _run_minkowski_vacuum(cfg: dict) -> _Outcome:
-    basis = minkowski_basis(cfg["box_side"], cfg["dimension"], cfg["mass"], cfg["n_max"])
-    state = new_vacuum(basis)
+    # no mode is occupied, so T = 0 at every mass and cutoff: any basis gives these bytes
+    state = new_vacuum(minkowski_basis(cfg["box_side"], cfg["dimension"], 1.0, 0))
     rng = np.random.default_rng(cfg["seed"])
     t, x = _random_events(rng, cfg["n_events"], cfg["box_side"], cfg["dimension"])
     rep = residual(state, t, x)
@@ -478,10 +477,11 @@ _SEED = _Field("integer", lo=0, hi=2**128 - 1,  # the trial stream's Philox key 
                texts=("must be a non-negative integer", "must be below 2**128"))
 # the box modes take box_side^dimension (d <= 3) and mass^2: both must stay normal floats
 _BOX_SIDE = _Field("number", lo=1e-100, hi=1e100)
-_BOX_MASS = _Field("number", lo=1e-150, hi=1e150, zero=True, floor=True)
+_BOX_MASS = _Field("number", lo=1e-150, hi=1e150, zero=True)
 # the dust closed form takes t^4 and m^2 (``_dust_check``)
 _T_GRID = _Field("increasing", lo=1e-75, hi=1e75)
 _DUST_MASS = _Field("number", hi=1e150)
+_SCAN_VALUES = _Field("increasing", min_len=3)  # the volumes of ``scan_scenario``
 
 
 def _dust_check(lightest: str, heaviest: str) -> tuple:
@@ -518,8 +518,7 @@ class _Scenario:
 
 _SCENARIOS: dict[str, _Scenario] = {
     "minkowski_vacuum": _Scenario(
-        schema={"box_side": _BOX_SIDE, "dimension": _DIMENSION, "mass": _BOX_MASS,
-                "n_max": _COUNT, "n_events": _COUNT, "seed": _SEED},
+        schema={"box_side": _BOX_SIDE, "dimension": _DIMENSION, "n_events": _COUNT, "seed": _SEED},
         run=_run_minkowski_vacuum),
     "minkowski_particle": _Scenario(
         schema={"box_side": _BOX_SIDE, "dimension": _DIMENSION, "mass": _BOX_MASS,
@@ -533,7 +532,7 @@ _SCENARIOS: dict[str, _Scenario] = {
                 ("mode_label", "zero mode does not exist for a massless field",
                  lambda c: c["mass"] == 0.0 and all(n == 0 for n in c["mode_label"])))),
     "kg_wavepacket": _Scenario(
-        schema={"box_side": _BOX_SIDE, "mass": _Field("number", lo=1e-150, hi=1e150, floor=True),
+        schema={"box_side": _BOX_SIDE, "mass": _Field("number", lo=1e-150, hi=1e150),
                 "n_max": _COUNT, "x0": _NONNEGATIVE, "profile_points": _Field("integer", lo=2),
                 "integration_points": _COUNT, "seed": _SEED},
         run=_run_kg_wavepacket,
@@ -669,10 +668,10 @@ def scan_scenario(name: str, config: dict | None, param: str,
                   values: Sequence[float]) -> RunReport:
     """Log-log scaling study of a scenario's residual over a volume parameter.
 
-    ``param`` must be the scenario's scan parameter, ``SCANS[name]``; the
-    ``values`` must be at least three strictly increasing positive
-    volumes.  The report has the ``scaling`` and ``scaling_slope`` tables
-    and the flag ``slope_defined``.
+    ``param`` must be the scenario's scan parameter, ``SCANS[name]``; the ``values``, a
+    sequence or numpy array, are checked next by the record ``_SCAN_VALUES`` (at least
+    three strictly increasing positive finite volumes), before the observable is built.
+    The report has the ``scaling`` and ``scaling_slope`` tables and the flag ``slope_defined``.
     """
     scenario = _scenario(name)
     if scenario.scan is None:
@@ -681,6 +680,7 @@ def scan_scenario(name: str, config: dict | None, param: str,
     scan_param, make_observable = scenario.scan
     if param != scan_param:
         raise ScenarioConfigError(f"field 'param': {name} scans over {scan_param}")
+    values = _field({"values": _SCAN_VALUES}, "values", np.asarray(values, dtype=object).tolist())
     observable = make_observable(cfg)
     try:
         with np.errstate(over="raise"):  # a volume beyond double range names 'values'

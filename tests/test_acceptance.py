@@ -36,6 +36,8 @@ from semigrav.stress_energy import (
     wavepacket_state,
 )
 
+from oracles import eds_one_quantum
+
 
 def _criterion(tag: str, label: str, ok: bool, detail: str = "") -> None:
     line = f"[criterion {tag:>3}] {label}: {'PASS' if ok else 'FAIL'}"
@@ -109,11 +111,6 @@ def test_criterion_4_wavepacket_localization():
                ratio > 10.0 and dt < 10.0, f"ratio={ratio:.1f}, {dt:.2f}s")
 
 
-def _eds_state(mass, v0):
-    basis = eds_basis(comoving_volume=v0, mass=mass)
-    return basis, create(new_vacuum(basis), 0)
-
-
 def test_criterion_5a_dust_energy_density_target_form():
     """Target form m/(V0 t^2) + 1/(2 m V0 t^4) at rel. 1e-10.
 
@@ -125,7 +122,7 @@ def test_criterion_5a_dust_energy_density_target_form():
     tail.  A doubled tail 1/(m V0 t^4) would miss by 2e-4 relative here.
     """
     mass, v0 = 100.0, 600.0 * np.pi
-    basis, one = _eds_state(mass, v0)
+    one = eds_one_quantum(mass, v0)
     worst = 0.0
     for t in (0.5, 1.0, 2.0, 4.0):
         got = stress_field(one, t, [(0.0, 0.0, 0.0)])[0][(0, 0)]
@@ -137,7 +134,7 @@ def test_criterion_5a_dust_energy_density_target_form():
 
 def test_criterion_5b_dust_off_diagonals_vanish():
     mass, v0 = 100.0, 600.0 * np.pi
-    basis, one = _eds_state(mass, v0)
+    one = eds_one_quantum(mass, v0)
     worst = 0.0
     for t in (0.5, 1.0, 2.0, 4.0):
         sample = stress_field(one, t, [(0.0, 0.0, 0.0)])[0]
@@ -163,7 +160,7 @@ def test_criterion_6a_dust_residual_target_form():
     t = 1.0
     worst = 0.0
     for v0 in (6.0 * np.pi, 60.0 * np.pi, 600.0 * np.pi):
-        basis, one = _eds_state(v0 / (6.0 * np.pi), v0)
+        one = eds_one_quantum(v0 / (6.0 * np.pi), v0)
         got = residual(one, t, [[0.0, 0.0, 0.0]]).global_max
         target = max(24.0 * np.pi**2 / (v0**2 * t**4),
                      24.0 * np.pi**2 / (v0**2 * t ** (8.0 / 3.0)))
@@ -177,7 +174,7 @@ def test_criterion_6b_residual_scaling_slope():
     volumes = (6.0 * np.pi, 60.0 * np.pi, 600.0 * np.pi)
 
     def observable(v0):
-        basis, one = _eds_state(v0 / (6.0 * np.pi), v0)
+        one = eds_one_quantum(v0 / (6.0 * np.pi), v0)
         return residual(one, 1.0, [[0.0, 0.0, 0.0]]).global_max
 
     study = scaling_study(observable, volumes, parameter="V0")
@@ -191,7 +188,7 @@ def test_criterion_6c_fit_recovers_tuned_mass():
     target = v0 / (6.0 * np.pi)
 
     def objective(m):
-        basis, one = _eds_state(m, v0)
+        one = eds_one_quantum(m, v0)
         return residual(one, [1.0, 2.0, 4.0], np.zeros((3, 3))).global_max
 
     res = fit_parameter(objective, 10.0, 1000.0, tol=1e-4)

@@ -14,10 +14,7 @@ from semigrav.fock import create, new_vacuum
 from semigrav.modes import eds_basis, minkowski_basis
 from semigrav.spacetime import einstein_tensor
 
-
-def _eds_one_quantum(mass, v0):
-    basis = eds_basis(comoving_volume=v0, mass=mass)
-    return basis, create(new_vacuum(basis), 0)
+from oracles import eds_one_quantum
 
 
 def test_minkowski_vacuum_is_exactly_self_consistent():
@@ -63,7 +60,7 @@ def test_minkowski_particle_residual_is_thermodynamically_small():
 
 
 def _dust_residual(mass, v0, t):
-    basis, one = _eds_one_quantum(mass, v0)
+    one = eds_one_quantum(mass, v0)
     return residual(one, t, [[0.0, 0.0, 0.0]]).global_max
 
 
@@ -94,7 +91,7 @@ def test_dust_residual_scaling_slope_is_minus_two():
 
 
 def test_residual_report_structure():
-    basis, one = _eds_one_quantum(10.0, 60.0 * np.pi)
+    one = eds_one_quantum(10.0, 60.0 * np.pi)
     x = np.zeros((2, 3))
     rep = residual(one, [1.0, 2.0], x)
     assert rep.stress.shape == (2, 4, 4)
@@ -169,12 +166,9 @@ def test_fit_parameter_stops_at_float_resolution():
 def test_fit_recovers_dust_mass_from_residual():
     """Minimizing the t-grid residual over the mass recovers m = V0 / 6 pi."""
     v0 = 600.0 * np.pi
-    basis_for = lambda m: eds_basis(comoving_volume=v0, mass=m)
 
     def objective(m):
-        basis = basis_for(m)
-        one = create(new_vacuum(basis), 0)
-        return residual(one, [1.0, 2.0, 4.0], np.zeros((3, 3))).global_max
+        return residual(eds_one_quantum(m, v0), [1.0, 2.0, 4.0], np.zeros((3, 3))).global_max
 
     target = v0 / (6.0 * np.pi)
     res = fit_parameter(objective, 10.0, 1000.0, tol=1e-4)

@@ -1,6 +1,4 @@
 """Sparse Fock layer: ladder algebra against a dense matrix oracle."""
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,39 +20,12 @@ from semigrav.fock import (
 )
 from semigrav.modes import minkowski_basis
 
+from oracles import DenseFock
+
 BASIS = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)  # 3 modes
 
 
 # ---- dense oracle ----------------------------------------------------------
-
-class DenseFock:
-    """Truncated dense Fock space: every mode capped at ``cap`` quanta."""
-
-    def __init__(self, n_modes: int, cap: int):
-        self.n_modes = n_modes
-        self.cap = cap
-        self.states = list(itertools.product(range(cap + 1), repeat=n_modes))
-        self.index = {s: i for i, s in enumerate(self.states)}
-        self.dim = len(self.states)
-
-    def lowering(self, mode: int) -> np.ndarray:
-        a = np.zeros((self.dim, self.dim))
-        for s, i in self.index.items():
-            n = s[mode]
-            if n > 0:
-                t = s[:mode] + (n - 1,) + s[mode + 1:]
-                a[self.index[t], i] = np.sqrt(n)
-        return a
-
-    def vector(self, state: FockState) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        for occ, amp in state.terms.items():
-            counts = dict(occ)
-            key = tuple(counts.get(m, 0) for m in range(self.n_modes))
-            assert max(key, default=0) <= self.cap
-            v[self.index[key]] = amp
-        return v
-
 
 def _random_state(rng, n_terms=4, max_quanta=2) -> FockState:
     terms = {}
@@ -127,6 +98,23 @@ def test_a_non_finite_norm_fails_the_checks():
         message = rf"^cannot normalize a state of non-finite norm \({shown}\)$"
         with pytest.raises(ValueError, match=message):
             psi.normalized()
+
+
+@pytest.mark.parametrize("terms, norm", [
+    ({((0, 1),): 1.4e154}, 1.4e154),  # |a|^2 overflows a Python float
+    ({((m, 1),): 1e154 for m in range(3)}, 3**0.5 * 1e154),  # sum |a|^2 reads inf
+    ({((m, 1),): 1.5e308 for m in range(2)}, float("inf")),  # the norm itself is beyond range
+], ids=["one-amplitude-1.4e154", "three-amplitudes-1e154", "two-amplitudes-1.5e308"])
+def test_a_norm_past_the_squared_range_is_summed_relative_to_the_largest(terms, norm):
+    psi = FockState(BASIS, terms)
+    assert psi.norm() == pytest.approx(norm, rel=1e-15)
+    if norm == float("inf"):
+        with pytest.raises(ValueError, match=r"non-finite norm \(inf\)$"):
+            psi.normalized()
+        return
+    unit = psi.normalized()
+    unit.require_unit_norm()
+    assert unit.terms == {occ: amp / psi.norm() for occ, amp in psi.terms.items()}
 
 
 def test_tiny_amplitudes_are_dropped():

@@ -1,6 +1,7 @@
 """Scenario configs, runners, and the command-line front end."""
 import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -17,10 +18,12 @@ from hypothesis import given, settings, strategies as st
 from semigrav.cli import build_parser, main
 from semigrav.report import emit
 from semigrav.scenarios import (
+    _SCAN_VALUES,
     _SCENARIOS,
     SCANS,
     SCENARIO_NAMES,
     ScenarioConfigError,
+    _Field,
     _field,
     default_config,
     run_scenario,
@@ -117,10 +120,6 @@ def test_every_scenario_passes_its_flags(name):
 
 # config fields that no one-field change moves an output byte of, each with the reason
 INERT_FIELDS = {
-    ("minkowski_vacuum", "mass"): "the vacuum T is zero at every mass; the field names "
-                                  "the vacuum whose zero residual is certified",
-    ("minkowski_vacuum", "n_max"): "the vacuum T is zero at every cutoff; the field names "
-                                   "the vacuum whose zero residual is certified",
     ("minkowski_particle", "n_max"): "the one-quantum T does not depend on the cutoff; "
                                      "the bench field workload sets it",
 }
@@ -447,6 +446,8 @@ COLLAPSE_IDENTITIES = {
 # a valid scan of each scannable scenario: its config changes and its values
 _SCAN_RUNS = {"minkowski_particle": ({"dimension": 1, "mode_label": [1]}, (10.0, 20.0, 40.0)),
               "eds_cosmology": ({}, (18.85, 188.5, 1885.0))}
+_SCAN_CONFIGS = {name: dict(default_config(name), **changes)
+                 for name, (changes, _) in _SCAN_RUNS.items()}
 
 
 def test_every_collapse_flag_has_a_fault_or_an_identity_entry():
@@ -675,9 +676,9 @@ CONFIG_MESSAGES = [
     ("minkowski_vacuum", {"box_side": float("inf")}, "field 'box_side': must be finite"),
     ("minkowski_vacuum", {"box_side": float("nan")}, "field 'box_side': must be finite"),
     ("minkowski_vacuum", {"box_side": 0}, "field 'box_side': must be positive"),
-    ("minkowski_vacuum", {"mass": -1.0}, "field 'mass': must be non-negative"),
-    ("minkowski_vacuum", {"n_max": 1.5}, "field 'n_max': must be an integer"),
-    ("minkowski_vacuum", {"n_max": 0}, "field 'n_max': must be an integer >= 1"),
+    ("minkowski_particle", {"mass": -1.0}, "field 'mass': must be non-negative"),
+    ("minkowski_particle", {"n_max": 1.5}, "field 'n_max': must be an integer"),
+    ("minkowski_particle", {"n_max": 0}, "field 'n_max': must be an integer >= 1"),
     ("minkowski_vacuum", {"dimension": 4}, "field 'dimension': must be 1, 2 or 3"),
     ("minkowski_vacuum", {"seed": -1}, "field 'seed': must be a non-negative integer"),
     ("minkowski_vacuum", {"seed": "x"}, "field 'seed': must be an integer"),
@@ -726,9 +727,10 @@ CONFIG_MESSAGES = [
      "field 'sphere_width': must lie between 1e-150 and 1e150"),
     ("page_geilker", {"sphere_mass": 1e300, "sphere_width": 1e-150},
      "field 'sphere_width': too narrow for sphere_mass: the peak density overflows"),
-    ("minkowski_vacuum", {"mass": 1e300}, "field 'mass': must be at most 1e150"),
+    # the vacuum's deleted mass, in the slot of a row whose message the next row keeps
+    ("minkowski_vacuum", {"mass": 1e300}, "unknown field 'mass'"),
     ("minkowski_particle", {"mass": 1e300}, "field 'mass': must be at most 1e150"),
-    ("kg_wavepacket", {"mass": 1e300}, "field 'mass': must be at most 1e150"),
+    ("kg_wavepacket", {"mass": 1e300}, "field 'mass': must lie between 1e-150 and 1e150"),
     ("minkowski_particle", {"box_side": 1e150},
      "field 'box_side': must lie between 1e-100 and 1e100"),
     ("kg_wavepacket", {"box_side": 1e-120, "x0": 0.0},
@@ -755,8 +757,9 @@ CONFIG_MESSAGES = [
      "field 'sphere_width': narrower than the probe spacing box_side/(n_probes-1)"),
     ("minkowski_particle", {"mass": 1e-200, "mode_label": [0, 0, 0]},  # mass^2 underflows
      "field 'mass': must be 0 or at least 1e-150"),
-    ("minkowski_vacuum", {"mass": 1e-200}, "field 'mass': must be 0 or at least 1e-150"),
-    ("kg_wavepacket", {"mass": 1e-200}, "field 'mass': must be 0 or at least 1e-150"),
+    # the vacuum's deleted n_max, in the slot of a row whose message the row above keeps
+    ("minkowski_vacuum", {"n_max": 2}, "unknown field 'n_max'"),
+    ("kg_wavepacket", {"mass": 1e-200}, "field 'mass': must lie between 1e-150 and 1e150"),
     ("epr_collapse", {"seed": 2**128}, "field 'seed': must be below 2**128"),
     ("minkowski_vacuum", {"seed": 2**200}, "field 'seed': must be below 2**128"),
     ("rindler_unruh", {"acceleration": 1e-3},  # nu = 3000 at freq_hi
@@ -852,6 +855,16 @@ def test_field_record_accepts_its_bounds_and_rejects_beyond(name, key, data):
             assert str(exc.value) == f"field {key!r}: {prefix}{message}"
 
 
+def test_every_field_record_option_is_set_by_some_record():
+    """Each ``_Field`` option but ``kind`` is set away from its default by a schema
+    record or by ``_SCAN_VALUES``: an option that no value reads does not stay."""
+    records = [rec for scenario in _SCENARIOS.values() for rec in scenario.schema.values()]
+    records.append(_SCAN_VALUES)
+    unused = [option.name for option in dataclasses.fields(_Field) if option.name != "kind"
+              and all(getattr(rec, option.name) == option.default for rec in records)]
+    assert unused == []
+
+
 UNKNOWN = ("unknown scenario 'warp_drive'; choose from eds_cosmology, eds_fit, epr_collapse, "
            "kg_wavepacket, minkowski_particle, minkowski_vacuum, page_geilker, rindler_unruh")
 
@@ -870,6 +883,19 @@ API_MESSAGES = [
     (lambda: run_scenario("eds_cosmology", seed="3"), "field 'seed': must be an integer"),
     (lambda: run_scenario("eds_cosmology", seed=True), "field 'seed': must be an integer"),
     (lambda: run_scenario("epr_collapse", seed=2**128), "field 'seed': must be below 2**128"),
+    # scan values, through the one record both scans check them with
+    *((lambda name=name, values=values: scan_scenario(name, _SCAN_CONFIGS[name], SCANS[name],
+                                                      values), f"field 'values': {message}")
+      for name in ("minkowski_particle", "eds_cosmology")
+      for values, message in [([10, 20, math.inf], "must be finite"),
+                              ([10, 20, math.nan], "must be finite"),
+                              ([10, 20, True], "must be a number"),
+                              ([10, 20], "must be a list of at least 3 numbers"),
+                              ([30, 20, 40], "entries must be strictly increasing"),
+                              ([0, 20, 40], "entries must be positive")]),
+    # the values are named before the observable's own errors, the 3-D V scan's among them
+    (lambda: scan_scenario("minkowski_particle", None, "V", [10.0, 20.0]),
+     "field 'values': must be a list of at least 3 numbers"),
 ]
 
 
@@ -878,6 +904,17 @@ def test_api_error_messages_are_exact(call, message):
     with pytest.raises(ScenarioConfigError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_CONFIGS))
+def test_scan_values_may_be_a_tuple_or_a_numpy_array(name):
+    values = _SCAN_RUNS[name][1]
+    forms = [list(values), tuple(values), np.array(values)]
+    if all(v.is_integer() for v in values):  # the V scan's volumes, also as an integer array
+        forms.append(np.array(values, dtype=np.int64))
+    reports = [emit(scan_scenario(name, _SCAN_CONFIGS[name], SCANS[name], v), "json")
+               for v in forms]
+    assert reports == [reports[0]] * len(forms)
 
 
 def test_largest_seed_runs(capsys):
@@ -913,7 +950,7 @@ CLI_MESSAGES = [
     (["scan", "eds_cosmology", "--param", "V0", "--values", "a,b,c"],
      "field 'values': must be comma-separated numbers"),
     (["scan", "eds_cosmology", "--param", "V0", "--values", "1,2"],
-     "field 'values': scaling needs at least 3 values"),
+     "field 'values': must be a list of at least 3 numbers"),
     (["scan", "eds_cosmology", "--param", "V", "--values", "1,2,3"],
      "field 'param': eds_cosmology scans over V0"),
     (["scan", "minkowski_particle", "--param", "V0", "--values", "1,2,3",
@@ -922,10 +959,10 @@ CLI_MESSAGES = [
     (["scan", "minkowski_particle", "--param", "V", "--values", "10,20,40"],
      "field 'dimension': scanning over V requires dimension 1"),
     (["scan", "eds_cosmology", "--param", "V0", "--values", "30,20,40"],
-     "field 'values': parameter values must be strictly increasing"),
+     "field 'values': entries must be strictly increasing"),
     (["scan", "minkowski_particle", "--param", "V", "--values", "0,20,40",
       "--config", "{tmp}/mp1.json"],
-     "field 'values': parameter values must be positive"),
+     "field 'values': entries must be positive"),
     (["scan", "minkowski_particle", "--param", "V", "--values", "0.1,0.2,0.3",
       "--config", "{tmp}/mp1.json"],
      "field 'values': volume too small to hold the reference wavevector"),
@@ -940,12 +977,11 @@ CLI_MESSAGES = [
      "unknown field 'sphere_width'"),
     (["run", "page_geilker", "--config", "{tmp}/pg_wide.json"],
      "field 'sphere_width': must lie between 1e-150 and 1e150"),
-    (["run", "minkowski_vacuum", "--config", "{tmp}/mv_heavy.json"],
-     "field 'mass': must be at most 1e150"),
+    (["run", "minkowski_vacuum", "--config", "{tmp}/mv_heavy.json"], "unknown field 'mass'"),
     (["run", "minkowski_particle", "--config", "{tmp}/mp_heavy.json"],
      "field 'mass': must be at most 1e150"),
     (["run", "kg_wavepacket", "--config", "{tmp}/kg_heavy.json"],
-     "field 'mass': must be at most 1e150"),
+     "field 'mass': must lie between 1e-150 and 1e150"),
     (["run", "eds_cosmology", "--config", "{tmp}/eds_early.json"],
      "field 't_grid': entries must lie between 1e-75 and 1e75"),
     (["run", "eds_cosmology", "--config", "{tmp}/eds_late.json"],
@@ -957,7 +993,7 @@ CLI_MESSAGES = [
     (["run", "minkowski_particle", "--config", "{tmp}/mp_light.json"],
      "field 'mass': must be 0 or at least 1e-150"),
     (["run", "kg_wavepacket", "--config", "{tmp}/kg_light.json"],
-     "field 'mass': must be 0 or at least 1e-150"),
+     "field 'mass': must lie between 1e-150 and 1e150"),
     (["run", "epr_collapse", "--seed", str(2**128)], "field 'seed': must be below 2**128"),
     (["run", "page_geilker", "--config", "{tmp}/pg_seed.json"],
      "field 'seed': must be below 2**128"),
@@ -1091,9 +1127,11 @@ def test_bad_scan_values_exit_2_naming_values(scenario, param, values, tmp_path,
         assert err == f"error: field 'values': {reason}\n"
 
 
-_BOUNDED_CLI = """
+_BOUNDED = """
 import resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # 1 GiB, this process only
+"""
+_BOUNDED_CLI = _BOUNDED + """
 from semigrav.cli import build_parser, main
 start = time.perf_counter()
 code = main(sys.argv[1:])
@@ -1102,12 +1140,12 @@ sys.exit(code)
 """
 
 
-def _run_bounded(args, timeout):
-    """The CLI in a child process under 1 GiB of address space; its last stderr line
-    is the seconds ``main`` took."""
+def _run_bounded(args, timeout, code=_BOUNDED_CLI):
+    """``code`` (by default the CLI, whose last stderr line is the seconds ``main``
+    took) in a child process under 1 GiB of address space."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-c", _BOUNDED_CLI, *args],
+    return subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, timeout=timeout, env=env)
 
 
@@ -1136,11 +1174,16 @@ def test_one_quantum_in_a_3d_box_of_5e8_modes_runs_fast_in_bounded_memory(tmp_pa
     assert payload["flags"] and all(payload["flags"].values())
 
 
-def test_vacuum_in_a_3d_box_of_5e8_modes_runs_in_bounded_memory(tmp_path):
-    path = _write_json(tmp_path / "mv400.json",
-                       dict(default_config("minkowski_vacuum"), n_max=400))
-    proc = _run_bounded(["run", "minkowski_vacuum", "--config", path], timeout=120)
+def test_vacuum_in_a_3d_box_of_5e8_modes_runs_in_bounded_memory():
+    """n_max 400 in 3-D is 801^3 = 5.1e8 modes; the vacuum occupies none of them."""
+    code = _BOUNDED + """
+from semigrav import minkowski_basis, new_vacuum, residual
+state = new_vacuum(minkowski_basis(10.0, 3, 1.0, 400))
+print(residual(state, [0.0, 0.5], [[0.0, 0.0, 0.0], [2.5, 5.0, 7.5]]).global_max)
+"""
+    proc = _run_bounded([], timeout=120, code=code)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0.0\n"
 
 
 def test_rindler_at_n_frequencies_20000_runs_fast_in_bounded_memory(tmp_path):

@@ -1,5 +1,4 @@
 """Stress-energy observables: dense-operator and Fock-walk oracles, closed forms."""
-import itertools
 import re
 from collections import Counter
 from math import sqrt
@@ -33,36 +32,13 @@ from semigrav.stress_energy import (
     wavepacket_state,
 )
 
+from oracles import DenseFock
+
 BASIS = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)  # 3 modes
 BACKEND = BASIS.backend
 
 
 # ---- dense oracle for the normal-ordered quadratic form ----------------------
-
-def _dense_space(n_modes, cap):
-    states = list(itertools.product(range(cap + 1), repeat=n_modes))
-    index = {s: i for i, s in enumerate(states)}
-    return states, index
-
-
-def _lowering_matrix(states, index, mode):
-    a = np.zeros((len(states), len(states)))
-    for s, i in index.items():
-        n = s[mode]
-        if n > 0:
-            t = s[:mode] + (n - 1,) + s[mode + 1:]
-            a[index[t], i] = np.sqrt(n)
-    return a
-
-
-def _vector(state, states, index):
-    v = np.zeros(len(states), dtype=complex)
-    for occ, amp in state.terms.items():
-        counts = dict(occ)
-        key = tuple(counts.get(m, 0) for m in range(len(states[0])))
-        v[index[key]] = amp
-    return v
-
 
 def _on_basis(support, block):
     """A (support x support) block scattered into a (mode x mode) matrix."""
@@ -75,8 +51,8 @@ def test_quadratic_expectation_matches_dense_oracle():
     """The moments give rho = A^H A = <a_k+ a_l> and K = D^T A = <a_k a_l>, and with
     them <:A B:> = 2 Re(g^H rho h) + 2 Re(g^T K h) for the dense ladder operators."""
     rng = np.random.default_rng(5)
-    states, index = _dense_space(BASIS.n_modes, cap=4)
-    low = [_lowering_matrix(states, index, m) for m in range(BASIS.n_modes)]
+    dense = DenseFock(BASIS.n_modes, cap=4)
+    low = [dense.lowering(m) for m in range(BASIS.n_modes)]
     for _ in range(10):
         terms = {}
         for _ in range(3):
@@ -90,7 +66,7 @@ def test_quadratic_expectation_matches_dense_oracle():
         h = rng.normal(size=BASIS.n_modes) + 1j * rng.normal(size=BASIS.n_modes)
         support, A, D = moments(psi)
         rho, K = _on_basis(support, A.conj().T @ A), _on_basis(support, D.T @ A)
-        v = _vector(psi, states, index)
+        v = dense.vector(psi)
         dense_rho = np.array([[np.vdot(ak @ v, al @ v) for al in low] for ak in low])
         dense_K = np.array([[np.vdot(v, ak @ al @ v) for al in low] for ak in low])
         assert_allclose(rho, dense_rho, atol=1e-12)
