@@ -76,13 +76,22 @@ def scaling_study(observable: Callable[[float], float], values: Sequence[float],
                   parameter: str = "V") -> ScalingStudy:
     """Evaluate ``observable`` over ``values`` and fit a log-log slope.
 
-    Requires at least three strictly increasing positive values.  A zero
-    observable anywhere makes the log-log fit degenerate; the slope is then
-    None with status "undefined(zero)".
+    Requires at least three strictly increasing positive finite values, none
+    a bool; a failing list raises ValueError before ``observable`` runs.  A
+    zero observable anywhere makes the log-log fit degenerate; the slope is
+    then None with status "undefined(zero)".
     """
-    values = tuple(float(v) for v in values)
+    values = tuple(values)  # an iterator is read once
+    if any(isinstance(v, (bool, np.bool_)) for v in values):
+        raise ValueError("parameter values must be numbers, not bools")
+    try:
+        values = tuple(float(v) for v in values)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("parameter values must be finite") from None
     if len(values) < 3:
         raise ValueError("scaling study needs at least 3 parameter values")
+    if not all(map(isfinite, values)):
+        raise ValueError("parameter values must be finite")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("parameter values must be strictly increasing")
     if values[0] <= 0.0:

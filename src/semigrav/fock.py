@@ -73,8 +73,12 @@ class FockState:
         n = basis.n_modes
         for occ, amp in terms.items():
             amp = complex(amp)
-            if abs(amp) <= DROP_TOL:
-                continue
+            try:
+                if abs(amp) <= DROP_TOL:
+                    continue
+            except OverflowError:  # finite parts, a modulus past the float range
+                raise ValueError(f"amplitude of occupation {occ} has a modulus "
+                                 "beyond the float range") from None
             prev = -1  # modes must rise from 0, so the last one bounds them all
             for mode, count in occ:
                 if mode <= prev or count < 1:

@@ -35,7 +35,7 @@ from .fock import create, new_vacuum, number_expectation, superpose
 from .measurement import BranchSet, causality_check, run_trials
 from .modes import eds_basis, minkowski_basis
 from .report import RunReport, Table
-from .stress_energy import (box_lattice, integrated_energy, stress_field, total_energy,
+from .stress_energy import (box_lattice, energy_density, integrated_energy, total_energy,
                             wavepacket_state)
 from .stress_energy import stress_sample  # noqa: F401  (the one-event view, traced by bench/)
 
@@ -209,12 +209,12 @@ def _run_kg_wavepacket(cfg: dict) -> _Outcome:
     state = wavepacket_state(basis, (cfg["x0"],))
     L = cfg["box_side"]
     # the profile, the packet's center and the point opposite it, then the
-    # lattice of ``integrated_energy``: one stress_field call, one moments walk
+    # lattice of ``integrated_energy``: one energy_density call, one moments walk
     n = cfg["profile_points"]
     xs = np.linspace(0.0, L, n, endpoint=False)
     probes = np.append(xs, [cfg["x0"], (cfg["x0"] + 0.5 * L) % L])[:, None]
     points, cell = box_lattice(basis.backend, cfg["integration_points"])
-    t00 = stress_field(state, 0.0, np.concatenate([probes, points]))[:, 0, 0]
+    t00 = energy_density(state, 0.0, np.concatenate([probes, points]))
     center, far = t00[n:n + 2].tolist()
     ratio = center / far
     total = total_energy(state)

@@ -26,7 +26,10 @@ basis size, and on a t = 0 slice one exponential per +- pair of them.  Then
 The (E, d+1, d+1) array of ``stress_field(state, t, x)`` is the package's
 one form of <T_mn>, exactly symmetric by construction; it reads the basis
 from the state and the backend from the basis.  ``stress_sample`` is its
-row at one event (t, x).
+row at one event (t, x).  ``energy_density(state, t, x)``, for the sums that
+read T_00 alone, shares the checks, the moments, B and the blocks, and ends
+each block in a T_00 tail: the S diagonal slot pairs instead of all S^2,
+combined in the full tail's order, so it is that array's [:, 0, 0] bit for bit.
 """
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ from .spacetime import BackendDomainError, metric
 __all__ = [
     "moments",
     "stress_field",
+    "energy_density",
     "stress_sample",
     "total_energy",
     "wavepacket_state",
@@ -66,10 +70,9 @@ def moments(state: FockState) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     support = tuple(sorted({mode for a_row, _ in rows.values() for mode in a_row}))
     column = {mode: j for j, mode in enumerate(support)}
     AD = np.zeros((2, len(rows), len(support)), dtype=complex)
-    cells = {(part * len(rows) + row) * len(support) + column[k]: value  # flat index into AD
-             for row, entries in enumerate(rows.values())
-             for part, values in enumerate(entries) for k, value in values.items()}
-    AD.put(list(cells), list(cells.values()))
+    for row, entries in enumerate(rows.values()):
+        for part, values in enumerate(entries):  # the row of A, then of D
+            AD[part, row, [column[k] for k in values]] = list(values.values())
     return support, AD[0], AD[1]
 
 
@@ -80,9 +83,10 @@ def _slot_products(factors: np.ndarray, M: np.ndarray) -> np.ndarray:
     return B.reshape(factors.shape[:-2] + (n, S * P))
 
 
-def _stress_block(basis, B, modes, n_rows, t, x) -> np.ndarray:
-    """T_mn at one block of events, from the ``_slot_products`` B of the slot factors
-    and M (A over D, or A alone if D is 0), one column per basis mode indexed by ``modes``."""
+def _slot_images(basis, B, modes, n_rows, t, x) -> tuple[np.ndarray, np.ndarray]:
+    """The real components of every slot's image at one block of events, from the
+    ``_slot_products`` B of the slot factors and M (A over D, or A alone if D is 0),
+    one column per basis mode indexed by ``modes``: A's (2R, S, E), then D's conjugated."""
     f = basis.field_coeffs(t, x, modes)             # (E, n)
     E, S = len(f), basis.backend.dimension + 2
     # products are stacked per event: a row does not depend on the block's other events
@@ -90,20 +94,44 @@ def _stress_block(basis, B, modes, n_rows, t, x) -> np.ndarray:
     # Re(conj(u) v) is a real dot of (re, im) pairs: sum them, event axis innermost
     parts = np.ascontiguousarray(U.view(float).transpose(2, 1, 0))   # (2P, S, E)
     images, pair = parts[:2 * n_rows], parts[2 * n_rows:]
+    np.negative(pair[1::2], out=pair[1::2])         # conjugate the D images
+    return images, pair
+
+
+def _lagrangian(basis, t, x, diag, phi_sq) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal metric g (E, d+1) and <:L:> (E,), from diag = <:(d_m phi)^2:> (E, d+1)."""
+    g = metric(basis.backend, t, x)
+    return g, 0.5 * (((1.0 / g) * diag).sum(1) - basis.mass ** 2 * phi_sq)
+
+
+def _stress_block(basis, B, modes, n_rows, t, x) -> np.ndarray:
+    """T_mn (E, d+1, d+1) at one block of events: every slot pair of ``_slot_images``."""
+    images, pair = _slot_images(basis, B, modes, n_rows, t, x)
+    S, E = images.shape[1:]
     half = np.einsum("cse,cue->sue", images, images)                  # Re g_s^H rho g_u
     if len(pair):
-        np.negative(pair[1::2], out=pair[1::2])     # conjugate the D images
         half += np.einsum("cse,cue->sue", pair, images)               # Re g_s^T K g_u
     pairs = half + half.transpose(1, 0, 2)          # 2 Re(...), exactly symmetric
     diag = pairs.reshape(S * S, E)[:-1:S + 1].T     # (E, d+1): <:(d_m phi)^2:>, writable
-    g = metric(basis.backend, t, x)                 # (E, d+1) diagonal
-    lagrangian = 0.5 * (((1.0 / g) * diag).sum(1) - basis.mass ** 2 * pairs[-1, -1])
+    g, lagrangian = _lagrangian(basis, t, x, diag, pairs[-1, -1])
     diag -= g * lagrangian[:, None]                 # T_mn = <:d_m phi d_n phi:> - g_mn <:L:>
     return pairs[:-1, :-1].transpose(2, 0, 1)
 
 
-def stress_field(state: FockState, t, x) -> np.ndarray:
-    """<Psi|T_mn|Psi> at E events, shape (E, d+1, d+1): x is (E, d), t broadcasts to (E,)."""
+def _energy_block(basis, B, modes, n_rows, t, x) -> np.ndarray:
+    """T_00 (E,) at one block of events: ``_stress_block``'s diagonal slot pairs alone,
+    summed and combined in its order, so each value is its T_00 bit for bit."""
+    images, pair = _slot_images(basis, B, modes, n_rows, t, x)
+    half = np.einsum("cse,cse->se", images, images)
+    if len(pair):
+        half += np.einsum("cse,cse->se", pair, images)
+    squares = half + half                           # (S, E): the diagonal of its pairs
+    g, lagrangian = _lagrangian(basis, t, x, squares[:-1].T, squares[-1])
+    return squares[0] - g[:, 0] * lagrangian
+
+
+def _blocks(state: FockState, t, x, tail, row_shape: tuple) -> np.ndarray:
+    """``tail``'s rows at E events, (E,) + row_shape: x is (E, d), t broadcasts to (E,)."""
     basis, d = state.basis, state.basis.backend.dimension
     if not isinstance(basis, (MinkowskiModeBasis, EdSModeBasis)):
         raise ModeBasisError("stress-energy sampling needs a Minkowski or EdS basis")
@@ -118,13 +146,25 @@ def stress_field(state: FockState, t, x) -> np.ndarray:
     support, A, D = moments(state)
     # the slot factors and their products with the moments, once for all blocks
     B = _slot_products(basis.slot_factors(t, support), np.concatenate([A, D]) if D.any() else A)
-    out = np.empty((len(t),) + (d + 1,) * 2)
+    out = np.empty((len(t),) + row_shape)
     size = max(1, _WORKING_SET // (2 * len(support) + 2 * B.shape[-1] + (d + 2) ** 2))
     for lo in range(0, len(t), size):
         block = slice(lo, lo + size)
         B_block = B if B.ndim == 2 else B[block]  # t-dependent factors (EdS) per event
-        out[block] = _stress_block(basis, B_block, support, len(A), t[block], x[block])
+        out[block] = tail(basis, B_block, support, len(A), t[block], x[block])
     return out
+
+
+def stress_field(state: FockState, t, x) -> np.ndarray:
+    """<Psi|T_mn|Psi> at E events, shape (E, d+1, d+1): x is (E, d), t broadcasts to (E,)."""
+    d = state.basis.backend.dimension
+    return _blocks(state, t, x, _stress_block, (d + 1, d + 1))
+
+
+def energy_density(state: FockState, t, x) -> np.ndarray:
+    """<Psi|T_00|Psi> at E events, shape (E,): ``stress_field(state, t, x)[:, 0, 0]`` bit
+    for bit, with the same checks, for the S diagonal slot pairs instead of all S^2."""
+    return _blocks(state, t, x, _energy_block, ())
 
 
 def stress_sample(state: FockState, t, x) -> np.ndarray:
@@ -182,11 +222,11 @@ def box_lattice(backend, points_per_axis: int) -> tuple[np.ndarray, float]:
 
 def integrated_energy(state: FockState, basis, backend, t: float = 0.0,
                       points_per_axis: int = 64) -> float:
-    """Riemann sum of T_00 over a uniform box lattice at fixed time: ``basis`` and
-    ``backend`` must be the state's."""
+    """Riemann sum of T_00 over a uniform box lattice at fixed time, from
+    ``energy_density``: ``basis`` and ``backend`` must be the state's."""
     if not isinstance(basis, MinkowskiModeBasis):
         raise ModeBasisError("lattice integration is defined for box mode bases")
     if state.basis != basis or basis.backend != backend:
         raise BasisMismatchError("basis and backend must be the state's basis and its backend")
     lattice, cell = box_lattice(backend, points_per_axis)
-    return float(stress_field(state, t, lattice)[:, 0, 0].sum() * cell)
+    return float(energy_density(state, t, lattice).sum() * cell)

@@ -114,6 +114,25 @@ def test_scaling_study_validation_and_degenerate_case():
     assert study.status == "undefined(zero)"
 
 
+@pytest.mark.parametrize("values, message", [
+    ([10.0, 20.0, float("nan")], "parameter values must be finite"),
+    ([10.0, 20.0, float("inf")], "parameter values must be finite"),
+    (np.array([1.0, 2.0, -np.inf]), "parameter values must be finite"),
+    ([1, 2, 10**400], "parameter values must be finite"),
+    ([10, 20, True], "parameter values must be numbers, not bools"),
+    (np.array([True, True, True]), "parameter values must be numbers, not bools"),
+    ([float("nan"), 1.0], "scaling study needs at least 3 parameter values"),
+    ([2.0, 1.0, 3.0], "parameter values must be strictly increasing"),
+    ([-1.0, 1.0, 2.0], "parameter values must be positive"),
+], ids=["nan", "inf", "array-minus-inf", "int-past-float-range", "bool", "bool-array", "two-values", "decreasing",
+        "negative"])
+def test_scaling_study_rejects_values_before_the_observable_runs(values, message):
+    calls = []
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        scaling_study(lambda v: calls.append(v) or v, values)
+    assert calls == []
+
+
 def test_scaling_study_recovers_power_laws():
     study = scaling_study(lambda v: 7.0 / v**2, [1.0, 10.0, 100.0, 1000.0])
     assert_allclose(study.slope, -2.0, atol=1e-12)

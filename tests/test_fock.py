@@ -117,6 +117,16 @@ def test_a_norm_past_the_squared_range_is_summed_relative_to_the_largest(terms, 
     assert unit.terms == {occ: amp / psi.norm() for occ, amp in psi.terms.items()}
 
 
+def test_an_amplitude_past_the_float_range_names_its_occupation():
+    """Finite parts whose modulus overflows raise a ValueError, not a bare OverflowError."""
+    message = r"^amplitude of occupation \(\(0, 1\),\) has a modulus beyond the float range$"
+    for amp in (complex(1.5e308, 1.5e308), complex(-1e308, 1.7e308)):
+        with pytest.raises(ValueError, match=message):
+            FockState(BASIS, {((0, 1),): amp})
+    edge = complex(1e308, 1e308)  # a modulus of 1.4e308 is still a float
+    assert FockState(BASIS, {((0, 1),): edge}).norm() == abs(edge)
+
+
 def test_tiny_amplitudes_are_dropped():
     vac = new_vacuum(BASIS)
     st_small = superpose([(1.0, vac), (DROP_TOL / 10.0, create(vac, 0))])

@@ -169,7 +169,7 @@ def test_run_scenario_is_deterministic():
 
 
 def test_kg_wavepacket_walks_the_moments_once(monkeypatch):
-    """The profile, the probes and the energy lattice share one stress_field call,
+    """The profile, the probes and the energy lattice share one energy_density call,
     and the lattice sum is still ``integrated_energy``'s, bit for bit."""
     import semigrav.stress_energy as stress_energy
     from semigrav.modes import minkowski_basis

@@ -24,6 +24,7 @@ from semigrav import stress_energy
 from semigrav.stress_energy import (
     _slot_products,
     _stress_block,
+    energy_density,
     integrated_energy,
     moments,
     stress_field,
@@ -381,8 +382,9 @@ _DIAGONAL_CASES = {
 @pytest.mark.parametrize("n_events", [1, 127, 129, 263])
 @pytest.mark.parametrize("name", list(_DIAGONAL_CASES))
 def test_diagonal_forms_match_the_square_formulas(name, n_events, monkeypatch):
-    """``stress_field`` equals deriv - g_square L bit for bit, and ``residual``'s
-    per-event values equal max |G_square - 8 pi T| over the full square tensors."""
+    """``stress_field`` equals deriv - g_square L bit for bit, ``energy_density`` equals
+    its T_00, and ``residual``'s per-event values equal max |G_square - 8 pi T| over
+    the full square tensors."""
     state = _DIAGONAL_CASES[name]
     backend = state.basis.backend
     rng = np.random.default_rng(n_events)
@@ -390,11 +392,14 @@ def test_diagonal_forms_match_the_square_formulas(name, n_events, monkeypatch):
     if n_events % 4 == 1:  # 1 and 129: a scalar time broadcasts over the events
         t = float(t[0])
     got = stress_field(state, t, x)
+    energy = energy_density(state, t, x)
     report = residual(state, t, x)
     with monkeypatch.context() as patch:
         patch.setattr(stress_energy, "_stress_block", _square_stress_block)
         want = stress_field(state, t, x)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
+    assert energy.shape == (n_events,)
+    assert np.array_equal(energy.view(np.uint64), got[:, 0, 0].view(np.uint64))
     assert np.array_equal(report.stress, got)
     G = _square(einstein_tensor(backend, np.broadcast_to(t, n_events), x))
     per = np.abs(G - 8.0 * np.pi * want).max(axis=(1, 2))
@@ -415,7 +420,8 @@ _BLOCK_CASES = {
 @pytest.mark.parametrize("equal_time", [True, False], ids=["equal-time", "random-times"])
 @pytest.mark.parametrize("name", list(_BLOCK_CASES))
 def test_rows_do_not_depend_on_the_block_size(name, equal_time, monkeypatch):
-    """Blocks of 1, 7, the derived size and the whole call give the same rows bit for bit."""
+    """Blocks of 1, 7, the derived size and the whole call give the same rows bit for bit,
+    of ``stress_field`` and of ``energy_density``, its T_00."""
     state = _BLOCK_CASES[name]
     _, A, D = moments(state)
     assert D.any() == name.endswith("pair") and (len(A) > 1) == name.startswith("multi-row")
@@ -430,6 +436,8 @@ def test_rows_do_not_depend_on_the_block_size(name, equal_time, monkeypatch):
         monkeypatch.setattr(stress_energy, "_WORKING_SET", fixed * _doubles_per_event(state))
         got = stress_field(state, t, x)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), fixed
+        energy = energy_density(state, t, x)
+        assert np.array_equal(energy.view(np.uint64), want[:, 0, 0].view(np.uint64)), fixed
 
 
 def _bump_moments(state):
