@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Mapping
 
 import numpy as np
@@ -121,15 +121,15 @@ def run_trials(state: FockState, branches: BranchSet, master_seed: int,
         raise ValueError(f"master_seed must lie in [0, 2**128), not {master_seed}")
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
-    born = born_probabilities(state, branches)
-    thresholds = np.cumsum(born)[:-1].tolist()
+    born = born_probabilities(state, branches).tolist()
+    thresholds = list(accumulate(born))[:-1]  # as np.cumsum adds, in order
     below = [0] * len(thresholds)  # trials picking a branch <= j, per inner weight j
     rng = np.random.Generator(np.random.Philox(key=master_seed))
     for start in range(0, n_trials, _TRIAL_BLOCK):
         r = rng.random(min(_TRIAL_BLOCK, n_trials - start))
         below = [b + int(np.count_nonzero(r < c)) for b, c in zip(below, thresholds)]
     counts = tuple(hi - lo for lo, hi in zip([0, *below], [*below, n_trials]))
-    return TrialBatch(n_trials, tuple(float(p) for p in born), counts)
+    return TrialBatch(n_trials, tuple(born), counts)
 
 
 def causality_check(pre, post, t0, x0, t, x) -> CausalityReport:
@@ -150,10 +150,11 @@ def causality_check(pre, post, t0, x0, t, x) -> CausalityReport:
     with np.errstate(over="ignore"):
         diff = np.abs(pre - post)
     max_out = float(diff[outside].max(initial=0.0))
+    n_outside = int(np.count_nonzero(outside))
     return CausalityReport(
         max_violation_outside=max_out,
         max_diff_inside=float(diff[~outside].max(initial=0.0)),
-        n_outside=int(outside.sum()),
-        n_inside=int((~outside).sum()),
+        n_outside=n_outside,
+        n_inside=outside.size - n_outside,
         passed=max_out <= 0.0,
     )

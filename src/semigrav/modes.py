@@ -66,11 +66,17 @@ class MinkowskiModeBasis:
         return (2 * self.n_max + 1) ** self.backend.dimension - (self.mass == 0.0)
 
     def mode_index(self, label: tuple[int, ...]) -> int:
-        n, d, centre = self.n_max, self.backend.dimension, self.n_modes // 2
-        if len(label) == d and all(-n <= c <= n and int(c) == c for c in label):
-            index = sum((int(c) + n) * (2 * n + 1) ** (d - 1 - a) for a, c in enumerate(label))
-            if self.mass != 0.0 or index != centre:  # a massless basis skips the zero mode
-                return index - (self.mass == 0.0 and index > centre)
+        n = self.n_max
+        if len(label) == self.backend.dimension:
+            index = 0
+            for c in label:  # the digits c + n of the index in base 2 n + 1, leading first
+                if not (-n <= c <= n and int(c) == c):
+                    break
+                index = index * (2 * n + 1) + int(c) + n
+            else:
+                centre = self.n_modes // 2
+                if self.mass != 0.0 or index != centre:  # a massless basis skips the zero mode
+                    return index - (self.mass == 0.0 and index > centre)
         raise ModeBasisError(f"label {label} not in basis")
 
     def wavevectors(self, modes=slice(None)) -> np.ndarray:

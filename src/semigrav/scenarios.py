@@ -4,19 +4,23 @@ Each ``_Scenario`` record in ``_SCENARIOS`` holds the config schema (one
 ``_Field`` record of kind and bounds per field), the rules that read two or
 more fields, the runner and an optional volume scan.  All eight pipelines
 are runners here.  A runner hands the engines its states alone: each state
-carries its basis and the basis its backend.  The two collapse runners
-build their branch sets from labelled states and hand them to
-``measurement``'s trials.  Each places its measurement at t = 0 and hands
-the gate the pre- and post-projection densities at its probes: EPR's are
-equal by construction, so it passes one zero array as both; ``page_geilker``
-evaluates its Gaussian spheres once (``_spheres``).  ``SCENARIO_NAMES``,
-``SCANS`` and the ``trials`` override (allowed when the schema has
-``n_trials``) derive from the records.  A runner reads the validated config
-alone, seed included, and returns its tables and flags, the flags recording
-the scenario's own pass criteria; the ``RunReport`` is built from the
-registry key and the config's seed by ``run_scenario`` and ``scan_scenario``
-alone.  Config validation is total: every field is required, unknown fields
-are rejected, and every error message names the offending field.
+carries its basis and the basis its backend.  A collapse runner is a setup
+and trials.  The setup reads only the geometry fields: it builds the branch
+set from labelled states, places the measurement at t = 0, hands the gate
+the pre- and post-projection densities at its probes (EPR's are equal by
+construction, so it passes one zero array as both; ``page_geilker``
+evaluates its Gaussian spheres once, ``_spheres``) and checks each branch,
+returning states, branch set and verdicts but no per-probe array.  The
+trials read ``seed`` and ``n_trials``; the flags read the verdicts of the
+branches that occurred.
+``SCENARIO_NAMES``, ``SCANS`` and the ``trials`` override (allowed when the
+schema has ``n_trials``) derive from the records.  A runner reads the
+validated config alone, seed included, and returns its tables and flags,
+the flags recording the scenario's own pass criteria; the ``RunReport`` is
+built from the registry key and the config's seed by ``run_scenario`` and
+``scan_scenario`` alone.  Config validation is total: every field is
+required, unknown fields are rejected, and every error message names the
+offending field.
 """
 from __future__ import annotations
 
@@ -321,16 +325,48 @@ def _four_sigma(p: float, n: int) -> float:
     return 4.0 * math.sqrt(p * (1.0 - p) / n) if 0.0 < p < 1.0 else 0.0
 
 
-def _epr_setup(box_side: float):
-    """Spin modes L+, L-, R+, R- on a 1-D box: the modes (L+, R-, R+) that the
-    anticorrelation check reads, the branches |L+ R-> and |L- R+>, their singlet."""
+def _linspace(stop: float, k: int) -> np.ndarray:
+    """``np.linspace(0.0, stop, k)`` bit for bit, for k >= 1 points and a nonzero step
+    (as every ``box_side`` of the records gives), without its general-purpose overhead."""
+    x = np.arange(k, dtype=float)
+    if k > 1:
+        x *= stop / (k - 1)
+        x[-1] = stop
+    return x
+
+
+def _epr_setup(box_side: float, station_separation: float, n_probes: int):
+    """The singlet of spin modes L+, L-, R+, R- on a 1-D box, its ``BranchSet``
+    |L+ R-> and |L- R+>, the gate's ``CausalityReport`` and one anticorrelation
+    verdict per branch."""
     basis = minkowski_basis(box_side=box_side, dimension=1, mass=1.0, n_max=2)
     vac = new_vacuum(basis)
     l_up, l_dn, r_up, r_dn = (basis.mode_index((n,)) for n in (1, -1, 2, -2))
-    branch_i = create(create(vac, l_up), r_dn).normalized()
-    branch_ii = create(create(vac, l_dn), r_up).normalized()
+    # a quantum created in an empty mode has amplitude sqrt(1): the branches are unit states
+    branch_i = create(create(vac, l_up), r_dn)
+    branch_ii = create(create(vac, l_dn), r_up)
     singlet = superpose([(1.0, branch_i), (1.0, branch_ii)], normalize=True)
-    return (l_up, r_dn, r_up), branch_i, branch_ii, singlet
+    branches = BranchSet({"I": branch_i, "II": branch_ii})
+
+    # the config rules keep the two stations apart, so at one shared time
+    # each lies outside the other's future cone
+    x_left = 0.5 * (box_side - station_separation)
+    # probe grid straddling the cone: same-time points are all outside,
+    # later points near the station are inside
+    n_now = n_probes // 2
+    t = np.zeros(n_probes)
+    t[n_now:] = 1.0
+    x = np.concatenate([_linspace(box_side, k) for k in (n_now, n_probes - n_now)])[:, None]
+    # the gate reads only |pre - post|, which the shared density makes zero, so
+    # one causality report holds for both branches and for every trial
+    unchanged = np.zeros(n_probes)
+    causal = causality_check(unchanged, unchanged, 0.0, (x_left,), t, x)
+
+    def anticorrelated(post) -> bool:  # local "up" pairs with remote "down", and vice versa
+        counts = tuple(number_expectation(post, m) for m in (l_up, r_dn, r_up))
+        return counts in ((1.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+    return singlet, branches, causal, tuple(anticorrelated(post) for post in branches.states)
 
 
 def _spheres(centers, mass: float, width: float, x: np.ndarray) -> np.ndarray:
@@ -338,9 +374,40 @@ def _spheres(centers, mass: float, width: float, x: np.ndarray) -> np.ndarray:
     positions x (n, d): one row (n,) per sphere center (a point of d coordinates)."""
     d = x.shape[-1]
     norm = mass / ((2.0 * math.pi) ** (d / 2.0) * width**d)
-    dx = x - np.reshape(centers, (len(centers), 1, d))
-    # np.vecdot sums |x - center|^2 as a one-event ``dx @ dx`` does, bit for bit
-    return norm * np.exp(-np.vecdot(dx, dx) / (2.0 * width**2))
+    dx = x - np.array(centers, dtype=float).reshape(len(centers), 1, d)
+    # np.vecdot sums |x - center|^2 as a one-event ``dx @ dx`` does, bit for bit;
+    # dividing by a negated divisor negates the quotient exactly
+    return norm * np.exp(np.vecdot(dx, dx) / (-2.0 * width**2))
+
+
+def _page_geilker_setup(box_side: float, position_a: float, position_b: float,
+                        sphere_mass: float, sphere_width: float, n_probes: int):
+    """The pointer state, an equal superposition of one quantum in mode -1 and in
+    mode +1, its ``BranchSet`` of those two states, the ``discontinuity`` and one
+    single-sphere verdict per branch."""
+    basis = minkowski_basis(box_side=box_side, dimension=1, mass=1.0, n_max=1)
+    vac = new_vacuum(basis)
+    state_a, state_b = (create(vac, basis.mode_index((n,))) for n in (-1, 1))  # unit states
+    pointer = superpose([(1.0, state_a), (1.0, state_b)], normalize=True)
+    branches = BranchSet({"sphere_at_A": state_a, "sphere_at_B": state_b})
+
+    a, b = position_a, position_b
+    t = np.zeros(n_probes)
+    # the probes and then the two sphere positions
+    points = np.concatenate([_linspace(box_side, n_probes), (a, b)])[:, None]
+    x = points[:n_probes]
+    # the branch densities there, one full sphere each; before projection, half of each
+    posts = _spheres((a, b), sphere_mass, sphere_width, points)
+    pre = 0.5 * posts[0] + 0.5 * posts[1]
+    # equal-time probes sit outside the cone, so the sphere relocation is
+    # visible to the check: the smaller branch "violation" is the discontinuity
+    reports = (causality_check(pre[:n_probes], post[:n_probes], 0.0, (0.5 * (a + b),), t, x)
+               for post in posts)
+    discontinuity = min(rep.max_violation_outside for rep in reports)
+    # the post density is one full sphere, never the pre-projection average:
+    # it must deviate from the average at both sphere positions
+    single = tuple(bool((np.abs(post[n_probes:] - pre[n_probes:]) > 0.0).all()) for post in posts)
+    return pointer, branches, discontinuity, single
 
 
 def _run_epr_collapse(cfg: dict) -> _Outcome:
@@ -351,32 +418,13 @@ def _run_epr_collapse(cfg: dict) -> _Outcome:
     is handed a zero change at every probe, and the remote spin is always
     opposite to the local one.
     """
-    spins, branch_i, branch_ii, singlet = _epr_setup(cfg["box_side"])
-    L, n_probes = cfg["box_side"], cfg["n_probes"]
-    # the config rules keep the two stations apart, so at one shared time
-    # each lies outside the other's future cone
-    x_left = 0.5 * (L - cfg["station_separation"])
-    branches = BranchSet({"I": branch_i, "II": branch_ii})
-
-    # probe grid straddling the cone: same-time points are all outside,
-    # later points near the station are inside
-    n_now = n_probes // 2
-    t = np.repeat([0.0, 1.0], [n_now, n_probes - n_now])
-    x = np.concatenate([np.linspace(0.0, L, k) for k in (n_now, n_probes - n_now)])[:, None]
-    # the gate reads only |pre - post|, which the shared density makes zero, so
-    # one causality report holds for both branches and for every trial below
-    unchanged = np.zeros(n_probes)
-    causal = causality_check(unchanged, unchanged, 0.0, (x_left,), t, x)
+    singlet, branches, causal, anti = _epr_setup(
+        cfg["box_side"], cfg["station_separation"], cfg["n_probes"])
     batch = run_trials(singlet, branches, cfg["seed"], cfg["n_trials"])
     n = batch.n_trials
-
-    def anticorrelated(post) -> bool:  # local "up" pairs with remote "down", and vice versa
-        counts = tuple(number_expectation(post, m) for m in spins)
-        return counts in ((1.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-
-    # a trial's post-state is its branch's state exactly, so the check runs
-    # once per branch that occurred and counts for all of its trials
-    n_anti = sum(c for post, c in zip(branches.states, batch.counts) if c and anticorrelated(post))
+    # a trial's post-state is its branch's state exactly, so a branch's verdict
+    # counts for all of its trials, and only branches that occurred are read
+    n_anti = sum(c for ok, c in zip(anti, batch.counts) if c and ok)
     k = len(branches.labels)  # the one causality report repeats for each branch
     tables = [
         Table("statistics", ("branch", "count", "frequency", "born"),
@@ -402,34 +450,12 @@ def _run_sphere_collapse(cfg: dict) -> _Outcome:
     jump between those densities is the stress-energy discontinuity that a
     sourced Einstein equation cannot absorb at the projection event.
     """
-    basis = minkowski_basis(box_side=cfg["box_side"], dimension=1, mass=1.0, n_max=1)
-    vac = new_vacuum(basis)
-    state_a, state_b = (create(vac, basis.mode_index((n,))).normalized() for n in (-1, 1))
-    pointer = superpose([(1.0, state_a), (1.0, state_b)], normalize=True)
-
-    a, b = cfg["position_a"], cfg["position_b"]
-    branches = BranchSet({"sphere_at_A": state_a, "sphere_at_B": state_b})
-
-    n_probes = cfg["n_probes"]
-    t = np.zeros(n_probes)
-    x = np.linspace(0.0, cfg["box_side"], n_probes)[:, None]
-    # the branch densities, one full sphere each, at the probes and then at the
-    # two sphere positions; before projection, half of each
-    posts = _spheres((a, b), cfg["sphere_mass"], cfg["sphere_width"], np.vstack([x, [[a], [b]]]))
-    pre = 0.5 * posts[0] + 0.5 * posts[1]
-    # equal-time probes sit outside the cone, so the sphere relocation is
-    # visible to the check: the smaller branch "violation" is the discontinuity
-    reports = (causality_check(pre[:n_probes], post[:n_probes], 0.0, (0.5 * (a + b),), t, x)
-               for post in posts)
-    discontinuity = min(rep.max_violation_outside for rep in reports)
-
+    pointer, branches, discontinuity, single = _page_geilker_setup(
+        cfg["box_side"], cfg["position_a"], cfg["position_b"], cfg["sphere_mass"],
+        cfg["sphere_width"], cfg["n_probes"])
     batch = run_trials(pointer, branches, cfg["seed"], cfg["n_trials"])
     n = batch.n_trials
-    # the post density is one full sphere, never the pre-projection average:
-    # it must deviate from the average at both sphere positions
-    single_sphere = all(
-        bool(np.all(np.abs(post[n_probes:] - pre[n_probes:]) > 0.0))
-        for post, c in zip(posts, batch.counts) if c)
+    single_sphere = all(ok for ok, c in zip(single, batch.counts) if c)
 
     tables = [Table("statistics", ("branch", "count", "frequency"),
                     (branches.labels, batch.counts, [c / n for c in batch.counts])),
@@ -499,7 +525,7 @@ def _dust_check(lightest: str, heaviest: str) -> tuple:
 
 
 def _stations_coincide(c: dict) -> bool:
-    """The EPR stations, placed as ``_run_epr_collapse`` places them, round to one
+    """The EPR stations, placed as ``_epr_setup`` places them, round to one
     point: exactly the configs where ``outside_future_cone`` would not separate
     them, since the ``box_side`` bounds keep a nonzero gap's square a normal float."""
     left = 0.5 * (c["box_side"] - c["station_separation"])

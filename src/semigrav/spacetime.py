@@ -128,4 +128,5 @@ def outside_future_cone(t0, x0, t, x) -> np.ndarray:
     if x0.ndim != 1 or x.shape[-1:] != x0.shape:
         raise ValueError(f"origin point x0 has shape {x0.shape}, probes x have {x.shape}")
     dt, dx = t - t0, x - x0
-    return ~((dt >= 0.0) & (np.sqrt(np.vecdot(dx, dx)) <= dt))  # NaN fails both: outside
+    # inside is distance <= dt, which an earlier probe (dt < 0 <= distance) and a NaN fail
+    return ~(np.sqrt(np.vecdot(dx, dx)) <= dt)

@@ -19,7 +19,7 @@ from semigrav.measurement import (
     run_trials,
 )
 from semigrav.modes import minkowski_basis
-from semigrav.scenarios import (ScenarioConfigError, _epr_setup, _run_sphere_collapse,
+from semigrav.scenarios import (ScenarioConfigError, _linspace, _run_sphere_collapse,
                                 _spheres, default_config, run_scenario, validate_config)
 from semigrav.spacetime import outside_future_cone
 
@@ -332,7 +332,13 @@ def _collapse(name, seed, n_trials, **overrides):
 
 
 def test_epr_scenario_matches_project_loop():
-    spins, branch_i, branch_ii, singlet = _epr_setup(10.0)
+    basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=2)
+    vac = new_vacuum(basis)
+    l_up, l_dn, r_up, r_dn = (basis.mode_index((n,)) for n in (1, -1, 2, -2))
+    branch_i = create(create(vac, l_up), r_dn).normalized()
+    branch_ii = create(create(vac, l_dn), r_up).normalized()
+    singlet = superpose([(1.0, branch_i), (1.0, branch_ii)], normalize=True)
+    spins = (l_up, r_dn, r_up)
     branches = BranchSet({"I": branch_i, "II": branch_ii})
     born = born_probabilities(singlet, branches)
     for seed in (0, 12, 2**33 + 1):
@@ -620,6 +626,18 @@ def test_gaussian_bump_carries_its_mass():
     xs = np.linspace(-5.0, 15.0, 20001)
     bump, = _spheres((5.0,), mass=2.0, width=0.3, x=xs[:, None])
     assert_allclose(np.trapezoid(bump, xs), 2.0, rtol=1e-10)
+
+
+# ---- probe grids ----------------------------------------------------------------
+
+@given(stop=st.floats(min_value=1e-100, max_value=1e100), k=st.integers(1, 2000))
+@example(stop=10.0, k=1)
+@example(stop=10.0, k=2)
+@example(stop=1e-100, k=2000)
+@example(stop=1e100, k=3)
+def test_probe_grid_is_linspace_bit_for_bit(stop, k):
+    """The collapse probe grids over the ``box_side`` range of the records."""
+    assert _linspace(stop, k).tobytes() == np.linspace(0.0, stop, k).tobytes()
 
 
 # ---- EPR scenario ---------------------------------------------------------------
