@@ -3,12 +3,13 @@
 A measurement is its branch set: it replaces the state with one member of
 an orthonormal ``BranchSet``, built from labelled states and sampled with
 probability |<C_i|Psi>|^2 / sum_j |<C_j|Psi>|^2.  The causality gate takes
-the pre- and post-projection energy densities as arrays, one value per
-probe event of the grid t (n,), x (n, d), and demands that they agree
-exactly wherever ``outside_future_cone`` marks a probe as outside the future
-light cone of the measurement's origin, the event (t0, x0).
-``causality_check`` returns the verdict with the largest change on each side
-of the cone; the scenarios carry it into their tables.
+the pre-projection energy density and one post-projection density per
+branch as arrays, one value per probe event of the grid t (n,), x (n, d),
+and demands that each branch agree exactly with the pre-state wherever
+``outside_future_cone`` marks a probe as outside the future light cone of
+the measurement's origin, the event (t0, x0).  ``causality_check`` classifies
+the probes once and returns one verdict per branch, with the largest change
+on each side of the cone; the scenarios carry them into their tables.
 
 Admissibility itself is scenario-declared (which branch sets count as
 "classical" is an open modeling question), so this module is agnostic:
@@ -132,29 +133,31 @@ def run_trials(state: FockState, branches: BranchSet, master_seed: int,
     return TrialBatch(n_trials, tuple(born), counts)
 
 
-def causality_check(pre, post, t0, x0, t, x) -> CausalityReport:
+def causality_check(pre, posts, t0, x0, t, x) -> tuple[CausalityReport, ...]:
     """Compare energy densities at the probes t (n,), x (n, d), split by the light cone.
 
-    ``pre`` and ``post`` hold the pre- and post-projection densities, one
-    value per probe.  Outside the future cone of the origin, time t0 and
-    point x0 (d,), they must agree exactly (a NaN there fails, and an overflowing
-    difference is inf); inside, any difference is legitimate, reported for contrast.
+    ``pre`` (n,) holds the pre-projection density and ``posts`` (k, n) one
+    post-projection density per branch, one value per probe; the probes are
+    classified once, and report i judges row i.  Outside the future cone of the
+    origin, time t0 and point x0 (d,), a row must agree with ``pre`` exactly (a NaN
+    there fails, and an overflowing difference is inf); inside, any difference is
+    legitimate, reported for contrast.
     """
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     if not t.size:
         raise ValueError("causality check needs a nonempty probe grid")
     outside = outside_future_cone(t0, x0, t, x)
-    pre, post = np.asarray(pre, dtype=float), np.asarray(post, dtype=float)
-    if pre.shape != outside.shape or post.shape != outside.shape:
-        raise ValueError(f"pre and post need one density per probe, shape {outside.shape}")
+    pre, posts = np.asarray(pre, dtype=float), np.asarray(posts, dtype=float)
+    if pre.shape != outside.shape or posts.ndim != 2 or posts.shape[1:] != outside.shape:
+        raise ValueError(f"pre needs one density per probe, shape {outside.shape}, "
+                         "and posts one row of them per branch")
     with np.errstate(over="ignore"):
-        diff = np.abs(pre - post)
-    max_out = float(diff[outside].max(initial=0.0))
+        diff = np.abs(pre - posts)
+    # each row's largest change on each side of the cone, a NaN included
+    max_out = np.where(outside, diff, 0.0).max(axis=1).tolist()
+    max_in = np.where(outside, 0.0, diff).max(axis=1).tolist()
     n_outside = int(np.count_nonzero(outside))
-    return CausalityReport(
-        max_violation_outside=max_out,
-        max_diff_inside=float(diff[~outside].max(initial=0.0)),
-        n_outside=n_outside,
-        n_inside=outside.size - n_outside,
-        passed=max_out <= 0.0,
-    )
+    return tuple(CausalityReport(max_violation_outside=out, max_diff_inside=inside,
+                                 n_outside=n_outside, n_inside=outside.size - n_outside,
+                                 passed=out <= 0.0)
+                 for out, inside in zip(max_out, max_in))

@@ -4,15 +4,18 @@ Each ``_Scenario`` record in ``_SCENARIOS`` holds the config schema (one
 ``_Field`` record of kind and bounds per field), the rules that read two or
 more fields, the runner and an optional volume scan.  All eight pipelines
 are runners here.  A runner hands the engines its states alone: each state
-carries its basis and the basis its backend.  A collapse runner is a setup
-and trials.  The setup reads only the geometry fields: it builds the branch
-set from labelled states, places the measurement at t = 0, hands the gate
-the pre- and post-projection densities at its probes (EPR's are equal by
-construction, so it passes one zero array as both; ``page_geilker``
-evaluates its Gaussian spheres once, ``_spheres``) and checks each branch,
-returning states, branch set and verdicts but no per-probe array.  The
-trials read ``seed`` and ``n_trials``; the flags read the verdicts of the
-branches that occurred.
+carries its basis and the basis its backend.  The two collapse scenarios
+share one runner, ``_run_collapse``, and differ only in data: a setup, the
+names of two flags and whether the projection should change T_00 outside
+the cone.  A setup reads only the geometry fields: it builds the branch set
+from labelled states, places the measurement at t = 0, hands the gate the
+pre-projection density and one row per branch at its probes (EPR passes one
+zero array as all three; ``page_geilker`` evaluates its Gaussian spheres
+once, ``_spheres``) and checks each branch, returning the pre-state, branch
+set, one gate report and one verdict per branch, but no per-probe array.
+The trials read ``seed`` and ``n_trials``; both scenarios emit the tables
+``statistics``, ``causality`` and ``summary``, and their flags read the
+verdicts of the branches that occurred.
 ``SCENARIO_NAMES``, ``SCANS`` and the ``trials`` override (allowed when the
 schema has ``n_trials``) derive from the records.  A runner reads the
 validated config alone, seed included, and returns its tables and flags,
@@ -26,7 +29,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from importlib import resources
 from math import isfinite
 from typing import Callable, Sequence
@@ -36,7 +40,7 @@ import numpy as np
 from .bogolubov import bogolubov_coefficients
 from .consistency import fit_parameter, residual, scaling_study
 from .fock import create, new_vacuum, number_expectation, superpose
-from .measurement import BranchSet, causality_check, run_trials
+from .measurement import BranchSet, CausalityReport, causality_check, run_trials
 from .modes import eds_basis, minkowski_basis
 from .report import RunReport, Table
 from .stress_energy import (box_lattice, energy_density, integrated_energy, total_energy,
@@ -335,10 +339,13 @@ def _linspace(stop: float, k: int) -> np.ndarray:
     return x
 
 
-def _epr_setup(box_side: float, station_separation: float, n_probes: int):
-    """The singlet of spin modes L+, L-, R+, R- on a 1-D box, its ``BranchSet``
-    |L+ R-> and |L- R+>, the gate's ``CausalityReport`` and one anticorrelation
-    verdict per branch."""
+def _epr_setup(cfg: dict):
+    """Anticorrelated pair: the singlet of spin modes L+, L-, R+, R- on a 1-D box,
+    its ``BranchSet`` |L+ R-> and |L- R+>, the gate's reports and one anticorrelation
+    verdict per branch.  The branches differ only in which station holds which spin,
+    so the projection changes spin correlations but not energy: the gate is handed
+    one zero array as the pre-projection density and as both branch rows."""
+    box_side, n_probes = cfg["box_side"], cfg["n_probes"]
     basis = minkowski_basis(box_side=box_side, dimension=1, mass=1.0, n_max=2)
     vac = new_vacuum(basis)
     l_up, l_dn, r_up, r_dn = (basis.mode_index((n,)) for n in (1, -1, 2, -2))
@@ -350,23 +357,21 @@ def _epr_setup(box_side: float, station_separation: float, n_probes: int):
 
     # the config rules keep the two stations apart, so at one shared time
     # each lies outside the other's future cone
-    x_left = 0.5 * (box_side - station_separation)
+    x_left = 0.5 * (box_side - cfg["station_separation"])
     # probe grid straddling the cone: same-time points are all outside,
     # later points near the station are inside
     n_now = n_probes // 2
     t = np.zeros(n_probes)
     t[n_now:] = 1.0
     x = np.concatenate([_linspace(box_side, k) for k in (n_now, n_probes - n_now)])[:, None]
-    # the gate reads only |pre - post|, which the shared density makes zero, so
-    # one causality report holds for both branches and for every trial
     unchanged = np.zeros(n_probes)
-    causal = causality_check(unchanged, unchanged, 0.0, (x_left,), t, x)
+    reports = causality_check(unchanged, (unchanged, unchanged), 0.0, (x_left,), t, x)
 
     def anticorrelated(post) -> bool:  # local "up" pairs with remote "down", and vice versa
         counts = tuple(number_expectation(post, m) for m in (l_up, r_dn, r_up))
         return counts in ((1.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
-    return singlet, branches, causal, tuple(anticorrelated(post) for post in branches.states)
+    return singlet, branches, reports, tuple(anticorrelated(post) for post in branches.states)
 
 
 def _spheres(centers, mass: float, width: float, x: np.ndarray) -> np.ndarray:
@@ -380,91 +385,65 @@ def _spheres(centers, mass: float, width: float, x: np.ndarray) -> np.ndarray:
     return norm * np.exp(np.vecdot(dx, dx) / (-2.0 * width**2))
 
 
-def _page_geilker_setup(box_side: float, position_a: float, position_b: float,
-                        sphere_mass: float, sphere_width: float, n_probes: int):
-    """The pointer state, an equal superposition of one quantum in mode -1 and in
-    mode +1, its ``BranchSet`` of those two states, the ``discontinuity`` and one
-    single-sphere verdict per branch."""
-    basis = minkowski_basis(box_side=box_side, dimension=1, mass=1.0, n_max=1)
+def _page_geilker_setup(cfg: dict):
+    """A sphere in an equal superposition of two positions: the pointer state, one
+    quantum in mode -1 plus one in mode +1, its ``BranchSet`` of those two states, the
+    gate's reports and one single-sphere verdict per branch.  Before projection the
+    sourced energy density is half a sphere at each position; afterwards it is one
+    full sphere, a jump that a sourced Einstein equation cannot absorb."""
+    basis = minkowski_basis(box_side=cfg["box_side"], dimension=1, mass=1.0, n_max=1)
     vac = new_vacuum(basis)
     state_a, state_b = (create(vac, basis.mode_index((n,))) for n in (-1, 1))  # unit states
     pointer = superpose([(1.0, state_a), (1.0, state_b)], normalize=True)
     branches = BranchSet({"sphere_at_A": state_a, "sphere_at_B": state_b})
 
-    a, b = position_a, position_b
-    t = np.zeros(n_probes)
-    # the probes and then the two sphere positions
-    points = np.concatenate([_linspace(box_side, n_probes), (a, b)])[:, None]
-    x = points[:n_probes]
+    a, b, n_probes = cfg["position_a"], cfg["position_b"], cfg["n_probes"]
+    # the equal-time probes and then the two sphere positions
+    points = np.concatenate([_linspace(cfg["box_side"], n_probes), (a, b)])[:, None]
     # the branch densities there, one full sphere each; before projection, half of each
-    posts = _spheres((a, b), sphere_mass, sphere_width, points)
+    posts = _spheres((a, b), cfg["sphere_mass"], cfg["sphere_width"], points)
     pre = 0.5 * posts[0] + 0.5 * posts[1]
-    # equal-time probes sit outside the cone, so the sphere relocation is
-    # visible to the check: the smaller branch "violation" is the discontinuity
-    reports = (causality_check(pre[:n_probes], post[:n_probes], 0.0, (0.5 * (a + b),), t, x)
-               for post in posts)
-    discontinuity = min(rep.max_violation_outside for rep in reports)
+    # equal-time probes sit outside the cone, so the gate sees the sphere relocation
+    reports = causality_check(pre[:n_probes], posts[:, :n_probes], 0.0, (0.5 * (a + b),),
+                              np.zeros(n_probes), points[:n_probes])
     # the post density is one full sphere, never the pre-projection average:
     # it must deviate from the average at both sphere positions
     single = tuple(bool((np.abs(post[n_probes:] - pre[n_probes:]) > 0.0).all()) for post in posts)
-    return pointer, branches, discontinuity, single
+    return pointer, branches, reports, single
 
 
-def _run_epr_collapse(cfg: dict) -> _Outcome:
-    """Anticorrelated pair: project at station X at t = 0, verify spin at station Y.
+_GATE_COLUMNS = tuple(f.name for f in fields(CausalityReport))
 
-    The branches differ only in which station holds which spin, so the
-    projection changes spin correlations but not energy: the causality gate
-    is handed a zero change at every probe, and the remote spin is always
-    opposite to the local one.
+
+def _run_collapse(cfg: dict, setup: Callable, check_flag: str, gate_flag: str,
+                  changes_t00: bool) -> _Outcome:
+    """Project the setup's state at t = 0 in ``n_trials`` seeded trials.
+
+    ``setup(cfg)`` reads the geometry fields and returns the pre-projection state,
+    its ``BranchSet``, the gate's report and the scenario's own check for each
+    branch.  A trial's post-state is its branch's state exactly, so a branch's
+    verdicts count for all of its trials, and only branches that occurred are
+    read.  ``discontinuity`` is the smallest change outside the cone over the
+    branches.  The gate flag holds when every branch passes the gate if the
+    projection should leave T_00 outside the cone unchanged, and when
+    ``discontinuity`` is nonzero if it should change it (``changes_t00``).
     """
-    singlet, branches, causal, anti = _epr_setup(
-        cfg["box_side"], cfg["station_separation"], cfg["n_probes"])
-    batch = run_trials(singlet, branches, cfg["seed"], cfg["n_trials"])
+    state, branches, reports, checks = setup(cfg)
+    batch = run_trials(state, branches, cfg["seed"], cfg["n_trials"])
     n = batch.n_trials
-    # a trial's post-state is its branch's state exactly, so a branch's verdict
-    # counts for all of its trials, and only branches that occurred are read
-    n_anti = sum(c for ok, c in zip(anti, batch.counts) if c and ok)
-    k = len(branches.labels)  # the one causality report repeats for each branch
+    checked = all(ok for ok, c in zip(checks, batch.counts) if c)
+    discontinuity = min(rep.max_violation_outside for rep in reports)
     tables = [
         Table("statistics", ("branch", "count", "frequency", "born"),
               (branches.labels, batch.counts, [c / n for c in batch.counts], batch.born)),
-        Table("causality",
-              ("branch", "max_violation_outside", "max_diff_inside", "n_outside",
-               "n_inside", "passed"),
-              (branches.labels, [causal.max_violation_outside] * k,
-               [causal.max_diff_inside] * k, [causal.n_outside] * k, [causal.n_inside] * k,
-               [causal.passed] * k))]
+        Table("causality", ("branch", *_GATE_COLUMNS),
+              (branches.labels, *([getattr(rep, c) for rep in reports] for c in _GATE_COLUMNS))),
+        Table("summary", ("discontinuity", check_flag), ([discontinuity], [checked]))]
     return tables, {
-        "anticorrelation_exact": n_anti == n,
-        "causality_pass": causal.passed,
+        check_flag: checked,
+        gate_flag: discontinuity > 0.0 if changes_t00 else all(rep.passed for rep in reports),
         "born_within_4sigma": all(
             abs(c / n - p) <= _four_sigma(p, n) for c, p in zip(batch.counts, batch.born))}
-
-
-def _run_sphere_collapse(cfg: dict) -> _Outcome:
-    """A sphere in an equal superposition of two positions, then observed.
-
-    Before projection the sourced energy density is the expectation value,
-    half a sphere at each position; afterwards it is one full sphere.  The
-    jump between those densities is the stress-energy discontinuity that a
-    sourced Einstein equation cannot absorb at the projection event.
-    """
-    pointer, branches, discontinuity, single = _page_geilker_setup(
-        cfg["box_side"], cfg["position_a"], cfg["position_b"], cfg["sphere_mass"],
-        cfg["sphere_width"], cfg["n_probes"])
-    batch = run_trials(pointer, branches, cfg["seed"], cfg["n_trials"])
-    n = batch.n_trials
-    single_sphere = all(ok for ok, c in zip(single, batch.counts) if c)
-
-    tables = [Table("statistics", ("branch", "count", "frequency"),
-                    (branches.labels, batch.counts, [c / n for c in batch.counts])),
-              Table("summary", ("discontinuity", "always_single_sphere"),
-                    ([discontinuity], [single_sphere]))]
-    return tables, {
-        "single_sphere_every_trial": single_sphere,
-        "discontinuity_nonzero": discontinuity > 0.0,
-        "born_within_4sigma": abs(batch.counts[0] / n - 0.5) <= _four_sigma(0.5, n)}
 
 
 # ---- scan observables ----------------------------------------------------------
@@ -507,7 +486,9 @@ _BOX_MASS = _Field("number", lo=1e-150, hi=1e150, zero=True)
 # the dust closed form takes t^4 and m^2 (``_dust_check``)
 _T_GRID = _Field("increasing", lo=1e-75, hi=1e75)
 _DUST_MASS = _Field("number", hi=1e150)
-_SCAN_VALUES = _Field("increasing", min_len=3)  # the volumes of ``scan_scenario``
+_SCAN_VALUES = _Field("increasing", min_len=3)  # the volumes of the V scan
+# the V0 observable's mass V0/(6 pi) takes m^2 and its tail 3 pi/V0^2 at t = 1
+_EDS_VOLUMES = _Field("increasing", lo=1e-149, hi=1e150, min_len=3)
 
 
 def _dust_check(lightest: str, heaviest: str) -> tuple:
@@ -538,8 +519,8 @@ class _Scenario:
     run: Callable[[dict], _Outcome]
     # rules over two or more fields, in order: (field, message, test true for a bad config)
     checks: tuple[tuple[str, str, Callable[[dict], bool]], ...] = ()
-    # (scanned parameter, factory of the observable from a validated config)
-    scan: tuple[str, Callable[[dict], Callable[[float], float]]] | None = None
+    # (scanned parameter, factory of the observable from a validated config, values record)
+    scan: tuple[str, Callable[[dict], Callable[[float], float]], _Field] | None = None
 
 
 _SCENARIOS: dict[str, _Scenario] = {
@@ -550,7 +531,7 @@ _SCENARIOS: dict[str, _Scenario] = {
         schema={"box_side": _BOX_SIDE, "dimension": _DIMENSION, "mass": _BOX_MASS,
                 "n_max": _COUNT, "mode_label": _Field("integers"), "n_events": _COUNT,
                 "lattice_points": _COUNT, "seed": _SEED},
-        run=_run_minkowski_particle, scan=("V", _box_volume_observable),
+        run=_run_minkowski_particle, scan=("V", _box_volume_observable, _SCAN_VALUES),
         checks=(("mode_label", "must have one integer per spatial dimension",
                  lambda c: len(c["mode_label"]) != c["dimension"]),
                 ("mode_label", "exceeds n_max",
@@ -566,13 +547,12 @@ _SCENARIOS: dict[str, _Scenario] = {
     "eds_cosmology": _Scenario(
         schema={"comoving_volume": _POSITIVE, "mass": _DUST_MASS, "t_grid": _T_GRID,
                 "seed": _SEED},
-        run=_run_eds_cosmology, scan=("V0", _eds_volume_observable),
+        run=_run_eds_cosmology, scan=("V0", _eds_volume_observable, _EDS_VOLUMES),
         checks=(_dust_check("mass", "mass"),)),
     "eds_fit": _Scenario(
         schema={"comoving_volume": _POSITIVE, "t_grid": _T_GRID, "bracket_lo": _POSITIVE,
                 "bracket_hi": _DUST_MASS, "fit_tol": _POSITIVE,
-                # the scan's mass V0/(6 pi) takes m^2 and its tail 3 pi/V0^2 at t = 1
-                "scaling_volumes": _Field("increasing", lo=1e-149, hi=1e150, min_len=3),
+                "scaling_volumes": _EDS_VOLUMES,
                 "seed": _SEED},
         run=_run_eds_fit,
         checks=(("bracket_hi", "must exceed bracket_lo",
@@ -596,7 +576,8 @@ _SCENARIOS: dict[str, _Scenario] = {
         schema={"box_side": _BOX_SIDE,  # the spin modes' box basis
                 "station_separation": _POSITIVE, "n_trials": _COUNT,
                 "n_probes": _Field("integer", lo=2), "seed": _SEED},
-        run=_run_epr_collapse,
+        run=partial(_run_collapse, setup=_epr_setup, check_flag="anticorrelation_exact",
+                    gate_flag="causality_pass", changes_t00=False),
         checks=(("station_separation", "must be smaller than box_side",
                  lambda c: c["station_separation"] >= c["box_side"]),
                 ("station_separation", "too small to separate the stations at this box_side",
@@ -607,7 +588,9 @@ _SCENARIOS: dict[str, _Scenario] = {
                 # a Gaussian sphere needs 2 width^2 to stay a normal float and a finite peak
                 "sphere_width": _Field("number", lo=1e-150, hi=1e150),
                 "n_trials": _COUNT, "n_probes": _Field("integer", lo=2), "seed": _SEED},
-        run=_run_sphere_collapse,
+        run=partial(_run_collapse, setup=_page_geilker_setup,
+                    check_flag="single_sphere_every_trial", gate_flag="discontinuity_nonzero",
+                    changes_t00=True),
         checks=(("position_a", "sphere positions must lie inside the box",
                  lambda c: c["position_a"] >= c["box_side"]),
                 ("position_b", "sphere positions must lie inside the box",
@@ -695,18 +678,19 @@ def scan_scenario(name: str, config: dict | None, param: str,
     """Log-log scaling study of a scenario's residual over a volume parameter.
 
     ``param`` must be the scenario's scan parameter, ``SCANS[name]``; the ``values``, a
-    sequence or numpy array, are checked next by the record ``_SCAN_VALUES`` (at least
-    three strictly increasing positive finite volumes), before the observable is built.
+    sequence or numpy array, are checked next by the scan's values record (at least
+    three strictly increasing positive finite volumes, within the range that the
+    observable can evaluate), before the observable is built.
     The report has the ``scaling`` and ``scaling_slope`` tables and the flag ``slope_defined``.
     """
     scenario = _scenario(name)
     if scenario.scan is None:
         raise ScenarioConfigError(f"scenario {name!r} has no volume scan")
     cfg = validate_config(name, default_config(name) if config is None else config)
-    scan_param, make_observable = scenario.scan
+    scan_param, make_observable, record = scenario.scan
     if param != scan_param:
         raise ScenarioConfigError(f"field 'param': {name} scans over {scan_param}")
-    values = _field({"values": _SCAN_VALUES}, "values", np.asarray(values, dtype=object).tolist())
+    values = _field({"values": record}, "values", np.asarray(values, dtype=object).tolist())
     observable = make_observable(cfg)
     try:
         with np.errstate(over="raise"):  # a volume beyond double range names 'values'

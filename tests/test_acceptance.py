@@ -254,7 +254,7 @@ def test_criterion_9a_epr_anticorrelation_with_zero_violation():
 def test_criterion_9b_acausal_branch_set_is_flagged():
     x = np.linspace(0.0, 10.0, 48)[:, None]
     pre, moved = _spheres((3.0, 8.0), 1.0, 0.3, x)  # moved: relocated outside the cone
-    rep = causality_check(pre, moved, 0.5, (3.0,), np.full(48, 0.5), x)
+    rep, = causality_check(pre, [moved], 0.5, (3.0,), np.full(48, 0.5), x)
     _criterion("9b", "branch moving energy outside the cone fails the check",
                not rep.passed, f"violation={rep.max_violation_outside:.3f}")
 

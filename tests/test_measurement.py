@@ -19,8 +19,8 @@ from semigrav.measurement import (
     run_trials,
 )
 from semigrav.modes import minkowski_basis
-from semigrav.scenarios import (ScenarioConfigError, _linspace, _run_sphere_collapse,
-                                _spheres, default_config, run_scenario, validate_config)
+from semigrav.scenarios import (_SCENARIOS, ScenarioConfigError, _linspace, _spheres,
+                                default_config, run_scenario, validate_config)
 from semigrav.spacetime import outside_future_cone
 
 BASIS = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)
@@ -365,6 +365,7 @@ def test_page_geilker_matches_project_loop():
     bumps = (_scalar_bump((3.0,), 1.0, 0.4), _scalar_bump((7.0,), 1.0, 0.4))
     pre = _scalar_mixture([(0.5, bumps[0]), (0.5, bumps[1])])
     branches = BranchSet({"sphere_at_A": state_a, "sphere_at_B": state_b})
+    born = born_probabilities(pointer, branches)
     at = ((0.0, (3.0,)), (0.0, (7.0,)))
     for seed in (4, 99):
         picks = _reference_picks(pointer, branches, seed, max(TRIAL_COUNTS))
@@ -373,9 +374,24 @@ def test_page_geilker_matches_project_loop():
             report = _collapse("page_geilker", seed, n)
             c = (picks[:n].count(0), picks[:n].count(1))
             assert report.tables["statistics"].rows == (
-                ("sphere_at_A", c[0], c[0] / n), ("sphere_at_B", c[1], c[1] / n))
+                ("sphere_at_A", c[0], c[0] / n, float(born[0])),
+                ("sphere_at_B", c[1], c[1] / n, float(born[1])))
             assert report.tables["summary"].rows[0][1] == all(single[:n])
             assert report.flags["single_sphere_every_trial"] == all(single[:n])
+
+
+@pytest.mark.parametrize("name", ["epr_collapse", "page_geilker"])
+def test_a_collapse_run_classifies_its_probes_once(name, monkeypatch):
+    """The gate judges every branch in one call, so a run tests the cone once."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return outside_future_cone(*args)
+
+    monkeypatch.setattr(measurement, "outside_future_cone", counted)
+    _collapse(name, 3, 50)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("amps", [(1.0, 1.0), (0.6, 0.8), (1.0, 0.0)])
@@ -404,7 +420,7 @@ def test_causality_check_splits_probes_by_cone():
     pre = np.ones(5)
     # difference only strictly inside the cone: the check must pass
     post = 1.0 + np.where(_GATE_OUTSIDE, 0.0, 0.7)
-    rep = causality_check(pre, post, 0.0, (0.0,), _GATE_T, _GATE_X)
+    rep, = causality_check(pre, [post], 0.0, (0.0,), _GATE_T, _GATE_X)
     assert rep.passed
     assert rep.n_outside == 2 and rep.n_inside == 3
     assert rep.max_violation_outside == 0.0
@@ -413,13 +429,14 @@ def test_causality_check_splits_probes_by_cone():
 
 def test_causality_check_flags_outside_change():
     pre, post = np.zeros(2), np.full(2, 0.3)  # a uniform shift leaks outside the cone
-    rep = causality_check(pre, post, 0.0, (0.0,), [0.5, 0.5], [[-4.0], [4.0]])
+    rep, = causality_check(pre, [post], 0.0, (0.0,), [0.5, 0.5], [[-4.0], [4.0]])
     assert not rep.passed
     assert_allclose(rep.max_violation_outside, 0.3)
     assert rep.max_diff_inside == 0.0 and rep.n_inside == 0
     with pytest.raises(ValueError):
-        causality_check([], [], 0.0, (0.0,), [], np.zeros((0, 1)))
-    for wrong in ((np.zeros(3), post), (pre, np.zeros(1))):  # not one density per probe
+        causality_check([], [[]], 0.0, (0.0,), [], np.zeros((0, 1)))
+    # not one density per probe, or posts not one row per branch
+    for wrong in ((np.zeros(3), [post]), (pre, [np.zeros(1)]), (pre, post), (pre, [[post]])):
         with pytest.raises(ValueError, match="one density per probe"):
             causality_check(*wrong, 0.0, (0.0,), [0.5, 0.5], [[-4.0], [4.0]])
 
@@ -430,7 +447,7 @@ def test_causality_check_fails_one_ulp_outside(probe, pre):
     """The gate has no tolerance: the smallest change at one outside probe fails it."""
     post = np.full(5, pre)
     post[probe] = np.nextafter(pre, np.inf)
-    rep = causality_check(np.full(5, pre), post, 0.0, (0.0,), _GATE_T, _GATE_X)
+    rep, = causality_check(np.full(5, pre), [post], 0.0, (0.0,), _GATE_T, _GATE_X)
     assert not rep.passed
     assert rep.max_violation_outside == np.spacing(pre) and rep.max_diff_inside == 0.0
 
@@ -447,7 +464,7 @@ def test_causality_check_passes_any_change_inside(pre, change):
     the gate passes."""
     post = np.array(pre)
     post[~_GATE_OUTSIDE] = change
-    rep = causality_check(pre, post, 0.0, (0.0,), _GATE_T, _GATE_X)
+    rep, = causality_check(pre, [post], 0.0, (0.0,), _GATE_T, _GATE_X)
     assert rep.passed and rep.max_violation_outside == 0.0
     assert (rep.n_outside, rep.n_inside) == (2, 3)
 
@@ -456,7 +473,7 @@ def test_causality_check_passes_any_change_inside(pre, change):
 def test_causality_check_fails_nan_outside(side):
     densities = {"pre": np.ones(5), "post": np.ones(5)}
     densities[side][0] = np.nan  # probe 0 is outside the cone
-    rep = causality_check(densities["pre"], densities["post"], 0.0, (0.0,), _GATE_T, _GATE_X)
+    rep, = causality_check(densities["pre"], [densities["post"]], 0.0, (0.0,), _GATE_T, _GATE_X)
     assert not rep.passed and math.isnan(rep.max_violation_outside)
 
 
@@ -476,7 +493,7 @@ def test_causality_check_counts_a_nan_event_as_outside(where):
         x[probe, 0] = math.nan
     post = np.ones(5)
     post[probe] = 2.0
-    rep = causality_check(np.ones(5), post, t0, x0, t, x)
+    rep, = causality_check(np.ones(5), [post], t0, x0, t, x)
     assert not rep.passed and rep.max_violation_outside == 1.0
     assert rep.n_outside == (5 if where in ("t0", "x0") else 3)
 
@@ -487,7 +504,7 @@ def test_causality_check_reads_an_overflowing_change_as_inf():
     pre[probe], post[probe] = 1.7e308, -1.7e308
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = causality_check(pre, post, 0.0, (0.0,), _GATE_T, _GATE_X)
+        rep, = causality_check(pre, [post], 0.0, (0.0,), _GATE_T, _GATE_X)
     assert not rep.passed and rep.max_violation_outside == math.inf
 
 
@@ -495,7 +512,7 @@ def test_causality_check_reads_an_overflowing_change_as_inf():
                          ids=["x0-of-wrong-dimension", "2-d-x0", "array-t0"])
 def test_causality_check_rejects_a_malformed_origin(t0, x0):
     with pytest.raises(ValueError, match="^origin (time t0 must|point x0 has)"):
-        causality_check(np.ones(5), np.ones(5), t0, x0, _GATE_T, _GATE_X)
+        causality_check(np.ones(5), [np.ones(5)], t0, x0, _GATE_T, _GATE_X)
 
 
 # ---- the array gate against the per-probe scalar path ------------------------
@@ -570,29 +587,32 @@ def test_array_gate_matches_scalar_path(dimension):
         mass, width = rng.uniform(0.5, 2.0), rng.uniform(0.2, 1.5)
         w = rng.uniform(0.0, 1.0)
         spheres = _spheres(centers, mass, width, x)
-        pre, post = w * spheres[0] + (1.0 - w) * spheres[1], spheres[2]
-        scalar_pre = _scalar_mixture([(w, _scalar_bump(centers[0], mass, width)),
-                                      (1.0 - w, _scalar_bump(centers[1], mass, width))])
-        scalar_post = _scalar_bump(centers[2], mass, width)
+        # several branch rows: the third sphere and each sphere of the mixture
+        pre, posts = w * spheres[0] + (1.0 - w) * spheres[1], spheres[[2, 0, 1]]
+        bumps = [_scalar_bump(center, mass, width) for center in centers]
+        scalar_pre = _scalar_mixture([(w, bumps[0]), (1.0 - w, bumps[1])])
+        scalar_posts = [bumps[2], bumps[0], bumps[1]]
         rng.uniform(0.0, 0.2)  # the gate's former tolerance: still drawn, so the draws match
 
         probes = list(zip(t, x))
-        flags, ref = _scalar_check(scalar_pre, scalar_post, (t0, x0), probes)
-        assert outside_future_cone(t0, x0, t, x).tolist() == flags
-        assert not any(flags[-1 - len(steps):-1])  # the null boundary is inside
-        assert flags[-1]  # earlier: outside
-        got = causality_check(pre, post, t0, x0, t, x)
-        assert (got.n_outside, got.n_inside, got.passed) == (ref.n_outside, ref.n_inside,
-                                                             ref.passed)
-        # np.exp and math.exp differ in the last ulp, so a difference agrees within
-        # 4 ulp of its larger operand; where pre and post nearly cancel, that is
-        # many ulp of the difference itself
-        operand = np.array([max(abs(scalar_pre(ev)), abs(scalar_post(ev))) for ev in probes])
-        outside = np.array(flags)
-        assert _within_ulps(got.max_violation_outside, ref.max_violation_outside, 4,
-                            operand[outside].max(initial=0.0))
-        assert _within_ulps(got.max_diff_inside, ref.max_diff_inside, 4,
-                            operand[~outside].max(initial=0.0))
+        got = causality_check(pre, posts, t0, x0, t, x)
+        assert len(got) == len(scalar_posts)
+        for rep, scalar_post in zip(got, scalar_posts):
+            flags, ref = _scalar_check(scalar_pre, scalar_post, (t0, x0), probes)
+            assert outside_future_cone(t0, x0, t, x).tolist() == flags
+            assert not any(flags[-1 - len(steps):-1])  # the null boundary is inside
+            assert flags[-1]  # earlier: outside
+            assert (rep.n_outside, rep.n_inside, rep.passed) == (ref.n_outside, ref.n_inside,
+                                                                 ref.passed)
+            # np.exp and math.exp differ in the last ulp, so a difference agrees within
+            # 4 ulp of its larger operand; where pre and post nearly cancel, that is
+            # many ulp of the difference itself
+            operand = np.array([max(abs(scalar_pre(ev)), abs(scalar_post(ev))) for ev in probes])
+            outside = np.array(flags)
+            assert _within_ulps(rep.max_violation_outside, ref.max_violation_outside, 4,
+                                operand[outside].max(initial=0.0))
+            assert _within_ulps(rep.max_diff_inside, ref.max_diff_inside, 4,
+                                operand[~outside].max(initial=0.0))
 
 
 def test_page_geilker_discontinuity_matches_scalar_path():
@@ -602,11 +622,11 @@ def test_page_geilker_discontinuity_matches_scalar_path():
         a, b = np.sort(rng.uniform(0.0, box, 2))
         mass, width = rng.uniform(0.1, 5.0), rng.uniform(0.05, 2.0)
         n_probes = int(rng.integers(2, 100))
-        # the runner itself: the config rule that a sphere be wider than the probe
+        # the collapse runner itself: the config rule that a sphere be wider than the probe
         # spacing would reject many of these draws
         cfg = dict(default_config("page_geilker"), box_side=box, position_a=a, position_b=b,
                    sphere_mass=mass, sphere_width=width, n_probes=n_probes, n_trials=1)
-        tables, _ = _run_sphere_collapse(dict(cfg, seed=0))
+        tables, _ = _SCENARIOS["page_geilker"].run(dict(cfg, seed=0))
         summary, = (table for table in tables if table.name == "summary")
         discontinuity = summary.rows[0][0]
         bumps = (_scalar_bump((a,), mass, width), _scalar_bump((b,), mass, width))

@@ -2,6 +2,7 @@
 import argparse
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import json
@@ -212,7 +213,9 @@ def test_seed_override_is_the_config_seed(name):
 
 def test_only_the_entry_points_build_reports_and_runners_take_the_config_alone():
     """Each ``_run_*`` reads its seed from the validated config and returns its
-    tables and flags; ``run_scenario`` and ``scan_scenario`` build every report."""
+    tables and flags; ``run_scenario`` and ``scan_scenario`` build every report.
+    The one collapse runner takes the config first and its scenario's data after
+    it, which the registry binds: each registry runner is called with the config alone."""
     path = Path(__file__).resolve().parents[1] / "src" / "semigrav" / "scenarios.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     builders, runners = set(), {}
@@ -225,8 +228,14 @@ def test_only_the_entry_points_build_reports_and_runners_take_the_config_alone()
             args = node.args
             runners[owner] = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
     assert builders == {"run_scenario", "scan_scenario"}
-    assert len(runners) == len(SCENARIO_NAMES)
+    collapse = runners.pop("_run_collapse")
+    assert collapse == ["cfg", "setup", "check_flag", "gate_flag", "changes_t00"]
     assert runners == {name: ["cfg"] for name in runners}
+    runs = [scenario.run for scenario in _SCENARIOS.values()]
+    bound = [run for run in runs if isinstance(run, functools.partial)]
+    assert all(run.func.__name__ == "_run_collapse" and not run.args
+               and list(run.keywords) == collapse[1:] for run in bound)
+    assert sorted(run.__name__ for run in runs if run not in bound) == sorted(runners)
 
 
 def test_trials_override_only_for_projection_scenarios():
@@ -435,7 +444,7 @@ def test_scan_control_fails_exactly_its_flags(control, capsys):
 # with what makes it hold by construction
 COLLAPSE_IDENTITIES = {
     "causality_pass": "both EPR branches carry the pre-projection density, so the "
-                      "runner hands the gate one zero array as both pre and post",
+                      "setup hands the gate one zero array as pre and as both branch rows",
     "anticorrelation_exact": "the EPR branches are built as |L+ R-> and |L- R+>, "
                              "so every branch state has opposite spins",
     "discontinuity_nonzero": "it compares two declared Gaussians at distinct positions, "
@@ -896,6 +905,11 @@ API_MESSAGES = [
     # the values are named before the observable's own errors, the 3-D V scan's among them
     (lambda: scan_scenario("minkowski_particle", None, "V", [10.0, 20.0]),
      "field 'values': must be a list of at least 3 numbers"),
+    # the V0 scan checks its volumes with eds_fit's scaling_volumes record
+    (lambda: scan_scenario("eds_cosmology", None, "V0", [1e-300, 1.0, 2.0]),
+     "field 'values': entries must lie between 1e-149 and 1e150"),
+    (lambda: scan_scenario("eds_cosmology", None, "V0", [1.0, 2.0, 1e160]),
+     "field 'values': entries must lie between 1e-149 and 1e150"),
 ]
 
 
@@ -1012,6 +1026,10 @@ CLI_MESSAGES = [
     (["run", "page_geilker", "--config", "{tmp}/pg_tol.json"], "unknown field 'tol'"),
     (["run", "epr_collapse", "--config", "{tmp}/epr_wide.json"],
      "field 'station_separation': too small to separate the stations at this box_side"),
+    (["scan", "eds_cosmology", "--param", "V0", "--values", "1e-300,1,2"],
+     "field 'values': entries must lie between 1e-149 and 1e150"),
+    (["scan", "eds_cosmology", "--param", "V0", "--values", "1,2,1e160"],
+     "field 'values': entries must lie between 1e-149 and 1e150"),
 ]
 
 # config files the CLI cases read: file stem -> (scenario, changes to its packaged config)
@@ -1121,9 +1139,9 @@ def test_bad_scan_values_exit_2_naming_values(scenario, param, values, tmp_path,
     assert "Traceback" not in err
     if "inf" in values or "nan" in values or "1e400" in values:
         assert err == "error: field 'values': must be finite\n"
-    elif values == "10,20,1e308":  # finite, but 2 w V (V) or m**2 (V0) overflows
+    elif values == "10,20,1e308":  # finite, but 2 w V overflows (V) or beyond the record (V0)
         reason = {"V": "overflow encountered in multiply",
-                  "V0": "(34, 'Numerical result out of range')"}[param]
+                  "V0": "entries must lie between 1e-149 and 1e150"}[param]
         assert err == f"error: field 'values': {reason}\n"
 
 
