@@ -39,8 +39,9 @@ from .bogolubov import (
     bogolubov_coefficients,
 )
 from .stress_energy import (
+    energy_density,
     integrated_energy,
-    stress_sample,
+    stress_field,
     total_energy,
     wavepacket_state,
 )

@@ -7,7 +7,8 @@
 
 Exit codes: 0 when every scenario flag passes, 1 when any flag fails
 (with one ``flag '<name>' failed`` line on stderr per failed flag), 2 for
-configuration or usage errors.  The scannable scenarios and their
+configuration or usage errors (``--format csv`` without ``--out`` among them:
+CSV writes one file per table).  The scannable scenarios and their
 parameters come from the scenario registry.  ``--values`` is parsed into floats
 here, and ``scan_scenario`` checks them as it does for a Python caller.
 """
@@ -74,6 +75,9 @@ def _parse_values(raw: str) -> list[float]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.format == "csv" and args.out is None:
+            raise ScenarioConfigError("field 'out': CSV writes one file per table, "
+                                      "so --format csv needs --out")
         config = _load_config(args.config) if args.config else None
         if args.command == "run":
             report = run_scenario(args.scenario, config=config, seed=args.seed,

@@ -69,7 +69,7 @@ class ScalingStudy:
     values: tuple[float, ...]
     observables: tuple[float, ...]
     slope: float | None
-    status: str  # "ok" or "undefined(zero)"
+    status: str  # "ok", "undefined(zero)" or "undefined(rank)"
 
 
 def scaling_study(observable: Callable[[float], float], values: Sequence[float],
@@ -79,7 +79,9 @@ def scaling_study(observable: Callable[[float], float], values: Sequence[float],
     Requires at least three strictly increasing positive finite values, none
     a bool; a failing list raises ValueError before ``observable`` runs.  A
     zero observable anywhere makes the log-log fit degenerate; the slope is
-    then None with status "undefined(zero)".
+    then None with status "undefined(zero)".  Values whose logs agree to
+    rounding (a few ulps apart) leave the fit below rank 2: the slope is
+    None with status "undefined(rank)".
     """
     values = tuple(values)  # an iterator is read once
     if any(isinstance(v, (bool, np.bool_)) for v in values):
@@ -99,8 +101,10 @@ def scaling_study(observable: Callable[[float], float], values: Sequence[float],
     obs = tuple(float(observable(v)) for v in values)
     if any(o == 0.0 for o in obs):
         return ScalingStudy(parameter, values, obs, None, "undefined(zero)")
-    slope = float(np.polyfit(np.log(values), np.log(np.abs(obs)), 1)[0])
-    return ScalingStudy(parameter, values, obs, slope, "ok")
+    coeffs, _, rank, *_ = np.polyfit(np.log(values), np.log(np.abs(obs)), 1, full=True)
+    if rank < 2:
+        return ScalingStudy(parameter, values, obs, None, "undefined(rank)")
+    return ScalingStudy(parameter, values, obs, float(coeffs[0]), "ok")
 
 
 @dataclass(frozen=True)

@@ -30,14 +30,6 @@ class ModeBasisError(ValueError):
     """Raised for invalid basis parameters or unsupported basis operations."""
 
 
-def _progression(index: list):  # a slice if ``index`` (not empty) is a progression, else an array
-    step = index[1] - index[0] if len(index) > 1 else 1
-    stop = index[0] + step * len(index)
-    if step and index == list(range(index[0], stop, step)):
-        return slice(index[0], stop if stop >= 0 else None, step)
-    return np.array(index, dtype=np.intp)
-
-
 def _dt_coeffs(basis, t, x) -> np.ndarray:  # d_t f_k, shape [..., n_modes]
     return basis.slot_factors(t)[..., 0, :] * basis.field_coeffs(t, x)
 
@@ -101,18 +93,13 @@ class MinkowskiModeBasis:
     def _cached_modes(self, modes: tuple | range) -> tuple:
         """k, w and 1/sqrt(2 w V) of the modes indexed, once for all blocks of a ``stress_field``
         call, and their +- pairs (or None): mode i's mirror n_modes - 1 - i has -k and the same
-        w, so a mode whose mirror came earlier is column ``mirror[j]``, the conjugate of ``lead``
-        column ``partner[j]``; a slice where it is a progression, as on any symmetric support."""
-        lead, partner, mirror, seen = [], [], [], {}
-        for j, mode in enumerate(modes):
-            if self.n_modes - 1 - mode in seen:
-                partner.append(seen[self.n_modes - 1 - mode])
-                mirror.append(j)
-            else:
-                seen[mode] = len(lead)
-                lead.append(j)
+        w, so on a support of n >= 2 modes that is its own mirror (column j's mode and column
+        n - 1 - j's sum to n_modes - 1) the ceil(n/2) ``lead`` columns come first and the rest,
+        ``mirror``, are the conjugates of the lead columns ``partner``, in reverse order."""
         k, w = self.wavevectors(modes), self.frequencies(modes)
-        pairs = tuple(map(_progression, (lead, partner, mirror))) if mirror else None
+        n, pairs = len(modes), None
+        if n >= 2 and all(a + b == self.n_modes - 1 for a, b in zip(modes, reversed(modes))):
+            pairs = (slice(0, (n + 1) // 2), slice(n // 2 - 1, None, -1), slice((n + 1) // 2, n))
         return k, w, 1.0 / np.sqrt(2.0 * w * self.backend.spatial_volume), pairs
 
     # ---- field-operator coefficients at events ----------------------------

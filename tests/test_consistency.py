@@ -1,4 +1,6 @@
 """Einstein-equation residuals, scaling studies, golden-section fits."""
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -131,6 +133,20 @@ def test_scaling_study_rejects_values_before_the_observable_runs(values, message
     with pytest.raises(ValueError, match=f"^{message}$"):
         scaling_study(lambda v: calls.append(v) or v, values)
     assert calls == []
+
+
+@pytest.mark.parametrize("values, status", [
+    ([10.0, 10.000000000000002, 10.000000000000004], "undefined(rank)"),
+    ([9679433094892.791, 9679433094892.797, 9679433094892.803], "undefined(rank)"),
+    ([1.0, 1.0 + 2**-52, 1.0 + 2**-51], "ok"),  # the eds_fit-ulp-volumes control: rank 2
+], ids=["V-ulps", "V0-ulps", "one-ulp-steps"])
+def test_scaling_study_reports_a_rank_deficient_fit_as_undefined(values, status):
+    """Logs a few ulps apart leave the log-log fit rank 1: no slope, and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        study = scaling_study(lambda v: 1.0 / v**2, values)
+    assert study.status == status
+    assert (study.slope is None) == (status != "ok")
 
 
 def test_scaling_study_recovers_power_laws():

@@ -208,19 +208,27 @@ def test_equal_time_pairing_matches_the_direct_expression_bit_for_bit(dimension,
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
 
 
-def test_pairing_indices_are_slices_where_they_form_a_progression():
+def test_only_a_mirror_symmetric_support_pairs_as_three_slices():
     basis = minkowski_basis(box_side=7.3, dimension=2, mass=0.0, n_max=3)
-    full, all_but_one = (_pairing_supports(basis, np.random.default_rng(0))[name]
-                         for name in ("full", "all-but-one"))
-    assert all(isinstance(index, slice) for index in basis._modes(full)[-1])
-    kinds = {type(index) for index in basis._modes(all_but_one)[-1]}
-    assert kinds == {slice, np.ndarray}
+    supports = _pairing_supports(basis, np.random.default_rng(0))
+    for name in ("full", "symmetric"):
+        n = len(basis.wavevectors(supports[name]))
+        lead, partner, mirror = basis._modes(supports[name])[-1]
+        assert (lead, partner, mirror) == (slice(0, (n + 1) // 2), slice(n // 2 - 1, None, -1),
+                                           slice((n + 1) // 2, n)), name
+    for name in ("asymmetric", "one-side", "unsorted", "all-but-one"):
+        modes = supports[name]
+        assert modes != tuple(basis.n_modes - 1 - m for m in reversed(modes)), name
+        assert basis._modes(modes)[-1] is None, name
+    # one mode is its own mirror only at k = 0, and pairs with nothing
+    massive = minkowski_basis(box_side=7.3, dimension=2, mass=1.0, n_max=3)
+    assert massive._modes((massive.n_modes // 2,))[-1] is None
 
 
 def test_one_nonzero_time_takes_the_direct_path():
     basis = minkowski_basis(box_side=7.3, dimension=2, mass=1.0, n_max=3)
     *_, (lead, partner, mirror) = basis._modes(slice(None))
-    n_lead = len(np.arange(basis.n_modes)[lead])  # lead may be a slice or an array
+    n_lead = len(np.arange(basis.n_modes)[lead])
     assert n_lead == (basis.n_modes + 1) // 2  # one exp per pair, the k = 0 mode alone
     x = np.random.default_rng(3).uniform(0.0, 7.3, size=(9, 2))
     t = np.zeros(9)

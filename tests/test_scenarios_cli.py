@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -430,14 +431,21 @@ SCAN_CONTROLS = {
     # at V0 = 2e9 the 1/t^4 tail is below an ulp of G_00: the residual rounds to 0,
     # and the log-log slope of a zero observable is undefined
     "eds_cosmology-zero-residual": ("eds_cosmology", "V0", "5e8,1e9,2e9", ("slope_defined",)),
+    # volumes two ulps apart leave the log-log fit rank 1, so the slope is undefined
+    "minkowski_particle-ulp-volumes": ("minkowski_particle", "V",
+                                       "10,10.000000000000002,10.000000000000004",
+                                       ("slope_defined",)),
 }
 
 
 @pytest.mark.parametrize("control", sorted(SCAN_CONTROLS))
-def test_scan_control_fails_exactly_its_flags(control, capsys):
-    """A valid scan turns the flags its entry lists false, and only them."""
+def test_scan_control_fails_exactly_its_flags(control, tmp_path, capsys):
+    """A valid scan, of the scenario's ``_SCAN_CONFIGS`` config, turns the flags its
+    entry lists false, and only them."""
     name, param, values, failed = SCAN_CONTROLS[control]
-    _run_failing(["scan", name, "--param", param, "--values", values], failed, capsys)
+    path = _write_json(tmp_path / "scan.json", _SCAN_CONFIGS[name])
+    _run_failing(["scan", name, "--param", param, "--values", values, "--config", path],
+                 failed, capsys)
 
 
 # flags that no valid config and no one-function fault can turn false, each
@@ -623,10 +631,12 @@ def _cli(argv, capsys):
 @pytest.mark.parametrize("calls", [
     [["run", "eds_cosmology", "--seed", "5"], ["run", "eds_cosmology"]],
     [["run", "page_geilker", "--trials", "30"], ["run", "page_geilker"]],
-    [["run", "warp_drive"], ["run", "minkowski_vacuum", "--format", "csv"]],
+    [["run", "warp_drive"],
+     ["run", "minkowski_vacuum", "--format", "csv", "--out", "{tmp}/vacuum.csv"]],
 ], ids=["seed-then-config-seed", "trials-then-config-trials", "usage-error-then-run"])
-def test_main_calls_in_one_process_match_fresh_calls(calls, capsys):
+def test_main_calls_in_one_process_match_fresh_calls(calls, tmp_path, capsys):
     """The shared parser carries nothing from one call into the next."""
+    calls = [[a.format(tmp=tmp_path) for a in argv] for argv in calls]
     fresh = []
     for argv in calls:
         build_parser.cache_clear()
@@ -1030,6 +1040,11 @@ CLI_MESSAGES = [
      "field 'values': entries must lie between 1e-149 and 1e150"),
     (["scan", "eds_cosmology", "--param", "V0", "--values", "1,2,1e160"],
      "field 'values': entries must lie between 1e-149 and 1e150"),
+    (["run", "minkowski_particle", "--format", "csv"],
+     "field 'out': CSV writes one file per table, so --format csv needs --out"),
+    (["scan", "eds_cosmology", "--param", "V0", "--values", "18.85,188.5,1885",
+      "--format", "csv"],
+     "field 'out': CSV writes one file per table, so --format csv needs --out"),
 ]
 
 # config files the CLI cases read: file stem -> (scenario, changes to its packaged config)
@@ -1101,6 +1116,81 @@ def test_arbitrary_json_fields_only_raise_config_errors(data):
     except ScenarioConfigError:
         return
     assert isinstance(out, dict)
+
+
+# caps on the fields that set a run's size, so that a draw runs in milliseconds
+_FUZZ_CAPS = {"n_events": 50, "n_max": 6, "n_trials": 500, "n_probes": 50, "lattice_points": 8,
+              "profile_points": 50, "integration_points": 50, "n_frequencies": 50}
+
+
+def _fuzz_number(rng, rec, packaged):
+    """Log-uniform over the record's range within 1e-300..1e300, near the packaged
+    value, a few ulps off it, or 0 where the record admits it."""
+    how = rng.integers(4)
+    if how == 0:
+        lo, hi = math.log10(max(rec.lo or 1e-300, 1e-300)), math.log10(min(rec.hi or 1e300, 1e300))
+        return float(10.0 ** rng.uniform(lo, hi))
+    if how == 1:
+        return float(packaged * 10.0 ** rng.uniform(-1.0, 1.0))
+    if how == 2 or not rec.zero:
+        return float(packaged * (1.0 + int(rng.integers(-4, 5)) * 2**-52))
+    return 0.0
+
+
+def _fuzz_increasing(rng, rec, packaged):
+    """A strictly increasing list from a drawn first entry, its steps a few ulps
+    or up to three decades."""
+    v = [_fuzz_number(rng, rec, packaged[0])]
+    ulps = rng.integers(2) == 0
+    for _ in range(int(rng.integers(rec.min_len, rec.min_len + 3)) - 1):
+        step = (math.nextafter(v[-1], math.inf) - v[-1]) * int(rng.integers(1, 4)) if ulps \
+            else v[-1] * (10.0 ** rng.uniform(0.0, 3.0) - 1.0)
+        v.append(v[-1] + step)
+    return v
+
+
+def _fuzz_config(rng, name):
+    """A config that keeps each packaged value or draws it from the field's record,
+    the count fields capped by ``_FUZZ_CAPS``."""
+    cfg = default_config(name)
+    for key, rec in _SCENARIOS[name].schema.items():
+        if rng.random() < 0.4:
+            continue
+        if key == "seed":
+            cfg[key] = int(rng.choice([0, 2**128 - 1, int(rng.integers(2**63))]))
+        elif rec.kind == "integer":
+            cfg[key] = int(rng.integers(rec.lo, _FUZZ_CAPS.get(key, rec.hi) + 1))
+        elif rec.kind == "number":
+            cfg[key] = _fuzz_number(rng, rec, cfg[key])
+        elif rec.kind == "increasing":
+            cfg[key] = _fuzz_increasing(rng, rec, cfg[key])
+    if "mode_label" in cfg:  # one label per dimension inside the cutoff, most of the time
+        n = min(cfg["n_max"], _FUZZ_CAPS["n_max"])
+        cfg["mode_label"] = rng.integers(-n, n + 1, size=cfg["dimension"]).tolist()
+    cfg.update((key, min(cfg[key], cap)) for key, cap in _FUZZ_CAPS.items() if key in cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_valid_config_fuzz_raises_nothing_but_config_errors(seed):
+    """Seeded configs of all eight scenarios, drawn from each field's record with the
+    size fields capped, either run or exit as a config error; every warning is an
+    error, so numpy's rank and floating-point warnings fail the draw too."""
+    rng = np.random.default_rng(seed)
+    ran = dict.fromkeys(SCENARIO_NAMES, 0)
+    for _ in range(150):
+        name = SCENARIO_NAMES[rng.integers(len(SCENARIO_NAMES))]
+        cfg = _fuzz_config(rng, name)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                run_scenario(name, cfg)
+        except ScenarioConfigError:
+            continue
+        except Exception as exc:
+            pytest.fail(f"{name} {json.dumps(cfg)}: {type(exc).__name__}: {exc}")
+        ran[name] += 1
+    assert all(ran.values()), ran  # each scenario ran some draw to its end
 
 
 @pytest.mark.parametrize("field", ["box_side", "t_grid", "scaling_volumes"])
