@@ -121,7 +121,8 @@ def emit(report: RunReport, format: str, destination=None) -> str:
 
     JSON writes one file.  CSV writes the first table at ``destination``
     and each further table at ``<stem>.<table_name>.csv``.  The primary
-    serialized text is returned either way.
+    serialized text is returned either way.  CSV of more than one table
+    needs a ``destination``, else ``ValueError`` names the tables it would drop.
     """
     if format == "json":
         text = _report_to_json(report)
@@ -132,6 +133,8 @@ def emit(report: RunReport, format: str, destination=None) -> str:
         raise ValueError(f"unknown output format {format!r}")
 
     tables = list(report.tables.values()) or [Table("empty", (), ())]
+    if destination is None and len(tables) > 1:
+        raise ValueError(f"CSV with no destination drops tables {[t.name for t in tables[1:]]}")
     primary = _table_to_csv(tables[0])
     if destination is not None:
         dest = Path(destination)

@@ -607,6 +607,7 @@ _SCENARIOS: dict[str, _Scenario] = {
 
 SCENARIO_NAMES = tuple(sorted(_SCENARIOS))
 SCANS = {name: sc.scan[0] for name, sc in _SCENARIOS.items() if sc.scan is not None}
+_CONFIGS = resources.files(__package__) / "configs"  # resolved once: a plain path, no listing
 
 
 def _scenario(name: str) -> _Scenario:
@@ -645,10 +646,10 @@ def validate_config(name: str, cfg) -> dict:
 
 
 def default_config(name: str) -> dict:
-    """Packaged default configuration for a scenario."""
+    """Packaged default configuration for a scenario, parsed anew into a fresh dict on
+    every call from ``configs/<name>.json``, a directory resolved once per process."""
     _scenario(name)
-    text = resources.files("semigrav.configs").joinpath(f"{name}.json").read_text("utf-8")
-    return json.loads(text)
+    return json.loads(_CONFIGS.joinpath(f"{name}.json").read_text("utf-8"))
 
 
 def run_scenario(name: str, config: dict | None = None, seed: int | None = None,

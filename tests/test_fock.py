@@ -20,27 +20,18 @@ from semigrav.fock import (
 )
 from semigrav.modes import minkowski_basis
 
-from oracles import DenseFock
+from oracles import DenseFock, random_state
 
 BASIS = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)  # 3 modes
 
 
 # ---- dense oracle ----------------------------------------------------------
 
-def _random_state(rng, n_terms=4, max_quanta=2) -> FockState:
-    terms = {}
-    for _ in range(n_terms):
-        counts = {m: rng.integers(0, max_quanta + 1) for m in range(BASIS.n_modes)}
-        occ = tuple((m, int(c)) for m, c in counts.items() if c)
-        terms[occ] = complex(rng.normal(), rng.normal())
-    return FockState(BASIS, terms)
-
-
 def test_ladder_matches_dense_oracle():
     rng = np.random.default_rng(11)
     dense = DenseFock(BASIS.n_modes, cap=4)
     for _ in range(12):
-        psi = _random_state(rng)
+        psi = random_state(BASIS, rng, n_terms=4, max_quanta=2, per_mode=True)
         v = dense.vector(psi)
         for mode in range(BASIS.n_modes):
             a = dense.lowering(mode)
@@ -52,7 +43,8 @@ def test_inner_matches_dense_oracle():
     rng = np.random.default_rng(7)
     dense = DenseFock(BASIS.n_modes, cap=2)
     for _ in range(10):
-        a, b = _random_state(rng), _random_state(rng)
+        a = random_state(BASIS, rng, n_terms=4, max_quanta=2, per_mode=True)
+        b = random_state(BASIS, rng, n_terms=4, max_quanta=2, per_mode=True)
         assert_allclose(inner(a, b), np.vdot(dense.vector(a), dense.vector(b)), atol=1e-12)
 
 

@@ -47,7 +47,7 @@ def test_json_is_byte_stable_across_runs():
 
 
 def test_csv_format_crlf_and_cell_rendering(tmp_path):
-    text = emit(_sample_report(), "csv")
+    text = emit(_sample_report(), "csv", tmp_path / "out.csv")
     lines = text.split("\r\n")
     assert lines[0] == "scenario,t,x1,mu,nu,value"
     assert lines[1] == "demo,0.5,1.25,0,0,0.1"
@@ -65,6 +65,11 @@ def test_csv_multi_table_writes_siblings(tmp_path):
     assert sibling.exists()
     body = sibling.read_bytes().decode()
     assert body == "ok\r\ntrue\r\nfalse\r\n"
+
+
+def test_csv_without_a_destination_refuses_to_drop_tables():
+    with pytest.raises(ValueError, match=r"drops tables \['flags_extra'\]$"):
+        emit(_sample_report(), "csv")
 
 
 def test_json_destination_written_verbatim(tmp_path):

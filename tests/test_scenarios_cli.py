@@ -61,6 +61,42 @@ def test_packaged_defaults_validate(name):
     assert "seed" in cfg
 
 
+_CONFIG_DIR = Path(importlib.import_module("semigrav").__file__).parent / "configs"
+
+
+def _packaged(name):
+    return json.loads((_CONFIG_DIR / f"{name}.json").read_text("utf-8"))
+
+
+def test_packaged_configs_are_one_file_per_scenario():
+    assert sorted(path.stem for path in _CONFIG_DIR.glob("*.json")) == list(SCENARIO_NAMES)
+
+
+def test_default_config_is_a_fresh_dict_from_any_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in SCENARIO_NAMES:
+        first = default_config(name)
+        assert first == _packaged(name)
+        for value in first.values():
+            if isinstance(value, list):
+                value.append(0.0)
+        first.clear()
+        second = default_config(name)
+        assert second is not first and second == _packaged(name)
+    with pytest.raises(ScenarioConfigError, match="unknown scenario 'warp_drive'"):
+        default_config("warp_drive")
+
+
+def test_default_config_lists_no_directory(monkeypatch):
+    """The configs directory is resolved once; a call only opens its file."""
+    def refuse(*args, **kwargs):
+        raise OSError("directory listing")
+    want = {name: _packaged(name) for name in SCENARIO_NAMES}
+    monkeypatch.setattr(os, "listdir", refuse)
+    monkeypatch.setattr(os, "scandir", refuse)
+    assert {name: default_config(name) for name in SCENARIO_NAMES} == want
+
+
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_missing_field_is_reported_by_name(name):
     base = default_config(name)

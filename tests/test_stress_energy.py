@@ -1,6 +1,5 @@
 """Stress-energy observables: dense-operator and Fock-walk oracles, closed forms."""
 import re
-from collections import Counter
 from math import sqrt
 from types import SimpleNamespace
 
@@ -33,7 +32,7 @@ from semigrav.stress_energy import (
     wavepacket_state,
 )
 
-from oracles import DenseFock
+from oracles import DenseFock, diagonal_tensor, random_state, walk_stress
 
 BASIS = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)  # 3 modes
 BACKEND = BASIS.backend
@@ -79,61 +78,6 @@ def test_quadratic_expectation_matches_dense_oracle():
         assert_allclose(2.0 * (g.conj() @ rho @ h + g @ K @ h).real, want.real, atol=1e-12)
 
 
-# ---- Fock-walk oracle: lowering images of the state, one event at a time ------
-
-def _lowering_image(state, coeffs):
-    """sum_k g_k a_k |Psi>, applied term by term to the sparse state."""
-    acc = {}
-    for occ, amp in state.terms.items():
-        for mode, count in occ:
-            c = coeffs[mode]
-            if c == 0.0:
-                continue
-            lowered = bump(occ, mode, -1)
-            acc[lowered] = acc.get(lowered, 0.0) + amp * c * sqrt(count)
-    return FockState(state.basis, acc)
-
-
-def _square(diag):
-    """The (..., n, n) tensor with diagonal ``diag``, built as the square metric was."""
-    out = np.zeros(diag.shape + diag.shape[-1:])
-    np.einsum("...ii->...i", out)[...] = diag
-    return out
-
-
-def _walk_stress(state, basis, t, x):
-    """T_mn at one event from <:AB:> = 2 Re <A-Psi|B-Psi> + 2 Re <Psi|A-B-Psi>."""
-    dx = basis.dx_coeffs(t, x)
-    coeffs = [basis.dt_coeffs(t, x)] + list(dx.T) + [basis.field_coeffs(t, x)]
-    images = [_lowering_image(state, c) for c in coeffs]
-
-    def pair(i, j):
-        double = inner(state, _lowering_image(images[j], coeffs[i]))
-        return 2.0 * (inner(images[i], images[j]).real + double.real)
-
-    dim = len(coeffs) - 1
-    deriv = np.array([[pair(i, j) for j in range(dim)] for i in range(dim)])
-    g = _square(metric(basis.backend, t, x))
-    lagrangian = 0.5 * (np.diag(deriv) @ (1.0 / np.diag(g)) - basis.mass**2 * pair(dim, dim))
-    return deriv - g * lagrangian
-
-
-def _random_state(basis, rng, n_terms, max_quanta):
-    """Normalized superposition of random occupations with up to max_quanta quanta.
-
-    With max_quanta >= 2 each drawn occupation also enters with two more
-    quanta, so that the pair moment K = <a a> does not vanish.
-    """
-    pairs = max_quanta >= 2
-    terms = {}
-    while len(terms) < n_terms:
-        modes = rng.integers(0, basis.n_modes, size=rng.integers(0, max_quanta - 2 * pairs + 1))
-        draws = [modes, np.concatenate([modes, rng.integers(0, basis.n_modes, size=2)])]
-        for drawn in draws[:1 + pairs]:
-            terms[tuple(sorted(Counter(drawn.tolist()).items()))] = complex(rng.normal(), rng.normal())
-    return FockState(basis, terms).normalized()
-
-
 def _random_events(basis, rng, n):
     L = getattr(basis.backend, "box_side", 1.0)
     return rng.uniform(0.3, 3.0, size=n), rng.uniform(0.0, L, size=(n, basis.backend.dimension))
@@ -153,7 +97,7 @@ def _block_events(state):
 
 def _assert_matches_walk(state, basis, t, x):
     got = stress_field(state, t, x)
-    want = np.array([_walk_stress(state, basis, te, xe) for te, xe in zip(t, x)])
+    want = np.array([walk_stress(state, basis, te, xe) for te, xe in zip(t, x)])
     assert np.abs(want).max() > 0.0
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert np.array_equal(got, got.swapaxes(1, 2))  # exactly symmetric, by construction
@@ -168,7 +112,7 @@ def _assert_matches_walk(state, basis, t, x):
 def test_stress_field_matches_fock_walk_on_random_states(basis, max_quanta):
     rng = np.random.default_rng(basis.n_modes + max_quanta)
     for _ in range(3):
-        state = _random_state(basis, rng, n_terms=6, max_quanta=max_quanta)
+        state = random_state(basis, rng, n_terms=6, max_quanta=max_quanta)
         if max_quanta > 1:
             assert moments(state)[2].any()  # the two-quantum (K) terms are exercised
         _assert_matches_walk(state, basis, *_random_events(basis, rng, 11))
@@ -189,7 +133,7 @@ def test_stress_field_matches_fock_walk_on_eds_mixed_times():
 def test_stress_field_across_block_boundaries(offset):
     basis = minkowski_basis(box_side=4.0, dimension=1, mass=1.0, n_max=1)
     rng = np.random.default_rng(128 + offset)
-    state = _random_state(basis, rng, n_terms=4, max_quanta=2)
+    state = random_state(basis, rng, n_terms=4, max_quanta=2)
     n_events = _block_events(state) + offset
     _assert_matches_walk(state, basis, *_random_events(basis, rng, n_events))
 
@@ -258,7 +202,7 @@ def test_mode_functions_are_evaluated_on_occupied_modes_only(state, occupied, mo
 def test_stress_sample_is_the_stress_field_row_bit_for_bit():
     basis = minkowski_basis(box_side=5.0, dimension=3, mass=1.0, n_max=1)
     rng = np.random.default_rng(4)
-    multi_row = _random_state(basis, rng, n_terms=8, max_quanta=2)
+    multi_row = random_state(basis, rng, n_terms=8, max_quanta=2)
     one_row = create(new_vacuum(basis), 11)
     assert len(moments(multi_row)[1]) > 1 and len(moments(one_row)[1]) == 1
     for state in (multi_row, one_row):
@@ -287,7 +231,7 @@ def _einsum_stress(state, basis, t, x):
         half += np.einsum("esp,eup->esu", pair, images)
     pairs = half + half.transpose(0, 2, 1)
     deriv, phi_sq = pairs[:, :-1, :-1], pairs[:, -1, -1]
-    g = _square(metric(basis.backend, t, x))
+    g = diagonal_tensor(metric(basis.backend, t, x))
     inv_diag = 1.0 / np.diagonal(g, axis1=1, axis2=2)
     trace = (inv_diag * np.diagonal(deriv, axis1=1, axis2=2)).sum(axis=1)
     lagrangian = 0.5 * (trace - basis.mass ** 2 * phi_sq)
@@ -320,8 +264,8 @@ _LINE = minkowski_basis(box_side=7.0, dimension=1, mass=0.5, n_max=4)
     (_vacuum_plus_pair(_LINE, 6), 1, True),
     (create(new_vacuum(_DUST), 0), 1, False),
     (_vacuum_plus_pair(_DUST, 0), 1, True),
-    (_random_state(_CUBE, np.random.default_rng(4), n_terms=8, max_quanta=2), None, True),
-    (_random_state(_LINE, np.random.default_rng(5), n_terms=6, max_quanta=3), None, True),
+    (random_state(_CUBE, np.random.default_rng(4), n_terms=8, max_quanta=2), None, True),
+    (random_state(_LINE, np.random.default_rng(5), n_terms=6, max_quanta=3), None, True),
     (_two_mode(_CUBE, 3, 22, 16, np.random.default_rng(6)), None, False),
     (_two_mode(_LINE, 3, 5, 104, np.random.default_rng(7)), None, False),
 ], ids=["vacuum", "one-quantum-3d", "zero-mode-3d", "two-quanta-1d", "vacuum-plus-pair-1d",
@@ -355,7 +299,7 @@ def _square_stress_block(basis, B, modes, n_rows, t, x):
         half += np.einsum("cse,cue->sue", pair, images)
     pairs = half + half.transpose(1, 0, 2)
     deriv, phi_sq = pairs[:-1, :-1].transpose(2, 0, 1), pairs[-1, -1]
-    g = _square(metric(basis.backend, t, x))
+    g = diagonal_tensor(metric(basis.backend, t, x))
     inv_diag = 1.0 / np.diagonal(g, axis1=1, axis2=2)
     trace = (inv_diag * np.diagonal(deriv, axis1=1, axis2=2)).sum(axis=1)
     lagrangian = 0.5 * (trace - basis.mass ** 2 * phi_sq)
@@ -373,8 +317,8 @@ _DIAGONAL_CASES = {
     "packet-1d": wavepacket_state(_LINE, [1.3]),
     "packet-2d": wavepacket_state(_PLANE, [0.4, 2.9]),
     "packet-3d": wavepacket_state(_CUBE, [1.0, 2.0, 0.5]),
-    "multi-row-1d": _random_state(_LINE, np.random.default_rng(11), n_terms=6, max_quanta=3),
-    "multi-row-3d": _random_state(_CUBE, np.random.default_rng(12), n_terms=8, max_quanta=2),
+    "multi-row-1d": random_state(_LINE, np.random.default_rng(11), n_terms=6, max_quanta=3),
+    "multi-row-3d": random_state(_CUBE, np.random.default_rng(12), n_terms=8, max_quanta=2),
     "one-row-pair-eds": _vacuum_plus_pair(_DUST, 0),
 }
 
@@ -401,7 +345,7 @@ def test_diagonal_forms_match_the_square_formulas(name, n_events, monkeypatch):
     assert energy.shape == (n_events,)
     assert np.array_equal(energy.view(np.uint64), got[:, 0, 0].view(np.uint64))
     assert np.array_equal(report.stress, got)
-    G = _square(einstein_tensor(backend, np.broadcast_to(t, n_events), x))
+    G = diagonal_tensor(einstein_tensor(backend, np.broadcast_to(t, n_events), x))
     per = np.abs(G - 8.0 * np.pi * want).max(axis=(1, 2))
     assert report.per_event == tuple(per.tolist())
     assert report.global_max == per.max()
@@ -412,7 +356,7 @@ _BLOCK_CASES = {
     "one-quantum-3d": create(new_vacuum(_CUBE), 5),
     "packet-257-terms": wavepacket_state(minkowski_basis(10.0, 1, 1.0, 128), [3.7]),
     "packet-3d": wavepacket_state(SPARSE_BASIS, [1.0, 2.0, 0.5]),
-    "multi-row-3d-pair": _random_state(_CUBE, np.random.default_rng(12), n_terms=8, max_quanta=2),
+    "multi-row-3d-pair": random_state(_CUBE, np.random.default_rng(12), n_terms=8, max_quanta=2),
     "dust-pair": _vacuum_plus_pair(_DUST, 0),
 }
 
@@ -463,7 +407,7 @@ def _bump_moments(state):
 
 def test_moments_match_the_bump_walk_bit_for_bit():
     rng = np.random.default_rng(12)
-    states = [_random_state(BASIS, rng, n_terms=7, max_quanta=3) for _ in range(4)]
+    states = [random_state(BASIS, rng, n_terms=7, max_quanta=3) for _ in range(4)]
     assert any(n > 1 for state in states for occ in state.terms for _, n in occ)
     packet = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=128)
     states += [wavepacket_state(packet, (3.7,)), new_vacuum(BASIS)]
@@ -478,7 +422,7 @@ def test_moments_match_the_bump_walk_bit_for_bit():
 def test_moments_match_ladder_products():
     """rho = A^H A is <a_k+ a_l> and K = D^T A is <a_k a_l>, from the ladder operators."""
     basis = minkowski_basis(box_side=5.0, dimension=1, mass=1.0, n_max=1)
-    state = _random_state(basis, np.random.default_rng(2), n_terms=7, max_quanta=3)
+    state = random_state(basis, np.random.default_rng(2), n_terms=7, max_quanta=3)
     support, *factors = moments(state)
     assert support == tuple(sorted({m for occ in state.terms for m, _ in occ}))
     A, D = np.zeros((2, len(factors[0]), basis.n_modes), dtype=complex)
@@ -712,7 +656,7 @@ def _divergence(state, t, x, h):
 @pytest.mark.parametrize("max_quanta", [1, 3], ids=["one-quantum", "pairs"])
 def test_box_stress_is_conserved(basis, max_quanta):
     rng = np.random.default_rng(10 * basis.backend.dimension + max_quanta)
-    state = _random_state(basis, rng, n_terms=5, max_quanta=max_quanta)
+    state = random_state(basis, rng, n_terms=5, max_quanta=max_quanta)
     assert moments(state)[2].any() == (max_quanta > 1)  # K != 0 exactly for the pair states
     t, x = _random_events(basis, rng, 8)
     w = basis.frequencies(list(moments(state)[0])).max()  # T varies on 1/(2w)
