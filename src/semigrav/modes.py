@@ -72,18 +72,23 @@ class MinkowskiModeBasis:
         raise ModeBasisError(f"label {label} not in basis")
 
     def wavevectors(self, modes=slice(None)) -> np.ndarray:
-        """k = 2 pi n / L of the modes indexed, shape (n, d)."""
+        """k = 2 pi n / L of the modes indexed, shape (n, d).  Column a of the labels is filled
+        in place with digit a of the indices (leading first) and offset by n_max while still
+        an integer, so an index past int64 stays exact until the one float conversion."""
         dtype = np.int64 if self.n_modes < 2**63 else object
         index = (np.arange(*modes.indices(self.n_modes), dtype=dtype) if isinstance(modes, slice)
                  else np.array(modes, dtype=dtype))
         index = index + (self.mass == 0.0) * (index >= self.n_modes // 2)
         base, d = 2 * self.n_max + 1, self.backend.dimension
-        labels = np.stack([index // base ** (d - 1 - a) % base for a in range(d)], axis=-1)
-        return 2.0 * np.pi * (labels - self.n_max).astype(float) / self.backend.box_side
+        labels = np.empty(index.shape + (d,), dtype=dtype)
+        for a in range(d):
+            labels[..., a] = index // base ** (d - 1 - a) % base
+        labels -= self.n_max
+        return 2.0 * np.pi * labels.astype(float) / self.backend.box_side
 
     def frequencies(self, modes=slice(None)) -> np.ndarray:
         """w = sqrt(k^2 + m^2) of the modes indexed, shape (n,)."""
-        return np.sqrt(np.sum(self.wavevectors(modes) ** 2, axis=1) + self.mass**2)
+        return np.sqrt((self.wavevectors(modes) ** 2).sum(1) + self.mass**2)
 
     def _modes(self, modes) -> tuple:
         key = range(*modes.indices(self.n_modes)) if isinstance(modes, slice) else tuple(modes)
@@ -111,7 +116,8 @@ class MinkowskiModeBasis:
         w t is a signed zero that exp drops: exp runs once per +- pair, the mirror's column the
         conjugate, its imaginary part 0.0 - imag to keep the direct path's +0 at a zero phase."""
         t = np.asarray(t, dtype=float)[..., None]
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        x = x.reshape(x.shape or (1,))  # np.atleast_1d: a scalar is one coordinate
         k, w, scale, pairs = self._modes(modes)
         paired = pairs is not None and not t.any()
         lead, partner, mirror = pairs if paired else (slice(None),) * 3
@@ -129,9 +135,12 @@ class MinkowskiModeBasis:
         return f
 
     def slot_factors(self, t, modes=slice(None)) -> np.ndarray:
-        """Constant factors of (d_t, d_x1, ..., d_xd, 1) f_k: -i w_k, i k_k, 1; [d+2, n]."""
+        """Constant factors of (d_t, d_x1, ..., d_xd, 1) f_k: -i w_k, i k_k, 1; [d+2, n],
+        a fresh C-ordered array filled row by row."""
         k, w, *_ = self._modes(modes)
-        return np.vstack([-1j * w, 1j * k.T, np.ones_like(w)])
+        out = np.empty((self.backend.dimension + 2, len(w)), dtype=complex)
+        out[0], out[1:-1], out[-1] = -1j * w, 1j * k.T, 1.0
+        return out
 
     dt_coeffs = _dt_coeffs
     dx_coeffs = _dx_coeffs

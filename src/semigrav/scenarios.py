@@ -216,19 +216,19 @@ def _run_kg_wavepacket(cfg: dict) -> _Outcome:
     basis = minkowski_basis(cfg["box_side"], 1, cfg["mass"], cfg["n_max"])
     state = wavepacket_state(basis, (cfg["x0"],))
     L = cfg["box_side"]
-    # the profile, the packet's center and the point opposite it, then the
-    # lattice of ``integrated_energy``: one energy_density call, one moments walk
+    # the profile (a coarser lattice), the packet's center and the point opposite it, then
+    # the lattice of ``integrated_energy``: one energy_density call, one moments walk
     n = cfg["profile_points"]
-    xs = np.linspace(0.0, L, n, endpoint=False)
-    probes = np.append(xs, [cfg["x0"], (cfg["x0"] + 0.5 * L) % L])[:, None]
+    profile = box_lattice(basis.backend, n)[0]
     points, cell = box_lattice(basis.backend, cfg["integration_points"])
-    t00 = energy_density(state, 0.0, np.concatenate([probes, points]))
+    t00 = energy_density(state, 0.0, np.concatenate(
+        [profile, [[cfg["x0"]], [(cfg["x0"] + 0.5 * L) % L]], points]))
     center, far = t00[n:n + 2].tolist()
     ratio = center / far
     total = total_energy(state)
     # rows do not depend on their block, so this is integrated_energy's sum bit for bit
-    lattice = float(t00[len(probes):].sum() * cell)
-    tables = [Table("energy_density", ("x", "t00"), (xs, t00[:n])),
+    lattice = float(t00[n + 2:].sum() * cell)
+    tables = [Table("energy_density", ("x", "t00"), (profile[:, 0], t00[:n])),
               Table("summary",
                     ("t00_center", "t00_far", "ratio", "total_energy", "lattice_energy"),
                     ([center], [far], [ratio], [total], [lattice]))]

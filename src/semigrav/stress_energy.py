@@ -13,7 +13,8 @@ mode would have all-zero columns and add exactly nothing.  ``stress_field``
 builds B, the per-mode slot factors times A and D, once per call (per event
 where the factors depend on t, as on the dust background).  It then works
 on blocks of events sized to the support, as many as fit ``_WORKING_SET``
-doubles at 2 |support| + 2 (B columns) + S^2 each: the mode functions f of
+doubles at 2 |support| + 2 (B columns) + S^2 each (+ S instead for the T_00
+tail below, which holds only the diagonal slot pairs): the mode functions f of
 the support once, the images of all S = d+2 slots (d_t phi, d_x1 phi, ...,
 phi) in one product U = f B, and every slot pair as one ``einsum`` over the
 2R real components of U (R rows of A), with the event axis innermost.  A
@@ -27,12 +28,14 @@ The (E, d+1, d+1) array of ``stress_field(state, t, x)`` is the package's
 one form of <T_mn>, exactly symmetric by construction; it reads the basis
 from the state and the backend from the basis.  ``stress_sample`` is its
 row at one event (t, x).  ``energy_density(state, t, x)``, for the sums that
-read T_00 alone, shares the checks, the moments, B and the blocks, and ends
+read T_00 alone, shares the checks, the moments, B and the block loop, and ends
 each block in a T_00 tail: the S diagonal slot pairs instead of all S^2,
-combined in the full tail's order, so it is that array's [:, 0, 0] bit for bit.
+combined in the full tail's order, so it is that array's [:, 0, 0] bit for bit
+(a row does not depend on its block, so its larger blocks change no bit).
 """
 from __future__ import annotations
 
+import operator
 from math import frexp, sqrt
 
 import numpy as np
@@ -61,12 +64,14 @@ def moments(state: FockState) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     rows: dict = {}  # once-lowered occupation p -> ({l: A_pl}, {k: D_pk})
     for occ, amp in state.terms.items():
         for i, (mode, count) in enumerate(occ):  # lower the pair at its own position
-            p = occ[:i] + ((mode, count - 1),) * (count > 1) + occ[i + 1:]
-            if p not in rows:  # D_pk = sqrt(n_k) conj(<p - e_k|Psi>)
+            p = occ[:i] + (((mode, count - 1),) + occ[i + 1:] if count > 1 else occ[i + 1:])
+            entry = rows.get(p)
+            if entry is None:  # D_pk = sqrt(n_k) conj(<p - e_k|Psi>)
                 twice = ((k, n, state.terms.get(p[:j] + ((k, n - 1),) * (n > 1) + p[j + 1:]))
                          for j, (k, n) in enumerate(p))
-                rows[p] = ({}, {k: sqrt(n) * c.conjugate() for k, n, c in twice if c is not None})
-            rows[p][0][mode] = amp * sqrt(count)
+                entry = rows[p] = ({}, {k: sqrt(n) * c.conjugate() for k, n, c in twice
+                                        if c is not None})
+            entry[0][mode] = amp * sqrt(count)
     support = tuple(sorted({mode for a_row, _ in rows.values() for mode in a_row}))
     column = {mode: j for j, mode in enumerate(support)}
     AD = np.zeros((2, len(rows), len(support)), dtype=complex)
@@ -101,7 +106,11 @@ def _slot_images(basis, B, modes, n_rows, t, x) -> tuple[np.ndarray, np.ndarray]
 def _lagrangian(basis, t, x, diag, phi_sq) -> tuple[np.ndarray, np.ndarray]:
     """The diagonal metric g (E, d+1) and <:L:> (E,), from diag = <:(d_m phi)^2:> (E, d+1)."""
     g = metric(basis.backend, t, x)
-    return g, 0.5 * (((1.0 / g) * diag).sum(1) - basis.mass ** 2 * phi_sq)
+    raised = (1.0 / g) * diag                       # g^mm <:(d_m phi)^2:>
+    total = raised[:, 0] + raised[:, 1]             # the slots in order, as .sum(1) adds them
+    for m in range(2, raised.shape[1]):
+        total += raised[:, m]
+    return g, 0.5 * (total - basis.mass ** 2 * phi_sq)
 
 
 def _stress_block(basis, B, modes, n_rows, t, x) -> np.ndarray:
@@ -130,8 +139,9 @@ def _energy_block(basis, B, modes, n_rows, t, x) -> np.ndarray:
     return squares[0] - g[:, 0] * lagrangian
 
 
-def _blocks(state: FockState, t, x, tail, row_shape: tuple) -> np.ndarray:
-    """``tail``'s rows at E events, (E,) + row_shape: x is (E, d), t broadcasts to (E,)."""
+def _blocks(state: FockState, t, x, tail, row_shape: tuple, pair_doubles: int) -> np.ndarray:
+    """``tail``'s rows at E events, (E,) + row_shape: x is (E, d), t broadcasts to (E,);
+    ``pair_doubles`` is what the tail's slot pairs hold per event."""
     basis, d = state.basis, state.basis.backend.dimension
     if not isinstance(basis, (MinkowskiModeBasis, EdSModeBasis)):
         raise ModeBasisError("stress-energy sampling needs a Minkowski or EdS basis")
@@ -142,12 +152,12 @@ def _blocks(state: FockState, t, x, tail, row_shape: tuple) -> np.ndarray:
     if t.shape != x.shape[:1]:
         if t.shape not in ((), (1,)):
             raise BackendDomainError(f"t has shape {t.shape}, events need {x.shape[:1]}")
-        t = np.broadcast_to(t, x.shape[:1])
+        t = t.reshape(1).repeat(len(x))
     support, A, D = moments(state)
     # the slot factors and their products with the moments, once for all blocks
     B = _slot_products(basis.slot_factors(t, support), np.concatenate([A, D]) if D.any() else A)
     out = np.empty((len(t),) + row_shape)
-    size = max(1, _WORKING_SET // (2 * len(support) + 2 * B.shape[-1] + (d + 2) ** 2))
+    size = max(1, _WORKING_SET // (2 * len(support) + 2 * B.shape[-1] + pair_doubles))
     for lo in range(0, len(t), size):
         block = slice(lo, lo + size)
         B_block = B if B.ndim == 2 else B[block]  # t-dependent factors (EdS) per event
@@ -158,13 +168,13 @@ def _blocks(state: FockState, t, x, tail, row_shape: tuple) -> np.ndarray:
 def stress_field(state: FockState, t, x) -> np.ndarray:
     """<Psi|T_mn|Psi> at E events, shape (E, d+1, d+1): x is (E, d), t broadcasts to (E,)."""
     d = state.basis.backend.dimension
-    return _blocks(state, t, x, _stress_block, (d + 1, d + 1))
+    return _blocks(state, t, x, _stress_block, (d + 1, d + 1), (d + 2) ** 2)
 
 
 def energy_density(state: FockState, t, x) -> np.ndarray:
     """<Psi|T_00|Psi> at E events, shape (E,): ``stress_field(state, t, x)[:, 0, 0]`` bit
     for bit, with the same checks, for the S diagonal slot pairs instead of all S^2."""
-    return _blocks(state, t, x, _energy_block, ())
+    return _blocks(state, t, x, _energy_block, (), state.basis.backend.dimension + 2)
 
 
 def stress_sample(state: FockState, t, x) -> np.ndarray:
@@ -198,12 +208,15 @@ def wavepacket_state(basis: MinkowskiModeBasis, x0) -> FockState:
     """
     if not isinstance(basis, MinkowskiModeBasis):
         raise ModeBasisError("wavepacket_state is defined for box mode bases")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = np.asarray(x0, dtype=float)
+    x0 = x0.reshape(x0.shape or (1,))  # np.atleast_1d: a scalar is one coordinate
     if x0.shape != (basis.backend.dimension,):
         raise ValueError("x0 must have one coordinate per spatial dimension")
     if not np.isfinite(x0).all():
         raise ValueError("x0 must be finite")
-    amps = np.exp(-1j * basis.wavevectors() @ x0) / np.sqrt(2.0 * basis.frequencies())
+    wavevectors = basis.wavevectors()
+    omega = np.sqrt((wavevectors ** 2).sum(1) + basis.mass ** 2)  # basis.frequencies()
+    amps = np.exp(-1j * wavevectors @ x0) / np.sqrt(2.0 * omega)
     k = 1 - frexp(np.abs(amps).max())[1]
     amps.real, amps.imag = np.ldexp(amps.real, k) + 0.0, np.ldexp(amps.imag, k) + 0.0
     terms = {((mode, 1),): c for mode, c in enumerate(amps.tolist()) if abs(c) > DROP_TOL}
@@ -211,13 +224,22 @@ def wavepacket_state(basis: MinkowskiModeBasis, x0) -> FockState:
 
 
 def box_lattice(backend, points_per_axis: int) -> tuple[np.ndarray, float]:
-    """The uniform lattice of ``integrated_energy``, (points_per_axis^d, d), and its cell volume."""
-    if points_per_axis < 1:
+    """The uniform lattice of ``integrated_energy``, (N^d, d) for N = points_per_axis, and its
+    cell volume (L/N)^d.  The axis is i L/N (i < N), ``np.linspace(0, L, N, endpoint=False)``
+    bit for bit, and point i's coordinate a is axis[i // N^(d-1-a) % N]: the first coordinate
+    varies slowest, as in a ``meshgrid(indexing="ij")`` stack."""
+    if isinstance(points_per_axis, bool) or not hasattr(points_per_axis, "__index__"):
+        raise TypeError("points_per_axis must be an integer, "
+                        f"not {type(points_per_axis).__name__}")
+    n = operator.index(points_per_axis)
+    if n < 1:
         raise ValueError("points_per_axis must be positive")
     L, d = backend.box_side, backend.dimension
-    axis = np.linspace(0.0, L, points_per_axis, endpoint=False)
-    lattice = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
-    return lattice, (L / points_per_axis) ** d
+    axis = np.arange(n) * (L / n)
+    lattice = np.empty((n,) * d + (d,))
+    for a in range(d):  # coordinate a runs along lattice axis a
+        lattice[..., a] = axis.reshape((n,) + (1,) * (d - 1 - a))
+    return lattice.reshape(-1, d), (L / n) ** d
 
 
 def integrated_energy(state: FockState, basis, backend, t: float = 0.0,

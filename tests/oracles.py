@@ -108,3 +108,31 @@ def walk_stress(state, basis, t, x):
     g = diagonal_tensor(metric(basis.backend, t, x))
     lagrangian = 0.5 * (np.diag(deriv) @ (1.0 / np.diag(g)) - basis.mass**2 * pair(dim, dim))
     return deriv - g * lagrangian
+
+
+# ---- the numpy-helper forms of the field path's arrays ----------------------
+
+def meshgrid_lattice(backend, points_per_axis):
+    """``box_lattice``'s points by ``linspace``, ``meshgrid(indexing="ij")`` and ``stack``."""
+    L, d = backend.box_side, backend.dimension
+    axis = np.linspace(0.0, L, points_per_axis, endpoint=False)
+    return np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def stacked_wavevectors(basis, modes=slice(None)):
+    """``MinkowskiModeBasis.wavevectors`` with the label digits joined by ``np.stack``."""
+    dtype = np.int64 if basis.n_modes < 2**63 else object
+    index = (np.arange(*modes.indices(basis.n_modes), dtype=dtype) if isinstance(modes, slice)
+             else np.array(modes, dtype=dtype))
+    index = index + (basis.mass == 0.0) * (index >= basis.n_modes // 2)
+    base, d = 2 * basis.n_max + 1, basis.backend.dimension
+    labels = np.stack([index // base ** (d - 1 - a) % base for a in range(d)], axis=-1)
+    return 2.0 * np.pi * (labels - basis.n_max).astype(float) / basis.backend.box_side
+
+
+def stacked_slot_factors(basis, modes=slice(None)):
+    """``MinkowskiModeBasis.slot_factors`` by ``np.vstack`` of -i w, i k and ``ones_like(w)``,
+    with k ``stacked_wavevectors`` and w = sqrt(k^2 + m^2) by ``np.sum``."""
+    k = stacked_wavevectors(basis, modes)
+    w = np.sqrt(np.sum(k ** 2, axis=1) + basis.mass**2)
+    return np.vstack([-1j * w, 1j * k.T, np.ones_like(w)])

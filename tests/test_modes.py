@@ -14,6 +14,8 @@ from semigrav.modes import (
 )
 from semigrav.spacetime import BackendDomainError
 
+from oracles import stacked_slot_factors, stacked_wavevectors
+
 H = 5e-4  # FD step: truncation ~ h^2 w^4 |f| / 12, roundoff ~ eps |f| / h^2
 
 
@@ -138,6 +140,40 @@ def test_box_basis_indexes_past_int64(mass):
     assert basis.mode_index((-n,)) == 0
     assert_allclose(basis.wavevectors([i, 0]), [[2.0 * np.pi * 0.1], [-2.0 * np.pi * 0.1]],
                     rtol=1e-15)
+
+
+_HUGE = 10**30  # the n_max of ``test_box_basis_indexes_past_int64``
+_STACKED_CASES = {  # basis and the modes indexed
+    "massive-3d": (minkowski_basis(box_side=7.3, dimension=3, mass=1.0, n_max=2), slice(None)),
+    "massive-3d-subset": (minkowski_basis(box_side=7.3, dimension=3, mass=1.0, n_max=2),
+                          (124, 0, 62, 61, 7)),
+    "massless-2d": (minkowski_basis(box_side=6.0, dimension=2, mass=0.0, n_max=3), slice(None)),
+    "massless-1d-stepped": (minkowski_basis(box_side=10.0, dimension=1, mass=0.0, n_max=128),
+                            slice(3, None, 5)),
+    "past-int64-massive": (minkowski_basis(box_side=1e31, dimension=1, mass=1.0, n_max=_HUGE),
+                           (2 * _HUGE, 0, _HUGE, _HUGE - 1, _HUGE + 1, 2**63, 2**63 - 1)),
+    "past-int64-massless": (minkowski_basis(box_side=1e31, dimension=1, mass=0.0, n_max=_HUGE),
+                            (2 * _HUGE - 1, 0, _HUGE, _HUGE - 1, 2**64)),
+}
+
+
+@pytest.mark.parametrize("case", list(_STACKED_CASES))
+def test_wavevectors_and_slot_factors_match_the_stacked_forms_bit_for_bit(case):
+    """The labels filled column by column and the slot factors filled row by row are the
+    ``np.stack`` and ``np.vstack`` forms they replaced, bit for bit."""
+    basis, modes = _STACKED_CASES[case]
+    k = basis.wavevectors(modes)
+    want = stacked_wavevectors(basis, modes)
+    assert k.shape == want.shape and k.dtype == want.dtype
+    assert np.array_equal(k.view(np.uint64), want.view(np.uint64))
+    w = basis.frequencies(modes)
+    assert np.array_equal(w.view(np.uint64),
+                          np.sqrt(np.sum(want ** 2, axis=1) + basis.mass**2).view(np.uint64))
+    factors = basis.slot_factors(0.0, modes)
+    want = stacked_slot_factors(basis, modes)
+    assert factors.shape == want.shape == (basis.backend.dimension + 2, len(k))
+    # the vstack comes out in Fortran order: compare the values' bits, not the layout
+    assert np.array_equal(*(np.ascontiguousarray(a).view(np.uint64) for a in (factors, want)))
 
 
 def test_wavevectors_match_labels():

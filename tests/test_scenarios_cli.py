@@ -232,6 +232,53 @@ def test_kg_wavepacket_walks_the_moments_once(monkeypatch):
     assert summary.rows[0][summary.columns.index("lattice_energy")] == lattice
 
 
+@pytest.mark.parametrize("box_side, profile_points", [(10.0, 2), (7.3, 7), (10.0, 128)])
+def test_kg_wavepacket_profile_is_the_linspace_grid_bit_for_bit(box_side, profile_points):
+    """The profile's x column is ``np.linspace(0, L, n, endpoint=False)`` bit for bit, and
+    its T_00 is ``energy_density`` on that grid."""
+    import semigrav.stress_energy as stress_energy
+    from semigrav.modes import minkowski_basis
+
+    cfg = dict(_small_config("kg_wavepacket"), box_side=box_side, x0=0.4 * box_side,
+               profile_points=profile_points)
+    x, t00 = run_scenario("kg_wavepacket", cfg).tables["energy_density"].data
+    grid = np.linspace(0.0, box_side, profile_points, endpoint=False)
+    assert np.array_equal(np.asarray(x).view(np.uint64), grid.view(np.uint64))
+    basis = minkowski_basis(box_side, 1, cfg["mass"], cfg["n_max"])
+    state = stress_energy.wavepacket_state(basis, (cfg["x0"],))
+    want = stress_energy.energy_density(state, 0.0, grid[:, None])
+    assert np.array_equal(np.asarray(t00).view(np.uint64), want.view(np.uint64))
+
+
+# numpy's Python-level helpers that the field path once built its arrays with
+_ARRAY_HELPERS = ("linspace", "meshgrid", "stack", "vstack", "broadcast_to", "append",
+                  "atleast_1d")
+
+
+def test_field_path_calls_no_python_level_array_helper(monkeypatch):
+    """With those helpers patched to raise, both field scenarios and the lattice energy
+    of a 3-D packet still run, to the same results."""
+    import semigrav.stress_energy as stress_energy
+    from semigrav.modes import minkowski_basis
+
+    basis = minkowski_basis(10.0, 3, 1.0, 2)
+
+    def packet_energy():
+        state = stress_energy.wavepacket_state(basis, (1.0, 8.5, 4.25))
+        return stress_energy.integrated_energy(state, basis, basis.backend, 0.0, 6)
+
+    names = ("kg_wavepacket", "minkowski_particle")
+    want = [emit(run_scenario(name), "json") for name in names] + [packet_energy()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Python-level array helper was called")
+    for helper in _ARRAY_HELPERS:
+        monkeypatch.setattr(np, helper, refuse)
+    reports, energy = [run_scenario(name) for name in names], packet_energy()
+    monkeypatch.undo()  # the reports are emitted with numpy as it was
+    assert [emit(report, "json") for report in reports] + [energy] == want
+
+
 def test_seed_override_lands_in_report():
     report = run_scenario("minkowski_vacuum", seed=777)
     assert report.seed == 777

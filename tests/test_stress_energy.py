@@ -21,8 +21,10 @@ from semigrav.spacetime import (
 )
 from semigrav import stress_energy
 from semigrav.stress_energy import (
+    _lagrangian,
     _slot_products,
     _stress_block,
+    box_lattice,
     energy_density,
     integrated_energy,
     moments,
@@ -32,7 +34,7 @@ from semigrav.stress_energy import (
     wavepacket_state,
 )
 
-from oracles import DenseFock, diagonal_tensor, random_state, walk_stress
+from oracles import DenseFock, diagonal_tensor, meshgrid_lattice, random_state, walk_stress
 
 BASIS = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)  # 3 modes
 BACKEND = BASIS.backend
@@ -83,11 +85,13 @@ def _random_events(basis, rng, n):
     return rng.uniform(0.3, 3.0, size=n), rng.uniform(0.0, L, size=(n, basis.backend.dimension))
 
 
-def _doubles_per_event(state):
-    """A ``stress_field`` block's doubles per event: 2 |support| + 2 (B columns) + S^2."""
+def _doubles_per_event(state, tail=stress_field):
+    """A block's doubles per event: 2 |support| + 2 (B columns) + the tail's slot pairs,
+    S^2 for ``stress_field`` and S, the diagonal ones, for ``energy_density``."""
     support, A, D = moments(state)
     S = state.basis.backend.dimension + 2
-    return 2 * len(support) + 2 * S * len(A) * (1 + D.any()) + S ** 2
+    pairs = S if tail is energy_density else S ** 2
+    return 2 * len(support) + 2 * S * len(A) * (1 + D.any()) + pairs
 
 
 def _block_events(state):
@@ -365,7 +369,8 @@ _BLOCK_CASES = {
 @pytest.mark.parametrize("name", list(_BLOCK_CASES))
 def test_rows_do_not_depend_on_the_block_size(name, equal_time, monkeypatch):
     """Blocks of 1, 7, the derived size and the whole call give the same rows bit for bit,
-    of ``stress_field`` and of ``energy_density``, its T_00."""
+    of ``stress_field`` and of ``energy_density``, its T_00; each sizes its blocks by
+    ``_doubles_per_event`` of its own tail."""
     state = _BLOCK_CASES[name]
     _, A, D = moments(state)
     assert D.any() == name.endswith("pair") and (len(A) > 1) == name.startswith("multi-row")
@@ -376,12 +381,25 @@ def test_rows_do_not_depend_on_the_block_size(name, equal_time, monkeypatch):
     if equal_time:  # the t = 0 slice pairs the box modes; the dust chart needs t > 0
         t = 1.5 if state.basis is _DUST else 0.0
     want = stress_field(state, t, x)
+    blocks = []  # the events handed to each call of a tail
+    for tail_name in ("_stress_block", "_energy_block"):
+        def counted(*args, tail=getattr(stress_energy, tail_name)):
+            blocks.append(len(args[-1]))  # x, the block's events
+            return tail(*args)
+        monkeypatch.setattr(stress_energy, tail_name, counted)
     for fixed in (1, 7, len(x)):
+        sizes = [fixed] * (len(x) // fixed) + [len(x) % fixed] * bool(len(x) % fixed)
         monkeypatch.setattr(stress_energy, "_WORKING_SET", fixed * _doubles_per_event(state))
+        blocks.clear()
         got = stress_field(state, t, x)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), fixed
+        assert blocks == sizes, fixed
+        monkeypatch.setattr(stress_energy, "_WORKING_SET",
+                            fixed * _doubles_per_event(state, energy_density))
+        blocks.clear()
         energy = energy_density(state, t, x)
         assert np.array_equal(energy.view(np.uint64), want[:, 0, 0].view(np.uint64)), fixed
+        assert blocks == sizes, fixed
 
 
 def _bump_moments(state):
@@ -757,6 +775,53 @@ def test_stress_field_rejects_mismatched_inputs():
         stress_field(new_vacuum(stand_in), 0.0, [(0.0,)])
     with pytest.raises(BackendDomainError):
         stress_field(new_vacuum(basis), 0.0, [(0.0, 0.0)])
+
+
+@pytest.mark.parametrize("box_side", [10.0, 7.3])
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_box_lattice_is_the_meshgrid_stack_bit_for_bit(dimension, n, box_side):
+    """The axis i L/N and the lattice filled coordinate by coordinate are the linspace,
+    ``meshgrid(indexing="ij")`` and ``stack`` form, bit for bit, and the cell is (L/N)^d."""
+    backend = Minkowski(dimension=dimension, box_side=box_side)
+    lattice, cell = box_lattice(backend, n)
+    want = meshgrid_lattice(backend, n)
+    assert lattice.shape == want.shape == (n ** dimension, dimension)
+    assert np.array_equal(lattice.view(np.uint64), want.view(np.uint64))
+    assert cell == (box_side / n) ** dimension
+    same, same_cell = box_lattice(backend, np.int64(n))  # a numpy integer is an integer
+    assert np.array_equal(same.view(np.uint64), want.view(np.uint64)) and same_cell == cell
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, 3.0, np.float64(4.0), "4", None])
+def test_lattice_points_must_be_an_integer(bad):
+    """A bool or a non-integer count is a TypeError naming ``points_per_axis``, from the
+    lattice and from ``integrated_energy``; a count below 1 is a ValueError naming it."""
+    basis = minkowski_basis(box_side=10.0, dimension=2, mass=1.0, n_max=1)
+    state = create(new_vacuum(basis), 4)
+    message = f"points_per_axis must be an integer, not {type(bad).__name__}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        box_lattice(basis.backend, bad)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        integrated_energy(state, basis, basis.backend, points_per_axis=bad)
+    for low in (0, -3, np.int64(0)):
+        with pytest.raises(ValueError, match="points_per_axis must be positive"):
+            integrated_energy(state, basis, basis.backend, points_per_axis=low)
+
+
+@pytest.mark.parametrize("basis", [BASIS, _PLANE, _CUBE, _DUST], ids=["1d", "2d", "3d", "dust"])
+def test_lagrangian_adds_the_slots_as_the_row_sum_did(basis):
+    """<:L:> adds g^mm <:(d_m phi)^2:> slot by slot, bit for bit the ``.sum(1)`` it replaced,
+    for the slot squares as ``_energy_block`` and as ``_stress_block`` lay them out."""
+    rng = np.random.default_rng(basis.backend.dimension)
+    E, S = 200, basis.backend.dimension + 2
+    t, x = _random_events(basis, rng, E)
+    pairs = rng.normal(size=(S, S, E)) * 10.0 ** rng.integers(-8, 9, size=(S, S, E))
+    for diag in (pairs[0][:-1].T, pairs.reshape(S * S, E)[:-1:S + 1].T):
+        phi_sq = pairs[-1, -1]
+        g, got = _lagrangian(basis, t, x, diag, phi_sq)
+        want = 0.5 * (((1.0 / g) * diag).sum(1) - basis.mass ** 2 * phi_sq)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_integrated_energy_rejects_a_basis_or_backend_not_the_states():
