@@ -57,11 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioConfigError(f"cannot read config file: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, too deep, too many digits
         raise ScenarioConfigError(f"config is not valid JSON: {exc}") from None
 
 

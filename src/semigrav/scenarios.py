@@ -631,7 +631,7 @@ def validate_config(name: str, cfg) -> dict:
     scenario = _scenario(name)
     if not isinstance(cfg, dict):
         raise ScenarioConfigError("config must be a JSON object")
-    for key in sorted(cfg):
+    for key in sorted(cfg, key=str):  # a string is its own key; others sort by their text
         if key not in scenario.schema:
             raise ScenarioConfigError(f"unknown field {key!r}")
     out = {}

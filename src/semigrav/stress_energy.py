@@ -183,18 +183,14 @@ def stress_sample(state: FockState, t, x) -> np.ndarray:
 
 
 def total_energy(state: FockState) -> float:
-    """sum_k omega_k <N_k>; the box-mode form of the integrated energy."""
+    """sum_k omega_k <N_k>, the box-mode form of the integrated energy: <N_k> = rho_kk, the
+    column sums of |A|^2 from ``moments``, and the terms are added in support order."""
     if not isinstance(state.basis, MinkowskiModeBasis):
         raise ModeBasisError("total_energy is defined for box mode bases")
     state.require_unit_norm()
-    occupied = list({mode for occ in state.terms for mode, _ in occ})
-    omega = dict(zip(occupied, state.basis.frequencies(occupied).tolist()))
-    total = 0.0
-    for occ, amp in state.terms.items():
-        weight = abs(amp) ** 2
-        for mode, count in occ:
-            total += weight * count * omega[mode]
-    return float(total)
+    support, A, _ = moments(state)
+    rho = np.add.reduce(np.abs(A) ** 2, 0)
+    return sum((state.basis.frequencies(support) * rho).tolist(), 0.0)
 
 
 def wavepacket_state(basis: MinkowskiModeBasis, x0) -> FockState:

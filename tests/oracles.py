@@ -1,4 +1,5 @@
-"""Test oracles shared by more than one test module, each defined once."""
+"""Test oracles, each defined once: the plain paths that the package's fast paths are
+checked against."""
 import itertools
 from collections import Counter
 from math import sqrt
@@ -6,6 +7,7 @@ from math import sqrt
 import numpy as np
 
 from semigrav.fock import FockState, bump, create, inner, new_vacuum
+from semigrav.measurement import BranchSet, born_probabilities
 from semigrav.modes import eds_basis
 from semigrav.spacetime import metric
 
@@ -108,6 +110,73 @@ def walk_stress(state, basis, t, x):
     g = diagonal_tensor(metric(basis.backend, t, x))
     lagrangian = 0.5 * (np.diag(deriv) @ (1.0 / np.diag(g)) - basis.mass**2 * pair(dim, dim))
     return deriv - g * lagrangian
+
+
+def walk_total_energy(state) -> float:
+    """sum_k omega_k <N_k> by a walk over every (term, mode) pair of the state."""
+    occupied = list({mode for occ in state.terms for mode, _ in occ})
+    omega = dict(zip(occupied, state.basis.frequencies(occupied).tolist()))
+    total = 0.0
+    for occ, amp in state.terms.items():
+        weight = abs(amp) ** 2
+        for mode, count in occ:
+            total += weight * count * omega[mode]
+    return float(total)
+
+
+# ---- the single-trial oracle ---------------------------------------------------
+# ``run_trials`` and both collapse scenarios are checked against one trial at a
+# time: ``trial_rng`` replays trial i of a seed's stream from a fresh generator,
+# and ``project`` picks its branch with ``sample_index``'s cumulative loop.
+
+def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
+    """Seed ``master_seed``'s trial stream, positioned at trial ``trial_index``.
+
+    The stream is ``Generator(Philox(key=master_seed))``, one uniform per
+    trial.  A Philox counter step yields four 64-bit outputs, so the replay
+    advances the counter by ``trial_index // 4`` and discards the rest.
+    """
+    step, skip = divmod(int(trial_index), 4)
+    if step < 0:
+        raise ValueError("trial index must be non-negative")
+    bits = np.random.Philox(key=int(master_seed))
+    bits.advance(step)
+    rng = np.random.Generator(bits)
+    rng.random(skip)
+    return rng
+
+
+def sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
+    r = rng.random()
+    cum = 0.0
+    for i, p in enumerate(probabilities):
+        cum += p
+        if r < cum:
+            return i
+    return int(len(probabilities) - 1)  # guard against cum rounding below 1
+
+
+def project(state, branches: BranchSet, rng_seed):
+    """Sample a branch by the Born rule; the post-state is that branch exactly."""
+    rng = np.random.default_rng(rng_seed)
+    idx = sample_index(born_probabilities(state, branches), rng)
+    return idx, branches.states[idx]
+
+
+def reference_picks(state, branches, seed, n):
+    """The single-trial path: one fresh generator and ``project`` per trial."""
+    picks = []
+    for t in range(n):
+        idx, post = project(state, branches, trial_rng(seed, t))
+        assert post is branches.states[idx]
+        picks.append(idx)
+    return picks
+
+
+def searchsorted_counts(born, r):
+    """The replaced rule: ``searchsorted`` side "right", the clamp, then ``bincount``."""
+    picks = np.minimum(np.searchsorted(np.cumsum(born), r, side="right"), len(born) - 1)
+    return tuple(int(c) for c in np.bincount(picks, minlength=len(born)))
 
 
 # ---- the numpy-helper forms of the field path's arrays ----------------------

@@ -129,6 +129,8 @@ def test_zero_norm_rejected():
     vac = new_vacuum(BASIS)
     with pytest.raises(ZeroNormError):
         superpose([(1.0, vac), (-1.0, vac)], normalize=True)
+    with pytest.raises(ValueError, match="^superpose requires at least one term$"):
+        superpose([])
 
 
 def test_tiny_coefficients_normalize():

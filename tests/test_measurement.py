@@ -23,6 +23,8 @@ from semigrav.scenarios import (_SCENARIOS, ScenarioConfigError, _linspace, _sph
                                 default_config, run_scenario, validate_config)
 from semigrav.spacetime import outside_future_cone
 
+from oracles import project, reference_picks, sample_index, searchsorted_counts, trial_rng
+
 BASIS = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)
 VAC = new_vacuum(BASIS)
 
@@ -31,45 +33,6 @@ def _two_branches():
     a = create(VAC, 0).normalized()
     b = create(VAC, 1).normalized()
     return BranchSet({"a": a, "b": b}), a, b
-
-
-# ---- the single-trial oracle ---------------------------------------------------
-# ``run_trials`` and both collapse scenarios are checked against one trial at a
-# time: ``_trial_rng`` replays trial i of a seed's stream from a fresh generator,
-# and ``_project`` picks its branch with ``_sample_index``'s cumulative loop.
-
-def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Seed ``master_seed``'s trial stream, positioned at trial ``trial_index``.
-
-    The stream is ``Generator(Philox(key=master_seed))``, one uniform per
-    trial.  A Philox counter step yields four 64-bit outputs, so the replay
-    advances the counter by ``trial_index // 4`` and discards the rest.
-    """
-    step, skip = divmod(int(trial_index), 4)
-    if step < 0:
-        raise ValueError("trial index must be non-negative")
-    bits = np.random.Philox(key=int(master_seed))
-    bits.advance(step)
-    rng = np.random.Generator(bits)
-    rng.random(skip)
-    return rng
-
-
-def _sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
-    r = rng.random()
-    cum = 0.0
-    for i, p in enumerate(probabilities):
-        cum += p
-        if r < cum:
-            return i
-    return int(len(probabilities) - 1)  # guard against cum rounding below 1
-
-
-def _project(state, branches: BranchSet, rng_seed):
-    """Sample a branch by the Born rule; the post-state is that branch exactly."""
-    rng = np.random.default_rng(rng_seed)
-    idx = _sample_index(born_probabilities(state, branches), rng)
-    return idx, branches.states[idx]
 
 
 # ---- Born arithmetic ---------------------------------------------------------
@@ -118,7 +81,7 @@ def test_branch_set_validation():
 def test_project_returns_branch_state_exactly():
     branches, a, b = _two_branches()
     psi = superpose([(1.0, a), (0.0001, b)], normalize=True)
-    idx, post = _project(psi, branches, rng_seed=0)
+    idx, post = project(psi, branches, rng_seed=0)
     assert post is branches.states[idx]
 
 
@@ -126,11 +89,11 @@ def test_project_is_deterministic_per_seed():
     branches, a, b = _two_branches()
     psi = superpose([(1.0, a), (1.0, b)], normalize=True)
     for trial in range(20):
-        i1, _ = _project(psi, branches, _trial_rng(99, trial))
-        i2, _ = _project(psi, branches, _trial_rng(99, trial))
+        i1, _ = project(psi, branches, trial_rng(99, trial))
+        i2, _ = project(psi, branches, trial_rng(99, trial))
         assert i1 == i2
-    picks_a = [_project(psi, branches, _trial_rng(99, t))[0] for t in range(64)]
-    picks_b = [_project(psi, branches, _trial_rng(100, t))[0] for t in range(64)]
+    picks_a = [project(psi, branches, trial_rng(99, t))[0] for t in range(64)]
+    picks_b = [project(psi, branches, trial_rng(100, t))[0] for t in range(64)]
     assert picks_a != picks_b  # different master seeds decorrelate
 
 
@@ -138,7 +101,7 @@ def test_degenerate_probabilities_never_pick_zero_branch():
     branches, a, b = _two_branches()
     psi_a = superpose([(1.0, a)])
     for trial in range(50):
-        idx, _ = _project(psi_a, branches, _trial_rng(1, trial))
+        idx, _ = project(psi_a, branches, trial_rng(1, trial))
         assert idx == 0
 
 
@@ -151,13 +114,13 @@ def test_project_matches_uncached_born_sampling():
     n = 12_000
     for trial in range(n):
         psi = states[(trial // 2) % len(states)]
-        idx, post = _project(psi, branches, _trial_rng(31, trial))
-        ref = _sample_index(born_probabilities(psi, branches), _trial_rng(31, trial))
+        idx, post = project(psi, branches, trial_rng(31, trial))
+        ref = sample_index(born_probabilities(psi, branches), trial_rng(31, trial))
         assert idx == ref
         assert post is branches.states[ref]
     # an unnormalized state is rejected
     with pytest.raises(ValueError, match="norm="):
-        _project(superpose([(2.0, a)]), branches, _trial_rng(31, n))
+        project(superpose([(2.0, a)]), branches, trial_rng(31, n))
 
 
 # ---- batched trials against the single-trial oracle ----------------------------
@@ -170,22 +133,12 @@ def test_trial_rng_replays_the_block_stream(seed):
     # every residue mod 4 (a Philox counter step is four draws), both sides
     # of 4096 and of the first two block boundaries, and the last index drawn
     n = 3 * BLOCK + 5
-    stream = _trial_rng(seed, 0).random(n)
+    stream = trial_rng(seed, 0).random(n)
     for i in [*range(12), 4095, 4096, 4097, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1,
               2 * BLOCK, n - 1]:
-        assert _trial_rng(seed, i).random() == stream[i]
+        assert trial_rng(seed, i).random() == stream[i]
     with pytest.raises(ValueError):
-        _trial_rng(seed, -1)
-
-
-def _reference_picks(state, branches, seed, n):
-    """The single-trial path: one fresh generator and ``_project`` per trial."""
-    picks = []
-    for t in range(n):
-        idx, post = _project(state, branches, _trial_rng(seed, t))
-        assert post is branches.states[idx]
-        picks.append(idx)
-    return picks
+        trial_rng(seed, -1)
 
 
 # both sides of 4096 and of the block boundary
@@ -199,7 +152,7 @@ def test_run_trials_matches_project_loop(amps):
     born = born_probabilities(psi, branches)
     # the last two seeds need a key above 64 bits, and the largest key a config takes
     for seed in (3, 2026, 2**64 + 5, 2**128 - 1):
-        picks = _reference_picks(psi, branches, seed, max(TRIAL_COUNTS))
+        picks = reference_picks(psi, branches, seed, max(TRIAL_COUNTS))
         for n in TRIAL_COUNTS:
             batch = run_trials(psi, branches, seed, n)
             assert batch.n_trials == n
@@ -234,7 +187,7 @@ def test_run_trials_branch_rule_at_exact_boundaries(monkeypatch):
     for u in r:  # one single-trial batch per preset uniform: its count names the pick
         monkeypatch.setattr(np.random, "Generator", lambda bits: _FixedDraw(u))
         picks.append(run_trials(psi, branches, 0, 1).counts.index(1))
-    assert picks == [_sample_index(born, _FixedDraw(u)) for u in r]
+    assert picks == [sample_index(born, _FixedDraw(u)) for u in r]
     assert picks == [0, 0, 1, 2, 2, 2]
 
 
@@ -249,12 +202,6 @@ class _PresetDraws:
     def random(self, size):
         self.used += size
         return self.draws[self.used - size:self.used]
-
-
-def _searchsorted_counts(born, r):
-    """The replaced rule: ``searchsorted`` side "right", the clamp, then ``bincount``."""
-    picks = np.minimum(np.searchsorted(np.cumsum(born), r, side="right"), len(born) - 1)
-    return tuple(int(c) for c in np.bincount(picks, minlength=len(born)))
 
 
 VAC_17_MODES = new_vacuum(minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=8))
@@ -284,7 +231,7 @@ def test_threshold_counts_match_searchsorted_rule(amps, uniforms, block):
         patch.setattr(measurement, "_TRIAL_BLOCK", block)
         patch.setattr(np.random, "Generator", lambda bits: _PresetDraws(r))
         batch = run_trials(psi, branches, 0, len(r))
-    assert batch.counts == _searchsorted_counts(born, r)
+    assert batch.counts == searchsorted_counts(born, r)
 
 
 @pytest.mark.parametrize("seed", [5, 2**128 - 1])
@@ -292,7 +239,7 @@ def test_three_branch_trials_span_a_block_boundary(seed):
     states = [create(VAC, i).normalized() for i in range(3)]
     branches = BranchSet({str(i): s for i, s in enumerate(states)})
     psi = superpose(list(zip((0.6, 0.8, 0.6), states)), normalize=True)
-    picks = _reference_picks(psi, branches, seed, BLOCK + 2)
+    picks = reference_picks(psi, branches, seed, BLOCK + 2)
     for n in (BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2):
         assert run_trials(psi, branches, seed, n).counts == tuple(map(picks[:n].count, range(3)))
 
@@ -342,7 +289,7 @@ def test_epr_scenario_matches_project_loop():
     branches = BranchSet({"I": branch_i, "II": branch_ii})
     born = born_probabilities(singlet, branches)
     for seed in (0, 12, 2**33 + 1):
-        picks = _reference_picks(singlet, branches, seed, max(TRIAL_COUNTS))
+        picks = reference_picks(singlet, branches, seed, max(TRIAL_COUNTS))
         anti = []
         for idx in picks:
             post = branches.states[idx]
@@ -368,7 +315,7 @@ def test_page_geilker_matches_project_loop():
     born = born_probabilities(pointer, branches)
     at = ((0.0, (3.0,)), (0.0, (7.0,)))
     for seed in (4, 99):
-        picks = _reference_picks(pointer, branches, seed, max(TRIAL_COUNTS))
+        picks = reference_picks(pointer, branches, seed, max(TRIAL_COUNTS))
         single = [all(abs(bumps[i](ev) - pre(ev)) > 0.0 for ev in at) for i in picks]
         for n in TRIAL_COUNTS:
             report = _collapse("page_geilker", seed, n)
@@ -402,7 +349,7 @@ def test_empirical_frequencies_within_four_sigma(amps):
     probs = born_probabilities(psi, branches)
     counts = np.zeros(2)
     for trial in range(n):
-        idx, _ = _project(psi, branches, _trial_rng(7, trial))
+        idx, _ = project(psi, branches, trial_rng(7, trial))
         counts[idx] += 1
     for i, p in enumerate(probs):
         bound = 4.0 * np.sqrt(p * (1.0 - p) / n)

@@ -90,6 +90,8 @@ def test_massless_basis_excludes_zero_mode():
     for mass in [-1.0, np.nan, np.inf]:
         with pytest.raises(ModeBasisError):
             minkowski_basis(box_side=10.0, dimension=1, mass=mass, n_max=1)
+    with pytest.raises(ModeBasisError, match="^n_max must be non-negative$"):
+        minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=-1)
 
 
 def _enumerated_labels(dimension, mass, n_max):
@@ -310,6 +312,8 @@ def test_eds_mode_domain_checks():
         eds_k0_mode(0.0, 1.0, 1.0)
     with pytest.raises(ModeBasisError):
         eds_k0_mode(1.0, 0.0, 1.0)
+    with pytest.raises(ModeBasisError, match="^comoving_volume must be positive$"):
+        eds_k0_mode(1.0, 1.0, 0.0)
     for mass in [-1.0, np.nan, np.inf]:
         with pytest.raises(ModeBasisError):
             eds_basis(comoving_volume=1.0, mass=mass)

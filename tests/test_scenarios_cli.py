@@ -206,24 +206,31 @@ def test_run_scenario_is_deterministic():
     assert emit(a, "json") == emit(b, "json")
 
 
-def test_kg_wavepacket_walks_the_moments_once(monkeypatch):
-    """The profile, the probes and the energy lattice share one energy_density call,
-    and the lattice sum is still ``integrated_energy``'s, bit for bit."""
+def test_kg_wavepacket_calls_energy_density_once_and_walks_the_moments_twice(monkeypatch):
+    """The profile, the probes and the energy lattice share one energy_density call; its
+    moments walk and ``total_energy``'s are the run's only two, and the lattice sum is
+    still ``integrated_energy``'s, bit for bit."""
+    import semigrav.scenarios as scenarios
     import semigrav.stress_energy as stress_energy
     from semigrav.modes import minkowski_basis
 
     calls = []
-    moments = stress_energy.moments
 
-    def counting(state):
-        calls.append(len(state.terms))
-        return moments(state)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(stress_energy, "moments", counting)
+        def count(state, *args):
+            calls.append((name, len(state.terms)))
+            return original(state, *args)
+        monkeypatch.setattr(module, name, count)
+
+    counting(scenarios, "energy_density")
+    counting(stress_energy, "moments")
     cfg = _small_config("kg_wavepacket")
     report = run_scenario("kg_wavepacket", cfg)
     assert report.passed
-    assert calls == [2 * cfg["n_max"] + 1]
+    terms = 2 * cfg["n_max"] + 1
+    assert calls == [("energy_density", terms), ("moments", terms), ("moments", terms)]
     summary = report.tables["summary"]
     basis = minkowski_basis(cfg["box_side"], 1, cfg["mass"], cfg["n_max"])
     state = stress_energy.wavepacket_state(basis, (cfg["x0"],))
@@ -1003,6 +1010,8 @@ API_MESSAGES = [
      "field 'values': entries must lie between 1e-149 and 1e150"),
     (lambda: scan_scenario("eds_cosmology", None, "V0", [1.0, 2.0, 1e160]),
      "field 'values': entries must lie between 1e-149 and 1e150"),
+    # a key that is not a string is unknown, and keys of mixed types still sort
+    (lambda: validate_config("eds_cosmology", {1: 2, "a": 3}), "unknown field 1"),
 ]
 
 
@@ -1128,6 +1137,15 @@ CLI_MESSAGES = [
     (["scan", "eds_cosmology", "--param", "V0", "--values", "18.85,188.5,1885",
       "--format", "csv"],
      "field 'out': CSV writes one file per table, so --format csv needs --out"),
+    (["run", "eds_cosmology", "--config", "{tmp}/notutf8.json"],
+     "cannot read config file: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
+    (["run", "eds_cosmology", "--config", "{tmp}/deep.json"],
+     "config is not valid JSON: maximum recursion depth exceeded while decoding a JSON array "
+     "from a unicode string"),
+    (["run", "eds_cosmology", "--config", "{tmp}/digits.json"],
+     "config is not valid JSON: Exceeds the limit (4300 digits) for integer string "
+     "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
 ]
 
 # config files the CLI cases read: file stem -> (scenario, changes to its packaged config)
@@ -1162,6 +1180,9 @@ CLI_CONFIGS = {
 @pytest.mark.parametrize("argv, message", CLI_MESSAGES)
 def test_cli_error_messages_are_exact(argv, message, tmp_path, capsys):
     (tmp_path / "notjson.json").write_text("{")
+    (tmp_path / "notutf8.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "deep.json").write_text("[" * 200_000)
+    (tmp_path / "digits.json").write_text("{\"seed\": " + "1" * 5000 + "}")
     for stem, (name, changes) in CLI_CONFIGS.items():
         _write_json(tmp_path / f"{stem}.json", dict(default_config(name), **changes))
     rc = main([a.format(tmp=tmp_path) for a in argv])
@@ -1318,11 +1339,11 @@ def test_bad_scan_values_exit_2_naming_values(scenario, param, values, tmp_path,
         assert err == f"error: field 'values': {reason}\n"
 
 
-_BOUNDED = """
+_MEMORY_CAP = """
 import resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # 1 GiB, this process only
 """
-_BOUNDED_CLI = _BOUNDED + """
+_BOUNDED_CLI = _MEMORY_CAP + """
 from semigrav.cli import build_parser, main
 start = time.perf_counter()
 code = main(sys.argv[1:])
@@ -1367,7 +1388,7 @@ def test_one_quantum_in_a_3d_box_of_5e8_modes_runs_fast_in_bounded_memory(tmp_pa
 
 def test_vacuum_in_a_3d_box_of_5e8_modes_runs_in_bounded_memory():
     """n_max 400 in 3-D is 801^3 = 5.1e8 modes; the vacuum occupies none of them."""
-    code = _BOUNDED + """
+    code = _MEMORY_CAP + """
 from semigrav import minkowski_basis, new_vacuum, residual
 state = new_vacuum(minkowski_basis(10.0, 3, 1.0, 400))
 print(residual(state, [0.0, 0.5], [[0.0, 0.0, 0.0], [2.5, 5.0, 7.5]]).global_max)

@@ -34,7 +34,9 @@ from semigrav.stress_energy import (
     wavepacket_state,
 )
 
-from oracles import DenseFock, diagonal_tensor, meshgrid_lattice, random_state, walk_stress
+from oracles import (
+    DenseFock, diagonal_tensor, meshgrid_lattice, random_state, walk_stress, walk_total_energy,
+)
 
 BASIS = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=1)  # 3 modes
 BACKEND = BASIS.backend
@@ -558,6 +560,30 @@ def test_total_energy_closed_forms():
     assert_allclose(total_energy(pair), 0.5 * (w + basis.frequencies([j])[0]), rtol=1e-14)
 
 
+_TOTAL_ENERGY_STATES = {f"{draw}-{d}d": (d, n_max, draw) for d, n_max in ((1, 4), (2, 2), (3, 1))
+                        for draw in ("terms", "per-mode")}
+
+
+@pytest.mark.parametrize("dimension, n_max, draw", _TOTAL_ENERGY_STATES.values(),
+                         ids=_TOTAL_ENERGY_STATES.keys())
+def test_total_energy_matches_the_fock_walk(dimension, n_max, draw):
+    """Sum w_k rho_kk from the moments is the term walk's sum w_k <N_k> to rounding: each
+    of the n (term, mode) summands is non-negative and carries at most five roundings on
+    either side, and the additions at most n - 1, so the two differ by at most
+    2 (n + 4) eps <= 10 n eps of the total."""
+    basis = minkowski_basis(box_side=7.0, dimension=dimension, mass=0.5, n_max=n_max)
+    rng = np.random.default_rng(40 + dimension)
+    for _ in range(5):
+        if draw == "terms":  # multi-quantum terms, each with a two-quanta partner: K != 0
+            state = random_state(basis, rng, n_terms=8, max_quanta=3)
+            assert np.abs(moments(state)[2]).max() > 0.0
+        else:
+            state = random_state(basis, rng, n_terms=4, max_quanta=2, per_mode=True).normalized()
+        n = sum(len(occ) for occ in state.terms)
+        want = walk_total_energy(state)
+        assert abs(total_energy(state) - want) <= 10 * n * np.finfo(float).eps * want
+
+
 def test_total_energy_matches_lattice_integration():
     """Rectangle-rule integral of T_00 over the box reproduces sum_k w_k <N_k>."""
     basis = minkowski_basis(box_side=10.0, dimension=1, mass=1.0, n_max=2)
@@ -765,6 +791,20 @@ def test_wavepacket_state_rejects_a_non_finite_centre():
     for x0 in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="^x0 must be finite$"):
             wavepacket_state(basis, (x0,))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: wavepacket_state(_DUST, (0.0,)), ModeBasisError,
+     "wavepacket_state is defined for box mode bases"),
+    (lambda: wavepacket_state(minkowski_basis(10.0, 2, 1.0, 1), (1.0,)), ValueError,
+     "x0 must have one coordinate per spatial dimension"),
+    (lambda: integrated_energy(new_vacuum(_DUST), _DUST, _DUST.backend), ModeBasisError,
+     "lattice integration is defined for box mode bases"),
+], ids=["packet-on-dust", "packet-centre-length", "lattice-on-dust"])
+def test_box_entry_points_reject_a_dust_basis_or_a_short_centre(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_stress_field_rejects_mismatched_inputs():
