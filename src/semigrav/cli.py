@@ -5,12 +5,14 @@
     semigrav scan <scenario> --param V|V0 --values a,b,c
                             [--config FILE] [--out PATH] [--format csv|json]
 
-Exit codes: 0 when every scenario flag passes, 1 when any flag fails
-(with one ``flag '<name>' failed`` line on stderr per failed flag), 2 for
+Exit codes: 0 when every scenario flag passes, 1 when any flag fails, 2 for
 configuration or usage errors (``--format csv`` without ``--out`` among them:
-CSV writes one file per table).  The scannable scenarios and their
-parameters come from the scenario registry.  ``--values`` is parsed into floats
-here, and ``scan_scenario`` checks them as it does for a Python caller.
+CSV writes one file per table).  On exit 1, stderr has the report's line per
+failed flag: ``flag 'energy_matches' failed: 0.99226737159976 > 0.001`` names a
+bounded flag's value and bound, ``flag 'causality_pass' failed`` an identity.
+The scannable scenarios and their parameters come from the scenario registry.
+``--values`` is parsed into floats here, and ``scan_scenario`` checks them as
+it does for a Python caller.
 """
 from __future__ import annotations
 
@@ -91,10 +93,8 @@ def main(argv=None) -> int:
     except (ScenarioConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    failed = [name for name, ok in report.flags.items() if not ok]
-    for name in failed:
-        print(f"flag {name!r} failed", file=sys.stderr)
-    return 1 if failed else 0
+    sys.stderr.writelines(f"{line}\n" for line in report.failures)
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -60,6 +60,7 @@ class RunReport:
     seed: int
     tables: dict[str, Table] = field(default_factory=dict)
     flags: dict[str, bool] = field(default_factory=dict)
+    failures: list[str] = field(default_factory=list)  # a line per failed flag; not emitted
 
     @property
     def passed(self) -> bool:

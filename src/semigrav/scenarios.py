@@ -2,28 +2,29 @@
 
 Each ``_Scenario`` record in ``_SCENARIOS`` holds the config schema (one
 ``_Field`` record of kind and bounds per field), the rules that read two or
-more fields, the runner and an optional volume scan.  All eight pipelines
-are runners here.  A runner hands the engines its states alone: each state
-carries its basis and the basis its backend.  The two collapse scenarios
-share one runner, ``_run_collapse``, and differ only in data: a setup, the
-names of two flags and whether the projection should change T_00 outside
-the cone.  A setup reads only the geometry fields: it builds the branch set
-from labelled states, places the measurement at t = 0, hands the gate the
-pre-projection density and one row per branch at its probes (EPR passes one
-zero array as all three; ``page_geilker`` evaluates its Gaussian spheres
-once, ``_spheres``) and checks each branch, returning the pre-state, branch
-set, one gate report and one verdict per branch, but no per-probe array.
+more fields, the runner, one ``_Flag`` record of name and bound per flag
+and an optional volume scan.  All eight pipelines are runners here.  A
+runner hands the engines its states alone: each state carries its basis
+and the basis its backend.  The two collapse scenarios share one runner,
+``_run_collapse``, and differ only in data: a setup, the names of two flags
+and whether the projection should change T_00 outside the cone.  A setup
+reads only the geometry fields: it builds the branch set from labelled
+states, places the measurement at t = 0, hands the gate the pre-projection
+density and one row per branch at its probes (EPR passes one zero array as
+all three; ``page_geilker`` evaluates its Gaussian spheres once,
+``_spheres``) and checks each branch, returning the pre-state, branch set,
+one gate report and one verdict per branch, but no per-probe array.
 The trials read ``seed`` and ``n_trials``; both scenarios emit the tables
 ``statistics``, ``causality`` and ``summary``, and their flags read the
 verdicts of the branches that occurred.
 ``SCENARIO_NAMES``, ``SCANS`` and the ``trials`` override (allowed when the
 schema has ``n_trials``) derive from the records.  A runner reads the
-validated config alone, seed included, and returns its tables and flags,
-the flags recording the scenario's own pass criteria; the ``RunReport`` is
-built from the registry key and the config's seed by ``run_scenario`` and
-``scan_scenario`` alone.  Config validation is total: every field is
-required, unknown fields are rejected, and every error message names the
-offending field.
+validated config alone, seed included, and returns its tables and each
+flag's deciding value, which ``_verdicts`` turns into the report's flags and
+a stderr line per failed flag; the ``RunReport`` is built from the registry
+key and the config's seed by ``run_scenario`` and ``scan_scenario`` alone.
+Config validation is total: every field is required, unknown fields are
+rejected, and every error message names the offending field.
 """
 from __future__ import annotations
 
@@ -66,7 +67,7 @@ class _Bad(Exception):
     pass
 
 
-# ---- field records ---------------------------------------------------------
+# ---- field and flag records ------------------------------------------------
 
 def _number(v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -150,6 +151,24 @@ class _Field:
         return v
 
 
+@dataclass(frozen=True)
+class _Flag:
+    """A report flag: its runner's value passes at most ``bound``, or above it with
+    ``above`` (a NaN never does); with no bound, the value is an exact identity's bool."""
+    name: str
+    bound: float | None = None
+    above: bool = False
+
+    def failure(self, value) -> str:
+        """'' if ``value`` passes, else the stderr line, naming a bounded value and bound."""
+        if self.bound is None:
+            return "" if value else f"flag {self.name!r} failed"
+        value = float(value)
+        if value > self.bound if self.above else value <= self.bound:
+            return ""
+        return f"flag {self.name!r} failed: {value!r} {'<=' if self.above else '>'} {self.bound!r}"
+
+
 # ---- shared table builders -------------------------------------------------
 
 def _x_columns(dimension: int) -> tuple[str, ...]:
@@ -178,7 +197,7 @@ def _random_events(rng: np.random.Generator, n: int, box_side: float, dimension:
 
 # ---- scenario pipelines ----------------------------------------------------
 
-_Outcome = tuple[list[Table], dict[str, bool]]  # a runner's tables and flags, in report order
+_Outcome = tuple[list[Table], dict]  # a runner's tables and each flag's deciding value
 
 
 def _run_minkowski_vacuum(cfg: dict) -> _Outcome:
@@ -189,7 +208,7 @@ def _run_minkowski_vacuum(cfg: dict) -> _Outcome:
     rep = residual(state, t, x)
     tables = [_stress_table("minkowski_vacuum", t[:10], x[:10], rep.stress[:10]),
               _residual_table(t, x, rep)]
-    return tables, {"residual_zero": bool(rep.global_max <= 1e-12)}
+    return tables, {"residual_zero": rep.global_max}
 
 
 def _run_minkowski_particle(cfg: dict) -> _Outcome:
@@ -207,9 +226,8 @@ def _run_minkowski_particle(cfg: dict) -> _Outcome:
               _residual_table(t, x, rep),
               Table("energy", ("total_energy", "omega", "lattice_energy"),
                     ([total], [omega], [lattice]))]
-    return tables, {
-        "total_energy_exact": bool(abs(total - omega) <= 1e-12 * max(1.0, omega)),
-        "lattice_energy_matches": bool(abs(lattice - total) <= 1e-8 * total)}
+    return tables, {"total_energy_exact": abs(total - omega) / max(1.0, omega),
+                    "lattice_energy_matches": abs(lattice - total) / total}
 
 
 def _run_kg_wavepacket(cfg: dict) -> _Outcome:
@@ -232,8 +250,7 @@ def _run_kg_wavepacket(cfg: dict) -> _Outcome:
               Table("summary",
                     ("t00_center", "t00_far", "ratio", "total_energy", "lattice_energy"),
                     ([center], [far], [ratio], [total], [lattice]))]
-    return tables, {"localized": bool(ratio > 10.0),
-                    "energy_matches": bool(abs(lattice - total) <= 1e-3 * total)}
+    return tables, {"localized": ratio, "energy_matches": abs(lattice - total) / total}
 
 
 def _eds_t00_closed_form(mass: float, volume: float, t: float) -> float:
@@ -261,11 +278,8 @@ def _run_eds_cosmology(cfg: dict) -> _Outcome:
               Table("t00", ("t", "value", "closed_form", "rel_err"),
                     (t_grid, value, closed, rel_err)),
               _residual_table(t_grid, x, rep)]
-    return tables, {
-        "t00_closed_form": bool(np.all(rel_err <= 1e-10)),
-        "off_diagonals_zero": bool(worst_offdiag <= 1e-12),
-        # at finite comoving volume the 1/t^4 tail obstructs exact consistency
-        "finite_volume_obstruction_present": bool(rep.global_max > 0.0)}
+    return tables, {"t00_closed_form": rel_err.max(), "off_diagonals_zero": worst_offdiag,
+                    "finite_volume_obstruction_present": rep.global_max}
 
 
 def _eds_residual_at(mass: float, volume: float, t_grid) -> float:
@@ -291,15 +305,13 @@ def _run_eds_fit(cfg: dict) -> _Outcome:
                         cfg["bracket_lo"], cfg["bracket_hi"], cfg["fit_tol"])
     study = scaling_study(_eds_volume_observable(cfg), cfg["scaling_volumes"], parameter="V0")
 
+    rel_err = abs(fit.parameter - target) / target
     fit_table = Table("fit", ("best_mass", "best_residual", "target_mass", "rel_err",
                               "hit_boundary"),
-                      ([fit.parameter], [fit.value], [target],
-                       [abs(fit.parameter - target) / target], [fit.hit_boundary]))
+                      ([fit.parameter], [fit.value], [target], [rel_err], [fit.hit_boundary]))
     return [fit_table, *_scaling_tables(study)], {
-        "fit_recovers_mass": bool(
-            not fit.hit_boundary and abs(fit.parameter - target) <= 1e-3 * target),
-        "scaling_slope_minus_2": bool(
-            study.slope is not None and abs(study.slope + 2.0) <= 1e-6)}
+        "fit_recovers_mass": math.inf if fit.hit_boundary else rel_err,
+        "scaling_slope_minus_2": math.inf if study.slope is None else abs(study.slope + 2.0)}
 
 
 def _rindler_grid(cfg: dict) -> np.ndarray:
@@ -318,15 +330,9 @@ def _run_rindler_unruh(cfg: dict) -> _Outcome:
     tables = [Table("spectrum", ("omega", "occupancy", "planck", "rel_err"),
                     (omega, occupancy, planck, rel_err)),
               Table("normalization", ("omega", "row_norm"), (omega, row_norm))]
-    # np.all rather than a running max, so that a NaN fails its flag
-    return tables, {
-        "thermal_within_1pct": bool(np.all(rel_err <= 0.01)),
-        "rows_normalized": bool(np.all(np.abs(row_norm - 1.0) <= 1e-3)),
-        "occupancy_positive": bool(np.all(occupancy > 0.0))}
-
-
-def _four_sigma(p: float, n: int) -> float:
-    return 4.0 * math.sqrt(p * (1.0 - p) / n) if 0.0 < p < 1.0 else 0.0
+    return tables, {"thermal_within_1pct": rel_err.max(),
+                    "rows_normalized": np.abs(row_norm - 1.0).max(),
+                    "occupancy_positive": occupancy.min()}
 
 
 def _linspace(stop: float, k: int) -> np.ndarray:
@@ -424,15 +430,14 @@ def _run_collapse(cfg: dict, setup: Callable, check_flag: str, gate_flag: str,
     branch.  A trial's post-state is its branch's state exactly, so a branch's
     verdicts count for all of its trials, and only branches that occurred are
     read.  ``discontinuity`` is the smallest change outside the cone over the
-    branches.  The gate flag holds when every branch passes the gate if the
-    projection should leave T_00 outside the cone unchanged, and when
-    ``discontinuity`` is nonzero if it should change it (``changes_t00``).
+    branches: the gate flag's value if the projection should change T_00 there
+    (``changes_t00``); otherwise it is whether every branch passes the gate.
     """
     state, branches, reports, checks = setup(cfg)
     batch = run_trials(state, branches, cfg["seed"], cfg["n_trials"])
     n = batch.n_trials
     checked = all(ok for ok, c in zip(checks, batch.counts) if c)
-    discontinuity = min(rep.max_violation_outside for rep in reports)
+    discontinuity = float(np.minimum.reduce([rep.max_violation_outside for rep in reports]))
     tables = [
         Table("statistics", ("branch", "count", "frequency", "born"),
               (branches.labels, batch.counts, [c / n for c in batch.counts], batch.born)),
@@ -441,9 +446,10 @@ def _run_collapse(cfg: dict, setup: Callable, check_flag: str, gate_flag: str,
         Table("summary", ("discontinuity", check_flag), ([discontinuity], [checked]))]
     return tables, {
         check_flag: checked,
-        gate_flag: discontinuity > 0.0 if changes_t00 else all(rep.passed for rep in reports),
-        "born_within_4sigma": all(
-            abs(c / n - p) <= _four_sigma(p, n) for c, p in zip(batch.counts, batch.born))}
+        gate_flag: discontinuity if changes_t00 else all(rep.passed for rep in reports),
+        "born_within_4sigma": np.maximum.reduce([  # 4 sigma is 0 at p = 0 or 1
+            abs(c / n - p) - (4.0 * math.sqrt(p * (1.0 - p) / n) if 0.0 < p < 1.0 else 0.0)
+            for c, p in zip(batch.counts, batch.born)])}
 
 
 # ---- scan observables ----------------------------------------------------------
@@ -489,6 +495,8 @@ _DUST_MASS = _Field("number", hi=1e150)
 _SCAN_VALUES = _Field("increasing", min_len=3)  # the volumes of the V scan
 # the V0 observable's mass V0/(6 pi) takes m^2 and its tail 3 pi/V0^2 at t = 1
 _EDS_VOLUMES = _Field("increasing", lo=1e-149, hi=1e150, min_len=3)
+_BORN = _Flag("born_within_4sigma", 0.0)  # the largest excess of |frequency - p| over 4 sigma
+_SCAN_FLAGS = (_Flag("slope_defined"),)
 
 
 def _dust_check(lightest: str, heaviest: str) -> tuple:
@@ -513,10 +521,19 @@ def _stations_coincide(c: dict) -> bool:
     return left + c["station_separation"] - left == 0.0
 
 
+def _slot_overflow(c: dict) -> bool:
+    """The largest slot product of the one-quantum state, w/(2V) of the labelled mode, is
+    past 1e300: T_mn sums a few such products at an event and the lattice energy one
+    T_00 per point, which at most 1e300 each keeps finite (``_BOX_SIDE`` keeps V normal)."""
+    k = (2.0 * math.pi * n / c["box_side"] for n in c["mode_label"])
+    return math.hypot(*k, c["mass"]) / (2.0 * c["box_side"] ** c["dimension"]) > 1e300
+
+
 @dataclass(frozen=True)
 class _Scenario:
     schema: dict[str, _Field]
     run: Callable[[dict], _Outcome]
+    flags: tuple[_Flag, ...]  # in report order
     # rules over two or more fields, in order: (field, message, test true for a bad config)
     checks: tuple[tuple[str, str, Callable[[dict], bool]], ...] = ()
     # (scanned parameter, factory of the observable from a validated config, values record)
@@ -526,28 +543,34 @@ class _Scenario:
 _SCENARIOS: dict[str, _Scenario] = {
     "minkowski_vacuum": _Scenario(
         schema={"box_side": _BOX_SIDE, "dimension": _DIMENSION, "n_events": _COUNT, "seed": _SEED},
-        run=_run_minkowski_vacuum),
+        run=_run_minkowski_vacuum, flags=(_Flag("residual_zero", 1e-12),)),
     "minkowski_particle": _Scenario(
         schema={"box_side": _BOX_SIDE, "dimension": _DIMENSION, "mass": _BOX_MASS,
                 "n_max": _COUNT, "mode_label": _Field("integers"), "n_events": _COUNT,
                 "lattice_points": _COUNT, "seed": _SEED},
         run=_run_minkowski_particle, scan=("V", _box_volume_observable, _SCAN_VALUES),
+        flags=(_Flag("total_energy_exact", 1e-12), _Flag("lattice_energy_matches", 1e-8)),
         checks=(("mode_label", "must have one integer per spatial dimension",
                  lambda c: len(c["mode_label"]) != c["dimension"]),
                 ("mode_label", "exceeds n_max",
                  lambda c: max(abs(n) for n in c["mode_label"]) > c["n_max"]),
                 ("mode_label", "zero mode does not exist for a massless field",
-                 lambda c: c["mass"] == 0.0 and all(n == 0 for n in c["mode_label"])))),
+                 lambda c: c["mass"] == 0.0 and all(n == 0 for n in c["mode_label"])),
+                ("box_side", "too small for this mass and mode_label: T_mn overflows",
+                 _slot_overflow))),
     "kg_wavepacket": _Scenario(
         schema={"box_side": _BOX_SIDE, "mass": _Field("number", lo=1e-150, hi=1e150),
                 "n_max": _COUNT, "x0": _NONNEGATIVE, "profile_points": _Field("integer", lo=2),
                 "integration_points": _COUNT, "seed": _SEED},
-        run=_run_kg_wavepacket,
+        run=_run_kg_wavepacket, flags=(_Flag("localized", 10.0, above=True),
+                                       _Flag("energy_matches", 1e-3)),
         checks=(("x0", "must lie inside the box", lambda c: c["x0"] >= c["box_side"]),)),
     "eds_cosmology": _Scenario(
         schema={"comoving_volume": _POSITIVE, "mass": _DUST_MASS, "t_grid": _T_GRID,
                 "seed": _SEED},
         run=_run_eds_cosmology, scan=("V0", _eds_volume_observable, _EDS_VOLUMES),
+        flags=(_Flag("t00_closed_form", 1e-10), _Flag("off_diagonals_zero", 1e-12),
+               _Flag("finite_volume_obstruction_present", 0.0, above=True)),
         checks=(_dust_check("mass", "mass"),)),
     "eds_fit": _Scenario(
         schema={"comoving_volume": _POSITIVE, "t_grid": _T_GRID, "bracket_lo": _POSITIVE,
@@ -555,6 +578,7 @@ _SCENARIOS: dict[str, _Scenario] = {
                 "scaling_volumes": _EDS_VOLUMES,
                 "seed": _SEED},
         run=_run_eds_fit,
+        flags=(_Flag("fit_recovers_mass", 1e-3), _Flag("scaling_slope_minus_2", 1e-6)),
         checks=(("bracket_hi", "must exceed bracket_lo",
                  lambda c: c["bracket_hi"] <= c["bracket_lo"]),
                 _dust_check("bracket_lo", "bracket_hi"))),
@@ -563,6 +587,8 @@ _SCENARIOS: dict[str, _Scenario] = {
         schema={"acceleration": _POSITIVE, "n_frequencies": _Field("integer", lo=1, hi=1_000_000),
                 "freq_lo": _POSITIVE, "freq_hi": _POSITIVE, "seed": _SEED},
         run=_run_rindler_unruh,
+        flags=(_Flag("thermal_within_1pct", 0.01), _Flag("rows_normalized", 1e-3),
+               _Flag("occupancy_positive", 0.0, above=True)),
         # nu = w/a must not underflow to 0, where Gamma(i nu) has its pole, and the
         # Planck occupancy e^(-2 pi nu) must stay a normal float
         checks=(("freq_hi", "must exceed freq_lo", lambda c: c["freq_hi"] <= c["freq_lo"]),
@@ -578,6 +604,7 @@ _SCENARIOS: dict[str, _Scenario] = {
                 "n_probes": _Field("integer", lo=2), "seed": _SEED},
         run=partial(_run_collapse, setup=_epr_setup, check_flag="anticorrelation_exact",
                     gate_flag="causality_pass", changes_t00=False),
+        flags=(_Flag("anticorrelation_exact"), _Flag("causality_pass"), _BORN),
         checks=(("station_separation", "must be smaller than box_side",
                  lambda c: c["station_separation"] >= c["box_side"]),
                 ("station_separation", "too small to separate the stations at this box_side",
@@ -591,6 +618,8 @@ _SCENARIOS: dict[str, _Scenario] = {
         run=partial(_run_collapse, setup=_page_geilker_setup,
                     check_flag="single_sphere_every_trial", gate_flag="discontinuity_nonzero",
                     changes_t00=True),
+        flags=(_Flag("single_sphere_every_trial"),
+               _Flag("discontinuity_nonzero", 0.0, above=True), _BORN),
         checks=(("position_a", "sphere positions must lie inside the box",
                  lambda c: c["position_a"] >= c["box_side"]),
                 ("position_b", "sphere positions must lie inside the box",
@@ -622,6 +651,12 @@ def _field(schema: dict, key: str, value):
         return schema[key].check(value)
     except _Bad as bad:
         raise ScenarioConfigError(f"field {key!r}: {bad}") from None
+
+
+def _verdicts(records: tuple[_Flag, ...], values: dict) -> tuple[dict[str, bool], list[str]]:
+    """The flags, in record order, and the stderr lines of those that failed."""
+    lines = {flag.name: flag.failure(values[flag.name]) for flag in records}
+    return {name: not line for name, line in lines.items()}, [*filter(None, lines.values())]
 
 
 # ---- public entry points -------------------------------------------------------
@@ -670,8 +705,9 @@ def run_scenario(name: str, config: dict | None = None, seed: int | None = None,
         cfg["n_trials"] = _field(scenario.schema, "n_trials", trials)
     if seed is not None:
         cfg["seed"] = _field(scenario.schema, "seed", seed)
-    tables, flags = scenario.run(cfg)
-    return RunReport(name, cfg["seed"], {table.name: table for table in tables}, flags)
+    tables, values = scenario.run(cfg)
+    return RunReport(name, cfg["seed"], {table.name: table for table in tables},
+                     *_verdicts(scenario.flags, values))
 
 
 def scan_scenario(name: str, config: dict | None, param: str,
@@ -702,4 +738,4 @@ def scan_scenario(name: str, config: dict | None, param: str,
         raise ScenarioConfigError(f"field 'values': {exc}") from None
     return RunReport(f"scan_{name}", cfg["seed"],
                      {table.name: table for table in _scaling_tables(study)},
-                     {"slope_defined": study.status == "ok"})
+                     *_verdicts(_SCAN_FLAGS, {"slope_defined": study.status == "ok"}))

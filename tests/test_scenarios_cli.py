@@ -20,12 +20,14 @@ from hypothesis import given, settings, strategies as st
 from semigrav.cli import build_parser, main
 from semigrav.report import emit
 from semigrav.scenarios import (
+    _SCAN_FLAGS,
     _SCAN_VALUES,
     _SCENARIOS,
     SCANS,
     SCENARIO_NAMES,
     ScenarioConfigError,
     _Field,
+    _Flag,
     _field,
     default_config,
     run_scenario,
@@ -367,29 +369,45 @@ RINDLER_FAULTS = {
 }
 
 
-def _run_failing(argv, failed, capsys):
+def _run_failing(argv, failed, capsys, err=None):
     """The ``main`` call ``argv`` (a packaged run, unless it adds ``--config``): it
-    exits 1 and stderr names exactly the flags ``failed`` lists, in order.
+    exits 1 and stderr has one line for each flag ``failed`` lists, in order, which
+    the flag's ``_Flag`` record gives for a value that fails it: ``flag 'x' failed``
+    for an identity, and with ``: <value> > <bound>`` (``<=`` for an ``above`` flag)
+    for a bounded flag.  ``err``, when given, is the exact stderr.
     Returns the JSON payload."""
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 1
-    assert captured.err == "".join(f"flag {flag!r} failed\n" for flag in failed)
+    records = {flag.name: flag for flag in
+               (_SCAN_FLAGS if argv[0] == "scan" else _SCENARIOS[argv[1]].flags)}
+    lines = captured.err.splitlines()
+    assert captured.err == "".join(f"{line}\n" for line in lines)
+    assert [line.split("'")[1] for line in lines] == list(failed)
+    for line, flag in zip(lines, failed):
+        record = records[flag]
+        value = False if record.bound is None else float(line.split(": ")[1].split(" ")[0])
+        assert record.failure(value) == line
+    assert err is None or captured.err == err
     return json.loads(captured.out)
 
 
-def _run_rindler_with_fault(fault, monkeypatch, capsys):
+def _run_rindler_with_fault(fault, monkeypatch, capsys, err=None):
     """The packaged rindler_unruh run with ``bogolubov._loggamma`` replaced as
     ``RINDLER_FAULTS[fault]`` says, failing the flags the entry lists."""
     make, failed = RINDLER_FAULTS[fault]
     bogolubov = importlib.import_module("semigrav.bogolubov")
     monkeypatch.setattr(bogolubov, "_loggamma", make(bogolubov._loggamma))
-    return _run_failing(["run", "rindler_unruh"], failed, capsys)
+    return _run_failing(["run", "rindler_unruh"], failed, capsys, err)
 
 
 def test_rindler_non_finite_spectrum_fails_every_flag(monkeypatch, capsys):
-    """A NaN log-gamma makes every row NaN, and a NaN fails every flag."""
-    payload = _run_rindler_with_fault("nan", monkeypatch, capsys)
+    """A NaN log-gamma makes every row NaN, and a NaN fails every flag, above or below
+    its bound; each line names the NaN."""
+    payload = _run_rindler_with_fault("nan", monkeypatch, capsys, err=(
+        "flag 'thermal_within_1pct' failed: nan > 0.01\n"
+        "flag 'rows_normalized' failed: nan > 0.001\n"
+        "flag 'occupancy_positive' failed: nan <= 0.0\n"))
     assert list(payload["tables"]) == ["normalization", "spectrum"]
     assert payload["flags"] and not any(payload["flags"].values())
 
@@ -508,12 +526,20 @@ CONFIG_CONTROLS = {
 }
 
 
+# the exact stderr of some controls: a bounded flag's value and bound, an identity's name
+CONTROL_STDERR = {
+    "kg_wavepacket-one-point": "flag 'energy_matches' failed: 0.99226737159976 > 0.001\n",
+    "kg_wavepacket-spread": "flag 'localized' failed: 5.195044731834276 <= 10.0\n",
+    "page_geilker-coincident-spheres": "flag 'single_sphere_every_trial' failed\n",
+}
+
+
 @pytest.mark.parametrize("control", sorted(CONFIG_CONTROLS))
 def test_config_control_fails_exactly_its_flags(control, tmp_path, capsys):
     """A valid config turns the flags its entry lists false, and only them."""
     name, changes, failed = CONFIG_CONTROLS[control]
     path = _write_json(tmp_path / "control.json", dict(default_config(name), **changes))
-    _run_failing(["run", name, "--config", path], failed, capsys)
+    _run_failing(["run", name, "--config", path], failed, capsys, CONTROL_STDERR.get(control))
 
 
 # valid scans, each with its scenario, parameter and values and the flags it must fail
@@ -560,13 +586,10 @@ _SCAN_CONFIGS = {name: dict(default_config(name), **changes)
 def test_every_collapse_flag_has_a_fault_or_an_identity_entry():
     """Every flag of the eight scenarios and the two scans is failed by a config or
     scan control or by a fault entry, or holds by construction for the reason
-    ``COLLAPSE_IDENTITIES`` gives: exactly one of the three."""
-    flags = {flag for name in SCENARIO_NAMES
-             for flag in run_scenario(name, _small_config(name), trials=FAST_TRIALS.get(name)).flags}
-    assert set(_SCAN_RUNS) == set(SCANS)
-    flags |= {flag for name, (changes, values) in _SCAN_RUNS.items()
-              for flag in scan_scenario(name, dict(default_config(name), **changes), SCANS[name],
-                                        values).flags}
+    ``COLLAPSE_IDENTITIES`` gives: exactly one of the three.  The flags are read from
+    the ``_Flag`` records, which name each run's flags (checked below)."""
+    flags = {flag.name for records in [_SCAN_FLAGS, *(sc.flags for sc in _SCENARIOS.values())]
+             for flag in records}
     tables = ({flag for controls in (CONFIG_CONTROLS, SCAN_CONTROLS)
                for *_, failed in controls.values() for flag in failed},
               {flag for faults in (COLLAPSE_FAULTS, RINDLER_FAULTS, FIELD_FAULTS)
@@ -574,6 +597,38 @@ def test_every_collapse_flag_has_a_fault_or_an_identity_entry():
               set(COLLAPSE_IDENTITIES))
     counts = {flag: sum(flag in table for table in tables) for flag in flags}
     assert counts == dict.fromkeys(flags, 1)
+
+
+def test_a_flag_record_judges_its_bound_and_names_the_value():
+    """A value at the bound passes an at-most flag and fails an ``above`` one; a NaN
+    fails both; a numpy scalar is named as a float; an identity's bool is its verdict."""
+    at_most, above, identity = _Flag("x", 1e-3), _Flag("y", 0.0, above=True), _Flag("z")
+    assert at_most.failure(1e-3) == above.failure(5e-324) == identity.failure(True) == ""
+    past = math.nextafter(1e-3, 1.0)
+    assert at_most.failure(past) == f"flag 'x' failed: {past!r} > 0.001"
+    assert at_most.failure(np.float64(0.5)) == "flag 'x' failed: 0.5 > 0.001"
+    assert at_most.failure(math.nan) == "flag 'x' failed: nan > 0.001"
+    assert above.failure(0.0) == "flag 'y' failed: 0.0 <= 0.0"
+    assert above.failure(np.nan) == "flag 'y' failed: nan <= 0.0"
+    assert identity.failure(False) == "flag 'z' failed"
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_each_runner_names_its_flags_as_its_records_do(name):
+    """A runner returns one deciding value per ``_Flag`` record of its scenario, in
+    record order, and the report's flags follow; a scan's flags are ``_SCAN_FLAGS``."""
+    assert set(_SCAN_RUNS) == set(SCANS)
+    scenario = _SCENARIOS[name]
+    cfg = validate_config(name, _small_config(name))
+    if name in FAST_TRIALS:
+        cfg["n_trials"] = FAST_TRIALS[name]
+    _, values = scenario.run(cfg)
+    assert list(values) == [flag.name for flag in scenario.flags]
+    assert list(run_scenario(name, cfg).flags) == list(values)
+    if name in SCANS:
+        changes, volumes = _SCAN_RUNS[name]
+        report = scan_scenario(name, dict(default_config(name), **changes), SCANS[name], volumes)
+        assert list(report.flags) == [flag.name for flag in _SCAN_FLAGS]
 
 
 @pytest.mark.parametrize("changes", [
@@ -964,6 +1019,26 @@ def test_field_record_accepts_its_bounds_and_rejects_beyond(name, key, data):
             assert str(exc.value) == f"field {key!r}: {prefix}{message}"
 
 
+# (scenario, field, bound) of every bound of a number or increasing record
+_EDGES = [(name, key, bound) for name, scenario in _SCENARIOS.items()
+          for key, rec in scenario.schema.items() if rec.kind in ("number", "increasing")
+          for bound in (rec.lo, rec.hi) if bound is not None]
+
+
+@pytest.mark.parametrize("name, key, bound", _EDGES,
+                         ids=[f"{n}-{k}-{b:g}" for n, k, b in _EDGES])
+def test_every_bounded_field_runs_or_is_refused_at_its_edges(name, key, bound):
+    """The packaged config with one field at a bound of its record (in a list, as
+    ``_of_kind`` places it) either runs with no warning or raises a config error."""
+    cfg = dict(default_config(name), **{key: _of_kind(_SCENARIOS[name].schema[key], bound)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            run_scenario(name, cfg)
+        except ScenarioConfigError:
+            pass
+
+
 def test_every_field_record_option_is_set_by_some_record():
     """Each ``_Field`` option but ``kind`` is set away from its default by a schema
     record or by ``_SCAN_VALUES``: an option that no value reads does not stay."""
@@ -1012,6 +1087,11 @@ API_MESSAGES = [
      "field 'values': entries must lie between 1e-149 and 1e150"),
     # a key that is not a string is unknown, and keys of mixed types still sort
     (lambda: validate_config("eds_cosmology", {1: 2, "a": 3}), "unknown field 1"),
+    # w/(2V) of the labelled mode past 1e300: 3e308 at box_side 1e-77, 5e329 at mass 1e150
+    *((lambda changes=changes: validate_config(
+        "minkowski_particle", dict(default_config("minkowski_particle"), **changes)),
+       "field 'box_side': too small for this mass and mode_label: T_mn overflows")
+      for changes in ({"box_side": 1e-77}, {"box_side": 1e-60, "mass": 1e150})),
 ]
 
 
@@ -1146,6 +1226,8 @@ CLI_MESSAGES = [
     (["run", "eds_cosmology", "--config", "{tmp}/digits.json"],
      "config is not valid JSON: Exceeds the limit (4300 digits) for integer string "
      "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    (["run", "minkowski_particle", "--config", "{tmp}/mp_tiny.json"],
+     "field 'box_side': too small for this mass and mode_label: T_mn overflows"),
 ]
 
 # config files the CLI cases read: file stem -> (scenario, changes to its packaged config)
@@ -1174,6 +1256,7 @@ CLI_CONFIGS = {
                                   "n_frequencies": 100}),
     "pg_tol": ("page_geilker", {"tol": 0.0}),
     "epr_wide": ("epr_collapse", {"box_side": 1e50}),
+    "mp_tiny": ("minkowski_particle", {"box_side": 1e-80}),
 }
 
 

@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from semigrav.fock import (
@@ -17,7 +16,7 @@ from semigrav.modes import (
 )
 from semigrav.consistency import residual
 from semigrav.spacetime import (
-    BackendDomainError, EinsteinDeSitter, Minkowski, einstein_tensor, metric,
+    BackendDomainError, Minkowski, einstein_tensor, metric,
 )
 from semigrav import stress_energy
 from semigrav.stress_energy import (
